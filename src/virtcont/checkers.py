@@ -159,10 +159,19 @@ def _check_stepfit(rep, exact, tol):
 
 
 def _check_vcprofile(rep, exact, tol):
+    """The witness is a (non-strict) step fit at the reported value.
+
+    This bounds the profile from above only.  `exact_optimum` is a claim
+    from the search that no smaller eps admits a fit; `check` cannot
+    verify it.
+    """
     f = function_from_obj(rep["inputs"]["function"], exact)
+    fit = _fit_from_obj(rep["witness"], exact)
     # the witness attains the optimum, so its bounds hold non-strictly
-    return step_fit_violations(f, _fit_from_obj(rep["witness"], exact),
-                               strict=False)
+    problems = step_fit_violations(f, fit, strict=False)
+    if not close(_parse_weight(rep["value"], exact), fit.epsilon, tol):
+        problems.append("reported value != witness epsilon")
+    return problems
 
 
 def _check_matdist(rep, exact, tol):
@@ -193,8 +202,15 @@ _CHECKS = {
 
 def check_report(rep: dict, tol: float = DEFAULT_TOL) -> list[str]:
     """Re-verify the certificates inside a report dict; list of violations."""
+    if not isinstance(rep, dict):
+        raise ValidationError("a report must be a JSON object")
     cmd = rep.get("command")
     if cmd not in _CHECKS:
         raise ValidationError(f"no certificate checker for command {cmd!r}")
     exact = rep.get("mode", "exact") == "exact"
-    return _CHECKS[cmd](rep, exact, tol)
+    try:
+        return _CHECKS[cmd](rep, exact, tol)
+    except KeyError as e:
+        raise ValidationError(f"malformed {cmd} report: missing key {e}") from None
+    except (TypeError, IndexError) as e:
+        raise ValidationError(f"malformed {cmd} report: {e}") from None

@@ -8,8 +8,13 @@ Two solvers live here:
   node potentials) that also handles the max-profit / slack-marginal variant
   through a dummy row and column.
 
-Both run unchanged on Fractions (exact) and floats.  Augmentation order is
-deterministic: ties break on the lowest node index.
+Each has one kernel body, generic over Python ints and floats.  In exact
+mode the rational inputs are scaled once to ints over their common
+denominator (`model.common_integers`), the kernel runs on the ints, and the
+results are divided back to Fractions at the end.  A positive common scale
+preserves every comparison and tie, so the kernel takes the same steps as
+on the Fractions themselves.  Augmentation order is deterministic: ties
+break on the lowest node index.
 """
 
 from __future__ import annotations
@@ -18,13 +23,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .model import Number, ValidationError, all_exact, is_exact
+from .model import Number, ValidationError, all_exact, common_integers, is_exact
 
 EPS = 1e-12
 
 
 def _zero_like(values) -> Number:
-    return Fraction(0) if all_exact(values) else 0.0
+    # the kernels see ints (exact mode, scaled) or values with a float
+    return 0 if all_exact(values) else 0.0
 
 
 class InfeasibleError(ValueError):
@@ -69,12 +75,25 @@ def min_weighted_vertex_cover(inst: BipartiteCoverInstance) -> CoverResult:
     max-flow/min-cut the optimal cover weight equals the max flow, and the cut
     is read off residual reachability (source-side rows stay unpicked).
     """
-    nr, nc = len(inst.row_costs), len(inst.col_costs)
-    zero = _zero_like(inst.row_costs + inst.col_costs)
+    nr = len(inst.row_costs)
+    costs, scale = common_integers(inst.row_costs + inst.col_costs)
+    zero = Fraction(0) if scale is not None else 0.0
     if not inst.edges:
         return CoverResult(zero, [], [], [], zero)
+    rows, cols, flow, total = _max_flow_cover(costs[:nr], costs[nr:], inst.edges)
+    if scale is not None:
+        flow = [Fraction(x, scale) for x in flow]
+        total = Fraction(total, scale)
+    value = sum((inst.row_costs[i] for i in rows), zero) + \
+        sum((inst.col_costs[j] for j in cols), zero)
+    return CoverResult(value, rows, cols, flow, total)
 
-    big = sum(inst.row_costs) + sum(inst.col_costs)  # exceeds any cut
+
+def _max_flow_cover(row_costs, col_costs, edges):
+    """Max-flow kernel of the cover: (rows, cols, flow per edge, flow value)."""
+    nr, nc = len(row_costs), len(col_costs)
+    zero = _zero_like(row_costs + col_costs)
+    big = sum(row_costs) + sum(col_costs)  # exceeds any cut
 
     # node ids: 0 = source, 1..nr rows, nr+1..nr+nc cols, nr+nc+1 = sink
     src, snk = 0, nr + nc + 1
@@ -87,11 +106,11 @@ def min_weighted_vertex_cover(inst: BipartiteCoverInstance) -> CoverResult:
         graph[v].append([u, zero, zero, len(graph[u]) - 1])
 
     for i in range(nr):
-        add_arc(src, 1 + i, inst.row_costs[i])
+        add_arc(src, 1 + i, row_costs[i])
     for j in range(nc):
-        add_arc(1 + nr + j, snk, inst.col_costs[j])
+        add_arc(1 + nr + j, snk, col_costs[j])
     edge_arc_pos = {}
-    for (i, j) in inst.edges:
+    for (i, j) in edges:
         edge_arc_pos[(i, j)] = (1 + i, len(graph[1 + i]))
         add_arc(1 + i, 1 + nr + j, big)
 
@@ -140,12 +159,10 @@ def min_weighted_vertex_cover(inst: BipartiteCoverInstance) -> CoverResult:
     rows = [i for i in range(nr) if not seen[1 + i]]
     cols = [j for j in range(nc) if seen[1 + nr + j]]
     flow_per_edge = []
-    for (i, j) in inst.edges:
+    for (i, j) in edges:
         u, ai = edge_arc_pos[(i, j)]
         flow_per_edge.append(graph[u][ai][2])
-    value = sum((inst.row_costs[i] for i in rows), zero) + \
-        sum((inst.col_costs[j] for j in cols), zero)
-    return CoverResult(value, rows, cols, flow_per_edge, total)
+    return rows, cols, flow_per_edge, total
 
 
 @dataclass(frozen=True)
@@ -189,8 +206,25 @@ def _ssp_balanced(supplies, demands, cost, tol):
 
     Returns (total cost, plan, potentials pi) with reduced-cost optimality:
     cost[i][j] + pi[row i] - pi[col j] >= 0 on all arcs, equality where the
-    plan is positive.
+    plan is positive.  Exact inputs are solved on ints: supplies and demands
+    scaled by their common denominator d_w, costs by theirs, d_c; the plan
+    comes back divided by d_w, the potentials by d_c, the total by d_w*d_c.
     """
+    nr, nc = len(supplies), len(demands)
+    masses, d_w = common_integers(list(supplies) + list(demands))
+    costs, d_c = common_integers(c for row in cost for c in row)
+    if d_w is None or d_c is None:
+        return _ssp_kernel(supplies, demands, cost, tol)
+    total, plan, pi = _ssp_kernel(masses[:nr], masses[nr:],
+                                  [costs[i * nc:(i + 1) * nc] for i in range(nr)],
+                                  tol)
+    return (Fraction(total, d_w * d_c),
+            [[Fraction(x, d_w) for x in row] for row in plan],
+            [Fraction(p, d_c) for p in pi])
+
+
+def _ssp_kernel(supplies, demands, cost, tol):
+    """The successive-shortest-path loop of `_ssp_balanced`."""
     nr, nc = len(supplies), len(demands)
     zero = _zero_like(list(supplies) + list(demands))
     src, snk = 0, nr + nc + 1
@@ -208,7 +242,7 @@ def _ssp_balanced(supplies, demands, cost, tol):
     to_ship = sum(supplies, zero)
     INF = None
     while to_ship > tol:
-        # Dijkstra on reduced costs (exact comparisons work for Fractions).
+        # Dijkstra on reduced costs (exact comparisons work for ints).
         # Initial potentials are zero, so the very first pass must tolerate
         # negative reduced costs: use Bellman-Ford-style relaxation instead,
         # which is cheap at these sizes and always correct.

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import sub
 from typing import Iterable, Sequence, Union
 
 Number = Union[Fraction, float, int]
@@ -32,6 +34,22 @@ def is_exact(x: Number) -> bool:
 
 def all_exact(values: Iterable[Number]) -> bool:
     return all(is_exact(v) for v in values)
+
+
+def common_integers(values: Iterable[Number]):
+    """Rational values as Python ints over their least common denominator.
+
+    Returns (ints, d) with values[k] == Fraction(ints[k], d).  Scaling by a
+    positive constant preserves every sum, difference, comparison and tie,
+    so an algorithm run on the ints takes exactly the steps it takes on the
+    Fractions, at int speed; divide its results by d once at the end.
+    Returns (values, None) if any value is a float: float mode runs as given.
+    """
+    values = list(values)
+    if not all_exact(values):
+        return values, None
+    d = lcm(*{v.denominator for v in values})
+    return [v.numerator * (d // v.denominator) for v in values], d
 
 
 def close(a: Number, b: Number, tol: float = DEFAULT_TOL) -> bool:
@@ -356,14 +374,32 @@ def validate_semimetric(m: MetricMatrix, tol: float = DEFAULT_TOL):
                 return ("invalid", ("negative distance", i, j))
             if not close(d[i][j], d[j][i], tol):
                 return ("invalid", ("asymmetric pair", i, j))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                gap = d[i][j] + d[j][k] - d[i][k]
-                if not nonneg(gap, tol):
-                    return ("invalid", ("triangle violation", i, k, j))
+    if not _triangles_hold(d):
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    gap = d[i][j] + d[j][k] - d[i][k]
+                    if not nonneg(gap, tol):
+                        return ("invalid", ("triangle violation", i, k, j))
     semimetric = any(close(d[i][j], 0, tol) for i in range(n) for j in range(n) if i != j)
     return ("semimetric" if semimetric else "metric", None)
+
+
+def _triangles_hold(d) -> bool:
+    """Every triangle inequality d_ij + d_jk >= d_ik of an exact matrix.
+
+    On the common-denominator ints, each (i, j) checks all k at once as
+    min_k(d_jk - d_ik) >= -d_ij.  False when a triangle fails, and for float
+    matrices, whose tolerant test stays in the caller's triple loop (which
+    also names the first violated triple).
+    """
+    n = len(d)
+    flat, scale = common_integers(v for row in d for v in row)
+    if scale is None:
+        return False
+    rows = [flat[i * n:(i + 1) * n] for i in range(n)]
+    return all(min(map(sub, rows[j], di)) >= -dij
+               for di in rows for j, dij in enumerate(di))
 
 
 def product_measure(z: ProductSet) -> Number:

@@ -41,8 +41,9 @@ def thickness(z: ProductSet) -> ThicknessResult:
                                [zero] * len(mu), [zero] * len(nu), [], [])
     inst = BipartiteCoverInstance(mu, nu, cells)
     res = min_weighted_vertex_cover(inst)
-    f = [one if i in set(res.rows) else zero for i in range(len(mu))]
-    g = [one if j in set(res.cols) else zero for j in range(len(nu))]
+    rows, cols = set(res.rows), set(res.cols)
+    f = [one if i in rows else zero for i in range(len(mu))]
+    g = [one if j in cols else zero for j in range(len(nu))]
     return ThicknessResult(res.value, res.rows, res.cols, f, g,
                            res.flow, list(inst.edges))
 

@@ -198,3 +198,34 @@ def test_console_script_entry_point(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == "1"
+
+
+def test_cli_check_report_missing_inputs_exits_1(tmp_path):
+    paths = _fixture_corpus(tmp_path)
+    _, out = _run(["thickness", paths["z"]])
+    rep = json.loads(out)
+    del rep["inputs"]
+    rp = tmp_path / "noinputs.json"
+    rp.write_text(json.dumps(rep))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = _run(["check", str(rp)])
+    assert code == 1 and out == ""
+    assert err.getvalue().startswith("error: malformed thickness report")
+    rp.write_text(json.dumps([rep]))
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert _run(["check", str(rp)])[0] == 1
+
+
+def test_cli_check_rejects_vcprofile_value_not_witness_epsilon(tmp_path):
+    paths = _fixture_corpus(tmp_path)
+    code, out = _run(["vcprofile", paths["g"], "--blocks", "3"])
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["value"] == rep["witness"]["epsilon"] != "0"
+    rep["value"] = "0"
+    rp = tmp_path / "vc.json"
+    rp.write_text(json.dumps(rep))
+    code, out = _run(["check", str(rp)])
+    assert code == 2
+    assert "reported value != witness epsilon" in json.loads(out)["violations"]

@@ -10,7 +10,7 @@ from virtcont import (DiscreteSpace, MetricMatrix, ProductFunction,
                       product_measure, validate_semimetric, validate_space)
 from virtcont.model import require_valid_space
 
-from util import fn_on, rand_space
+from util import fn_on, rand_metric, rand_space
 
 
 def test_parse_number_exact_and_float():
@@ -101,3 +101,57 @@ def test_set_operations():
     assert empty.is_empty() and not full.is_empty()
     assert empty.issubset(full)
     assert set(empty.union(full).cells()) == set(full.cells())
+
+
+def _first_triangle_witness(d, tol):
+    """The triple loop by definition: the first (i, j, k) with
+    d_ij + d_jk < d_ik (beyond tol for floats), reported as (i, k, j)."""
+    n = len(d)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                gap = d[i][j] + d[j][k] - d[i][k]
+                if gap < 0 if isinstance(gap, Fraction) else gap < -tol:
+                    return ("triangle violation", i, k, j)
+    return None
+
+
+def _spoiled_metric(rng, n, bumps):
+    """A random metric with a few distances raised: several triangles fail."""
+    m = rand_metric(rng, rand_space(rng, n, "p"), denom=7)
+    d = [list(row) for row in m.dist]
+    for _ in range(bumps):
+        i, j = rng.sample(range(n), 2)
+        d[i][j] = d[j][i] = d[i][j] + Fraction(rng.randint(20, 60), 11)
+    return m.space, d
+
+
+def test_triangle_witness_matches_triple_loop_both_regimes():
+    rng = random.Random(41)
+    seen = set()
+    for trial in range(12):
+        space, d = _spoiled_metric(rng, rng.randint(4, 9), rng.randint(2, 4))
+        for dist in (d, [[float(v) for v in row] for row in d]):
+            expected = _first_triangle_witness(dist, 1e-9)
+            assert expected is not None
+            kind, witness = validate_semimetric(MetricMatrix(space, dist))
+            assert (kind, witness) == ("invalid", expected)
+            seen.add(witness)
+    assert len(seen) > 6   # the witnesses are not all one triple
+
+
+def test_valid_metrics_pass_in_both_regimes():
+    rng = random.Random(43)
+    for _ in range(10):
+        m = rand_metric(rng, rand_space(rng, rng.randint(2, 9), "p"),
+                        denom=rng.choice((7, 1009, 999983)))
+        assert validate_semimetric(m) == ("metric", None)
+        floats = MetricMatrix(m.space, [[float(v) for v in row] for row in m.dist])
+        assert validate_semimetric(floats) == ("metric", None)
+    # plain ints, and a triangle that fails by the smallest possible step
+    s = DiscreteSpace.uniform(3)
+    d = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+    assert validate_semimetric(MetricMatrix(s, d)) == ("metric", None)
+    d[0][2] = d[2][0] = Fraction(2 * 999983 + 1, 999983)
+    assert validate_semimetric(MetricMatrix(s, d)) == \
+        ("invalid", ("triangle violation", 0, 2, 1))
