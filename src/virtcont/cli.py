@@ -17,15 +17,14 @@ import sys
 
 from .checkers import _CHECKS, check_report
 from .coupling import max_bistochastic_mass
-from .fileio import (dumps_matrix, function_to_obj, jsonable, load_matrix,
-                     load_metric, load_vector, metric_to_obj, plan_to_obj,
-                     set_to_obj, space_to_obj)
+from .fileio import (function_to_obj, jsonable, load_matrix, load_metric,
+                     load_vector, metric_to_obj, plan_to_obj, set_to_obj)
 from .flows import InfeasibleError
-from .model import (DEFAULT_TOL, Plan, ProductFunction, ProductSet,
-                    ValidationError, all_exact, parse_number)
+from .model import (DEFAULT_TOL, ProductFunction, ProductSet, ValidationError,
+                    parse_number)
 from .srnorm import sr_norm
 from .tau import tau_distance
-from .thickness import thickness
+from .thickness import _flow_plan, thickness
 from .transport import kantorovich, kr_norm
 from .vcdiag import (FAMILIES, matrix_distribution_exact,
                      matrix_distribution_sample, refinement_study,
@@ -66,60 +65,75 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("thickness", help="minimal cross-cover weight of a set")
     s.add_argument("set", help="product set CSV")
+    s.set_defaults(run=_run_thickness)
     s = sub.add_parser("tau", help="tau-distance between two functions")
     s.add_argument("f")
     s.add_argument("g")
+    s.set_defaults(run=_run_tau)
     s = sub.add_parser("srnorm", help="separable-regulator norm with dual plan")
     s.add_argument("function")
+    s.set_defaults(run=_run_srnorm)
     s = sub.add_parser("hall", help="maximal bistochastic mass on a set")
     s.add_argument("set")
+    s.set_defaults(run=_run_hall)
     s = sub.add_parser("transport", help="optimal transport between two weightings")
     s.add_argument("metric")
     s.add_argument("mu1")
     s.add_argument("mu2")
+    s.set_defaults(run=_run_transport)
     s = sub.add_parser("krnorm", help="transport norm of a balanced signed vector")
     s.add_argument("metric")
     s.add_argument("signed")
+    s.set_defaults(run=_run_krnorm)
     s = sub.add_parser("stepfit", help="N-block step fit within eps, if any")
     s.add_argument("function")
     s.add_argument("--blocks", type=int, required=True)
     s.add_argument("--eps", required=True)
+    s.set_defaults(run=_run_stepfit)
     s = sub.add_parser("vcprofile", help="least eps admitting an N-block step fit")
     s.add_argument("function")
     s.add_argument("--blocks", type=int, required=True)
+    s.set_defaults(run=_run_vcprofile)
     s = sub.add_parser("refine", help="profile of a study family across grids")
     s.add_argument("--family", choices=FAMILIES, required=True)
     s.add_argument("--grids", required=True, help="comma-separated grid sizes")
     s.add_argument("--blocks", type=int, required=True)
+    s.set_defaults(run=_run_refine)
     s = sub.add_parser("matdist", help="distance-matrix distribution of a metric")
     s.add_argument("metric")
     s.add_argument("--order", type=int, required=True)
     s.add_argument("--samples", type=int, default=None,
                    help="draw this many seeded samples instead of enumerating")
+    s.set_defaults(run=_run_matdist)
     s = sub.add_parser("check", help="re-verify the certificates in a report")
     s.add_argument("report", help="previously emitted JSON report")
+    s.set_defaults(run=_run_check)
     for child in sub.choices.values():
         _add_global_flags(child, suppress=True)
     return p
 
 
 # ------------------------------------------------------------------ commands
+# Every runner takes (args, exact, tol) and returns the report dict.
+
+def _load_as(kind, path, exact, command):
+    """The matrix file at path, which must hold a `kind` (set or function)."""
+    m = load_matrix(path, exact)
+    if not isinstance(m, kind):
+        noun = "set" if kind is ProductSet else "function"
+        raise ValidationError(f"{command} expects a {noun} matrix")
+    return m
+
 
 def _fit_obj(fit):
     return {"x_blocks": fit.x_blocks, "y_blocks": fit.y_blocks,
             "levels": fit.levels, "epsilon": fit.epsilon, "exact": fit.exact}
 
 
-def _run_thickness(args, exact):
-    z = load_matrix(args.set, exact)
-    if not isinstance(z, ProductSet):
-        raise ValidationError("thickness expects a set matrix")
+def _run_thickness(args, exact, tol):
+    z = _load_as(ProductSet, args.set, exact, args.command)
     res = thickness(z)
-    zero = res.value * 0
-    mass = [[zero] * z.y_space.size for _ in range(z.x_space.size)]
-    for (i, j), fl in zip(res.cells, res.flow):
-        mass[i][j] = fl
-    plan = Plan(z.x_space, z.y_space, mass)
+    plan = _flow_plan(z, res)
     return {"value": res.value, "primal": res.value, "dual": plan.total(),
             "gap": res.value - plan.total(),
             "cover_x": res.cover_x, "cover_y": res.cover_y,
@@ -127,21 +141,17 @@ def _run_thickness(args, exact):
             "plan": plan_to_obj(plan), "inputs": {"set": set_to_obj(z)}}
 
 
-def _run_tau(args, exact):
-    f = load_matrix(args.f, exact)
-    g = load_matrix(args.g, exact)
-    if not isinstance(f, ProductFunction) or not isinstance(g, ProductFunction):
-        raise ValidationError("tau expects two function matrices")
+def _run_tau(args, exact, tol):
+    f = _load_as(ProductFunction, args.f, exact, args.command)
+    g = _load_as(ProductFunction, args.g, exact, args.command)
     res = tau_distance(f, g)
     return {"value": res.value,
             "witness_set_thickness": res.witness_set_thickness,
             "inputs": {"f": function_to_obj(f), "g": function_to_obj(g)}}
 
 
-def _run_srnorm(args, exact):
-    f = load_matrix(args.function, exact)
-    if not isinstance(f, ProductFunction):
-        raise ValidationError("srnorm expects a function matrix")
+def _run_srnorm(args, exact, tol):
+    f = _load_as(ProductFunction, args.function, exact, args.command)
     res = sr_norm(f)
     return {"value": res.value, "primal": res.value, "dual": res.dual_value,
             "dual_value": res.dual_value, "gap": res.value - res.dual_value,
@@ -150,10 +160,8 @@ def _run_srnorm(args, exact):
             "inputs": {"function": function_to_obj(f)}}
 
 
-def _run_hall(args, exact):
-    z = load_matrix(args.set, exact)
-    if not isinstance(z, ProductSet):
-        raise ValidationError("hall expects a set matrix")
+def _run_hall(args, exact, tol):
+    z = _load_as(ProductSet, args.set, exact, args.command)
     res = max_bistochastic_mass(z)
     cert = res.thickness_certificate
     return {"mass": res.mass, "thickness_value": cert.value,
@@ -185,12 +193,10 @@ def _run_krnorm(args, exact, tol):
             "inputs": {"metric": metric_to_obj(rho), "signed": signed}}
 
 
-def _run_stepfit(args, exact, seed):
-    f = load_matrix(args.function, exact)
-    if not isinstance(f, ProductFunction):
-        raise ValidationError("stepfit expects a function matrix")
+def _run_stepfit(args, exact, tol):
+    f = _load_as(ProductFunction, args.function, exact, args.command)
     eps = parse_number(args.eps, exact)
-    fit = step_fit_exists(f, args.blocks, eps, seed)
+    fit = step_fit_exists(f, args.blocks, eps, args.seed)
     rep = {"found": fit is not None, "blocks": args.blocks, "epsilon": eps,
            "inputs": {"function": function_to_obj(f)}}
     if fit is not None:
@@ -198,26 +204,24 @@ def _run_stepfit(args, exact, seed):
     return rep
 
 
-def _run_vcprofile(args, exact, seed):
-    f = load_matrix(args.function, exact)
-    if not isinstance(f, ProductFunction):
-        raise ValidationError("vcprofile expects a function matrix")
-    res = vc_profile(f, args.blocks, seed)
+def _run_vcprofile(args, exact, tol):
+    f = _load_as(ProductFunction, args.function, exact, args.command)
+    res = vc_profile(f, args.blocks, args.seed)
     return {"value": res.value, "exact_optimum": res.exact,
             "blocks": args.blocks, "witness": _fit_obj(res.witness),
             "inputs": {"function": function_to_obj(f)}}
 
 
-def _run_refine(args, seed):
+def _run_refine(args, exact, tol):
     try:
         grids = [int(s) for s in args.grids.split(",")]
     except ValueError:
         raise ValidationError("grid sizes must be comma-separated integers") from None
-    table = refinement_study(args.family, grids, args.blocks, seed)
+    table = refinement_study(args.family, grids, args.blocks, args.seed)
     return {"family": args.family, "blocks": args.blocks, "table": table}
 
 
-def _run_matdist(args, exact, seed):
+def _run_matdist(args, exact, tol):
     rho = load_metric(args.metric, exact)
     if args.samples is None:
         dist = matrix_distribution_exact(rho, args.order)
@@ -225,12 +229,12 @@ def _run_matdist(args, exact, seed):
                    for mat, p in dist.support]
         return {"order": dist.k, "support": support,
                 "inputs": {"metric": metric_to_obj(rho)}}
-    mats = matrix_distribution_sample(rho, args.order, args.samples, seed)
-    return {"order": args.order, "count": args.samples, "seed": seed,
+    mats = matrix_distribution_sample(rho, args.order, args.samples, args.seed)
+    return {"order": args.order, "count": args.samples, "seed": args.seed,
             "samples": [[list(row) for row in mat] for mat in mats]}
 
 
-def _run_check(args, tol):
+def _run_check(args, exact, tol):
     try:
         with open(args.report, "r", encoding="utf-8") as fh:
             rep = json.load(fh)
@@ -282,34 +286,12 @@ def emit_report(rep: dict, fmt: str) -> str:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    exact = args.mode == "exact"
     tol = args.tol
     if not tol > 0:
         print("error: tolerance must be positive", file=sys.stderr)
         return 1
     try:
-        if args.command == "thickness":
-            rep = _run_thickness(args, exact)
-        elif args.command == "tau":
-            rep = _run_tau(args, exact)
-        elif args.command == "srnorm":
-            rep = _run_srnorm(args, exact)
-        elif args.command == "hall":
-            rep = _run_hall(args, exact)
-        elif args.command == "transport":
-            rep = _run_transport(args, exact, tol)
-        elif args.command == "krnorm":
-            rep = _run_krnorm(args, exact, tol)
-        elif args.command == "stepfit":
-            rep = _run_stepfit(args, exact, args.seed)
-        elif args.command == "vcprofile":
-            rep = _run_vcprofile(args, exact, args.seed)
-        elif args.command == "refine":
-            rep = _run_refine(args, args.seed)
-        elif args.command == "matdist":
-            rep = _run_matdist(args, exact, args.seed)
-        else:
-            rep = _run_check(args, tol)
+        rep = args.run(args, args.mode == "exact", tol)
     except (ValidationError, InfeasibleError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
@@ -325,11 +307,9 @@ def main(argv=None) -> int:
             for v in violations:
                 print(f"  {v}", file=sys.stderr)
             return 2
-    if args.command == "check" and rep["violations"]:
-        sys.stdout.write(emit_report(rep, args.format))
-        return 2
     sys.stdout.write(emit_report(rep, args.format))
-    return 0
+    # a `check` report lists the violations it found in the checked report
+    return 2 if rep.get("violations") else 0
 
 
 if __name__ == "__main__":

@@ -9,12 +9,9 @@ fill of the marginal deficits completes it to a bistochastic plan.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .flows import BipartiteCoverInstance, min_weighted_vertex_cover
-from .model import (Number, Plan, ProductFunction, ProductSet,
-                    ValidationError, all_exact, nonneg)
-from .thickness import ThicknessResult, thickness
+from .model import Number, Plan, ProductFunction, ProductSet, ValidationError
+from .thickness import ThicknessResult, _flow_plan, thickness
 
 
 @dataclass
@@ -26,16 +23,10 @@ class HallResult:
 
 def max_bistochastic_mass(z: ProductSet) -> HallResult:
     """max over bistochastic plans of the mass placed on Z; equals th(Z)."""
-    mu, nu = z.x_space.weights, z.y_space.weights
-    zero = Fraction(0) if all_exact(mu + nu) else 0.0
     cert = thickness(z)
-    mass_on_z = [[zero] * z.y_space.size for _ in range(z.x_space.size)]
-    for (i, j), fl in zip(cert.cells, cert.flow):
-        mass_on_z[i][j] = fl
-    sub = Plan(z.x_space, z.y_space, mass_on_z)
-    full = complete_to_bistochastic(sub)
-    total_on_z = sum(mass_on_z[i][j] for (i, j) in z.cells())
-    return HallResult(total_on_z, full, cert)
+    sub = _flow_plan(z, cert)
+    total_on_z = sum(sub.mass[i][j] for (i, j) in z.cells())
+    return HallResult(total_on_z, complete_to_bistochastic(sub), cert)
 
 
 def complete_to_bistochastic(sub: Plan) -> Plan:
@@ -45,7 +36,6 @@ def complete_to_bistochastic(sub: Plan) -> Plan:
     if not sub.is_subbistochastic():
         raise ValidationError("input plan is not subbistochastic")
     mu, nu = sub.x_space.weights, sub.y_space.weights
-    zero = Fraction(0) if all_exact(mu + nu) else 0.0
     row_def = [w - r for w, r in zip(mu, sub.row_marginals())]
     col_def = [w - c for w, c in zip(nu, sub.col_marginals())]
     mass = [list(row) for row in sub.mass]

@@ -103,20 +103,14 @@ def verify_sr_certificates(f: ProductFunction, res: SrNormResult,
                            tol: float = 1e-9) -> list[str]:
     """Solver-independent re-check of both optimality certificates."""
     problems = []
-    exact = all(all_exact(row) for row in f.values) and \
-        all_exact(f.x_space.weights + f.y_space.weights)
-
-    def eq(x, y):
-        return (x == y) if exact else abs(x - y) <= tol
-
     if not res.majorant.dominates(f, tol):
         problems.append("majorant does not dominate |f|")
-    if not eq(res.majorant.weight(f.x_space, f.y_space), res.value):
+    if not close(res.majorant.weight(f.x_space, f.y_space), res.value, tol):
         problems.append("majorant weight != reported value")
     if not res.dual_plan.is_subbistochastic(tol):
         problems.append("dual plan is not subbistochastic")
     pairing = sum(abs(f[i, j]) * res.dual_plan.mass[i][j]
                   for i in range(f.x_space.size) for j in range(f.y_space.size))
-    if not eq(pairing, res.value):
+    if not close(pairing, res.value, tol):
         problems.append("dual pairing != reported value (duality gap)")
     return problems

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .flows import BipartiteCoverInstance, min_weighted_vertex_cover
-from .model import (Number, ProductFunction, ProductSet, ValidationError,
-                    all_exact, level_set)
+from .model import (Number, Plan, ProductFunction, ProductSet,
+                    ValidationError, all_exact, close, level_set, nonneg)
 
 BRUTE_FORCE_LIMIT = 22
 
@@ -46,6 +46,19 @@ def thickness(z: ProductSet) -> ThicknessResult:
     g = [one if j in cols else zero for j in range(len(nu))]
     return ThicknessResult(res.value, res.rows, res.cols, f, g,
                            res.flow, list(inst.edges))
+
+
+def _flow_plan(z: ProductSet, res: ThicknessResult) -> Plan:
+    """The max-flow certificate of `thickness` as a subbistochastic plan on z.
+
+    Kept out of `thickness` itself: tau and the layer cake call it once per
+    level and need only the value.
+    """
+    zero = res.value * 0
+    mass = [[zero] * z.y_space.size for _ in range(z.x_space.size)]
+    for (i, j), fl in zip(res.cells, res.flow):
+        mass[i][j] = fl
+    return Plan(z.x_space, z.y_space, mass)
 
 
 def thickness_bruteforce(z: ProductSet) -> Number:
@@ -97,16 +110,14 @@ def verify_thickness_result(z: ProductSet, res: ThicknessResult,
         if i not in cx and j not in cy:
             problems.append(f"cell ({i},{j}) not covered")
     total = sum(mu[i] for i in cx) + sum(nu[j] for j in cy)
-    exact = all_exact(mu + nu)
-    if (total != res.value) if exact else abs(total - res.value) > tol:
+    if not close(total, res.value, tol):
         problems.append(f"cover weight {total} != reported value {res.value}")
     for (i, j) in z.cells():
-        s = res.fractional_f[i] + res.fractional_g[j]
-        if (s < 1) if exact else s < 1 - tol:
+        if not nonneg(res.fractional_f[i] + res.fractional_g[j] - 1, tol):
             problems.append(f"fractional pair below 1 on cell ({i},{j})")
     fw = sum(w * v for w, v in zip(mu, res.fractional_f)) + \
         sum(w * v for w, v in zip(nu, res.fractional_g))
-    if (fw != res.value) if exact else abs(fw - res.value) > tol:
+    if not close(fw, res.value, tol):
         problems.append("fractional pair weight != value")
     return problems
 

@@ -2,9 +2,9 @@
 
 kantorovich moves mu1 to mu2 at metric cost; the common mass stays in place
 (valid whenever the cost satisfies the triangle inequality) and only the
-Jordan decomposition of mu1 - mu2 is shipped.  The Lipschitz potential comes
-from a c-transform of the transportation duals, so complementary slackness
-holds exactly on the support of the optimal plan.
+Jordan decomposition of mu1 - mu2 is shipped, by kr_norm.  The Lipschitz
+potential comes from a c-transform of the transportation duals, so
+complementary slackness holds exactly on the support of the optimal plan.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .flows import InfeasibleError, TransportationInstance, solve_transportation
 from .model import (MetricMatrix, Number, Plan, ValidationError, all_exact,
-                    close, validate_semimetric)
+                    close, nonneg, validate_semimetric)
 
 
 @dataclass
@@ -41,67 +41,51 @@ class TwoLevelReport:
     w2: list
 
 
-def _check_metric(rho: MetricMatrix, tol: float):
-    kind, witness = validate_semimetric(rho, tol)
-    if kind == "invalid":
-        raise ValidationError(f"invalid semimetric: {witness}")
-
-
 def kantorovich(mu1, mu2, rho: MetricMatrix, tol: float = 1e-9) -> TransportResult:
-    """Optimal plan and Lipschitz dual potential between two weight vectors."""
+    """Optimal plan and Lipschitz dual potential between two weight vectors.
+
+    The common mass min(mu1, mu2) stays on the diagonal; the rest is the
+    kr_norm solve of mu1 - mu2, whose potential certifies both.
+    """
     n = rho.space.size
     mu1, mu2 = list(mu1), list(mu2)
     if len(mu1) != n or len(mu2) != n:
         raise ValidationError("weight vectors do not match the space")
-    exact = all_exact(mu1 + mu2) and all(all_exact(r) for r in rho.dist)
-    zero = Fraction(0) if exact else 0.0
-    _check_metric(rho, tol)
     if not close(sum(mu1), sum(mu2), tol):
         raise InfeasibleError("marginal totals differ")
-
-    common = [min(a, b) for a, b in zip(mu1, mu2)]
-    pos = [a - c for a, c in zip(mu1, common)]   # excess to ship out
-    neg = [b - c for b, c in zip(mu2, common)]   # deficit to fill
-    mass = [[zero] * n for _ in range(n)]
-    for i, cm in enumerate(common):
-        mass[i][i] += cm
-    moved = sum(pos, zero)
-    if (moved > 0) if exact else moved > tol:
-        inst = TransportationInstance(pos, neg, rho.dist, mode="min-cost")
-        res = solve_transportation(inst)
-        cost = res.value
-        for i in range(n):
-            for j in range(n):
-                mass[i][j] += res.plan[i][j]
-        v = res.v
-    else:
-        cost = zero
-        v = [zero] * n
-    # c-transform of the sink potential: 1-Lipschitz by the triangle inequality,
-    # tight on the support of the shipped mass
-    u = [min(rho.dist[i][k] - v[k] for k in range(n)) for i in range(n)]
-    shift = u[0]
-    u = [x - shift for x in u]
-    plan = Plan(rho.space, rho.space, mass)
-    return TransportResult(cost, plan, u)
+    res = kr_norm([a - b for a, b in zip(mu1, mu2)], rho, tol)
+    mass = [list(row) for row in res.plan]
+    for i, (a, b) in enumerate(zip(mu1, mu2)):
+        mass[i][i] += min(a, b)
+    return TransportResult(res.value, Plan(rho.space, rho.space, mass), res.potential)
 
 
 def kr_norm(signed, rho: MetricMatrix, tol: float = 1e-9) -> KrNormResult:
-    """Transport-cost norm of a balanced signed weight vector."""
+    """Transport-cost norm of a balanced signed weight vector.
+
+    The Lipschitz potential is a c-transform of the transportation duals, so
+    complementary slackness holds exactly on the support of the plan.
+    """
     signed = list(signed)
+    n = rho.space.size
+    if len(signed) != n:
+        raise ValidationError("signed vector does not match the space")
     exact = all_exact(signed) and all(all_exact(r) for r in rho.dist)
     zero = Fraction(0) if exact else 0.0
     if not close(sum(signed), zero, tol):
         raise ValidationError("signed weights do not sum to zero")
-    _check_metric(rho, tol)
+    kind, witness = validate_semimetric(rho, tol)
+    if kind == "invalid":
+        raise ValidationError(f"invalid semimetric: {witness}")
     pos = [max(s, zero) for s in signed]
     neg = [max(-s, zero) for s in signed]
-    n = rho.space.size
     total = sum(pos, zero)
     if (total == 0) if exact else total <= tol:
         return KrNormResult(zero, [zero] * n, [[zero] * n for _ in range(n)])
     inst = TransportationInstance(pos, neg, rho.dist, mode="min-cost")
     res = solve_transportation(inst)
+    # c-transform of the sink potential: 1-Lipschitz by the triangle inequality,
+    # tight on the support of the shipped mass
     u = [min(rho.dist[i][k] - res.v[k] for k in range(n)) for i in range(n)]
     shift = u[0]
     u = [x - shift for x in u]
@@ -139,35 +123,30 @@ def verify_transport_result(mu1, mu2, rho: MetricMatrix, res: TransportResult,
     """Solver-independent certificate check for a kantorovich result."""
     problems = []
     n = rho.space.size
-    exact = all_exact(list(mu1) + list(mu2)) and all(all_exact(r) for r in rho.dist)
-
-    def eq(x, y):
-        return (x == y) if exact else abs(x - y) <= tol
-
     rows = res.plan.row_marginals()
     cols = res.plan.col_marginals()
-    if not all(eq(r, m) for r, m in zip(rows, mu1)):
+    if not all(close(r, m, tol) for r, m in zip(rows, mu1)):
         problems.append("plan row marginals != mu1")
-    if not all(eq(c, m) for c, m in zip(cols, mu2)):
+    if not all(close(c, m, tol) for c, m in zip(cols, mu2)):
         problems.append("plan column marginals != mu2")
     u = res.potential
     for i in range(n):
         for j in range(n):
-            gap = rho.dist[i][j] - abs(u[i] - u[j])
-            if (gap < 0) if exact else gap < -tol:
+            if not nonneg(rho.dist[i][j] - abs(u[i] - u[j]), tol):
                 problems.append(f"potential not 1-Lipschitz at ({i},{j})")
     support_resid = max(
         (abs(u[i] - u[j] - rho.dist[i][j])
          for i in range(n) for j in range(n)
-         if i != j and res.plan.mass[i][j] > (0 if exact else tol)),
+         if i != j and res.plan.mass[i][j] > 0
+         and not close(res.plan.mass[i][j], 0, tol)),
         default=0)
-    if not eq(support_resid, 0):
+    if not close(support_resid, 0, tol):
         problems.append(f"complementary slackness residual {support_resid}")
     pairing = sum(ui * (a - b) for ui, a, b in zip(u, mu1, mu2))
-    if not eq(pairing, res.cost):
+    if not close(pairing, res.cost, tol):
         problems.append("dual pairing != cost")
     plan_cost = sum(rho.dist[i][j] * res.plan.mass[i][j]
                     for i in range(n) for j in range(n))
-    if not eq(plan_cost, res.cost):
+    if not close(plan_cost, res.cost, tol):
         problems.append("plan cost != reported cost")
     return problems

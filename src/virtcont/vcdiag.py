@@ -419,30 +419,15 @@ def _heuristic(f: ProductFunction, n_blocks: int, seed: int):
     return best_val, best_cfg
 
 
-def _config_rank(mach: _RankMachinery, rowasg, colasg, n_blocks):
-    """Objective rank of an assignment-form configuration."""
-    em = 0
-    for i, a in enumerate(rowasg):
-        if a == 0:
-            em |= 1 << i
-    ec = 0
-    for j, a in enumerate(colasg):
-        if a == 0:
-            ec |= 1 << j
+def _config_rank(mach: _RankMachinery, cfg):
+    """Objective rank of a configuration built by `_assignments_to_config`."""
+    em, row_blocks, ec, col_groups = cfg
     rank = max(mach.gwx[em], mach.gwy[ec])
-    for b1 in range(1, n_blocks + 1):
-        rows = [i for i, a in enumerate(rowasg) if a == b1]
-        if not rows:
-            continue
-        for b2 in range(1, n_blocks + 1):
-            cols = [j for j, a in enumerate(colasg) if a == b2]
-            if not cols:
-                continue
+    for rows in row_blocks:
+        for cols in col_groups:
             hi = max(mach.vr[i][j] for i in rows for j in cols)
             lo = min(mach.vr[i][j] for i in rows for j in cols)
-            r = mach.hg[hi][lo]
-            if r > rank:
-                rank = r
+            rank = max(rank, mach.hg[hi][lo])
     return rank
 
 
@@ -517,16 +502,16 @@ def vc_profile(f: ProductFunction, n_blocks: int, seed: int = 0) -> VcProfileRes
         raise ValidationError("block count must be at least 1")
     nr, nc = f.shape
     hval, (rowasg, colasg) = _heuristic(f, n_blocks, seed)
+    cfg = _assignments_to_config(rowasg, colasg, n_blocks)
     if nr <= EXACT_SIDE_LIMIT and nc <= EXACT_SIDE_LIMIT:
         mach = _RankMachinery(f)
-        seed_rank = _config_rank(mach, rowasg, colasg, n_blocks)
-        rank, cfg = _exact_search(mach, n_blocks, seed_rank, stop_early=False)
-        if cfg is None:
-            rank = seed_rank
-            cfg = _assignments_to_config(rowasg, colasg, n_blocks)
+        # the search returns the heuristic's own rank if nothing beats it
+        rank, found = _exact_search(mach, n_blocks, _config_rank(mach, cfg),
+                                    stop_early=False)
+        if found is not None:
+            cfg = found
         value = mach.C[rank]
         return VcProfileResult(value, True, _fit_from_config(f, cfg, value, True))
-    cfg = _assignments_to_config(rowasg, colasg, n_blocks)
     return VcProfileResult(hval, False, _fit_from_config(f, cfg, hval, False))
 
 

@@ -147,16 +147,86 @@ def test_cli_float_mode(tmp_path):
     assert rep["mode"] == "float"
 
 
+def _self_checked_jobs(p):
+    return [job for job in _jobs(p)
+            if job[0] != "refine" and "--samples" not in job]
+
+
 def test_cli_check_round_trip(tmp_path):
     paths = _fixture_corpus(tmp_path)
-    for job in (["thickness", paths["z"]], ["srnorm", paths["f"]],
-                ["transport", paths["rho"], paths["mu1"], paths["mu2"]]):
-        code, out = _run(job)
+    jobs = _self_checked_jobs(paths)
+    assert sorted({job[0] for job in jobs}) == sorted(
+        ["thickness", "hall", "tau", "srnorm", "transport", "krnorm",
+         "stepfit", "vcprofile", "matdist"])
+    for mode in ("exact", "float"):
+        for job in jobs:
+            code, out = _run(job + ["--mode", mode])
+            assert code == 0, (mode, job)
+            rp = tmp_path / "report.json"
+            rp.write_text(out)
+            code, out2 = _run(["check", str(rp)])
+            assert code == 0, (mode, job)
+            assert json.loads(out2)["violations"] == []
+
+
+def _tamper_krnorm_potential(rep):
+    rep["potential"][1] = "100"
+
+
+def _tamper_krnorm_plan(rep):
+    rep["plan"][0][0] = "1/3"
+
+
+def _tamper_hall_cover(rep):
+    rep["cover_x"], rep["cover_y"] = [], []
+
+
+def _tamper_transport_plan(rep):
+    # move the mass of one cell to its neighbour in the same row
+    mass = rep["plan"]["mass"]
+    mass[0][1] = str(Fraction(mass[0][0]) + Fraction(mass[0][1]))
+    mass[0][0] = "0"
+
+
+def _tamper_thickness_plan(rep):
+    _tamper_transport_plan(rep)   # the set is the diagonal: (0, 1) is off it
+
+
+def _tamper_tau_witness(rep):
+    rep["witness_set_thickness"] = "1/2"
+
+
+def test_cli_check_rejects_tampered_certificates(tmp_path):
+    paths = _fixture_corpus(tmp_path)
+    jobs = {job[0]: job for job in _self_checked_jobs(paths)}
+    cases = [("krnorm", _tamper_krnorm_potential),
+             ("krnorm", _tamper_krnorm_plan),
+             ("hall", _tamper_hall_cover),
+             ("transport", _tamper_transport_plan),
+             ("thickness", _tamper_thickness_plan),
+             ("tau", _tamper_tau_witness)]
+    for kind, tamper in cases:
+        code, out = _run(jobs[kind])
         assert code == 0
-        rp = tmp_path / "report.json"
-        rp.write_text(out)
-        code, out2 = _run(["check", str(rp)])
-        assert code == 0
+        rep = json.loads(out)
+        before = json.dumps(rep, sort_keys=True)
+        tamper(rep)
+        assert json.dumps(rep, sort_keys=True) != before, tamper.__name__
+        rp = tmp_path / "tampered.json"
+        rp.write_text(json.dumps(rep))
+        code, out = _run(["check", str(rp)])
+        assert code == 2, tamper.__name__
+        assert json.loads(out)["violations"], tamper.__name__
+
+
+def test_cli_krnorm_rejects_vector_of_wrong_length(tmp_path):
+    paths = _fixture_corpus(tmp_path)
+    save_vector([Fraction(0)] * 3, str(tmp_path / "short.json"))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = _run(["krnorm", paths["rho"], str(tmp_path / "short.json")])
+    assert code == 1 and out == ""
+    assert err.getvalue().startswith("error: ")
 
 
 def test_cli_check_rejects_tampered_report(tmp_path):

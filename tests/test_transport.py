@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from virtcont import (DiscreteSpace, InfeasibleError, MetricMatrix,
-                      dense_lp_solve, kantorovich, kr_norm,
+                      ValidationError, dense_lp_solve, kantorovich, kr_norm,
                       two_level_duality_check, verify_transport_result)
 
 from util import rand_metric, rand_space, rand_weights
@@ -75,6 +75,33 @@ def test_kr_norm_two_point():
     assert res.value == 3
     assert res.potential[0] - res.potential[1] == 3
     assert res.plan[0][1] == 1
+
+
+def test_kr_norm_rejects_vector_of_wrong_length():
+    rho = MetricMatrix(DiscreteSpace.uniform(3),
+                       [[Fraction(abs(i - j)) for j in range(3)] for i in range(3)])
+    for signed in ([Fraction(0)] * 2, [Fraction(0)] * 4,
+                   [Fraction(1), Fraction(-1), Fraction(0), Fraction(0)]):
+        with pytest.raises(ValidationError):
+            kr_norm(signed, rho)
+    with pytest.raises(ValidationError):
+        kantorovich([Fraction(1, 2)] * 2, [Fraction(1, 2)] * 2, rho)
+
+
+def test_kantorovich_keeps_common_mass_on_the_diagonal():
+    rng = random.Random(37)
+    for _ in range(20):
+        n = rng.randint(2, 7)
+        rho = rand_metric(rng, rand_space(rng, n))
+        mu1, mu2 = rand_weights(rng, n), rand_weights(rng, n)
+        res = kantorovich(mu1, mu2, rho)
+        kr = kr_norm([a - b for a, b in zip(mu1, mu2)], rho)
+        assert res.cost == kr.value
+        assert res.potential == kr.potential
+        for i in range(n):
+            for j in range(n):
+                common = min(mu1[i], mu2[i]) if i == j else 0
+                assert res.plan.mass[i][j] == kr.plan[i][j] + common
 
 
 def test_kr_norm_axioms():
