@@ -2,7 +2,9 @@
 diagnostics on finite atomic product measure spaces.
 
 Everything runs in two arithmetic regimes: exact rationals
-(`fractions.Fraction`, default) and floats with a single tolerance.
+(`fractions.Fraction`, default) and floats.  In float mode a tolerance
+governs the certificate checks, and the flow kernels treat values below a
+fixed `flows.EPS` (1e-12) as zero.
 """
 
 from .coupling import (HallResult, complete_to_bistochastic,
@@ -14,13 +16,11 @@ from .model import (DEFAULT_TOL, DiscreteSpace, MetricMatrix, Number, Plan,
                     ProductFunction, ProductSet, SeparableMajorant,
                     ValidationError, level_set, parse_number, product_measure,
                     validate_semimetric, validate_space)
-from .simplex import LPInfeasible, LPUnbounded, dense_lp_solve
 from .srnorm import (SrNormResult, cutoff, kernel_from_terms,
                      layer_cake_integral, nuclear_bound, sr_norm,
                      verify_sr_certificates)
 from .tau import TauResult, tau_ball_check, tau_distance
-from .thickness import (ThicknessResult, cover_lp_data, thickness,
-                        thickness_bruteforce, thickness_of_level_set,
+from .thickness import (ThicknessResult, thickness, thickness_of_level_set,
                         verify_thickness_result)
 from .transport import (KrNormResult, TransportResult, TwoLevelReport,
                         kantorovich, kr_norm, two_level_duality_check,

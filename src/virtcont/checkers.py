@@ -178,7 +178,11 @@ def check_report(rep: dict, tol: float = DEFAULT_TOL) -> list[str]:
     cmd = rep.get("command")
     if cmd not in _CHECKS:
         raise ValidationError(f"no certificate checker for command {cmd!r}")
-    exact = rep.get("mode", "exact") == "exact"
+    mode = rep.get("mode")
+    if mode not in ("exact", "float"):
+        raise ValidationError(f"malformed {cmd} report: mode {mode!r} "
+                              "is neither 'exact' nor 'float'")
+    exact = mode == "exact"
     try:
         return _CHECKS[cmd](rep, exact, tol)
     except KeyError as e:

@@ -242,10 +242,11 @@ def _ssp_kernel(supplies, demands, cost, tol):
     to_ship = sum(supplies, zero)
     INF = None
     while to_ship > tol:
-        # Dijkstra on reduced costs (exact comparisons work for ints).
-        # Initial potentials are zero, so the very first pass must tolerate
-        # negative reduced costs: use Bellman-Ford-style relaxation instead,
-        # which is cheap at these sizes and always correct.
+        # Bellman-Ford on reduced costs, on every pass (reduced costs may be
+        # negative while the potentials start at zero).  On ints it is exact.
+        # On floats the strict `<` can accept a round-off "improvement" that
+        # closes a cycle in `prev`; the trace below then grows until memory
+        # runs out.
         dist = [INF] * n
         prev = [None] * n
         dist[src] = zero
@@ -328,7 +329,7 @@ def _ssp_kernel(supplies, demands, cost, tol):
     return total_cost, plan, pi
 
 
-def solve_transportation(inst: TransportationInstance, tol_zero: float = EPS) -> TransportResultRaw:
+def solve_transportation(inst: TransportationInstance) -> TransportResultRaw:
     """Solve either transportation mode with dual certificates.
 
     min-cost: returns cost, a plan meeting the marginals exactly, and duals
@@ -341,7 +342,7 @@ def solve_transportation(inst: TransportationInstance, tol_zero: float = EPS) ->
     """
     exact = all_exact(inst.supplies + inst.demands) and all(
         all_exact(row) for row in inst.matrix)
-    tol = 0 if exact else tol_zero
+    tol = 0 if exact else EPS
     zero = Fraction(0) if exact else 0.0
 
     if inst.mode == "min-cost":

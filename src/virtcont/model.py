@@ -354,9 +354,6 @@ class MetricMatrix:
         i, j = ij
         return self.dist[i][j]
 
-    def as_function(self) -> ProductFunction:
-        return ProductFunction(self.space, self.space, self.dist)
-
 
 def validate_semimetric(m: MetricMatrix, tol: float = DEFAULT_TOL):
     """Classify a distance matrix.

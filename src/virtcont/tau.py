@@ -18,7 +18,6 @@ from .thickness import thickness
 @dataclass
 class TauResult:
     value: Number
-    witness_level: Number          # the eps at which the ball test first holds
     witness_set_thickness: Number  # th({|f-g| > value})
 
 
@@ -45,7 +44,7 @@ def tau_distance(f: ProductFunction, g: ProductFunction) -> TauResult:
         if best is None or candidate < best:
             best = candidate
     witness = thickness(level_set(d, best, ">")).value
-    return TauResult(best, best, witness)
+    return TauResult(best, witness)
 
 
 def tau_ball_check(f: ProductFunction, g: ProductFunction, eps: Number) -> bool:

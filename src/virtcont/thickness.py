@@ -13,10 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .flows import BipartiteCoverInstance, min_weighted_vertex_cover
-from .model import (Number, Plan, ProductFunction, ProductSet,
-                    ValidationError, all_exact, close, level_set, nonneg)
-
-BRUTE_FORCE_LIMIT = 22
+from .model import (Number, Plan, ProductFunction, ProductSet, all_exact,
+                    close, level_set, nonneg)
 
 
 @dataclass
@@ -61,40 +59,6 @@ def _flow_plan(z: ProductSet, res: ThicknessResult) -> Plan:
     return Plan(z.x_space, z.y_space, mass)
 
 
-def thickness_bruteforce(z: ProductSet) -> Number:
-    """Independent oracle: scan all row subsets; for each, the cheapest valid
-    column set is forced (columns of cells whose row is uncovered)."""
-    nr, nc = z.x_space.size, z.y_space.size
-    if nr + nc > BRUTE_FORCE_LIMIT:
-        raise ValidationError(
-            f"instance too large for brute force (|X|+|Y| = {nr + nc} > {BRUTE_FORCE_LIMIT})")
-    mu, nu = z.x_space.weights, z.y_space.weights
-    zero = Fraction(0) if all_exact(mu + nu) else 0.0
-    colmask = [0] * nr
-    for (i, j) in z.cells():
-        colmask[i] |= 1 << j
-    # subset weights by popcount-accumulation
-    def subset_weights(weights):
-        table = [zero] * (1 << len(weights))
-        for s in range(1, 1 << len(weights)):
-            low = (s & -s).bit_length() - 1
-            table[s] = table[s & (s - 1)] + weights[low]
-        return table
-
-    wrow = subset_weights(mu)
-    wcol = subset_weights(nu)
-    best = None
-    for rows in range(1 << nr):
-        forced = 0
-        for i in range(nr):
-            if not (rows >> i) & 1:
-                forced |= colmask[i]
-        total = wrow[rows] + wcol[forced]
-        if best is None or total < best:
-            best = total
-    return best
-
-
 def thickness_of_level_set(f: ProductFunction, lam: Number) -> Number:
     """th({|f| >= lam}), the integrand of the layer-cake bound."""
     return thickness(level_set(f.abs(), lam, ">=")).value
@@ -121,28 +85,3 @@ def verify_thickness_result(z: ProductSet, res: ThicknessResult,
         problems.append("fractional pair weight != value")
     return problems
 
-
-def cover_lp_data(z: ProductSet):
-    """The fractional cover LP in max-form for the dense oracle.
-
-    Variables (f_1..f_nr, g_1..g_nc); maximize -(mu.f + nu.g) subject to
-    -f_i - g_j <= -1 on member cells and f, g <= 1.
-    """
-    nr, nc = z.x_space.size, z.y_space.size
-    mu, nu = z.x_space.weights, z.y_space.weights
-    nvar = nr + nc
-    A, b = [], []
-    one = Fraction(1) if all_exact(mu + nu) else 1.0
-    for (i, j) in sorted(z.cells()):
-        row = [0] * nvar
-        row[i] = -one
-        row[nr + j] = -one
-        A.append(row)
-        b.append(-one)
-    for k in range(nvar):
-        row = [0] * nvar
-        row[k] = one
-        A.append(row)
-        b.append(one)
-    c = [-w for w in mu] + [-w for w in nu]
-    return A, b, c

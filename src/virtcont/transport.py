@@ -92,8 +92,7 @@ def kr_norm(signed, rho: MetricMatrix, tol: float = 1e-9) -> KrNormResult:
     return KrNormResult(res.value, u, res.plan)
 
 
-def two_level_duality_check(rho_matrix, mu, nu, z=None,
-                            tol: float = 1e-9) -> TwoLevelReport:
+def two_level_duality_check(rho_matrix, mu, nu, z=None) -> TwoLevelReport:
     """Equality of the plan-cost infimum and the separable-minorant supremum.
 
     rho_matrix is any finite cost matrix over X x Y atoms; the primal ships mu

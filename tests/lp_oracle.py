@@ -1,16 +1,16 @@
-"""Dense two-phase simplex, used only as an independent oracle.
+"""Dense two-phase simplex, the suite's independent LP oracle.
 
 Solves   maximize c.x  subject to  A.x <= b,  x >= 0
 with Bland's rule (guaranteed termination) and exact rational pivoting when
-the data are Fractions.  Production code paths use the flow solvers; this
-module exists to cross-check them.
+the data are Fractions.  The library solves with its flow kernels; this
+module, and the LP formulations below, exist to cross-check them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .model import all_exact
+from virtcont.model import all_exact
 
 PIVOT_EPS = 1e-11
 
@@ -134,3 +134,47 @@ def dense_lp_solve(A, b, c, tol: float = PIVOT_EPS):
     y = [row_sign[i] * obj[n + i] for i in range(m)]
     value = sum(ci * xi for ci, xi in zip(c, x))
     return value, x, y
+
+
+def cover_lp_data(z):
+    """The fractional cover LP of a product set in max-form.
+
+    Variables (f_1..f_nr, g_1..g_nc); maximize -(mu.f + nu.g) subject to
+    -f_i - g_j <= -1 on member cells and f, g <= 1.
+    """
+    nr, nc = z.x_space.size, z.y_space.size
+    mu, nu = z.x_space.weights, z.y_space.weights
+    nvar = nr + nc
+    A, b = [], []
+    one = Fraction(1) if all_exact(mu + nu) else 1.0
+    for (i, j) in sorted(z.cells()):
+        row = [0] * nvar
+        row[i] = -one
+        row[nr + j] = -one
+        A.append(row)
+        b.append(-one)
+    for k in range(nvar):
+        row = [0] * nvar
+        row[k] = one
+        A.append(row)
+        b.append(one)
+    c = [-w for w in mu] + [-w for w in nu]
+    return A, b, c
+
+
+def transport_lp_value(sup, dem, cost):
+    """Min-cost transport value by the dense LP, marginals as <= pairs."""
+    nr, nc = len(sup), len(dem)
+    nv = nr * nc
+    rows, rhs = [], []
+    for i in range(nr):
+        r = [Fraction(1) if k // nc == i else Fraction(0) for k in range(nv)]
+        rows += [r, [-x for x in r]]
+        rhs += [sup[i], -sup[i]]
+    for j in range(nc):
+        r = [Fraction(1) if k % nc == j else Fraction(0) for k in range(nv)]
+        rows += [r, [-x for x in r]]
+        rhs += [dem[j], -dem[j]]
+    value, _, _ = dense_lp_solve(rows, rhs,
+                                 [-cost[k // nc][k % nc] for k in range(nv)])
+    return -value

@@ -18,19 +18,18 @@ from fractions import Fraction
 import pytest
 
 from virtcont import (DiscreteSpace, MetricMatrix, Plan, ProductFunction,
-                      cover_lp_data, dense_lp_solve, family_function,
-                      integrate_against_plan, kantorovich, kr_norm,
-                      layer_cake_integral, matrix_distribution_exact,
+                      family_function, integrate_against_plan, kantorovich,
+                      kr_norm, layer_cake_integral, matrix_distribution_exact,
                       matrix_distribution_sample, max_bistochastic_mass,
                       refinement_study, sr_norm, tau_distance, thickness,
-                      thickness_bruteforce, two_level_duality_check,
-                      vc_profile, verify_sr_certificates,
-                      verify_transport_result)
+                      two_level_duality_check, vc_profile,
+                      verify_sr_certificates, verify_transport_result)
 from virtcont.cli import main as cli_main
 from virtcont.fileio import load_matrix, save_matrix
 
-from util import (fn_on, rand_function, rand_metric, rand_set, rand_space,
-                  rand_weights)
+from lp_oracle import cover_lp_data, dense_lp_solve
+from util import (brute_thickness, fn_on, rand_function, rand_metric, rand_set,
+                  rand_space, rand_weights)
 from test_fileio_cli import _fixture_corpus, _jobs, _run
 
 _SETS = None
@@ -55,7 +54,7 @@ def _passline(k, msg):
 def test_criterion_01_thickness_oracle_equivalence():
     start = time.monotonic()
     for z in _the_500_sets():
-        assert thickness(z).value == thickness_bruteforce(z)
+        assert thickness(z).value == brute_thickness(z)
     elapsed = time.monotonic() - start
     assert elapsed < 30
     _passline(1, f"500/500 flow == brute force exactly in {elapsed:.1f}s")

@@ -274,14 +274,20 @@ def test_cli_check_report_missing_inputs_exits_1(tmp_path):
     paths = _fixture_corpus(tmp_path)
     _, out = _run(["thickness", paths["z"]])
     rep = json.loads(out)
-    del rep["inputs"]
-    rp = tmp_path / "noinputs.json"
-    rp.write_text(json.dumps(rep))
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        code, out = _run(["check", str(rp)])
-    assert code == 1 and out == ""
-    assert err.getvalue().startswith("error: malformed thickness report")
+    rp = tmp_path / "bad.json"
+    # a missing key, and a mode that is neither exact nor float
+    for key, value in (("inputs", None), ("mode", "banana"), ("mode", None)):
+        bad = dict(rep)
+        if value is None:
+            del bad[key]
+        else:
+            bad[key] = value
+        rp.write_text(json.dumps(bad))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, out = _run(["check", str(rp)])
+        assert code == 1 and out == ""
+        assert err.getvalue().startswith("error: malformed thickness report")
     rp.write_text(json.dumps([rep]))
     with contextlib.redirect_stderr(io.StringIO()):
         assert _run(["check", str(rp)])[0] == 1

@@ -8,10 +8,11 @@ from math import gcd
 import pytest
 
 from virtcont import (BipartiteCoverInstance, InfeasibleError,
-                      TransportationInstance, dense_lp_solve,
-                      min_weighted_vertex_cover, solve_transportation)
+                      TransportationInstance, min_weighted_vertex_cover,
+                      solve_transportation)
 
-from util import rand_weights
+from lp_oracle import transport_lp_value
+from util import brute_cover, rand_weights
 
 FLOAT_TRANSPORT_DIGEST = "c14f1103718872703bc47541ed808ebfaea50b3e"
 
@@ -35,18 +36,6 @@ def test_diagonal_matching_uniform():
     assert len(res.rows) + len(res.cols) == n
 
 
-def _cover_bruteforce(row_costs, col_costs, edges):
-    n = len(row_costs)
-    best = None
-    for mask in range(1 << n):
-        rows = {i for i in range(n) if mask >> i & 1}
-        cols = {j for (i, j) in edges if i not in rows}
-        w = (sum((row_costs[i] for i in rows), Fraction(0))
-             + sum((col_costs[j] for j in cols), Fraction(0)))
-        best = w if best is None else min(best, w)
-    return best
-
-
 def test_cover_matches_bruteforce_random():
     rng = random.Random(11)
     for _ in range(60):
@@ -57,7 +46,7 @@ def test_cover_matches_bruteforce_random():
                               for _ in range(rng.randint(0, nr * nc))}))
         inst = BipartiteCoverInstance(rc, cc, edges)
         res = min_weighted_vertex_cover(inst)
-        assert res.value == _cover_bruteforce(rc, cc, edges)
+        assert res.value == brute_cover(rc, cc, edges)
         assert res.flow_value == res.value
         covered = set(res.rows), set(res.cols)
         assert all(i in covered[0] or j in covered[1] for (i, j) in edges)
@@ -83,20 +72,7 @@ def test_min_cost_matches_dense_lp():
         inst = TransportationInstance(tuple(sup), tuple(dem),
                                       tuple(map(tuple, cost)))
         res = solve_transportation(inst)
-        # LP oracle: maximize -cost subject to exact marginals via <= pairs
-        nv = n * n
-        rows, rhs = [], []
-        for i in range(n):
-            r = [Fraction(1) if k // n == i else Fraction(0) for k in range(nv)]
-            rows += [r, [-x for x in r]]
-            rhs += [sup[i], -sup[i]]
-        for j in range(n):
-            r = [Fraction(1) if k % n == j else Fraction(0) for k in range(nv)]
-            rows += [r, [-x for x in r]]
-            rhs += [dem[j], -dem[j]]
-        c = [-cost[k // n][k % n] for k in range(nv)]
-        value, _, _ = dense_lp_solve(rows, rhs, c)
-        assert res.value == -value
+        assert res.value == transport_lp_value(sup, dem, cost)
         # dual feasibility and tightness on the support
         for i in range(n):
             for j in range(n):
@@ -126,24 +102,6 @@ def _lowest_terms_fraction(x):
     return isinstance(x, Fraction) and gcd(x.numerator, x.denominator) == 1
 
 
-def _lp_transport_value(sup, dem, cost):
-    """Min-cost transport by the dense LP oracle, marginals as <= pairs."""
-    nr, nc = len(sup), len(dem)
-    nv = nr * nc
-    rows, rhs = [], []
-    for i in range(nr):
-        r = [Fraction(1) if k // nc == i else Fraction(0) for k in range(nv)]
-        rows += [r, [-x for x in r]]
-        rhs += [sup[i], -sup[i]]
-    for j in range(nc):
-        r = [Fraction(1) if k % nc == j else Fraction(0) for k in range(nv)]
-        rows += [r, [-x for x in r]]
-        rhs += [dem[j], -dem[j]]
-    value, _, _ = dense_lp_solve(rows, rhs,
-                                 [-cost[k // nc][k % nc] for k in range(nv)])
-    return -value
-
-
 def test_cover_coprime_denominators_matches_bruteforce():
     rng = random.Random(29)
     rc = _renormalised((2, 3, 5, 7, 11))
@@ -152,7 +110,7 @@ def test_cover_coprime_denominators_matches_bruteforce():
         edges = tuple(sorted({(rng.randrange(5), rng.randrange(4))
                               for _ in range(rng.randint(1, 20))}))
         res = min_weighted_vertex_cover(BipartiteCoverInstance(rc, cc, edges))
-        assert res.value == _cover_bruteforce(rc, cc, edges)
+        assert res.value == brute_cover(rc, cc, edges)
         assert res.flow_value == res.value
         assert all(_lowest_terms_fraction(x)
                    for x in [res.value, res.flow_value] + res.flow)
@@ -167,7 +125,7 @@ def test_transport_large_denominators_matches_dense_lp():
         cost = [[Fraction(rng.randint(0, 10 ** 6), rng.choice(primes))
                  for _ in range(3)] for _ in range(3)]
         res = solve_transportation(TransportationInstance(sup, dem, cost))
-        assert res.value == _lp_transport_value(sup, dem, cost)
+        assert res.value == transport_lp_value(sup, dem, cost)
         values = [res.value] + res.u + res.v + [x for row in res.plan for x in row]
         assert all(_lowest_terms_fraction(x) for x in values)
         assert [sum(row) for row in res.plan] == list(sup)
@@ -188,12 +146,12 @@ def test_transport_large_denominators_matches_dense_lp():
 def test_plain_int_inputs_return_fractions():
     inst = BipartiteCoverInstance((1, 2, 3), (2, 1), ((0, 0), (1, 1), (2, 0)))
     res = min_weighted_vertex_cover(inst)
-    assert res.value == _cover_bruteforce((1, 2, 3), (2, 1), inst.edges) == 3
+    assert res.value == brute_cover((1, 2, 3), (2, 1), inst.edges) == 3
     assert all(isinstance(x, Fraction) for x in [res.value, res.flow_value] + res.flow)
     sup, dem = (2, 1), (1, 2)
     cost = ((4, 1), (2, 3))
     res = solve_transportation(TransportationInstance(sup, dem, cost))
-    assert res.value == _lp_transport_value(sup, dem, cost) == 4
+    assert res.value == transport_lp_value(sup, dem, cost) == 4
     assert all(isinstance(x, Fraction)
                for x in [res.value] + res.u + res.v + res.plan[0] + res.plan[1])
 

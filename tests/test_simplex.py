@@ -4,8 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from virtcont import LPInfeasible, dense_lp_solve
-from virtcont.simplex import LPUnbounded
+from lp_oracle import LPInfeasible, LPUnbounded, dense_lp_solve
 
 
 def test_box_maximum():

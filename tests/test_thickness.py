@@ -3,11 +3,11 @@
 import random
 from fractions import Fraction
 
-from virtcont import (DiscreteSpace, ProductSet, cover_lp_data, dense_lp_solve,
-                      level_set, thickness, thickness_bruteforce,
+from virtcont import (DiscreteSpace, ProductSet, thickness,
                       thickness_of_level_set, verify_thickness_result)
 
-from util import fn_on, rand_set, rand_space
+from lp_oracle import cover_lp_data, dense_lp_solve
+from util import brute_thickness, fn_on, rand_set, rand_space
 
 
 def _single_cell(xs, ys, i, j):
@@ -34,7 +34,7 @@ def test_diagonal_and_full():
     s = DiscreteSpace.uniform(4)
     diag = ProductSet(s, s, [[i == j for j in range(4)] for i in range(4)])
     assert thickness(diag).value == 1
-    assert thickness_bruteforce(diag) == 1
+    assert brute_thickness(diag) == 1
     assert thickness(ProductSet.full(s, s)).value == 1
 
 
@@ -47,7 +47,7 @@ def test_properties_on_random_sets():
         w = rand_set(rng, xs, ys)
         tz, tw = thickness(z).value, thickness(w).value
         # oracle agreement and certificate validity
-        assert tz == thickness_bruteforce(z)
+        assert tz == brute_thickness(z)
         assert verify_thickness_result(z, thickness(z)) == []
         # monotone under inclusion
         zw = z.union(w)

@@ -56,6 +56,24 @@ def rand_metric(rng, space, denom=6, hi=4):
     return MetricMatrix(space, tuple(tuple(row) for row in d))
 
 
+def brute_cover(row_costs, col_costs, edges):
+    """Least weight of a vertex cover of the edges: scan every row subset; the
+    columns of the edges whose row is left out are then forced."""
+    best = None
+    for mask in range(1 << len(row_costs)):
+        rows = {i for i in range(len(row_costs)) if mask >> i & 1}
+        cols = {j for (i, j) in edges if i not in rows}
+        w = (sum((row_costs[i] for i in rows), Fraction(0))
+             + sum((col_costs[j] for j in cols), Fraction(0)))
+        best = w if best is None else min(best, w)
+    return best
+
+
+def brute_thickness(z):
+    """Thickness by definition: the cheapest cross cover of the set's cells."""
+    return brute_cover(z.x_space.weights, z.y_space.weights, list(z.cells()))
+
+
 def brute_tau(f, g):
     """tau by direct definition: scan every candidate level exhaustively."""
     from virtcont import level_set, thickness
@@ -111,20 +129,3 @@ def brute_step_fit_exists(f, n_blocks, eps):
             if ok:
                 return True
     return False
-
-
-def brute_max_plan_mass(z):
-    """LP-free upper check is hard; use the dense LP from the library's
-    simplex only via an entirely separate model in the caller.  Here we give
-    the combinatorial cover side instead: min over all (A, B) covering z."""
-    xs, ys = z.x_space, z.y_space
-    cells = list(z.cells())
-    best = None
-    for mask in range(1 << xs.size):
-        rows = {i for i in range(xs.size) if mask >> i & 1}
-        cols = {j for (i, j) in cells if i not in rows}
-        w = (sum((xs.weights[i] for i in rows), Fraction(0))
-             + sum((ys.weights[j] for j in cols), Fraction(0)))
-        if best is None or w < best:
-            best = w
-    return best
