@@ -22,6 +22,12 @@ def _nums(seq, exact):
     return [_parse_weight(v, exact) for v in seq]
 
 
+def _plan(obj, exact):
+    """A report's plan.  No command emits a signed plan, so a report that
+    declares one is read as unsigned and any negative mass is rejected."""
+    return plan_from_obj({**obj, "signed": False}, exact)
+
+
 def _check_thickness(rep, exact, tol):
     z = set_from_obj(rep["inputs"]["set"], exact)
     value = _parse_weight(rep["value"], exact)
@@ -29,7 +35,7 @@ def _check_thickness(rep, exact, tol):
                           _nums(rep["fractional_f"], exact),
                           _nums(rep["fractional_g"], exact), [], [])
     problems = verify_thickness_result(z, res, tol)
-    plan = plan_from_obj(rep["plan"], exact)
+    plan = _plan(rep["plan"], exact)
     if not plan.is_subbistochastic(tol):
         problems.append("witness plan is not subbistochastic")
     on_z = sum((plan.mass[i][j] for (i, j) in z.cells()), plan.mass[0][0] * 0)
@@ -44,7 +50,7 @@ def _check_hall(rep, exact, tol):
     z = set_from_obj(rep["inputs"]["set"], exact)
     mass = _parse_weight(rep["mass"], exact)
     th = _parse_weight(rep["thickness_value"], exact)
-    plan = plan_from_obj(rep["plan"], exact)
+    plan = _plan(rep["plan"], exact)
     problems = []
     if not plan.is_bistochastic(tol):
         problems.append("plan is not bistochastic")
@@ -68,7 +74,7 @@ def _check_srnorm(rep, exact, tol):
         _parse_weight(rep["value"], exact),
         SeparableMajorant(_nums(rep["majorant"]["a"], exact),
                           _nums(rep["majorant"]["b"], exact)),
-        plan_from_obj(rep["dual_plan"], exact),
+        _plan(rep["dual_plan"], exact),
         _parse_weight(rep["dual_value"], exact))
     problems = verify_sr_certificates(f, res, tol)
     if not close(res.value, res.dual_value, tol):
@@ -96,7 +102,7 @@ def _check_transport(rep, exact, tol):
     mu1 = _nums(rep["inputs"]["mu1"], exact)
     mu2 = _nums(rep["inputs"]["mu2"], exact)
     res = TransportResult(_parse_weight(rep["cost"], exact),
-                          plan_from_obj(rep["plan"], exact),
+                          _plan(rep["plan"], exact),
                           _nums(rep["potential"], exact))
     return verify_transport_result(mu1, mu2, rho, res, tol)
 
@@ -127,7 +133,8 @@ def _check_stepfit(rep, exact, tol):
     if not rep["found"]:
         return []
     f = function_from_obj(rep["inputs"]["function"], exact)
-    return step_fit_violations(f, _fit_from_obj(rep["fit"], exact), strict=True)
+    return step_fit_violations(f, _fit_from_obj(rep["fit"], exact), strict=True,
+                               tol=tol)
 
 
 def _check_vcprofile(rep, exact, tol):
@@ -140,7 +147,7 @@ def _check_vcprofile(rep, exact, tol):
     f = function_from_obj(rep["inputs"]["function"], exact)
     fit = _fit_from_obj(rep["witness"], exact)
     # the witness attains the optimum, so its bounds hold non-strictly
-    problems = step_fit_violations(f, fit, strict=False)
+    problems = step_fit_violations(f, fit, strict=False, tol=tol)
     if not close(_parse_weight(rep["value"], exact), fit.epsilon, tol):
         problems.append("reported value != witness epsilon")
     return problems

@@ -410,7 +410,7 @@ def level_set(f: ProductFunction, threshold: Number, mode: str = ">") -> Product
     """The set where f compares to the threshold ('>' or '>=')."""
     if mode == ">":
         test = lambda v: v > threshold
-    elif mode in (">=", "≥"):
+    elif mode == ">=":
         test = lambda v: v >= threshold
     else:
         raise ValueError(f"unknown mode {mode!r}")

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .flows import TransportationInstance, solve_transportation
-from .model import (Number, Plan, ProductFunction, SeparableMajorant,
-                    ValidationError, all_exact, close)
+from .model import (DEFAULT_TOL, Number, Plan, ProductFunction,
+                    SeparableMajorant, ValidationError, all_exact, close)
 from .thickness import thickness_of_level_set
 
 
@@ -100,7 +100,7 @@ def kernel_from_terms(rank_one_terms, x_space, y_space) -> ProductFunction:
 
 
 def verify_sr_certificates(f: ProductFunction, res: SrNormResult,
-                           tol: float = 1e-9) -> list[str]:
+                           tol: float = DEFAULT_TOL) -> list[str]:
     """Solver-independent re-check of both optimality certificates."""
     problems = []
     if not res.majorant.dominates(f, tol):

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .flows import BipartiteCoverInstance, min_weighted_vertex_cover
-from .model import (Number, Plan, ProductFunction, ProductSet, all_exact,
-                    close, level_set, nonneg)
+from .model import (DEFAULT_TOL, Number, Plan, ProductFunction, ProductSet,
+                    all_exact, close, level_set, nonneg)
 
 
 @dataclass
@@ -65,7 +65,7 @@ def thickness_of_level_set(f: ProductFunction, lam: Number) -> Number:
 
 
 def verify_thickness_result(z: ProductSet, res: ThicknessResult,
-                            tol: float = 1e-9) -> list[str]:
+                            tol: float = DEFAULT_TOL) -> list[str]:
     """Re-check a thickness certificate without the solver; list of violations."""
     problems = []
     mu, nu = z.x_space.weights, z.y_space.weights

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .flows import InfeasibleError, TransportationInstance, solve_transportation
-from .model import (MetricMatrix, Number, Plan, ValidationError, all_exact,
-                    close, nonneg, validate_semimetric)
+from .model import (DEFAULT_TOL, MetricMatrix, Number, Plan, ValidationError,
+                    all_exact, close, nonneg, validate_semimetric)
 
 
 @dataclass
@@ -41,7 +41,7 @@ class TwoLevelReport:
     w2: list
 
 
-def kantorovich(mu1, mu2, rho: MetricMatrix, tol: float = 1e-9) -> TransportResult:
+def kantorovich(mu1, mu2, rho: MetricMatrix, tol: float = DEFAULT_TOL) -> TransportResult:
     """Optimal plan and Lipschitz dual potential between two weight vectors.
 
     The common mass min(mu1, mu2) stays on the diagonal; the rest is the
@@ -60,7 +60,7 @@ def kantorovich(mu1, mu2, rho: MetricMatrix, tol: float = 1e-9) -> TransportResu
     return TransportResult(res.value, Plan(rho.space, rho.space, mass), res.potential)
 
 
-def kr_norm(signed, rho: MetricMatrix, tol: float = 1e-9) -> KrNormResult:
+def kr_norm(signed, rho: MetricMatrix, tol: float = DEFAULT_TOL) -> KrNormResult:
     """Transport-cost norm of a balanced signed weight vector.
 
     The Lipschitz potential is a c-transform of the transportation duals, so
@@ -118,7 +118,7 @@ def two_level_duality_check(rho_matrix, mu, nu, z=None) -> TwoLevelReport:
 
 
 def verify_transport_result(mu1, mu2, rho: MetricMatrix, res: TransportResult,
-                            tol: float = 1e-9) -> list[str]:
+                            tol: float = DEFAULT_TOL) -> list[str]:
     """Solver-independent certificate check for a kantorovich result."""
     problems = []
     n = rho.space.size

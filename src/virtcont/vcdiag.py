@@ -23,8 +23,9 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional
 
-from .model import (DiscreteSpace, MetricMatrix, Number, ProductFunction,
-                    ValidationError, all_exact)
+from .model import (DEFAULT_TOL, DiscreteSpace, MetricMatrix, Number,
+                    ProductFunction, ValidationError, all_exact, is_exact,
+                    nonneg)
 
 EXACT_SIDE_LIMIT = 8
 HEURISTIC_RESTARTS = 20
@@ -57,11 +58,12 @@ class MatrixDistribution:
 # ---------------------------------------------------------------- exact core
 
 def _subset_sums(weights):
+    """Weight of every index subset, added in index order as `sum()` adds it."""
     zero = Fraction(0) if all_exact(weights) else 0.0
     table = [zero] * (1 << len(weights))
     for m in range(1, 1 << len(weights)):
-        low = (m & -m).bit_length() - 1
-        table[m] = table[m & (m - 1)] + weights[low]
+        high = m.bit_length() - 1
+        table[m] = table[m ^ (1 << high)] + weights[high]
     return table
 
 
@@ -359,29 +361,23 @@ def _sweep(v, wrow, asg, oasg, other_exc_weight, n_blocks):
     return improved
 
 
-def _objective_exact(f: ProductFunction, rowasg, colasg, n_blocks):
+def _objective(f: ProductFunction, cfg):
+    """Objective of a search config: its heaviest exceptional class or its
+    widest block-pair half-range, with class weights added in index order."""
+    em, row_blocks, ec, col_groups = cfg
     mu, nu = f.x_space.weights, f.y_space.weights
     zero = Fraction(0) if all_exact(mu + nu) else 0.0
-    ex = sum((mu[i] for i in range(len(rowasg)) if rowasg[i] == 0), zero)
-    ey = sum((nu[j] for j in range(len(colasg)) if colasg[j] == 0), zero)
-    worst = zero
-    for b1 in range(1, n_blocks + 1):
-        rows = [i for i, a in enumerate(rowasg) if a == b1]
-        if not rows:
-            continue
-        for b2 in range(1, n_blocks + 1):
-            cols = [j for j, a in enumerate(colasg) if a == b2]
-            if not cols:
-                continue
+    worst = max(sum((w for i, w in enumerate(mu) if (em >> i) & 1), zero),
+                sum((w for j, w in enumerate(nu) if (ec >> j) & 1), zero))
+    for rows in row_blocks:
+        for cols in col_groups:
             cells = [f[i, j] for i in rows for j in cols]
-            h = (max(cells) - min(cells)) / 2
-            if h > worst:
-                worst = h
-    return max(ex, ey, worst)
+            worst = max(worst, (max(cells) - min(cells)) / 2)
+    return worst
 
 
 def _heuristic(f: ProductFunction, n_blocks: int, seed: int):
-    """Alternating row/column local search; returns (exact objective, (rowasg, colasg))."""
+    """Alternating row/column local search; returns (objective, config)."""
     nr, nc = f.shape
     v = [[float(x) for x in row] for row in f.values]
     vt = [[v[i][j] for i in range(nr)] for j in range(nc)]
@@ -413,22 +409,11 @@ def _heuristic(f: ProductFunction, n_blocks: int, seed: int):
             b = _sweep(vt, wy, colasg, rowasg, ex, n_blocks)
             if not (a or b):
                 break
-        val = _objective_exact(f, rowasg, colasg, n_blocks)
+        cfg = _assignments_to_config(rowasg, colasg, n_blocks)
+        val = _objective(f, cfg)
         if best_val is None or val < best_val:
-            best_val, best_cfg = val, (list(rowasg), list(colasg))
+            best_val, best_cfg = val, cfg
     return best_val, best_cfg
-
-
-def _config_rank(mach: _RankMachinery, cfg):
-    """Objective rank of a configuration built by `_assignments_to_config`."""
-    em, row_blocks, ec, col_groups = cfg
-    rank = max(mach.gwx[em], mach.gwy[ec])
-    for rows in row_blocks:
-        for cols in col_groups:
-            hi = max(mach.vr[i][j] for i in rows for j in cols)
-            lo = min(mach.vr[i][j] for i in rows for j in cols)
-            rank = max(rank, mach.hg[hi][lo])
-    return rank
 
 
 def _assignments_to_config(rowasg, colasg, n_blocks):
@@ -484,9 +469,8 @@ def step_fit_exists(f: ProductFunction, n_blocks: int, eps: Number,
         if cfg is None:
             return None
         return _fit_from_config(f, cfg, eps, exact=True)
-    val, (rowasg, colasg) = _heuristic(f, n_blocks, seed)
+    val, cfg = _heuristic(f, n_blocks, seed)
     if val < eps:
-        cfg = _assignments_to_config(rowasg, colasg, n_blocks)
         return _fit_from_config(f, cfg, eps, exact=False)
     return None
 
@@ -501,12 +485,11 @@ def vc_profile(f: ProductFunction, n_blocks: int, seed: int = 0) -> VcProfileRes
     if n_blocks < 1:
         raise ValidationError("block count must be at least 1")
     nr, nc = f.shape
-    hval, (rowasg, colasg) = _heuristic(f, n_blocks, seed)
-    cfg = _assignments_to_config(rowasg, colasg, n_blocks)
+    hval, cfg = _heuristic(f, n_blocks, seed)
     if nr <= EXACT_SIDE_LIMIT and nc <= EXACT_SIDE_LIMIT:
         mach = _RankMachinery(f)
-        # the search returns the heuristic's own rank if nothing beats it
-        rank, found = _exact_search(mach, n_blocks, _config_rank(mach, cfg),
+        # hval is a candidate; the search returns its rank if nothing beats it
+        rank, found = _exact_search(mach, n_blocks, bisect_left(mach.C, hval),
                                     stop_early=False)
         if found is not None:
             cfg = found
@@ -515,9 +498,13 @@ def vc_profile(f: ProductFunction, n_blocks: int, seed: int = 0) -> VcProfileRes
     return VcProfileResult(hval, False, _fit_from_config(f, cfg, hval, False))
 
 
-def step_fit_violations(f: ProductFunction, fit: StepFit,
-                        strict: bool = True) -> list[str]:
-    """Check a step fit against its invariants; list of violations."""
+def step_fit_violations(f: ProductFunction, fit: StepFit, strict: bool = True,
+                        tol: float = DEFAULT_TOL) -> list[str]:
+    """Check a step fit against its invariants; list of violations.
+
+    Exact bounds hold strictly (or non-strictly, for a fit at the optimum);
+    float bounds hold up to tol.
+    """
     problems = []
     nr, nc = f.shape
     mu, nu = f.x_space.weights, f.y_space.weights
@@ -535,6 +522,8 @@ def step_fit_violations(f: ProductFunction, fit: StepFit,
     eps = fit.epsilon
 
     def below(v):
+        if not (is_exact(v) and is_exact(eps)):
+            return nonneg(eps - v, tol)
         return v < eps if strict else v <= eps
 
     if not below(sum((mu[i] for i in fit.x_blocks[0]), mu[0] * 0)):

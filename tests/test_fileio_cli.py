@@ -219,6 +219,26 @@ def test_cli_check_rejects_tampered_certificates(tmp_path):
         assert json.loads(out)["violations"], tamper.__name__
 
 
+def test_cli_check_reads_report_plans_as_unsigned(tmp_path):
+    # on a set of thickness 1/2, a signed "plan" is bistochastic with mass 1
+    s = DiscreteSpace.uniform(2)
+    save_matrix(ProductSet(s, s, [[1, 0], [0, 0]]), str(tmp_path / "z.csv"))
+    code, out = _run(["hall", str(tmp_path / "z.csv")])
+    assert code == 0
+    rep = json.loads(out)
+    rep.update(mass="1", thickness_value="1", cover_x=[0], cover_y=[0])
+    rep["plan"]["mass"] = [["1", "-1/2"], ["-1/2", "1"]]
+    rp = tmp_path / "forged.json"
+    for plan in (dict(rep["plan"], signed=True), rep["plan"]):
+        rp.write_text(json.dumps(dict(rep, plan=plan)))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, out = _run(["check", str(rp)])
+        assert code == 1 and out == ""
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+
+
 def test_cli_krnorm_rejects_vector_of_wrong_length(tmp_path):
     paths = _fixture_corpus(tmp_path)
     save_vector([Fraction(0)] * 3, str(tmp_path / "short.json"))

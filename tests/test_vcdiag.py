@@ -1,5 +1,8 @@
 """Step-fit search, the profile and its refinement behavior, matrix laws."""
 
+import contextlib
+import io
+import json
 import random
 from fractions import Fraction
 
@@ -10,6 +13,9 @@ from virtcont import (DiscreteSpace, MetricMatrix, ProductFunction,
                       matrix_distribution_exact, matrix_distribution_sample,
                       random_points_check, refinement_study, sample_points,
                       step_fit_exists, step_fit_violations, vc_profile)
+from virtcont.checkers import check_report
+from virtcont.cli import main
+from virtcont.fileio import save_matrix
 
 from util import (brute_step_fit_exists, fn_on, rand_function, rand_space)
 
@@ -159,3 +165,49 @@ def test_guards():
 def test_sample_points_are_midpoints():
     assert sample_points(4) == [Fraction(1, 8), Fraction(3, 8),
                                 Fraction(5, 8), Fraction(7, 8)]
+
+
+def _float_report(tmp_path, f, argv):
+    """Exit code, report and stderr of a float-mode step-fit command on f."""
+    path = tmp_path / "f.csv"
+    save_matrix(f, str(path))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["--mode", "float", argv[0], str(path)] + argv[1:])
+    return code, json.loads(out.getvalue()) if code == 0 else None, err.getvalue()
+
+
+def _level_off_by_rounding():
+    # in floats the midrange level sits one rounding step past the half-range
+    return fn_on(DiscreteSpace.uniform(1, "x"), DiscreteSpace.uniform(2, "y"),
+                 lambda i, j: [Fraction(-7, 12), Fraction(-1)][j])
+
+
+def _class_weight_by_order():
+    # 0.1 + 0.2 + 0.3 and 0.3 + 0.2 + 0.1 differ in the last bit
+    xs = DiscreteSpace(("x0", "x1", "x2", "x3"),
+                       [Fraction(k, 10) for k in (1, 2, 3, 4)])
+    return fn_on(xs, DiscreteSpace.uniform(1, "y"),
+                 lambda i, j: Fraction([100, -100, 100, 0][i]))
+
+
+@pytest.mark.parametrize("make", [_level_off_by_rounding, _class_weight_by_order])
+def test_float_profile_passes_its_own_check(tmp_path, make):
+    code, rep, err = _float_report(tmp_path, make(), ["vcprofile", "--blocks", "1"])
+    assert (code, err) == (0, "")
+    assert check_report(rep) == []
+
+
+def test_float_step_fit_reports_pass_their_check(tmp_path):
+    rng = random.Random(61)
+    for _ in range(16):
+        xs = rand_space(rng, rng.randint(1, 5), "x")
+        ys = rand_space(rng, rng.randint(1, 5), "y")
+        f = rand_function(rng, xs, ys)
+        for nb in ("1", "2", "3"):
+            for argv in [["vcprofile", "--blocks", nb]] + [
+                    ["stepfit", "--blocks", nb, "--eps", eps]
+                    for eps in ("1/4", "1/2", "3/4")]:
+                code, rep, err = _float_report(tmp_path, f, argv)
+                assert (code, err) == (0, ""), argv
+                assert check_report(rep) == [], argv
