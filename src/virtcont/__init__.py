@@ -3,8 +3,8 @@ diagnostics on finite atomic product measure spaces.
 
 Everything runs in two arithmetic regimes: exact rationals
 (`fractions.Fraction`, default) and floats.  In float mode a tolerance
-governs the certificate checks, and the flow kernels treat values below a
-fixed `flows.EPS` (1e-12) as zero.
+governs the certificate checks, and the kernels treat values below a fixed
+`model.EPS` (1e-12) as zero.
 """
 
 from .coupling import (HallResult, complete_to_bistochastic,

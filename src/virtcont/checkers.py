@@ -8,10 +8,9 @@ no reference to how the solver found them.
 
 from __future__ import annotations
 
-from .fileio import (_parse_weight, function_from_obj, metric_from_obj,
-                     plan_from_obj, set_from_obj)
-from .model import DEFAULT_TOL, ValidationError, close, level_set, nonneg
-from .model import Plan, SeparableMajorant
+from .fileio import _malformed, _parse_weight, matrix_from_obj, metric_from_obj
+from .model import (DEFAULT_TOL, SeparableMajorant, ValidationError, close,
+                    level_set, nonneg)
 from .srnorm import SrNormResult, verify_sr_certificates
 from .thickness import ThicknessResult, thickness, verify_thickness_result
 from .transport import TransportResult, verify_transport_result
@@ -25,11 +24,11 @@ def _nums(seq, exact):
 def _plan(obj, exact):
     """A report's plan.  No command emits a signed plan, so a report that
     declares one is read as unsigned and any negative mass is rejected."""
-    return plan_from_obj({**obj, "signed": False}, exact)
+    return matrix_from_obj("plan", {**obj, "signed": False}, exact)
 
 
 def _check_thickness(rep, exact, tol):
-    z = set_from_obj(rep["inputs"]["set"], exact)
+    z = matrix_from_obj("set", rep["inputs"]["set"], exact)
     value = _parse_weight(rep["value"], exact)
     res = ThicknessResult(value, list(rep["cover_x"]), list(rep["cover_y"]),
                           _nums(rep["fractional_f"], exact),
@@ -47,7 +46,7 @@ def _check_thickness(rep, exact, tol):
 
 
 def _check_hall(rep, exact, tol):
-    z = set_from_obj(rep["inputs"]["set"], exact)
+    z = matrix_from_obj("set", rep["inputs"]["set"], exact)
     mass = _parse_weight(rep["mass"], exact)
     th = _parse_weight(rep["thickness_value"], exact)
     plan = _plan(rep["plan"], exact)
@@ -69,7 +68,7 @@ def _check_hall(rep, exact, tol):
 
 
 def _check_srnorm(rep, exact, tol):
-    f = function_from_obj(rep["inputs"]["function"], exact)
+    f = matrix_from_obj("function", rep["inputs"]["function"], exact)
     res = SrNormResult(
         _parse_weight(rep["value"], exact),
         SeparableMajorant(_nums(rep["majorant"]["a"], exact),
@@ -83,8 +82,8 @@ def _check_srnorm(rep, exact, tol):
 
 
 def _check_tau(rep, exact, tol):
-    f = function_from_obj(rep["inputs"]["f"], exact)
-    g = function_from_obj(rep["inputs"]["g"], exact)
+    f = matrix_from_obj("function", rep["inputs"]["f"], exact)
+    g = matrix_from_obj("function", rep["inputs"]["g"], exact)
     value = _parse_weight(rep["value"], exact)
     witness = _parse_weight(rep["witness_set_thickness"], exact)
     d = f.sub(g).abs()
@@ -111,11 +110,12 @@ def _check_krnorm(rep, exact, tol):
     """The plan ships the positive part onto the negative part: a transport
     certificate between the two parts of the signed vector."""
     rho = metric_from_obj(rep["inputs"]["metric"], exact)
+    space = rep["inputs"]["metric"]["space"]
     signed = _nums(rep["inputs"]["signed"], exact)
     zero = rho.dist[0][0] * 0
     res = TransportResult(_parse_weight(rep["value"], exact),
-                          Plan(rho.space, rho.space,
-                               [_nums(row, exact) for row in rep["plan"]]),
+                          _plan({"x_space": space, "y_space": space,
+                                 "mass": rep["plan"]}, exact),
                           _nums(rep["potential"], exact))
     return verify_transport_result([max(s, zero) for s in signed],
                                    [max(-s, zero) for s in signed], rho, res, tol)
@@ -132,7 +132,7 @@ def _fit_from_obj(obj, exact):
 def _check_stepfit(rep, exact, tol):
     if not rep["found"]:
         return []
-    f = function_from_obj(rep["inputs"]["function"], exact)
+    f = matrix_from_obj("function", rep["inputs"]["function"], exact)
     return step_fit_violations(f, _fit_from_obj(rep["fit"], exact), strict=True,
                                tol=tol)
 
@@ -144,7 +144,7 @@ def _check_vcprofile(rep, exact, tol):
     from the search that no smaller eps admits a fit; `check` cannot
     verify it.
     """
-    f = function_from_obj(rep["inputs"]["function"], exact)
+    f = matrix_from_obj("function", rep["inputs"]["function"], exact)
     fit = _fit_from_obj(rep["witness"], exact)
     # the witness attains the optimum, so its bounds hold non-strictly
     problems = step_fit_violations(f, fit, strict=False, tol=tol)
@@ -189,10 +189,5 @@ def check_report(rep: dict, tol: float = DEFAULT_TOL) -> list[str]:
     if mode not in ("exact", "float"):
         raise ValidationError(f"malformed {cmd} report: mode {mode!r} "
                               "is neither 'exact' nor 'float'")
-    exact = mode == "exact"
-    try:
-        return _CHECKS[cmd](rep, exact, tol)
-    except KeyError as e:
-        raise ValidationError(f"malformed {cmd} report: missing key {e}") from None
-    except (TypeError, IndexError) as e:
-        raise ValidationError(f"malformed {cmd} report: {e}") from None
+    with _malformed(f"{cmd} report"):
+        return _CHECKS[cmd](rep, mode == "exact", tol)

@@ -17,11 +17,11 @@ import sys
 
 from .checkers import _CHECKS, check_report
 from .coupling import max_bistochastic_mass
-from .fileio import (function_to_obj, jsonable, load_matrix, load_metric,
-                     load_vector, metric_to_obj, plan_to_obj, set_to_obj)
+from .fileio import (_csv_table, _load, _loads_json, _matrix_kind, _parse_weight,
+                     jsonable, load_matrix, load_metric, load_vector,
+                     matrix_to_obj, metric_to_obj)
 from .flows import InfeasibleError
-from .model import (DEFAULT_TOL, ProductFunction, ProductSet, ValidationError,
-                    parse_number)
+from .model import DEFAULT_TOL, ValidationError
 from .srnorm import sr_norm
 from .tau import tau_distance
 from .thickness import _flow_plan, thickness
@@ -117,11 +117,10 @@ def _build_parser() -> argparse.ArgumentParser:
 # Every runner takes (args, exact, tol) and returns the report dict.
 
 def _load_as(kind, path, exact, command):
-    """The matrix file at path, which must hold a `kind` (set or function)."""
+    """The matrix file at path, which must hold a `kind` ("set" or "function")."""
     m = load_matrix(path, exact)
-    if not isinstance(m, kind):
-        noun = "set" if kind is ProductSet else "function"
-        raise ValidationError(f"{command} expects a {noun} matrix")
+    if _matrix_kind(m) != kind:
+        raise ValidationError(f"{command} expects a {kind} matrix")
     return m
 
 
@@ -131,43 +130,43 @@ def _fit_obj(fit):
 
 
 def _run_thickness(args, exact, tol):
-    z = _load_as(ProductSet, args.set, exact, args.command)
+    z = _load_as("set", args.set, exact, args.command)
     res = thickness(z)
     plan = _flow_plan(z, res)
     return {"value": res.value, "primal": res.value, "dual": plan.total(),
             "gap": res.value - plan.total(),
             "cover_x": res.cover_x, "cover_y": res.cover_y,
             "fractional_f": res.fractional_f, "fractional_g": res.fractional_g,
-            "plan": plan_to_obj(plan), "inputs": {"set": set_to_obj(z)}}
+            "plan": matrix_to_obj(plan), "inputs": {"set": matrix_to_obj(z)}}
 
 
 def _run_tau(args, exact, tol):
-    f = _load_as(ProductFunction, args.f, exact, args.command)
-    g = _load_as(ProductFunction, args.g, exact, args.command)
+    f = _load_as("function", args.f, exact, args.command)
+    g = _load_as("function", args.g, exact, args.command)
     res = tau_distance(f, g)
     return {"value": res.value,
             "witness_set_thickness": res.witness_set_thickness,
-            "inputs": {"f": function_to_obj(f), "g": function_to_obj(g)}}
+            "inputs": {"f": matrix_to_obj(f), "g": matrix_to_obj(g)}}
 
 
 def _run_srnorm(args, exact, tol):
-    f = _load_as(ProductFunction, args.function, exact, args.command)
+    f = _load_as("function", args.function, exact, args.command)
     res = sr_norm(f)
     return {"value": res.value, "primal": res.value, "dual": res.dual_value,
             "dual_value": res.dual_value, "gap": res.value - res.dual_value,
             "majorant": {"a": list(res.majorant.a), "b": list(res.majorant.b)},
-            "dual_plan": plan_to_obj(res.dual_plan),
-            "inputs": {"function": function_to_obj(f)}}
+            "dual_plan": matrix_to_obj(res.dual_plan),
+            "inputs": {"function": matrix_to_obj(f)}}
 
 
 def _run_hall(args, exact, tol):
-    z = _load_as(ProductSet, args.set, exact, args.command)
+    z = _load_as("set", args.set, exact, args.command)
     res = max_bistochastic_mass(z)
     cert = res.thickness_certificate
     return {"mass": res.mass, "thickness_value": cert.value,
             "primal": res.mass, "dual": cert.value, "gap": cert.value - res.mass,
             "cover_x": cert.cover_x, "cover_y": cert.cover_y,
-            "plan": plan_to_obj(res.plan), "inputs": {"set": set_to_obj(z)}}
+            "plan": matrix_to_obj(res.plan), "inputs": {"set": matrix_to_obj(z)}}
 
 
 def _run_transport(args, exact, tol):
@@ -178,7 +177,7 @@ def _run_transport(args, exact, tol):
     dual = sum(u * (a - b) for u, a, b in zip(res.potential, mu1, mu2))
     return {"cost": res.cost, "primal": res.cost, "dual": dual,
             "gap": res.cost - dual, "potential": res.potential,
-            "plan": plan_to_obj(res.plan),
+            "plan": matrix_to_obj(res.plan),
             "inputs": {"metric": metric_to_obj(rho), "mu1": mu1, "mu2": mu2}}
 
 
@@ -194,22 +193,22 @@ def _run_krnorm(args, exact, tol):
 
 
 def _run_stepfit(args, exact, tol):
-    f = _load_as(ProductFunction, args.function, exact, args.command)
-    eps = parse_number(args.eps, exact)
+    f = _load_as("function", args.function, exact, args.command)
+    eps = _parse_weight(args.eps, exact)
     fit = step_fit_exists(f, args.blocks, eps, args.seed)
     rep = {"found": fit is not None, "blocks": args.blocks, "epsilon": eps,
-           "inputs": {"function": function_to_obj(f)}}
+           "inputs": {"function": matrix_to_obj(f)}}
     if fit is not None:
         rep["fit"] = _fit_obj(fit)
     return rep
 
 
 def _run_vcprofile(args, exact, tol):
-    f = _load_as(ProductFunction, args.function, exact, args.command)
+    f = _load_as("function", args.function, exact, args.command)
     res = vc_profile(f, args.blocks, args.seed)
     return {"value": res.value, "exact_optimum": res.exact,
             "blocks": args.blocks, "witness": _fit_obj(res.witness),
-            "inputs": {"function": function_to_obj(f)}}
+            "inputs": {"function": matrix_to_obj(f)}}
 
 
 def _run_refine(args, exact, tol):
@@ -235,13 +234,7 @@ def _run_matdist(args, exact, tol):
 
 
 def _run_check(args, exact, tol):
-    try:
-        with open(args.report, "r", encoding="utf-8") as fh:
-            rep = json.load(fh)
-    except OSError as e:
-        raise ValidationError(f"cannot read {args.report}: {e}") from None
-    except json.JSONDecodeError as e:
-        raise ValidationError(f"{args.report}: bad JSON: {e}") from None
+    rep = _load(args.report, _loads_json)
     violations = check_report(rep, tol)
     return {"checked_command": rep.get("command"), "violations": violations}
 
@@ -257,11 +250,7 @@ def _report_csv(rep) -> str:
             writer.writerow([row["n"], row["blocks"], row["value"], row["kind"]])
         return buf.getvalue()
     if "plan" in rep and isinstance(rep["plan"], dict):
-        plan = rep["plan"]
-        writer.writerow([""] + list(plan["y_space"]["labels"]))
-        for label, row in zip(plan["x_space"]["labels"], plan["mass"]):
-            writer.writerow([label] + list(row))
-        return buf.getvalue()
+        return _csv_table(rep["plan"], "mass")
     raise ValidationError("csv format needs a matrix or table payload")
 
 

@@ -2,8 +2,10 @@
 
 Matrix files (functions, sets, plans) carry a one-line JSON header naming
 both factor spaces, then one CSV row per X-atom with a Y-label header row.
-Numbers serialize as "p/q" strings in exact mode and as 17-significant-digit
-decimals in float mode; parse(emit(x)) == x in both regimes.
+Reports embed the same matrices as objects with the same cells.  Numbers
+serialize as "p/q" strings in exact mode and as 17-significant-digit
+decimals in float mode; parse(emit(x)) == x in both regimes.  A malformed
+file raises a ValidationError that names its path.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .model import (DiscreteSpace, MetricMatrix, Plan, ProductFunction,
@@ -50,7 +53,7 @@ def space_from_obj(obj: dict, exact: bool = True) -> DiscreteSpace:
 
 
 def load_space(path: str, exact: bool = True) -> DiscreteSpace:
-    return space_from_obj(_load_json(path), exact)
+    return _load(path, lambda text: space_from_obj(_loads_json(text), exact))
 
 
 def save_space(space: DiscreteSpace, path: str) -> None:
@@ -77,7 +80,7 @@ def metric_from_obj(obj: dict, exact: bool = True) -> MetricMatrix:
 
 
 def load_metric(path: str, exact: bool = True) -> MetricMatrix:
-    return metric_from_obj(_load_json(path), exact)
+    return _load(path, lambda text: metric_from_obj(_loads_json(text), exact))
 
 
 def save_metric(m: MetricMatrix, path: str) -> None:
@@ -97,7 +100,7 @@ def vector_from_obj(obj: dict, exact: bool = True) -> list:
 
 
 def load_vector(path: str, exact: bool = True) -> list:
-    return vector_from_obj(_load_json(path), exact)
+    return _load(path, lambda text: vector_from_obj(_loads_json(text), exact))
 
 
 def save_vector(values, path: str) -> None:
@@ -105,88 +108,102 @@ def save_vector(values, path: str) -> None:
 
 
 # ----------------------------------------------------------------- matrices
+# One codec for functions, sets and plans: a report object carries the same
+# cells as a CSV file, and `_build` reads them from either.
 
-def _matrix_kind(obj):
-    if isinstance(obj, ProductFunction):
-        return "function"
-    if isinstance(obj, ProductSet):
-        return "set"
-    if isinstance(obj, Plan):
-        return "plan"
-    raise ValidationError(f"not a matrix object: {type(obj).__name__}")
+# kind: (class, cells attribute and key, cell writer)
+_KINDS = {"function": (ProductFunction, "values", format_number),
+          "set": (ProductSet, "membership", int),
+          "plan": (Plan, "mass", format_number)}
 
 
-def dumps_matrix(obj) -> str:
-    kind = _matrix_kind(obj)
-    header = {"kind": kind,
-              "x_space": space_to_obj(obj.x_space),
-              "y_space": space_to_obj(obj.y_space)}
+def _matrix_kind(m) -> str:
+    for kind, (cls, *_) in _KINDS.items():
+        if isinstance(m, cls):
+            return kind
+    raise ValidationError(f"not a matrix object: {type(m).__name__}")
+
+
+def _build(kind, x_space, y_space, cells, exact, signed):
+    """The one reader of matrix cells, from CSV rows or a report object."""
+    if not all(isinstance(row, (list, tuple)) for row in cells):
+        raise ValidationError("matrix rows must be lists of cells")
+    if kind == "set":
+        if any(str(v) not in ("0", "1") for row in cells for v in row):
+            raise ValidationError("set cells must be 0 or 1")
+        return ProductSet(x_space, y_space,
+                          [[str(v) == "1" for v in row] for row in cells])
+    rows = [[_parse_weight(v, exact) for v in row] for row in cells]
     if kind == "plan":
-        header["signed"] = obj.signed
-        rows = [[format_number(v) for v in row] for row in obj.mass]
-    elif kind == "set":
-        rows = [["1" if v else "0" for v in row] for row in obj.membership]
-    else:
-        rows = [[format_number(v) for v in row] for row in obj.values]
+        return Plan(x_space, y_space, rows, signed=bool(signed))
+    return ProductFunction(x_space, y_space, rows)
+
+
+def matrix_to_obj(m) -> dict:
+    """Both factor spaces and the cells under the kind's key; a signed plan
+    also carries `"signed": true`."""
+    _, key, write = _KINDS[_matrix_kind(m)]
+    obj = {"x_space": space_to_obj(m.x_space), "y_space": space_to_obj(m.y_space),
+           key: [[write(v) for v in row] for row in getattr(m, key)]}
+    if getattr(m, "signed", False):
+        obj["signed"] = True
+    return obj
+
+
+def matrix_from_obj(kind: str, obj: dict, exact: bool = True):
+    """The `kind` ("function", "set" or "plan") that matrix_to_obj wrote."""
+    return _build(kind, space_from_obj(obj["x_space"], exact),
+                  space_from_obj(obj["y_space"], exact),
+                  obj[_KINDS[kind][1]], exact, obj.get("signed"))
+
+
+def _csv_table(obj: dict, key: str) -> str:
+    """The cells of a matrix object under `key`, as CSV rows with labels."""
     buf = io.StringIO()
-    buf.write(json.dumps(header, sort_keys=True) + "\n")
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([""] + list(obj.y_space.labels))
-    for label, row in zip(obj.x_space.labels, rows):
-        writer.writerow([label] + row)
+    writer.writerow([""] + list(obj["y_space"]["labels"]))
+    for label, row in zip(obj["x_space"]["labels"], obj[key]):
+        writer.writerow([label] + list(row))
     return buf.getvalue()
+
+
+def dumps_matrix(m) -> str:
+    kind = _matrix_kind(m)
+    obj = matrix_to_obj(m)
+    header = {"kind": kind, "x_space": obj["x_space"], "y_space": obj["y_space"]}
+    if kind == "plan":
+        header["signed"] = m.signed  # a CSV header names the sign either way
+    table = _csv_table(obj, _KINDS[kind][1])
+    return json.dumps(header, sort_keys=True) + "\n" + table
 
 
 def loads_matrix(text: str, exact: bool = True):
     lines = text.splitlines()
     if not lines:
         raise ValidationError("empty matrix file")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as e:
-        raise ValidationError(f"bad matrix header (line 1): {e}") from None
-    kind = header.get("kind")
-    if kind not in ("function", "set", "plan"):
+    header = _loads_json(lines[0], "bad matrix header (line 1)")
+    kind = header.get("kind") if isinstance(header, dict) else None
+    if kind not in _KINDS:
         raise ValidationError(f"unknown matrix kind {kind!r}")
     x_space = space_from_obj(header.get("x_space", {}), exact)
     y_space = space_from_obj(header.get("y_space", {}), exact)
-    body = list(csv.reader(lines[1:]))
-    body = [row for row in body if row]
+    body = [row for row in csv.reader(lines[1:]) if row]
     if len(body) != x_space.size + 1:
         raise ValidationError(
             f"expected {x_space.size + 1} data rows, found {len(body)}")
     if body[0][1:] != list(y_space.labels):
         raise ValidationError("column header does not match Y labels")
-    values = []
     for i, row in enumerate(body[1:]):
         if row[0] != x_space.labels[i]:
             raise ValidationError(f"row {i + 2}: label {row[0]!r} out of order")
         if len(row) != y_space.size + 1:
             raise ValidationError(f"row {i + 2}: wrong cell count")
-        values.append(row[1:])
-    if kind == "set":
-        for i, row in enumerate(values):
-            for v in row:
-                if v not in ("0", "1"):
-                    raise ValidationError(f"row {i + 2}: set cells must be 0 or 1")
-        return ProductSet(x_space, y_space,
-                          [[v == "1" for v in row] for row in values])
-    parsed = [[_parse_weight(v, exact) for v in row] for row in values]
-    if kind == "plan":
-        return Plan(x_space, y_space, parsed, signed=bool(header.get("signed")))
-    return ProductFunction(x_space, y_space, parsed)
+    return _build(kind, x_space, y_space, [row[1:] for row in body[1:]], exact,
+                  header.get("signed"))
 
 
 def load_matrix(path: str, exact: bool = True):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
-        raise ValidationError(f"cannot read {path}: {e}") from None
-    try:
-        return loads_matrix(text, exact)
-    except ValidationError as e:
-        raise ValidationError(f"{path}: {e}") from None
+    return _load(path, lambda text: loads_matrix(text, exact))
 
 
 def save_matrix(obj, path: str) -> None:
@@ -194,55 +211,38 @@ def save_matrix(obj, path: str) -> None:
         fh.write(dumps_matrix(obj))
 
 
-# ----------------------------------------------- structured (report) objects
-
-def function_to_obj(f: ProductFunction) -> dict:
-    return {"x_space": space_to_obj(f.x_space), "y_space": space_to_obj(f.y_space),
-            "values": [[format_number(v) for v in row] for row in f.values]}
-
-
-def function_from_obj(obj: dict, exact: bool = True) -> ProductFunction:
-    return ProductFunction(
-        space_from_obj(obj["x_space"], exact), space_from_obj(obj["y_space"], exact),
-        [[_parse_weight(v, exact) for v in row] for row in obj["values"]])
-
-
-def set_to_obj(z: ProductSet) -> dict:
-    return {"x_space": space_to_obj(z.x_space), "y_space": space_to_obj(z.y_space),
-            "membership": [[1 if v else 0 for v in row] for row in z.membership]}
-
-
-def set_from_obj(obj: dict, exact: bool = True) -> ProductSet:
-    return ProductSet(
-        space_from_obj(obj["x_space"], exact), space_from_obj(obj["y_space"], exact),
-        obj["membership"])
-
-
-def plan_to_obj(p: Plan) -> dict:
-    out = {"x_space": space_to_obj(p.x_space), "y_space": space_to_obj(p.y_space),
-           "mass": [[format_number(v) for v in row] for row in p.mass]}
-    if p.signed:
-        out["signed"] = True
-    return out
-
-
-def plan_from_obj(obj: dict, exact: bool = True) -> Plan:
-    return Plan(
-        space_from_obj(obj["x_space"], exact), space_from_obj(obj["y_space"], exact),
-        [[_parse_weight(v, exact) for v in row] for row in obj["mass"]],
-        signed=bool(obj.get("signed")))
-
-
 # --------------------------------------------------------------- primitives
 
-def _load_json(path: str):
+@contextmanager
+def _malformed(what: str):
+    """A structural error while reading `what` becomes a ValidationError."""
+    try:
+        yield
+    except KeyError as e:
+        raise ValidationError(f"malformed {what}: missing key {e}") from None
+    except (TypeError, AttributeError, IndexError) as e:
+        raise ValidationError(f"malformed {what}: {e}") from None
+
+
+def _load(path: str, parse):
+    """parse(text of the file at path); every input error names the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as e:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as e:
         raise ValidationError(f"cannot read {path}: {e}") from None
+    try:
+        with _malformed("file"):
+            return parse(text)
+    except ValidationError as e:
+        raise ValidationError(f"{path}: {e}") from None
+
+
+def _loads_json(text: str, what: str = "bad JSON"):
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as e:
-        raise ValidationError(f"{path}: bad JSON: {e}") from None
+        raise ValidationError(f"{what}: {e}") from None
 
 
 def _dump_json(obj, path: str) -> None:

@@ -21,16 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Optional, Sequence
 
-from .model import Number, ValidationError, all_exact, common_integers, is_exact
-
-EPS = 1e-12
-
-
-def _zero_like(values) -> Number:
-    # the kernels see ints (exact mode, scaled) or values with a float
-    return 0 if all_exact(values) else 0.0
+from .model import (EPS, Number, ValidationError, common_integers, is_exact,
+                    zero_of)
 
 
 class InfeasibleError(ValueError):
@@ -77,10 +72,11 @@ def min_weighted_vertex_cover(inst: BipartiteCoverInstance) -> CoverResult:
     """
     nr = len(inst.row_costs)
     costs, scale = common_integers(inst.row_costs + inst.col_costs)
-    zero = Fraction(0) if scale is not None else 0.0
+    zero = zero_of(inst.row_costs + inst.col_costs)
     if not inst.edges:
         return CoverResult(zero, [], [], [], zero)
-    rows, cols, flow, total = _max_flow_cover(costs[:nr], costs[nr:], inst.edges)
+    rows, cols, flow, total = _max_flow_cover(
+        costs[:nr], costs[nr:], inst.edges, 0 if scale is not None else EPS)
     if scale is not None:
         flow = [Fraction(x, scale) for x in flow]
         total = Fraction(total, scale)
@@ -89,10 +85,13 @@ def min_weighted_vertex_cover(inst: BipartiteCoverInstance) -> CoverResult:
     return CoverResult(value, rows, cols, flow, total)
 
 
-def _max_flow_cover(row_costs, col_costs, edges):
-    """Max-flow kernel of the cover: (rows, cols, flow per edge, flow value)."""
+def _max_flow_cover(row_costs, col_costs, edges, tol):
+    """Max-flow kernel of the cover: (rows, cols, flow per edge, flow value).
+
+    tol is 0 on scaled ints and EPS on floats; the zero follows it, so int
+    sums stay ints."""
     nr, nc = len(row_costs), len(col_costs)
-    zero = _zero_like(row_costs + col_costs)
+    zero = 0 * tol
     big = sum(row_costs) + sum(col_costs)  # exceeds any cut
 
     # node ids: 0 = source, 1..nr rows, nr+1..nr+nc cols, nr+nc+1 = sink
@@ -115,7 +114,6 @@ def _max_flow_cover(row_costs, col_costs, edges):
         add_arc(1 + i, 1 + nr + j, big)
 
     total = zero
-    tol = 0 if is_exact(zero) else EPS
     while True:
         # BFS (lowest index first) for a shortest augmenting path
         parent: list[Optional[tuple]] = [None] * n
@@ -224,9 +222,10 @@ def _ssp_balanced(supplies, demands, cost, tol):
 
 
 def _ssp_kernel(supplies, demands, cost, tol):
-    """The successive-shortest-path loop of `_ssp_balanced`."""
+    """The successive-shortest-path loop of `_ssp_balanced`, on scaled ints
+    (tol 0) or floats (tol EPS); the zero follows tol."""
     nr, nc = len(supplies), len(demands)
-    zero = _zero_like(list(supplies) + list(demands))
+    zero = 0 * tol
     src, snk = 0, nr + nc + 1
     n = nr + nc + 2
 
@@ -340,10 +339,9 @@ def solve_transportation(inst: TransportationInstance) -> TransportResultRaw:
     (a, b) with a_i + b_j >= profit_ij, tight on the support, and
     sum(s*a) + sum(d*b) = profit.
     """
-    exact = all_exact(inst.supplies + inst.demands) and all(
-        all_exact(row) for row in inst.matrix)
+    zero = zero_of(chain(inst.supplies, inst.demands, *inst.matrix))
+    exact = is_exact(zero)
     tol = 0 if exact else EPS
-    zero = Fraction(0) if exact else 0.0
 
     if inst.mode == "min-cost":
         if not (abs(sum(inst.supplies) - sum(inst.demands)) <= tol):

@@ -16,6 +16,9 @@ from typing import Iterable, Sequence, Union
 Number = Union[Fraction, float, int]
 
 DEFAULT_TOL = 1e-9
+# float values below EPS count as zero inside the kernels; tolerances on
+# inputs and certificates are DEFAULT_TOL or the caller's tol
+EPS = 1e-12
 
 
 def parse_number(text: str, exact: bool = True) -> Number:
@@ -34,6 +37,11 @@ def is_exact(x: Number) -> bool:
 
 def all_exact(values: Iterable[Number]) -> bool:
     return all(is_exact(v) for v in values)
+
+
+def zero_of(values: Iterable[Number]) -> Number:
+    """The zero of the values' regime: Fraction(0) if all are exact, else 0.0."""
+    return Fraction(0) if all_exact(values) else 0.0
 
 
 def common_integers(values: Iterable[Number]):
@@ -109,7 +117,7 @@ def validate_space(space: DiscreteSpace, tol: float = DEFAULT_TOL) -> list[str]:
         elif w <= tol:
             problems.append(f"nonpositive weight at index {i}")
     total = space.total()
-    if not close(total, Fraction(1) if all_exact(space.weights) else 1.0, tol):
+    if not close(total, 1, tol):
         problems.append(f"weights sum != 1 (sum = {total})")
     if len(set(space.labels)) != len(space.labels):
         problems.append("duplicate label")
@@ -322,14 +330,14 @@ class Plan:
 
     @staticmethod
     def zero(x_space: DiscreteSpace, y_space: DiscreteSpace) -> "Plan":
-        z = Fraction(0) if all_exact(x_space.weights + y_space.weights) else 0.0
+        z = zero_of(x_space.weights + y_space.weights)
         return Plan(x_space, y_space,
                     [[z] * y_space.size for _ in range(x_space.size)])
 
     @staticmethod
     def diagonal(space: DiscreteSpace) -> "Plan":
         n = space.size
-        zero = Fraction(0) if all_exact(space.weights) else 0.0
+        zero = zero_of(space.weights)
         mass = [[zero] * n for _ in range(n)]
         for i, w in enumerate(space.weights):
             mass[i][i] = w
@@ -402,8 +410,7 @@ def _triangles_hold(d) -> bool:
 def product_measure(z: ProductSet) -> Number:
     """mu x nu (Z): total product weight of the member cells."""
     mu, nu = z.x_space.weights, z.y_space.weights
-    return sum(mu[i] * nu[j] for (i, j) in z.cells()) or (
-        Fraction(0) if all_exact(mu + nu) else 0.0)
+    return sum(mu[i] * nu[j] for (i, j) in z.cells()) or zero_of(mu + nu)
 
 
 def level_set(f: ProductFunction, threshold: Number, mode: str = ">") -> ProductSet:

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .flows import TransportationInstance, solve_transportation
 from .model import (DEFAULT_TOL, Number, Plan, ProductFunction,
-                    SeparableMajorant, ValidationError, all_exact, close)
+                    SeparableMajorant, ValidationError, close, zero_of)
 from .thickness import thickness_of_level_set
 
 
@@ -50,7 +50,7 @@ def sr_norm(f: ProductFunction) -> SrNormResult:
 
 def layer_cake_integral(f: ProductFunction) -> Number:
     """Integral over lam of th({|f| >= lam}): piecewise constant, summed exactly."""
-    zero = Fraction(0) if all(all_exact(row) for row in f.values) else 0.0
+    zero = zero_of(v for row in f.values for v in row)
     levels = sorted({abs(v) for row in f.values for v in row} - {zero})
     total = zero
     prev = zero

@@ -9,9 +9,8 @@ found by a breakpoint scan.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .model import Number, ProductFunction, ValidationError, all_exact, level_set
+from .model import Number, ProductFunction, ValidationError, level_set, zero_of
 from .thickness import thickness
 
 
@@ -35,7 +34,7 @@ def tau_distance(f: ProductFunction, g: ProductFunction) -> TauResult:
     max(v_k, th({|f-g| > v_k})).  Minimizing over breakpoints gives tau.
     """
     d = _diff_abs(f, g)
-    zero = Fraction(0) if all(all_exact(row) for row in d.values) else 0.0
+    zero = zero_of(v for row in d.values for v in row)
     levels = sorted({zero} | {v for row in d.values for v in row})
     best = None
     for v in levels:

@@ -10,11 +10,10 @@ as the optimal fractional pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .flows import BipartiteCoverInstance, min_weighted_vertex_cover
 from .model import (DEFAULT_TOL, Number, Plan, ProductFunction, ProductSet,
-                    all_exact, close, level_set, nonneg)
+                    close, level_set, nonneg, zero_of)
 
 
 @dataclass
@@ -31,7 +30,7 @@ class ThicknessResult:
 def thickness(z: ProductSet) -> ThicknessResult:
     """Exact minimum cover weight with integral and fractional certificates."""
     mu, nu = z.x_space.weights, z.y_space.weights
-    zero = Fraction(0) if all_exact(mu + nu) else 0.0
+    zero = zero_of(mu + nu)
     one = zero + 1
     cells = sorted(z.cells())
     if not cells:

@@ -10,11 +10,11 @@ complementary slackness holds exactly on the support of the optimal plan.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import chain
 
 from .flows import InfeasibleError, TransportationInstance, solve_transportation
 from .model import (DEFAULT_TOL, MetricMatrix, Number, Plan, ValidationError,
-                    all_exact, close, nonneg, validate_semimetric)
+                    close, nonneg, validate_semimetric, zero_of)
 
 
 @dataclass
@@ -70,8 +70,7 @@ def kr_norm(signed, rho: MetricMatrix, tol: float = DEFAULT_TOL) -> KrNormResult
     n = rho.space.size
     if len(signed) != n:
         raise ValidationError("signed vector does not match the space")
-    exact = all_exact(signed) and all(all_exact(r) for r in rho.dist)
-    zero = Fraction(0) if exact else 0.0
+    zero = zero_of(chain(signed, *rho.dist))
     if not close(sum(signed), zero, tol):
         raise ValidationError("signed weights do not sum to zero")
     kind, witness = validate_semimetric(rho, tol)
@@ -80,7 +79,7 @@ def kr_norm(signed, rho: MetricMatrix, tol: float = DEFAULT_TOL) -> KrNormResult
     pos = [max(s, zero) for s in signed]
     neg = [max(-s, zero) for s in signed]
     total = sum(pos, zero)
-    if (total == 0) if exact else total <= tol:
+    if close(total, zero, tol):
         return KrNormResult(zero, [zero] * n, [[zero] * n for _ in range(n)])
     inst = TransportationInstance(pos, neg, rho.dist, mode="min-cost")
     res = solve_transportation(inst)

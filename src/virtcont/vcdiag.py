@@ -23,9 +23,9 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional
 
-from .model import (DEFAULT_TOL, DiscreteSpace, MetricMatrix, Number,
-                    ProductFunction, ValidationError, all_exact, is_exact,
-                    nonneg)
+from .model import (DEFAULT_TOL, EPS, DiscreteSpace, MetricMatrix, Number,
+                    ProductFunction, ValidationError, is_exact, nonneg,
+                    zero_of)
 
 EXACT_SIDE_LIMIT = 8
 HEURISTIC_RESTARTS = 20
@@ -59,8 +59,7 @@ class MatrixDistribution:
 
 def _subset_sums(weights):
     """Weight of every index subset, added in index order as `sum()` adds it."""
-    zero = Fraction(0) if all_exact(weights) else 0.0
-    table = [zero] * (1 << len(weights))
+    table = [zero_of(weights)] * (1 << len(weights))
     for m in range(1, 1 << len(weights)):
         high = m.bit_length() - 1
         table[m] = table[m ^ (1 << high)] + weights[high]
@@ -342,7 +341,7 @@ def _sweep(v, wrow, asg, oasg, other_exc_weight, n_blocks):
                     nlo[c] = min(bmin[b2][c], rmin[r][c])
                     nhi[c] = max(bmax[b2][c], rmax[r][c])
                 cand = max(ex0, other_exc_weight, others, block_half(nlo, nhi))
-            if cand < best_obj - 1e-12:
+            if cand < best_obj - EPS:
                 best_obj, best_b = cand, b2
                 cand_stats = (nlo, nhi)
         if best_b != b0:
@@ -366,7 +365,7 @@ def _objective(f: ProductFunction, cfg):
     widest block-pair half-range, with class weights added in index order."""
     em, row_blocks, ec, col_groups = cfg
     mu, nu = f.x_space.weights, f.y_space.weights
-    zero = Fraction(0) if all_exact(mu + nu) else 0.0
+    zero = zero_of(mu + nu)
     worst = max(sum((w for i, w in enumerate(mu) if (em >> i) & 1), zero),
                 sum((w for j, w in enumerate(nu) if (ec >> j) & 1), zero))
     for rows in row_blocks:
@@ -610,6 +609,8 @@ def refinement_study(family: str, grid_sizes, n_blocks: int,
     grid_sizes = list(grid_sizes)
     if any(b >= a for a, b in zip(grid_sizes[1:], grid_sizes)):
         raise ValidationError("grid sizes must be ascending")
+    if not grid_sizes or grid_sizes[0] < 1:
+        raise ValidationError("grid sizes must be at least 1")
     if n_blocks < 1:
         raise ValidationError("block count must be at least 1")
     if family not in FAMILIES:
@@ -646,7 +647,7 @@ def matrix_distribution_exact(m: MetricMatrix, k: int) -> MatrixDistribution:
         raise ValidationError(
             f"enumeration too large ({n}^{2 * k} index tuples > {ENUM_GUARD})")
     w = m.space.weights
-    one = Fraction(1) if all_exact(w) else 1.0
+    one = zero_of(w) + 1
     acc: dict = {}
     for tup in product(range(n), repeat=2 * k):
         p = one

@@ -25,11 +25,14 @@ class LPUnbounded(ValueError):
 
 def _pivot(T, basis, r, e):
     piv = T[r][e]
-    T[r] = [v / piv for v in T[r]]
-    for k in range(len(T)):
-        if k != r and T[k][e] != 0:
-            coef = T[k][e]
-            T[k] = [a - coef * b for a, b in zip(T[k], T[r])]
+    row = T[r] = [v / piv if v else v for v in T[r]]
+    # a zero entry of the pivot row leaves its column unchanged in every row
+    support = [j for j, v in enumerate(row) if v]
+    for k, other in enumerate(T):
+        coef = other[e]
+        if k != r and coef != 0:
+            for j in support:
+                other[j] -= coef * row[j]
     basis[r] = e
 
 

@@ -12,11 +12,10 @@ import pytest
 
 from virtcont import DiscreteSpace, Plan, ProductFunction, ProductSet
 from virtcont.cli import main
-from virtcont.fileio import (dumps_matrix, format_number, function_from_obj,
-                             function_to_obj, load_matrix, loads_matrix,
-                             load_space, metric_from_obj, metric_to_obj,
-                             plan_from_obj, plan_to_obj, save_matrix,
-                             save_space, save_vector, set_from_obj, set_to_obj,
+from virtcont.fileio import (dumps_matrix, format_number, load_matrix,
+                             loads_matrix, load_space, matrix_from_obj,
+                             matrix_to_obj, metric_from_obj, metric_to_obj,
+                             save_matrix, save_space, save_vector,
                              space_from_obj, space_to_obj, vector_from_obj,
                              vector_to_obj)
 
@@ -61,15 +60,17 @@ def test_matrix_round_trips(tmp_path):
     z = rand_set(rng, xs, ys)
     plan = Plan(xs, ys, [[Fraction(rng.randint(0, 3), 12) for _ in range(4)]
                          for _ in range(3)])
-    for obj in (f, z, plan):
+    signed = Plan(xs, ys, [[Fraction(rng.randint(-3, 3), 12) for _ in range(4)]
+                           for _ in range(3)], signed=True)
+    for obj in (f, z, plan, signed):
         text = dumps_matrix(obj)
         assert loads_matrix(text) == obj
         p = tmp_path / "m.csv"
         save_matrix(obj, str(p))
         assert load_matrix(str(p)) == obj
-    assert function_from_obj(function_to_obj(f)) == f
-    assert set_from_obj(set_to_obj(z)) == z
-    assert plan_from_obj(plan_to_obj(plan)) == plan
+    for kind, obj in (("function", f), ("set", z), ("plan", plan),
+                      ("plan", signed)):
+        assert matrix_from_obj(kind, matrix_to_obj(obj)) == obj
 
 
 def _fixture_corpus(tmp_path):
@@ -325,3 +326,76 @@ def test_cli_check_rejects_vcprofile_value_not_witness_epsilon(tmp_path):
     code, out = _run(["check", str(rp)])
     assert code == 2
     assert "reported value != witness epsilon" in json.loads(out)["violations"]
+
+
+def _run_failing(argv):
+    """Run a job that must fail as an input error: exit 1, one `error:` line."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = _run(argv)
+    assert code == 1 and out == "", argv
+    assert err.getvalue().startswith("error: "), argv
+    assert err.getvalue().count("\n") == 1, argv
+    assert "Traceback" not in err.getvalue()
+    return err.getvalue()
+
+
+def test_cli_check_rejects_set_cells_other_than_0_or_1(tmp_path):
+    paths = _fixture_corpus(tmp_path)
+    _, out = _run(["thickness", paths["z"]])
+    rep = json.loads(out)
+    rp = tmp_path / "bad-set.json"
+    for cell in (2, [0]):
+        bad = json.loads(out)
+        bad["inputs"]["set"]["membership"][0][1] = cell
+        rp.write_text(json.dumps(bad))
+        assert _run_failing(["check", str(rp)]) == \
+            "error: set cells must be 0 or 1\n"
+    # a row spelled as a string of cells is not a row
+    bad = json.loads(out)
+    bad["inputs"]["set"]["membership"][0] = "".join(
+        str(c) for c in rep["inputs"]["set"]["membership"][0])
+    rp.write_text(json.dumps(bad))
+    assert _run_failing(["check", str(rp)]) == \
+        "error: matrix rows must be lists of cells\n"
+    rp.write_text(json.dumps(rep))
+    assert _run(["check", str(rp)])[0] == 0
+
+
+def test_cli_malformed_input_files_exit_1(tmp_path):
+    paths = _fixture_corpus(tmp_path)
+    metric = json.loads(open(paths["rho"]).read())
+    space = metric["space"]
+    labels = [[label] for label in space["labels"]]
+    csv_body = open(paths["f"]).read().split("\n", 1)[1]
+    files = {
+        "vector.json": json.dumps({"values": 5}),
+        "dist.json": json.dumps(dict(metric, dist=3)),
+        "weights.json": json.dumps(dict(metric, space=dict(space, weights=1))),
+        "labels.json": json.dumps(dict(metric, space=dict(space, labels=labels))),
+        "list-header.csv": "[1]\n" + csv_body,
+        "str-header.csv": '"set"\n' + csv_body,
+    }
+    for name, text in files.items():
+        bad = str(tmp_path / name)
+        (tmp_path / name).write_text(text)
+        if name == "vector.json":
+            job = ["krnorm", paths["rho"], bad]
+        elif name.endswith(".json"):
+            job = ["transport", bad, paths["mu1"], paths["mu2"]]
+        else:
+            job = ["srnorm", bad]
+        assert bad in _run_failing(job)
+
+
+@pytest.mark.parametrize("flags", [
+    ["stepfit", "--blocks", "1", "--eps", "abc"],
+    ["stepfit", "--blocks", "1", "--eps", "1/0"],
+    ["stepfit", "--blocks", "1", "--eps", "nan"],
+    ["refine", "--family", "metric_kernel", "--grids", "0,4", "--blocks", "1"],
+    ["refine", "--family", "metric_kernel", "--grids", "-3", "--blocks", "1"],
+], ids=["eps-abc", "eps-1/0", "eps-nan", "grids-0,4", "grids--3"])
+def test_cli_malformed_numeric_flags_exit_1(tmp_path, flags):
+    if flags[0] == "stepfit":
+        flags = flags[:1] + [_fixture_corpus(tmp_path)["g"]] + flags[1:]
+    _run_failing(flags)
