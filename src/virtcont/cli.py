@@ -47,7 +47,8 @@ def _add_global_flags(p, suppress: bool):
                    default=d or "exact",
                    help="arithmetic regime (default: exact rationals)")
     p.add_argument("--tol", type=float, default=d or DEFAULT_TOL,
-                   help="tolerance for float mode (default 1e-9)")
+                   help="absolute tolerance for float mode, in (0, 1) "
+                        "(default 1e-9)")
     p.add_argument("--seed", type=int, default=d or 0,
                    help="seed for sampling and heuristic restarts")
     p.add_argument("--format", choices=("json", "csv", "text"),
@@ -217,6 +218,11 @@ def _run_refine(args, exact, tol):
     except ValueError:
         raise ValidationError("grid sizes must be comma-separated integers") from None
     table = refinement_study(args.family, grids, args.blocks, args.seed)
+    if not exact:
+        # the study stays exact (its lower bounds are certified that way);
+        # float mode only reports its values as floats
+        for row in table:
+            row["value"] = float(row["value"])
     return {"family": args.family, "blocks": args.blocks, "table": table}
 
 
@@ -276,8 +282,10 @@ def emit_report(rep: dict, fmt: str) -> str:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     tol = args.tol
-    if not tol > 0:
-        print("error: tolerance must be positive", file=sys.stderr)
+    # an absolute tolerance of 1 or more passes any mass check, since every
+    # measure totals 1
+    if not 0 < tol < 1:
+        print("error: tolerance must be in (0, 1)", file=sys.stderr)
         return 1
     try:
         rep = args.run(args, args.mode == "exact", tol)

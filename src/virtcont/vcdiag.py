@@ -10,8 +10,12 @@ refinement for the former and stays bounded away from 0 for the latter.
 Instances with at most 8 atoms per side are solved exactly by enumerating
 row-side configurations and running a subset DP over the columns; all
 comparisons happen on integer ranks into one sorted candidate list, so exact
-rational inputs never leave exact arithmetic.  Larger instances fall back to
-a seeded alternating local search whose result is flagged as an upper bound.
+rational inputs never leave exact arithmetic.  The row partitions grow one
+row at a time, each block carrying its per-column value range, and a partial
+partition is cut as soon as the columns it already forces into the
+exceptional class weigh at least the current best.  Larger instances fall
+back to a seeded alternating local search whose result is flagged as an
+upper bound.
 """
 
 from __future__ import annotations
@@ -94,31 +98,6 @@ class _RankMachinery:
         self.rank0 = crank[self.wsx[0]]
 
 
-def _set_partitions(items, max_blocks):
-    """All partitions of items into at most max_blocks nonempty blocks."""
-    n = len(items)
-    if n == 0:
-        yield []
-        return
-    asg = [0] * n
-
-    def rec(i, used):
-        if i == n:
-            blocks = [[] for _ in range(used)]
-            for k in range(n):
-                blocks[asg[k]].append(items[k])
-            yield blocks
-            return
-        for b in range(used):
-            asg[i] = b
-            yield from rec(i + 1, used)
-        if used < max_blocks:
-            asg[i] = used
-            yield from rec(i + 1, used + 1)
-
-    yield from rec(1, 1)
-
-
 def _exact_search(mach: _RankMachinery, n_blocks: int, best_rank: int,
                   stop_early: bool):
     """Best configuration with objective rank strictly below best_rank.
@@ -133,118 +112,140 @@ def _exact_search(mach: _RankMachinery, n_blocks: int, best_rank: int,
     best = best_rank
     best_cfg = None
 
+    def grow(k, blocks, bmin, bmax, cy):
+        """Place kept[k:] into the row blocks (each existing block in index
+        order, then a new one); True once stop_early has a configuration.
+
+        bmin[b][y], bmax[b][y] are the value-rank range of block b in column
+        y, and cy[y] the widest half-range rank of column y over all blocks.
+        """
+        # a column whose own half-range already reaches the bound can only
+        # sit in the exceptional class of an improving configuration; ranges
+        # only widen as rows join, so every leaf below forces these columns
+        # too, and none of them can improve on best
+        forced = 0
+        for y in range(nc):
+            if cy[y] >= best:
+                forced |= 1 << y
+        if gwy[forced] >= best:
+            return False
+        if k < len(kept):
+            i = kept[k]
+            row = vr[i]
+            for b in range(len(blocks)):
+                lo = [a if a < v else v for a, v in zip(bmin[b], row)]
+                hi = [a if a > v else v for a, v in zip(bmax[b], row)]
+                ncy = [max(c, hg[h][l]) for c, h, l in zip(cy, hi, lo)]
+                if grow(k + 1, blocks[:b] + [blocks[b] + [i]] + blocks[b + 1:],
+                        bmin[:b] + [lo] + bmin[b + 1:],
+                        bmax[:b] + [hi] + bmax[b + 1:], ncy):
+                    return True
+            # a singleton block has half-range rank0, the least rank
+            return len(blocks) < n_blocks and grow(
+                k + 1, blocks + [[i]], bmin + [row], bmax + [row], cy)
+        return leaf(blocks, bmin, bmax, forced)
+
+    def leaf(blocks, bmin, bmax, forced):
+        """Best column side for one row configuration (the column DP)."""
+        nonlocal best, best_cfg
+        m = len(blocks)
+        allowed = [y for y in range(nc) if not (forced >> y) & 1]
+        am = len(allowed)
+        if am == 0:
+            obj = max(base, gwy[full_c])
+            if obj < best:
+                best, best_cfg = obj, (em, [list(b) for b in blocks], full_c, [])
+                if stop_early:
+                    return True
+            return False
+
+        # half-range rank of each column pair across all row blocks
+        pdm = [[0] * am for _ in range(am)]
+        for p in range(am):
+            yp = allowed[p]
+            for q in range(p, am):
+                yq = allowed[q]
+                if m:
+                    r = max(hg[max(bmax[b][yp], bmax[b][yq])]
+                            [min(bmin[b][yp], bmin[b][yq])]
+                            for b in range(m))
+                else:
+                    r = rank0
+                pdm[p][q] = pdm[q][p] = r
+
+        size = 1 << am
+        diam = [rank0] * size
+        for s in range(1, size):
+            low = (s & -s).bit_length() - 1
+            rest = s & (s - 1)
+            d = pdm[low][low]
+            t = rest
+            while t:
+                q = (t & -t).bit_length() - 1
+                if pdm[low][q] > d:
+                    d = pdm[low][q]
+                t &= t - 1
+            diam[s] = d if d > diam[rest] else diam[rest]
+
+        # dp[s] = best max-diameter over partitions of s into <= k groups
+        kk = min(n_blocks, am)
+        dp = diam[:]
+        choices = [None, None]  # level 1 always takes the whole subset
+        for _k in range(2, kk + 1):
+            nxt = [rank0] * size
+            ch = [0] * size
+            for s in range(1, size):
+                lbit = s & -s
+                bv, bg = diam[s], s
+                g = (s - 1) & s
+                while g:
+                    if g & lbit:
+                        v = diam[g]
+                        w = dp[s ^ g]
+                        if w > v:
+                            v = w
+                        if v < bv:
+                            bv, bg = v, g
+                    g = (g - 1) & s
+                nxt[s] = bv
+                ch[s] = bg
+            dp = nxt
+            choices.append(ch)
+
+        cmask = [0] * size
+        for s in range(1, size):
+            low = (s & -s).bit_length() - 1
+            cmask[s] = cmask[s & (s - 1)] | (1 << allowed[low])
+        for s in range(size):
+            obj = dp[s]
+            exc = full_c ^ cmask[s]
+            if gwy[exc] > obj:
+                obj = gwy[exc]
+            if base > obj:
+                obj = base
+            if obj < best:
+                groups = []
+                rem, k = s, kk
+                while rem:
+                    g = rem if k <= 1 else choices[k][rem]
+                    groups.append([allowed[p] for p in range(am)
+                                   if (g >> p) & 1])
+                    rem ^= g
+                    k -= 1
+                best = obj
+                best_cfg = (em, [list(b) for b in blocks], exc, groups)
+                if stop_early:
+                    return True
+        return False
+
     row_masks = sorted(range(1 << nr), key=lambda m: mach.wsx[m])
     for em in row_masks:
         base = gwx[em]
         if base >= best:
             break
         kept = [i for i in range(nr) if not (em >> i) & 1]
-        for blocks in _set_partitions(kept, n_blocks):
-            m = len(blocks)
-            if m:
-                bmin = [[min(vr[i][y] for i in blk) for y in range(nc)]
-                        for blk in blocks]
-                bmax = [[max(vr[i][y] for i in blk) for y in range(nc)]
-                        for blk in blocks]
-                cy = [max(hg[bmax[b][y]][bmin[b][y]] for b in range(m))
-                      for y in range(nc)]
-            else:
-                cy = [rank0] * nc
-            # a column whose own half-range already reaches the bound can only
-            # sit in the exceptional class of an improving configuration
-            forced = 0
-            for y in range(nc):
-                if cy[y] >= best:
-                    forced |= 1 << y
-            if gwy[forced] >= best:
-                continue
-            allowed = [y for y in range(nc) if not (forced >> y) & 1]
-            am = len(allowed)
-            if am == 0:
-                obj = max(base, gwy[full_c])
-                if obj < best:
-                    best, best_cfg = obj, (em, [list(b) for b in blocks], full_c, [])
-                    if stop_early:
-                        return best, best_cfg
-                continue
-
-            # half-range rank of each column pair across all row blocks
-            pdm = [[0] * am for _ in range(am)]
-            for p in range(am):
-                yp = allowed[p]
-                for q in range(p, am):
-                    yq = allowed[q]
-                    if m:
-                        r = max(hg[max(bmax[b][yp], bmax[b][yq])]
-                                [min(bmin[b][yp], bmin[b][yq])]
-                                for b in range(m))
-                    else:
-                        r = rank0
-                    pdm[p][q] = pdm[q][p] = r
-
-            size = 1 << am
-            diam = [rank0] * size
-            for s in range(1, size):
-                low = (s & -s).bit_length() - 1
-                rest = s & (s - 1)
-                d = pdm[low][low]
-                t = rest
-                while t:
-                    q = (t & -t).bit_length() - 1
-                    if pdm[low][q] > d:
-                        d = pdm[low][q]
-                    t &= t - 1
-                diam[s] = d if d > diam[rest] else diam[rest]
-
-            # dp[s] = best max-diameter over partitions of s into <= k groups
-            kk = min(n_blocks, am)
-            dp = diam[:]
-            choices = [None, None]  # level 1 always takes the whole subset
-            for _k in range(2, kk + 1):
-                nxt = [rank0] * size
-                ch = [0] * size
-                for s in range(1, size):
-                    lbit = s & -s
-                    bv, bg = diam[s], s
-                    g = (s - 1) & s
-                    while g:
-                        if g & lbit:
-                            v = diam[g]
-                            w = dp[s ^ g]
-                            if w > v:
-                                v = w
-                            if v < bv:
-                                bv, bg = v, g
-                        g = (g - 1) & s
-                    nxt[s] = bv
-                    ch[s] = bg
-                dp = nxt
-                choices.append(ch)
-
-            cmask = [0] * size
-            for s in range(1, size):
-                low = (s & -s).bit_length() - 1
-                cmask[s] = cmask[s & (s - 1)] | (1 << allowed[low])
-            for s in range(size):
-                obj = dp[s]
-                exc = full_c ^ cmask[s]
-                if gwy[exc] > obj:
-                    obj = gwy[exc]
-                if base > obj:
-                    obj = base
-                if obj < best:
-                    groups = []
-                    rem, k = s, kk
-                    while rem:
-                        g = rem if k <= 1 else choices[k][rem]
-                        groups.append([allowed[p] for p in range(am)
-                                       if (g >> p) & 1])
-                        rem ^= g
-                        k -= 1
-                    best = obj
-                    best_cfg = (em, [list(b) for b in blocks], exc, groups)
-                    if stop_early:
-                        return best, best_cfg
+        if grow(0, [], [], [], [rank0] * nc):
+            break
     return best, best_cfg
 
 

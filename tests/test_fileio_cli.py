@@ -148,6 +148,37 @@ def test_cli_float_mode(tmp_path):
     assert rep["mode"] == "float"
 
 
+def test_cli_float_refine_reports_floats():
+    job = ["refine", "--family", "separable_smooth", "--grids", "2,4",
+           "--blocks", "1"]
+    code, out = _run(job)
+    assert code == 0
+    exact_rows = json.loads(out)["table"]
+    assert [row["value"] for row in exact_rows] == ["1/4", "3/16"]
+    code, out = _run(["--mode", "float"] + job)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["mode"] == "float"
+    assert [row["value"] for row in rep["table"]] == ["0.25", "0.1875"]
+    for row, exact_row in zip(rep["table"], exact_rows):
+        assert {**row, "value": None} == {**exact_row, "value": None}
+
+
+@pytest.mark.parametrize("tol", ["inf", "1e300", "1", "nan"])
+def test_cli_rejects_tolerance_outside_unit_interval(tmp_path, tol):
+    # a float thickness report whose value is forged far above any mass
+    paths = _fixture_corpus(tmp_path)
+    code, out = _run(["--mode", "float", "thickness", paths["z"]])
+    assert code == 0
+    rep = json.loads(out)
+    rep["value"] = "100"
+    rp = tmp_path / "forged.json"
+    rp.write_text(json.dumps(rep))
+    code, out = _run(["--tol", "0.5", "check", str(rp)])
+    assert code == 2 and json.loads(out)["violations"]
+    _run_failing(["--tol", tol, "check", str(rp)])
+
+
 def _self_checked_jobs(p):
     return [job for job in _jobs(p)
             if job[0] != "refine" and "--samples" not in job]

@@ -34,6 +34,29 @@ PINNED = {
     ("float", "tau"): "2dcee372dbadc225bc568a0eb812ae1fe2e278ba",
 }
 
+# Exact step-fit reports on two of the benchmark's functions, drawn as
+# perfbench/workloads.py draws "v-6-0.csv" and "v-8-0.csv".  Each `stepfit`
+# runs at the profile value, where no strict fit exists, and 1/24 above it.
+# Recorded from the search that rebuilt every block's column ranges at each
+# leaf of its row partitions, before the partial partitions were cut.
+STEPFIT_PINNED = {
+    "vcprofile v-6-0 2": "284de1ec5a71bc16b4e471c60059d92d74a86076",
+    "vcprofile v-6-0 3": "78d1cdce2d28fbbe07377d640a0bbaa8f463f152",
+    "vcprofile v-8-0 2": "a7c40f54ec00dadbd3073b42290ba5af374309ca",
+    "vcprofile v-8-0 3": "a3c72623e8903d66ddb348802818831647579ede",
+    "stepfit v-6-0 2 11/24": "dfa0ccc0743b0783a3b3bdb6a1d8515980ef6c73",
+    "stepfit v-6-0 2 1/2": "9a61109e8bb3f588c65a82a2fe6090617a72a1c2",
+    "stepfit v-6-0 3 2/7": "16df6d3265634742a881ba17f4e4bb5bc4d680d7",
+    "stepfit v-6-0 3 55/168": "e91e216b8287853fe0bb38beeea3ca6fa30c9ec4",
+    "stepfit v-8-0 2 10/19": "f24569d5f58111c5ad1a01be6a3ba7f717386982",
+    "stepfit v-8-0 2 259/456": "f8a67914ed05ee9e61c39f73ddc7b863ff0702bd",
+    "stepfit v-8-0 3 7/19": "83d6038e53174a30bfe8e8ea2dd49a9ce56919de",
+    "stepfit v-8-0 3 187/456": "bd7974adaf02aa61560e781e7e1204306d0b6610",
+    "refine separable_smooth 4,8": "91f3750001599a4e4138ce703a36c90bb22ba17a",
+    "refine triangle_indicator 8,16": "044040c5158f795fb32eec5a0cf5411dee3d11d1",
+    "refine metric_kernel 4,8": "7f1d1226284d8d685d5b06f0ac2e001081ba2673",
+}
+
 
 def _corpus(tmp_path):
     rng = random.Random(2024)
@@ -61,12 +84,36 @@ def _corpus(tmp_path):
     }
 
 
-@pytest.mark.parametrize("mode,command", sorted(PINNED))
-def test_report_bytes_pinned(tmp_path, mode, command):
-    argv = ["--mode", mode] + _corpus(tmp_path)[command]
+def _report_digest(argv):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = main(argv)
     assert code == 0
-    digest = hashlib.sha1(buf.getvalue().encode()).hexdigest()
-    assert digest == PINNED[(mode, command)]
+    return hashlib.sha1(buf.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("mode,command", sorted(PINNED))
+def test_report_bytes_pinned(tmp_path, mode, command):
+    argv = ["--mode", mode] + _corpus(tmp_path)[command]
+    assert _report_digest(argv) == PINNED[(mode, command)]
+
+
+def _stepfit_argv(tmp_path, key):
+    command, *rest = key.split()
+    if command == "refine":
+        family, grids = rest
+        return ["refine", "--family", family, "--grids", grids, "--blocks", "2"]
+    name, blocks, *eps = rest
+    rng = random.Random(f"fixed:{name}.csv")
+    n = int(name.split("-")[1])
+    path = str(tmp_path / f"{name}.csv")
+    save_matrix(rand_function(rng, rand_space(rng, n, "x"), rand_space(rng, n, "y")),
+                path)
+    argv = [command, path, "--blocks", blocks]
+    return argv + ["--eps", eps[0]] if eps else argv
+
+
+@pytest.mark.parametrize("key", sorted(STEPFIT_PINNED))
+def test_stepfit_report_bytes_pinned(tmp_path, key):
+    argv = ["--mode", "exact"] + _stepfit_argv(tmp_path, key)
+    assert _report_digest(argv) == STEPFIT_PINNED[key]

@@ -35,6 +35,28 @@ def test_exists_matches_bruteforce_oracle():
                     assert step_fit_violations(f, got, strict=True) == []
 
 
+def test_profile_matches_bruteforce_oracle_up_to_three_blocks():
+    # the profile is the oracle's threshold: no strict fit at the value, one
+    # just above it; three blocks reach the search's cut of partial partitions
+    rng = random.Random(47)
+    for _ in range(10):
+        xs = rand_space(rng, rng.randint(3, 5), "x")
+        ys = rand_space(rng, rng.randint(3, 5), "y")
+        f = rand_function(rng, xs, ys, denom=4, lo=-1, hi=1)
+        for nb in (1, 2, 3):
+            res = vc_profile(f, nb)
+            assert res.exact
+            assert step_fit_violations(f, res.witness, strict=False) == []
+            above = res.value + Fraction(1, 10 ** 6)
+            for eps, want in ((res.value, False), (above, True),
+                              (Fraction(1, 6), None), (Fraction(1, 3), None),
+                              (Fraction(1, 2), None)):
+                oracle = brute_step_fit_exists(f, nb, eps)
+                assert want is None or oracle == want
+                if eps > 0:
+                    assert (step_fit_exists(f, nb, eps) is not None) == oracle
+
+
 def test_monotone_in_blocks_and_eps():
     rng = random.Random(45)
     xs, ys = rand_space(rng, 4, "x"), rand_space(rng, 4, "y")
