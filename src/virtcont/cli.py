@@ -134,8 +134,9 @@ def _run_thickness(args, exact, tol):
     z = _load_as("set", args.set, exact, args.command)
     res = thickness(z)
     plan = _flow_plan(z, res)
-    return {"value": res.value, "primal": res.value, "dual": plan.total(),
-            "gap": res.value - plan.total(),
+    dual = plan.total()
+    return {"value": res.value, "primal": res.value, "dual": dual,
+            "gap": res.value - dual,
             "cover_x": res.cover_x, "cover_y": res.cover_y,
             "fractional_f": res.fractional_f, "fractional_g": res.fractional_g,
             "plan": matrix_to_obj(plan), "inputs": {"set": matrix_to_obj(z)}}
@@ -304,7 +305,12 @@ def main(argv=None) -> int:
             for v in violations:
                 print(f"  {v}", file=sys.stderr)
             return 2
-    sys.stdout.write(emit_report(rep, args.format))
+    try:
+        text = emit_report(rep, args.format)
+    except ValidationError as e:   # a report with no csv rendering
+        print(f"error: {e}", file=sys.stderr)
+        return 1
+    sys.stdout.write(text)
     # a `check` report lists the violations it found in the checked report
     return 2 if rep.get("violations") else 0
 

@@ -8,11 +8,12 @@ limits of step functions from those that are not: it tends to 0 under grid
 refinement for the former and stays bounded away from 0 for the latter.
 
 Instances with at most 8 atoms per side are solved exactly by enumerating
-row-side configurations and running a subset DP over the columns; all
-comparisons happen on integer ranks into one sorted candidate list, so exact
-rational inputs never leave exact arithmetic.  The row partitions grow one
-row at a time, each block carrying its per-column value range, and a partial
-partition is cut as soon as the columns it already forces into the
+row-side configurations and running a subset DP over the columns.  Exact
+inputs are scaled once to ints (`model.common_integers`), values by the
+common denominator d of the values and weights and class weights by 2d, so
+every half-gap and class weight is compared as an int.  The row partitions
+grow one row at a time, each block carrying its per-column value range, and
+a partial partition is cut as soon as the columns it already forces into the
 exceptional class weigh at least the current best.  Larger instances fall
 back to a seeded alternating local search whose result is flagged as an
 upper bound.
@@ -21,15 +22,15 @@ upper bound.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import ceil
 from typing import Optional
 
 from .model import (DEFAULT_TOL, EPS, DiscreteSpace, MetricMatrix, Number,
-                    ProductFunction, ValidationError, is_exact, nonneg,
-                    zero_of)
+                    ProductFunction, ValidationError, common_integers,
+                    is_exact, nonneg, zero_of)
 
 EXACT_SIDE_LIMIT = 8
 HEURISTIC_RESTARTS = 20
@@ -63,61 +64,49 @@ class MatrixDistribution:
 
 def _subset_sums(weights):
     """Weight of every index subset, added in index order as `sum()` adds it."""
-    table = [zero_of(weights)] * (1 << len(weights))
+    table = [0] * (1 << len(weights))
     for m in range(1, 1 << len(weights)):
         high = m.bit_length() - 1
         table[m] = table[m ^ (1 << high)] + weights[high]
     return table
 
 
-class _RankMachinery:
-    """Integer-rank view of every value the objective can take.
-
-    The objective of any configuration is a max of exceptional-class weights
-    (subset sums) and half-gaps of f values, so ranking the union of those
-    finite sets turns all comparisons into int comparisons.
-    """
-
-    def __init__(self, f: ProductFunction):
-        self.nr, self.nc = f.shape
-        vals = sorted({v for row in f.values for v in row})
-        vidx = {v: k for k, v in enumerate(vals)}
-        self.vr = [[vidx[v] for v in row] for row in f.values]
-        self.wsx = _subset_sums(f.x_space.weights)
-        self.wsy = _subset_sums(f.y_space.weights)
-        cand = set(self.wsx) | set(self.wsy)
-        for a in range(len(vals)):
-            for b in range(a + 1):
-                cand.add((vals[a] - vals[b]) / 2)
-        self.C = sorted(cand)
-        crank = {v: i for i, v in enumerate(self.C)}
-        self.hg = [[crank[(vals[a] - vals[b]) / 2] for b in range(a + 1)]
-                   for a in range(len(vals))]
-        self.gwx = [crank[w] for w in self.wsx]
-        self.gwy = [crank[w] for w in self.wsy]
-        self.rank0 = crank[self.wsx[0]]
-
-
-def _exact_search(mach: _RankMachinery, n_blocks: int, best_rank: int,
+def _exact_search(f: ProductFunction, n_blocks: int, bound: Number,
                   stop_early: bool):
-    """Best configuration with objective rank strictly below best_rank.
+    """Best configuration with objective strictly below bound.
 
-    Returns (rank, config) with config = (row_exc_mask, row_blocks,
-    col_exc_mask, col_groups), or (best_rank, None) if nothing beats it.
+    Returns (objective, config) with config = (row_exc_mask, row_blocks,
+    col_exc_mask, col_groups), or (bound, None) if nothing beats it.
+
+    The search runs on one scale: exact values times the common denominator
+    d of the values and the weights, class weights times 2d, all ints, so a
+    half-gap (a - b)/2 is compared with a weight w as a - b against 2w and
+    an objective o stands for o/(2d).  Float values stay as they are and the
+    weights are doubled, which is exact.
     """
-    nr, nc = mach.nr, mach.nc
-    vr, hg = mach.vr, mach.hg
-    gwx, gwy, rank0 = mach.gwx, mach.gwy, mach.rank0
+    nr, nc = f.shape
+    flat, scale = common_integers([v for row in f.values for v in row]
+                                  + list(f.x_space.weights + f.y_space.weights))
+    cells = nr * nc
+    vr = [flat[i * nc:(i + 1) * nc] for i in range(nr)]
+    wsx = _subset_sums([2 * w for w in flat[cells:cells + nr]])
+    wsy = _subset_sums([2 * w for w in flat[cells + nr:]])
+    if scale is None:
+        best = 2 * bound
+    elif bound == INF:
+        best = INF
+    else:
+        # every scaled objective is an int: o < 2d*bound iff o < ceil(2d*bound)
+        best = ceil(Fraction(bound) * 2 * scale)
     full_c = (1 << nc) - 1
-    best = best_rank
     best_cfg = None
 
     def grow(k, blocks, bmin, bmax, cy):
         """Place kept[k:] into the row blocks (each existing block in index
         order, then a new one); True once stop_early has a configuration.
 
-        bmin[b][y], bmax[b][y] are the value-rank range of block b in column
-        y, and cy[y] the widest half-range rank of column y over all blocks.
+        bmin[b][y], bmax[b][y] are the value range of block b in column y,
+        and cy[y] the widest range of column y over all blocks.
         """
         # a column whose own half-range already reaches the bound can only
         # sit in the exceptional class of an improving configuration; ranges
@@ -127,7 +116,7 @@ def _exact_search(mach: _RankMachinery, n_blocks: int, best_rank: int,
         for y in range(nc):
             if cy[y] >= best:
                 forced |= 1 << y
-        if gwy[forced] >= best:
+        if wsy[forced] >= best:
             return False
         if k < len(kept):
             i = kept[k]
@@ -135,12 +124,12 @@ def _exact_search(mach: _RankMachinery, n_blocks: int, best_rank: int,
             for b in range(len(blocks)):
                 lo = [a if a < v else v for a, v in zip(bmin[b], row)]
                 hi = [a if a > v else v for a, v in zip(bmax[b], row)]
-                ncy = [max(c, hg[h][l]) for c, h, l in zip(cy, hi, lo)]
+                ncy = [max(c, h - l) for c, h, l in zip(cy, hi, lo)]
                 if grow(k + 1, blocks[:b] + [blocks[b] + [i]] + blocks[b + 1:],
                         bmin[:b] + [lo] + bmin[b + 1:],
                         bmax[:b] + [hi] + bmax[b + 1:], ncy):
                     return True
-            # a singleton block has half-range rank0, the least rank
+            # a singleton block has range 0
             return len(blocks) < n_blocks and grow(
                 k + 1, blocks + [[i]], bmin + [row], bmax + [row], cy)
         return leaf(blocks, bmin, bmax, forced)
@@ -152,29 +141,26 @@ def _exact_search(mach: _RankMachinery, n_blocks: int, best_rank: int,
         allowed = [y for y in range(nc) if not (forced >> y) & 1]
         am = len(allowed)
         if am == 0:
-            obj = max(base, gwy[full_c])
+            obj = max(base, wsy[full_c])
             if obj < best:
                 best, best_cfg = obj, (em, [list(b) for b in blocks], full_c, [])
                 if stop_early:
                     return True
             return False
 
-        # half-range rank of each column pair across all row blocks
+        # range of each column pair across all row blocks
         pdm = [[0] * am for _ in range(am)]
         for p in range(am):
             yp = allowed[p]
             for q in range(p, am):
                 yq = allowed[q]
                 if m:
-                    r = max(hg[max(bmax[b][yp], bmax[b][yq])]
-                            [min(bmin[b][yp], bmin[b][yq])]
-                            for b in range(m))
-                else:
-                    r = rank0
-                pdm[p][q] = pdm[q][p] = r
+                    pdm[p][q] = pdm[q][p] = max(
+                        max(bmax[b][yp], bmax[b][yq]) - min(bmin[b][yp], bmin[b][yq])
+                        for b in range(m))
 
         size = 1 << am
-        diam = [rank0] * size
+        diam = [0] * size
         for s in range(1, size):
             low = (s & -s).bit_length() - 1
             rest = s & (s - 1)
@@ -192,7 +178,7 @@ def _exact_search(mach: _RankMachinery, n_blocks: int, best_rank: int,
         dp = diam[:]
         choices = [None, None]  # level 1 always takes the whole subset
         for _k in range(2, kk + 1):
-            nxt = [rank0] * size
+            nxt = [0] * size
             ch = [0] * size
             for s in range(1, size):
                 lbit = s & -s
@@ -219,8 +205,8 @@ def _exact_search(mach: _RankMachinery, n_blocks: int, best_rank: int,
         for s in range(size):
             obj = dp[s]
             exc = full_c ^ cmask[s]
-            if gwy[exc] > obj:
-                obj = gwy[exc]
+            if wsy[exc] > obj:
+                obj = wsy[exc]
             if base > obj:
                 obj = base
             if obj < best:
@@ -238,15 +224,16 @@ def _exact_search(mach: _RankMachinery, n_blocks: int, best_rank: int,
                     return True
         return False
 
-    row_masks = sorted(range(1 << nr), key=lambda m: mach.wsx[m])
-    for em in row_masks:
-        base = gwx[em]
+    for em in sorted(range(1 << nr), key=wsx.__getitem__):
+        base = wsx[em]
         if base >= best:
             break
         kept = [i for i in range(nr) if not (em >> i) & 1]
-        if grow(0, [], [], [], [rank0] * nc):
+        if grow(0, [], [], [], [0] * nc):
             break
-    return best, best_cfg
+    if best_cfg is None:
+        return bound, None
+    return (best / 2 if scale is None else Fraction(best, 2 * scale)), best_cfg
 
 
 # ------------------------------------------------------------- local search
@@ -361,6 +348,11 @@ def _sweep(v, wrow, asg, oasg, other_exc_weight, n_blocks):
     return improved
 
 
+def _half(x):
+    """x / 2, exact for exact x (an int halves to a Fraction)."""
+    return Fraction(x) / 2 if is_exact(x) else x / 2
+
+
 def _objective(f: ProductFunction, cfg):
     """Objective of a search config: its heaviest exceptional class or its
     widest block-pair half-range, with class weights added in index order."""
@@ -372,7 +364,7 @@ def _objective(f: ProductFunction, cfg):
     for rows in row_blocks:
         for cols in col_groups:
             cells = [f[i, j] for i in rows for j in cols]
-            worst = max(worst, (max(cells) - min(cells)) / 2)
+            worst = max(worst, _half(max(cells) - min(cells)))
     return worst
 
 
@@ -443,7 +435,7 @@ def _fit_from_config(f: ProductFunction, cfg, epsilon, exact: bool) -> StepFit:
         row = []
         for grp in col_groups:
             cells = [f[i, j] for i in blk for j in grp]
-            row.append((max(cells) + min(cells)) / 2)  # midrange: least sup error
+            row.append(_half(max(cells) + min(cells)))  # midrange: least sup error
         levels.append(row)
     return StepFit(x_blocks, y_blocks, levels, epsilon, exact)
 
@@ -463,9 +455,7 @@ def step_fit_exists(f: ProductFunction, n_blocks: int, eps: Number,
         raise ValidationError("eps must be positive")
     nr, nc = f.shape
     if nr <= EXACT_SIDE_LIMIT and nc <= EXACT_SIDE_LIMIT:
-        mach = _RankMachinery(f)
-        limit = bisect_left(mach.C, eps)
-        rank, cfg = _exact_search(mach, n_blocks, limit, stop_early=True)
+        _, cfg = _exact_search(f, n_blocks, eps, stop_early=True)
         if cfg is None:
             return None
         return _fit_from_config(f, cfg, eps, exact=True)
@@ -487,13 +477,10 @@ def vc_profile(f: ProductFunction, n_blocks: int, seed: int = 0) -> VcProfileRes
     nr, nc = f.shape
     hval, cfg = _heuristic(f, n_blocks, seed)
     if nr <= EXACT_SIDE_LIMIT and nc <= EXACT_SIDE_LIMIT:
-        mach = _RankMachinery(f)
-        # hval is a candidate; the search returns its rank if nothing beats it
-        rank, found = _exact_search(mach, n_blocks, bisect_left(mach.C, hval),
-                                    stop_early=False)
+        # the search returns hval itself if nothing beats it
+        value, found = _exact_search(f, n_blocks, hval, stop_early=False)
         if found is not None:
             cfg = found
-        value = mach.C[rank]
         return VcProfileResult(value, True, _fit_from_config(f, cfg, value, True))
     return VcProfileResult(hval, False, _fit_from_config(f, cfg, hval, False))
 

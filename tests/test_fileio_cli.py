@@ -313,6 +313,36 @@ def test_cli_text_and_csv_formats(tmp_path):
     assert code == 0 and out.splitlines()[0].startswith("n,")
 
 
+def test_cli_csv_renders_plans(tmp_path):
+    paths = _fixture_corpus(tmp_path)
+    for argv in _jobs(paths):
+        if argv[0] in ("thickness", "hall", "transport"):
+            code, out = _run(argv + ["--format", "csv"])
+            plan = json.loads(_run(argv)[1])["plan"]
+            rows = [line.split(",") for line in out.splitlines()]
+            assert code == 0
+            assert rows[0] == [""] + plan["y_space"]["labels"]
+            assert [row[1:] for row in rows[1:]] == plan["mass"]
+
+
+@pytest.mark.parametrize("command", ["tau", "srnorm", "krnorm", "stepfit",
+                                     "vcprofile", "matdist", "check"])
+def test_cli_csv_without_a_rendering_exits_1(tmp_path, capsys, command):
+    # the job runs, but only a plan or a refine table has a csv rendering
+    paths = _fixture_corpus(tmp_path)
+    if command == "check":
+        report = tmp_path / "report.json"
+        report.write_text(_run(["thickness", paths["z"]])[1])
+        argv = ["check", str(report)]
+    else:
+        argv = next(a for a in _jobs(paths) if a[0] == command)
+    capsys.readouterr()
+    assert main(argv + ["--format", "csv"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_console_script_entry_point(tmp_path):
     paths = _fixture_corpus(tmp_path)
     proc = subprocess.run([sys.executable, "-m", "virtcont.cli",

@@ -57,6 +57,25 @@ STEPFIT_PINNED = {
     "refine metric_kernel 4,8": "7f1d1226284d8d685d5b06f0ac2e001081ba2673",
 }
 
+# The same reports in float mode, where `stepfit` runs at the float profile
+# value (its repr) and 1/24 above it.  Recorded from the search that ranked
+# every half-gap and class weight in one sorted list, before it compared them
+# on one scale (values as given, class weights doubled).
+FLOAT_STEPFIT_PINNED = {
+    "vcprofile v-6-0 2": "ef1489d00a9d8fe1ad548d9c0507e24fc4935bc9",
+    "vcprofile v-6-0 3": "20b26b24ffdf6684caf82790d36e00522e7e7a69",
+    "vcprofile v-8-0 2": "79d764e79dbcee1dcf841976b9cc1c100c37e960",
+    "vcprofile v-8-0 3": "4736049c8d73e504d9c6113f7c52ece0d287f393",
+    "stepfit v-6-0 2 0.45833333333333337": "c3db2204c3e6a2978abd59a98286196e64dddb81",
+    "stepfit v-6-0 2 0.5": "2ff4e468df20f7ba552ab960a96d035758e887c6",
+    "stepfit v-6-0 3 0.2857142857142857": "d13bc1f66d8d251f53574adbc22f3e95adb19f30",
+    "stepfit v-6-0 3 0.3273809523809524": "0c3d29d1e6ca644e209e47c6b9fb9d29a0f0cdc0",
+    "stepfit v-8-0 2 0.5263157894736842": "56b5ccffa7a5112e8aad24a4386474057dd5cc7f",
+    "stepfit v-8-0 2 0.5679824561403508": "01e1967e2b921e59be103c1247edd59d05189a64",
+    "stepfit v-8-0 3 0.368421052631579": "41f9628b40fae913119add433d23d270fe5b6b1e",
+    "stepfit v-8-0 3 0.41008771929824567": "217c398e0ee8443fbe63d4cff8f414cd554dcfd3",
+}
+
 
 def _corpus(tmp_path):
     rng = random.Random(2024)
@@ -117,3 +136,9 @@ def _stepfit_argv(tmp_path, key):
 def test_stepfit_report_bytes_pinned(tmp_path, key):
     argv = ["--mode", "exact"] + _stepfit_argv(tmp_path, key)
     assert _report_digest(argv) == STEPFIT_PINNED[key]
+
+
+@pytest.mark.parametrize("key", sorted(FLOAT_STEPFIT_PINNED))
+def test_float_stepfit_report_bytes_pinned(tmp_path, key):
+    argv = ["--mode", "float"] + _stepfit_argv(tmp_path, key)
+    assert _report_digest(argv) == FLOAT_STEPFIT_PINNED[key]

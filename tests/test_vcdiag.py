@@ -3,10 +3,12 @@
 import contextlib
 import io
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from virtcont import (DiscreteSpace, MetricMatrix, ProductFunction,
                       ValidationError, family_function,
@@ -233,3 +235,105 @@ def test_float_step_fit_reports_pass_their_check(tmp_path):
                 code, rep, err = _float_report(tmp_path, f, argv)
                 assert (code, err) == (0, ""), argv
                 assert check_report(rep) == [], argv
+
+
+def test_profile_of_int_valued_function_stays_exact():
+    # plain int values halve to Fractions, as the same values as Fractions do
+    xs, ys = DiscreteSpace.uniform(5, "x"), DiscreteSpace.uniform(5, "y")
+    for k in range(30):
+        rng = random.Random(k)
+        vals = [[rng.randint(0, 2) for _ in range(5)] for _ in range(5)]
+        f = ProductFunction(xs, ys, vals)
+        g = ProductFunction(xs, ys, [[Fraction(v) for v in row] for row in vals])
+        for nb in (1, 2):
+            got, want = vc_profile(f, nb), vc_profile(g, nb)
+            assert type(got.value) is Fraction and got.value == want.value
+            levels = [c for row in got.witness.levels for c in row]
+            assert all(type(c) is Fraction for c in levels)
+            assert got.witness.levels == want.witness.levels
+
+
+# ------------------------------------------- the search against the oracle
+
+# large primes, one per value and per weight of a 4 x 4 function, so that
+# the common denominator of the search's integer scale is a product of many
+_PRIMES = [p for p in range(10 ** 6, 10 ** 6 + 600)
+           if all(p % q for q in range(2, 1001))]
+
+
+@st.composite
+def _exact_functions(draw):
+    """Functions up to 4 x 4 whose values and weights have pairwise coprime,
+    large denominators (the last weight of a side is 1 minus the others)."""
+    nr, nc = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    primes = iter(_PRIMES)
+
+    def space(n, prefix):
+        ws = [Fraction(draw(st.integers(1, p // n)), p)
+              for p in (next(primes) for _ in range(n - 1))]
+        return DiscreteSpace([f"{prefix}{i}" for i in range(n)], ws + [1 - sum(ws)])
+
+    xs, ys = space(nr, "x"), space(nc, "y")
+    vals = [[Fraction(draw(st.integers(-3 * p, 3 * p)), p)
+             for p in (next(primes) for _ in range(nc))] for _ in range(nr)]
+    return ProductFunction(xs, ys, vals)
+
+
+@st.composite
+def _float_functions(draw):
+    """Float functions up to 4 x 4 with values spread over 1e-3..1e3."""
+    nr, nc = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+
+    def space(n, prefix):
+        parts = [draw(st.integers(1, 9)) for _ in range(n)]
+        return DiscreteSpace([f"{prefix}{i}" for i in range(n)],
+                             [p / sum(parts) for p in parts])
+
+    value = st.builds(lambda sign, e: sign * 10.0 ** e,
+                      st.sampled_from([-1, 1]), st.floats(-3, 3))
+    return ProductFunction(space(nr, "x"), space(nc, "y"),
+                           [[draw(value) for _ in range(nc)] for _ in range(nr)])
+
+
+def _agrees_with_oracle(f, nb, exact):
+    res = vc_profile(f, nb)
+    assert res.exact
+    above = (res.value + Fraction(1, 10 ** 9) if exact
+             else math.nextafter(res.value, math.inf))
+    assert not brute_step_fit_exists(f, nb, res.value)
+    assert brute_step_fit_exists(f, nb, above)
+    for eps in (res.value, above, Fraction(1, 4), Fraction(1, 2), 1.0):
+        if eps > 0:
+            assert (step_fit_exists(f, nb, eps) is not None) == \
+                brute_step_fit_exists(f, nb, eps)
+
+
+_PROPERTY = settings(derandomize=True, deadline=None, database=None,
+                     max_examples=100)
+
+
+@_PROPERTY
+@given(_exact_functions(), st.integers(1, 3))
+def test_exact_search_matches_oracle(f, nb):
+    _agrees_with_oracle(f, nb, exact=True)
+
+
+@_PROPERTY
+@given(_float_functions(), st.integers(1, 3))
+def test_float_search_matches_oracle(f, nb):
+    _agrees_with_oracle(f, nb, exact=False)
+
+
+def test_exact_function_with_float_eps():
+    rng = random.Random(67)
+    f = rand_function(rng, rand_space(rng, 4, "x"), rand_space(rng, 3, "y"))
+    for nb in (1, 2, 3):
+        for eps in (float("inf"), 1e300, 0.5, 0.3, 1e-300):
+            fit = step_fit_exists(f, nb, eps)
+            assert (fit is not None) == brute_step_fit_exists(f, nb, eps)
+            if fit is not None:
+                assert step_fit_violations(f, fit) == []
+        # the float nearest the exact profile value lies on either side of it
+        value = vc_profile(f, nb).value
+        near = float(value)
+        assert (step_fit_exists(f, nb, near) is not None) == (near > value)
