@@ -8,53 +8,69 @@ no reference to how the solver found them.
 
 from __future__ import annotations
 
-from .fileio import _malformed, _parse_weight, matrix_from_obj, metric_from_obj
-from .model import (DEFAULT_TOL, SeparableMajorant, ValidationError, close,
-                    level_set, nonneg)
+from .fileio import _malformed, _Reader, matrix_from_obj, metric_from_obj
+from .model import (DEFAULT_TOL, ProductSet, SeparableMajorant, ValidationError,
+                    close, common_scales, nonneg)
 from .srnorm import SrNormResult, verify_sr_certificates
 from .thickness import ThicknessResult, thickness, verify_thickness_result
 from .transport import TransportResult, verify_transport_result
 from .vcdiag import StepFit, step_fit_violations
 
+# Every check takes (report, the `_Reader` of that report, tol): the reader
+# parses each distinct number string and reads each distinct space once.
 
-def _nums(seq, exact):
-    return [_parse_weight(v, exact) for v in seq]
+
+def _vector(obj, key, n, read):
+    """The numbers under obj[key], one per atom of an n-atom space."""
+    values = obj[key]
+    if len(values) != n:
+        # raised as an IndexError, which `check_report` reports as a
+        # malformed report, like any other cell that is not where it belongs
+        raise IndexError(f"{key} has {len(values)} entries for {n} atoms")
+    return [read.number(v) for v in values]
 
 
-def _plan(obj, exact):
+def _plan(obj, read):
     """A report's plan.  No command emits a signed plan, so a report that
     declares one is read as unsigned and any negative mass is rejected."""
-    return matrix_from_obj("plan", {**obj, "signed": False}, exact)
+    return matrix_from_obj("plan", {**obj, "signed": False}, read.exact, read)
 
 
-def _check_thickness(rep, exact, tol):
-    z = matrix_from_obj("set", rep["inputs"]["set"], exact)
-    value = _parse_weight(rep["value"], exact)
+def _mass_on(z, rows):
+    """The mass a plan's (scaled) rows put on the cells of z."""
+    return sum(rows[i][j] for (i, j) in z.cells())
+
+
+def _check_thickness(rep, read, tol):
+    z = matrix_from_obj("set", rep["inputs"]["set"], read.exact, read)
+    value = read.number(rep["value"])
     res = ThicknessResult(value, list(rep["cover_x"]), list(rep["cover_y"]),
-                          _nums(rep["fractional_f"], exact),
-                          _nums(rep["fractional_g"], exact), [], [])
+                          _vector(rep, "fractional_f", z.x_space.size, read),
+                          _vector(rep, "fractional_g", z.y_space.size, read),
+                          [], [])
     problems = verify_thickness_result(z, res, tol)
-    plan = _plan(rep["plan"], exact)
+    plan = _plan(rep["plan"], read)
+    _, _, rows, d, t = plan.scaled(tol)
     if not plan.is_subbistochastic(tol):
         problems.append("witness plan is not subbistochastic")
-    on_z = sum((plan.mass[i][j] for (i, j) in z.cells()), plan.mass[0][0] * 0)
-    if not close(sum(plan.abs_row_marginals()), on_z, tol):
+    on_z = _mass_on(z, rows)
+    if not abs(sum(sum(map(abs, r)) for r in rows) - on_z) <= t:
         problems.append("witness plan carries mass off the set")
-    if not close(on_z, value, tol):
+    if not abs(on_z - value * d) <= t:
         problems.append("witness plan mass != cover weight (duality gap)")
     return problems
 
 
-def _check_hall(rep, exact, tol):
-    z = matrix_from_obj("set", rep["inputs"]["set"], exact)
-    mass = _parse_weight(rep["mass"], exact)
-    th = _parse_weight(rep["thickness_value"], exact)
-    plan = _plan(rep["plan"], exact)
+def _check_hall(rep, read, tol):
+    z = matrix_from_obj("set", rep["inputs"]["set"], read.exact, read)
+    mass = read.number(rep["mass"])
+    th = read.number(rep["thickness_value"])
+    plan = _plan(rep["plan"], read)
+    _, _, rows, d, t = plan.scaled(tol)
     problems = []
     if not plan.is_bistochastic(tol):
         problems.append("plan is not bistochastic")
-    on_z = sum((plan.mass[i][j] for (i, j) in z.cells()), plan.mass[0][0] * 0)
-    if not close(on_z, mass, tol):
+    if not abs(_mass_on(z, rows) - mass * d) <= t:
         problems.append("plan mass on set != reported mass")
     if not close(mass, th, tol):
         problems.append("mass != thickness value")
@@ -67,27 +83,34 @@ def _check_hall(rep, exact, tol):
     return problems + verify_thickness_result(z, cover, tol)
 
 
-def _check_srnorm(rep, exact, tol):
-    f = matrix_from_obj("function", rep["inputs"]["function"], exact)
+def _check_srnorm(rep, read, tol):
+    f = matrix_from_obj("function", rep["inputs"]["function"], read.exact, read)
+    nx, ny = f.shape
     res = SrNormResult(
-        _parse_weight(rep["value"], exact),
-        SeparableMajorant(_nums(rep["majorant"]["a"], exact),
-                          _nums(rep["majorant"]["b"], exact)),
-        _plan(rep["dual_plan"], exact),
-        _parse_weight(rep["dual_value"], exact))
+        read.number(rep["value"]),
+        SeparableMajorant(_vector(rep["majorant"], "a", nx, read),
+                          _vector(rep["majorant"], "b", ny, read)),
+        _plan(rep["dual_plan"], read),
+        read.number(rep["dual_value"]))
     problems = verify_sr_certificates(f, res, tol)
     if not close(res.value, res.dual_value, tol):
         problems.append("primal value != dual value")
     return problems
 
 
-def _check_tau(rep, exact, tol):
-    f = matrix_from_obj("function", rep["inputs"]["f"], exact)
-    g = matrix_from_obj("function", rep["inputs"]["g"], exact)
-    value = _parse_weight(rep["value"], exact)
-    witness = _parse_weight(rep["witness_set_thickness"], exact)
-    d = f.sub(g).abs()
-    th = thickness(level_set(d, value, ">")).value
+def _check_tau(rep, read, tol):
+    f = matrix_from_obj("function", rep["inputs"]["f"], read.exact, read)
+    g = matrix_from_obj("function", rep["inputs"]["g"], read.exact, read)
+    value = read.number(rep["value"])
+    witness = read.number(rep["witness_set_thickness"])
+    if f.shape != g.shape:
+        raise ValidationError("factor dimension mismatch")
+    # the exceedance set {|f - g| > value}, compared on one integer scale
+    (((v,), *rows),), _, _ = common_scales(tol, [[value], *f.values, *g.values])
+    nx = f.x_space.size
+    over = [[abs(a - b) > v for a, b in zip(fr, gr)]
+            for fr, gr in zip(rows[:nx], rows[nx:])]
+    th = thickness(ProductSet(f.x_space, f.y_space, over)).value
     problems = []
     if not close(th, witness, tol):
         problems.append("witness thickness does not match the exceedance set")
@@ -96,71 +119,73 @@ def _check_tau(rep, exact, tol):
     return problems
 
 
-def _check_transport(rep, exact, tol):
-    rho = metric_from_obj(rep["inputs"]["metric"], exact)
-    mu1 = _nums(rep["inputs"]["mu1"], exact)
-    mu2 = _nums(rep["inputs"]["mu2"], exact)
-    res = TransportResult(_parse_weight(rep["cost"], exact),
-                          _plan(rep["plan"], exact),
-                          _nums(rep["potential"], exact))
-    return verify_transport_result(mu1, mu2, rho, res, tol)
+def _check_transport(rep, read, tol):
+    rho = metric_from_obj(rep["inputs"]["metric"], read.exact)
+    n = rho.space.size
+    res = TransportResult(read.number(rep["cost"]), _plan(rep["plan"], read),
+                          _vector(rep, "potential", n, read))
+    return verify_transport_result(_vector(rep["inputs"], "mu1", n, read),
+                                   _vector(rep["inputs"], "mu2", n, read),
+                                   rho, res, tol)
 
 
-def _check_krnorm(rep, exact, tol):
+def _check_krnorm(rep, read, tol):
     """The plan ships the positive part onto the negative part: a transport
     certificate between the two parts of the signed vector."""
-    rho = metric_from_obj(rep["inputs"]["metric"], exact)
+    rho = metric_from_obj(rep["inputs"]["metric"], read.exact)
     space = rep["inputs"]["metric"]["space"]
-    signed = _nums(rep["inputs"]["signed"], exact)
+    n = rho.space.size
+    signed = _vector(rep["inputs"], "signed", n, read)
     zero = rho.dist[0][0] * 0
-    res = TransportResult(_parse_weight(rep["value"], exact),
+    res = TransportResult(read.number(rep["value"]),
                           _plan({"x_space": space, "y_space": space,
-                                 "mass": rep["plan"]}, exact),
-                          _nums(rep["potential"], exact))
+                                 "mass": rep["plan"]}, read),
+                          _vector(rep, "potential", n, read))
     return verify_transport_result([max(s, zero) for s in signed],
                                    [max(-s, zero) for s in signed], rho, res, tol)
 
 
-def _fit_from_obj(obj, exact):
+def _fit_from_obj(obj, read):
     return StepFit([list(b) for b in obj["x_blocks"]],
                    [list(b) for b in obj["y_blocks"]],
-                   [[_parse_weight(v, exact) for v in row] for row in obj["levels"]],
-                   _parse_weight(obj["epsilon"], exact),
+                   [[read.number(v) for v in row] for row in obj["levels"]],
+                   read.number(obj["epsilon"]),
                    bool(obj["exact"]))
 
 
-def _check_stepfit(rep, exact, tol):
+def _check_stepfit(rep, read, tol):
     if not rep["found"]:
         return []
-    f = matrix_from_obj("function", rep["inputs"]["function"], exact)
-    return step_fit_violations(f, _fit_from_obj(rep["fit"], exact), strict=True,
+    f = matrix_from_obj("function", rep["inputs"]["function"], read.exact, read)
+    return step_fit_violations(f, _fit_from_obj(rep["fit"], read), strict=True,
                                tol=tol)
 
 
-def _check_vcprofile(rep, exact, tol):
+def _check_vcprofile(rep, read, tol):
     """The witness is a (non-strict) step fit at the reported value.
 
     This bounds the profile from above only.  `exact_optimum` is a claim
     from the search that no smaller eps admits a fit; `check` cannot
     verify it.
     """
-    f = matrix_from_obj("function", rep["inputs"]["function"], exact)
-    fit = _fit_from_obj(rep["witness"], exact)
+    f = matrix_from_obj("function", rep["inputs"]["function"], read.exact, read)
+    fit = _fit_from_obj(rep["witness"], read)
     # the witness attains the optimum, so its bounds hold non-strictly
     problems = step_fit_violations(f, fit, strict=False, tol=tol)
-    if not close(_parse_weight(rep["value"], exact), fit.epsilon, tol):
+    if not close(read.number(rep["value"]), fit.epsilon, tol):
         problems.append("reported value != witness epsilon")
     return problems
 
 
-def _check_matdist(rep, exact, tol):
+def _check_matdist(rep, read, tol):
     if "support" not in rep:
         return []
-    probs = [_parse_weight(e["probability"], exact) for e in rep["support"]]
+    ((probs,),), (d,), t = common_scales(
+        tol, [[read.number(e["probability"]) for e in rep["support"]]])
     problems = []
-    if any(not nonneg(p, tol) or close(p, 0, tol) for p in probs):
+    if not all(p > t for p in probs):
         problems.append("nonpositive probability in support")
-    if not close(sum(probs), 1, tol):
+    if not abs(sum(probs) - d) <= t:
         problems.append("probabilities do not sum to 1")
     return problems
 
@@ -190,4 +215,4 @@ def check_report(rep: dict, tol: float = DEFAULT_TOL) -> list[str]:
         raise ValidationError(f"malformed {cmd} report: mode {mode!r} "
                               "is neither 'exact' nor 'float'")
     with _malformed(f"{cmd} report"):
-        return _CHECKS[cmd](rep, mode == "exact", tol)
+        return _CHECKS[cmd](rep, _Reader(mode == "exact"), tol)

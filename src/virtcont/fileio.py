@@ -107,6 +107,38 @@ def save_vector(values, path: str) -> None:
     _dump_json(vector_to_obj(values), path)
 
 
+# ------------------------------------------------------------------ reports
+
+class _Reader:
+    """Reads the numbers and factor spaces of one report or matrix file.
+
+    A matrix repeats a few number strings many times, and the matrices of a
+    report share their factor spaces: each distinct string is parsed once,
+    and each distinct space object is read (and validated) once.
+    """
+
+    def __init__(self, exact: bool = True):
+        self.exact = exact
+        self._numbers = {}
+        self._spaces = []
+
+    def number(self, text):
+        if type(text) is not str:
+            return _parse_weight(text, self.exact)
+        x = self._numbers.get(text)
+        if x is None:
+            x = self._numbers[text] = _parse_weight(text, self.exact)
+        return x
+
+    def space(self, obj) -> DiscreteSpace:
+        for known, space in self._spaces:
+            if known == obj:
+                return space
+        space = space_from_obj(obj, self.exact)
+        self._spaces.append((obj, space))
+        return space
+
+
 # ----------------------------------------------------------------- matrices
 # One codec for functions, sets and plans: a report object carries the same
 # cells as a CSV file, and `_build` reads them from either.
@@ -124,16 +156,18 @@ def _matrix_kind(m) -> str:
     raise ValidationError(f"not a matrix object: {type(m).__name__}")
 
 
-def _build(kind, x_space, y_space, cells, exact, signed):
+def _build(kind, x_space, y_space, cells, read, signed):
     """The one reader of matrix cells, from CSV rows or a report object."""
     if not all(isinstance(row, (list, tuple)) for row in cells):
         raise ValidationError("matrix rows must be lists of cells")
     if kind == "set":
-        if any(str(v) not in ("0", "1") for row in cells for v in row):
+        text = [[str(v) for v in row] for row in cells]
+        if not set().union(*text) <= {"0", "1"}:
             raise ValidationError("set cells must be 0 or 1")
         return ProductSet(x_space, y_space,
-                          [[str(v) == "1" for v in row] for row in cells])
-    rows = [[_parse_weight(v, exact) for v in row] for row in cells]
+                          [[v == "1" for v in row] for row in text])
+    number = read.number
+    rows = [[number(v) for v in row] for row in cells]
     if kind == "plan":
         return Plan(x_space, y_space, rows, signed=bool(signed))
     return ProductFunction(x_space, y_space, rows)
@@ -150,11 +184,12 @@ def matrix_to_obj(m) -> dict:
     return obj
 
 
-def matrix_from_obj(kind: str, obj: dict, exact: bool = True):
-    """The `kind` ("function", "set" or "plan") that matrix_to_obj wrote."""
-    return _build(kind, space_from_obj(obj["x_space"], exact),
-                  space_from_obj(obj["y_space"], exact),
-                  obj[_KINDS[kind][1]], exact, obj.get("signed"))
+def matrix_from_obj(kind: str, obj: dict, exact: bool = True, read=None):
+    """The `kind` ("function", "set" or "plan") that matrix_to_obj wrote;
+    `read`, if given, is the `_Reader` of the report it sits in."""
+    read = read or _Reader(exact)
+    return _build(kind, read.space(obj["x_space"]), read.space(obj["y_space"]),
+                  obj[_KINDS[kind][1]], read, obj.get("signed"))
 
 
 def _csv_table(obj: dict, key: str) -> str:
@@ -198,8 +233,8 @@ def loads_matrix(text: str, exact: bool = True):
             raise ValidationError(f"row {i + 2}: label {row[0]!r} out of order")
         if len(row) != y_space.size + 1:
             raise ValidationError(f"row {i + 2}: wrong cell count")
-    return _build(kind, x_space, y_space, [row[1:] for row in body[1:]], exact,
-                  header.get("signed"))
+    return _build(kind, x_space, y_space, [row[1:] for row in body[1:]],
+                  _Reader(exact), header.get("signed"))
 
 
 def load_matrix(path: str, exact: bool = True):

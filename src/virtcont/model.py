@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, repeat
 from math import lcm
 from operator import sub
 from typing import Iterable, Sequence, Union
@@ -36,7 +37,7 @@ def is_exact(x: Number) -> bool:
 
 
 def all_exact(values: Iterable[Number]) -> bool:
-    return all(is_exact(v) for v in values)
+    return all(map(isinstance, values, repeat((Fraction, int))))
 
 
 def zero_of(values: Iterable[Number]) -> Number:
@@ -56,8 +57,43 @@ def common_integers(values: Iterable[Number]):
     values = list(values)
     if not all_exact(values):
         return values, None
-    d = lcm(*{v.denominator for v in values})
-    return [v.numerator * (d // v.denominator) for v in values], d
+    ratios = [v.as_integer_ratio() for v in values]
+    d = lcm(*{q for _, q in ratios})
+    return [p * (d // q) for p, q in ratios], d
+
+
+def common_scales(tol: float, *groups):
+    """Each group of number sequences as ints over the group's own least
+    common denominator: the pattern of the kernels, for the verifiers.
+
+    A group is a list of sequences (the rows of a matrix count as sequences
+    of their own); each comes back as a list, with x == Fraction(k, d) for
+    its group's scale d.  Sums and comparisons inside a group, and a sum of
+    products of two groups set against a value times both scales, then
+    decide exactly what the Fractions decide, at tolerance t = 0.  If any
+    value is a float, every sequence comes back as the values given, every
+    scale is 1 and t = tol: the same comparisons run on the floats.
+
+    Returns (groups, scales, t).
+    """
+    groups = [[list(part) for part in group] for group in groups]
+    scaled = [common_integers(chain(*group)) for group in groups]
+    if any(d is None for _, d in scaled):
+        return groups, [1] * len(groups), tol
+    out = []
+    for group, (ints, _) in zip(groups, scaled):
+        parts, k = [], 0
+        for part in group:
+            parts.append(ints[k:k + len(part)])
+            k += len(part)
+        out.append(parts)
+    return out, [d for _, d in scaled], 0
+
+
+def unscaled(x: Number, d: int) -> Number:
+    """A number for a message: a scaled int back over its scale d, a float
+    (whose scale is 1) as it is."""
+    return Fraction(x, d) if isinstance(x, int) else x
 
 
 def close(a: Number, b: Number, tol: float = DEFAULT_TOL) -> bool:
@@ -204,7 +240,7 @@ class ProductSet:
     membership: tuple
 
     def __init__(self, x_space, y_space, membership):
-        rows = tuple(tuple(bool(v) for v in row) for row in membership)
+        rows = tuple(tuple(map(bool, row)) for row in membership)
         if len(rows) != x_space.size or any(len(r) != y_space.size for r in rows):
             raise ValidationError("set matrix dimensions do not match factors")
         object.__setattr__(self, "x_space", x_space)
@@ -276,27 +312,37 @@ class Plan:
     """A nonnegative (or signed) mass per atom pair, with derived marginals.
 
     Bistochastic plans project onto mu and nu exactly; subbistochastic plans
-    project below them componentwise.
+    project below them componentwise.  The plan keeps its weights and masses
+    over one common denominator (`scaled`), which its own checks and the
+    certificate verifiers compare on.
     """
 
     x_space: DiscreteSpace
     y_space: DiscreteSpace
     mass: tuple
     signed: bool = field(default=False)
+    _scaled: tuple = field(init=False, repr=False, compare=False)
 
     def __init__(self, x_space, y_space, mass, signed: bool = False):
         rows = tuple(tuple(row) for row in mass)
         if len(rows) != x_space.size or any(len(r) != y_space.size for r in rows):
             raise ValidationError("plan matrix dimensions do not match factors")
-        if not signed:
-            for row in rows:
-                for v in row:
-                    if not nonneg(v):
-                        raise ValidationError("negative mass in unsigned plan")
+        ((xw, yw, *cells),), (d,), t = common_scales(
+            DEFAULT_TOL, [x_space.weights, y_space.weights, *rows])
+        if not signed and not all(v >= -t for row in cells for v in row):
+            raise ValidationError("negative mass in unsigned plan")
         object.__setattr__(self, "x_space", x_space)
         object.__setattr__(self, "y_space", y_space)
         object.__setattr__(self, "mass", rows)
         object.__setattr__(self, "signed", signed)
+        object.__setattr__(self, "_scaled", (xw, yw, cells, d, t == 0))
+
+    def scaled(self, tol: float = DEFAULT_TOL):
+        """(x weights, y weights, mass rows, d, t): the weights and masses
+        over their common denominator d, to compare at tolerance t, as
+        `common_scales` returns them (floats as given, d = 1, t = tol)."""
+        xw, yw, rows, d, exact = self._scaled
+        return xw, yw, rows, d, 0 if exact else tol
 
     def row_marginals(self) -> list:
         return [sum(row) for row in self.mass]
@@ -316,12 +362,14 @@ class Plan:
         return sum(sum(row) for row in self.mass)
 
     def is_bistochastic(self, tol: float = DEFAULT_TOL) -> bool:
-        return (all(close(r, w, tol) for r, w in zip(self.row_marginals(), self.x_space.weights))
-                and all(close(c, w, tol) for c, w in zip(self.col_marginals(), self.y_space.weights)))
+        xw, yw, rows, _, t = self.scaled(tol)
+        return (all(abs(sum(r) - w) <= t for r, w in zip(rows, xw))
+                and all(abs(sum(c) - w) <= t for c, w in zip(zip(*rows), yw)))
 
     def is_subbistochastic(self, tol: float = DEFAULT_TOL) -> bool:
-        return (all(nonneg(w - r, tol) for r, w in zip(self.abs_row_marginals(), self.x_space.weights))
-                and all(nonneg(w - c, tol) for c, w in zip(self.abs_col_marginals(), self.y_space.weights)))
+        xw, yw, rows, _, t = self.scaled(tol)
+        return (all(w - sum(map(abs, r)) >= -t for r, w in zip(rows, xw))
+                and all(w - sum(map(abs, c)) >= -t for c, w in zip(zip(*rows), yw)))
 
     @staticmethod
     def product(x_space: DiscreteSpace, y_space: DiscreteSpace) -> "Plan":

@@ -13,7 +13,8 @@ from fractions import Fraction
 
 from .flows import TransportationInstance, solve_transportation
 from .model import (DEFAULT_TOL, Number, Plan, ProductFunction,
-                    SeparableMajorant, ValidationError, close, zero_of)
+                    SeparableMajorant, ValidationError, close, common_scales,
+                    zero_of)
 from .thickness import thickness_of_level_set
 
 
@@ -101,16 +102,33 @@ def kernel_from_terms(rank_one_terms, x_space, y_space) -> ProductFunction:
 
 def verify_sr_certificates(f: ProductFunction, res: SrNormResult,
                            tol: float = DEFAULT_TOL) -> list[str]:
-    """Solver-independent re-check of both optimality certificates."""
+    """Solver-independent re-check of both optimality certificates.
+
+    The majorant and f share one integer scale df, the weights another dw,
+    and the dual plan keeps its own dp (`Plan.scaled`): each weight x
+    majorant or |f| x mass sum is set against the value times both scales.
+    """
+    nx, ny = f.shape
+    if len(res.majorant.a) != nx or len(res.majorant.b) != ny:
+        raise ValidationError("majorant does not match the factors")
+    if res.dual_plan.x_space.size != nx or res.dual_plan.y_space.size != ny:
+        raise ValidationError("dual plan does not match the factors")
+    ((a, b, *fv), (mu, nu)), (df, dw), t = common_scales(
+        tol, [res.majorant.a, res.majorant.b, *f.values],
+        [f.x_space.weights, f.y_space.weights])
+    _, _, mass, dp, tp = res.dual_plan.scaled(tol)
+    t = max(t, tp)   # 0 unless some value is a float
     problems = []
-    if not res.majorant.dominates(f, tol):
+    if not all(ai + bj - abs(v) >= -t
+               for ai, row in zip(a, fv) for bj, v in zip(b, row)):
         problems.append("majorant does not dominate |f|")
-    if not close(res.majorant.weight(f.x_space, f.y_space), res.value, tol):
+    weight = sum(w * v for w, v in zip(mu, a)) + sum(w * v for w, v in zip(nu, b))
+    if not abs(weight - res.value * dw * df) <= t:
         problems.append("majorant weight != reported value")
     if not res.dual_plan.is_subbistochastic(tol):
         problems.append("dual plan is not subbistochastic")
-    pairing = sum(abs(f[i, j]) * res.dual_plan.mass[i][j]
-                  for i in range(f.x_space.size) for j in range(f.y_space.size))
-    if not close(pairing, res.value, tol):
+    pairing = sum(abs(v) * m for frow, mrow in zip(fv, mass)
+                  for v, m in zip(frow, mrow))
+    if not abs(pairing - res.value * df * dp) <= t:
         problems.append("dual pairing != reported value (duality gap)")
     return problems

@@ -10,10 +10,12 @@ as the optimal fractional pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .flows import BipartiteCoverInstance, min_weighted_vertex_cover
 from .model import (DEFAULT_TOL, Number, Plan, ProductFunction, ProductSet,
-                    close, level_set, nonneg, zero_of)
+                    ValidationError, common_scales, level_set, unscaled,
+                    zero_of)
 
 
 @dataclass
@@ -65,22 +67,33 @@ def thickness_of_level_set(f: ProductFunction, lam: Number) -> Number:
 
 def verify_thickness_result(z: ProductSet, res: ThicknessResult,
                             tol: float = DEFAULT_TOL) -> list[str]:
-    """Re-check a thickness certificate without the solver; list of violations."""
+    """Re-check a thickness certificate without the solver; list of violations.
+
+    Weights and the value share one integer scale dw, the fractional pair
+    has its own dp, so the pair's weight is set against value * dp.
+    """
+    nx, ny = z.x_space.size, z.y_space.size
+    if len(res.fractional_f) != nx or len(res.fractional_g) != ny:
+        raise ValidationError("fractional pair does not match the factors")
+    ((mu, nu, (value,)), (f, g)), (dw, dp), t = common_scales(
+        tol, [z.x_space.weights, z.y_space.weights, [res.value]],
+        [res.fractional_f, res.fractional_g])
     problems = []
-    mu, nu = z.x_space.weights, z.y_space.weights
+    cells = list(z.cells())
     cx, cy = set(res.cover_x), set(res.cover_y)
-    for (i, j) in z.cells():
+    for (i, j) in cells:
         if i not in cx and j not in cy:
             problems.append(f"cell ({i},{j}) not covered")
     total = sum(mu[i] for i in cx) + sum(nu[j] for j in cy)
-    if not close(total, res.value, tol):
-        problems.append(f"cover weight {total} != reported value {res.value}")
-    for (i, j) in z.cells():
-        if not nonneg(res.fractional_f[i] + res.fractional_g[j] - 1, tol):
+    if not abs(total - value) <= t:
+        problems.append(f"cover weight {unscaled(total, dw)} != "
+                        f"reported value {unscaled(value, dw)}")
+    for (i, j) in cells:
+        if not f[i] + g[j] - dp >= -t:
             problems.append(f"fractional pair below 1 on cell ({i},{j})")
-    fw = sum(w * v for w, v in zip(mu, res.fractional_f)) + \
-        sum(w * v for w, v in zip(nu, res.fractional_g))
-    if not close(fw, res.value, tol):
+    if not all(v >= -t for v in chain(f, g)):
+        problems.append("fractional pair has a negative entry")
+    fw = sum(w * v for w, v in zip(mu, f)) + sum(w * v for w, v in zip(nu, g))
+    if not abs(fw - value * dp) <= t:
         problems.append("fractional pair weight != value")
     return problems
-

@@ -1,0 +1,205 @@
+"""The certificate checks: the exact violations they list, the reports they
+reject as malformed, and the CLI self-check against a corrupted solver."""
+
+import contextlib
+import dataclasses
+import io
+import json
+import random
+from fractions import Fraction
+
+import pytest
+
+from virtcont import DiscreteSpace, Plan, ProductSet, cli
+from virtcont.fileio import save_matrix, save_metric, save_vector
+
+from test_fileio_cli import (_BELOW_1, _LIPSCHITZ_AT_1, _NOT_COVERED,
+                             _check_tampered, _fixture_corpus, _run,
+                             _run_failing, _self_checked_jobs)
+from util import rand_metric, rand_space
+
+
+def _set(**items):
+    def tamper(rep):
+        rep.update(items)
+    return tamper
+
+
+def _cell(key, value):
+    """Put `value` in cell (0, 0) of the plan under `key`."""
+    def tamper(rep):
+        rep[key]["mass"][0][0] = value
+    return tamper
+
+
+def _zero_majorant(rep):
+    rep["majorant"] = {"a": ["0"] * 10, "b": ["0"] * 10}
+
+
+def _potential_100(rep):
+    rep["potential"][1] = "100"
+
+
+def _shrink_potential(rep):
+    # 9/10 of an optimal potential stays 1-Lipschitz but is no longer tight
+    # on the plan's support
+    rep["potential"] = [str(Fraction(p) * Fraction(9, 10))
+                        for p in rep["potential"]]
+
+
+# Forged reports that reach every message the tampered certificates of
+# test_fileio_cli do not; the lists were recorded from the Fraction
+# verifiers, before they compared on integer scales.
+_FORGED = [
+    ("thickness", _set(value="1/7"),
+     ["cover weight 1 != reported value 1/7", "fractional pair weight != value",
+      "witness plan mass != cover weight (duality gap)"],
+     ["cover weight 0.9999999999999999 != reported value 0.14285714285714285",
+      "fractional pair weight != value",
+      "witness plan mass != cover weight (duality gap)"]),
+    ("thickness", _set(cover_x=[0, 1], cover_y=[]),
+     _NOT_COVERED[2:] + ["cover weight 1/5 != reported value 1"],
+     _NOT_COVERED[2:] + ["cover weight 0.2 != reported value 0.9999999999999999"]),
+    ("thickness", _set(fractional_f=["0"] * 10),
+     _BELOW_1 + ["fractional pair weight != value"], None),
+    ("thickness", _cell("plan", "1"),
+     ["witness plan is not subbistochastic",
+      "witness plan mass != cover weight (duality gap)"], None),
+    ("hall", _cell("plan", "1"),
+     ["plan is not bistochastic", "plan mass on set != reported mass"], None),
+    ("hall", _set(mass="1/2"),
+     ["plan mass on set != reported mass", "mass != thickness value"], None),
+    ("srnorm", _zero_majorant,
+     ["majorant does not dominate |f|", "majorant weight != reported value"],
+     None),
+    ("srnorm", _cell("dual_plan", "1"),
+     ["dual plan is not subbistochastic",
+      "dual pairing != reported value (duality gap)"], None),
+    ("srnorm", _set(dual_value="1/7"), ["primal value != dual value"], None),
+    ("transport", _potential_100, _LIPSCHITZ_AT_1, None),
+    ("transport", _set(cost="1/7"),
+     ["dual pairing != cost", "plan cost != reported cost"], None),
+    ("transport", _shrink_potential,
+     ["complementary slackness residual 4/15", "dual pairing != cost"],
+     ["complementary slackness residual 0.2666666666666666",
+      "dual pairing != cost"]),
+    ("krnorm", _set(value="1/7"),
+     ["dual pairing != cost", "plan cost != reported cost"], None),
+    ("krnorm", _shrink_potential,
+     ["complementary slackness residual 17/60", "dual pairing != cost"],
+     ["complementary slackness residual 0.2833333333333332",
+      "dual pairing != cost"]),
+]
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_cli_check_lists_the_same_violations_of_forged_reports(tmp_path, mode):
+    jobs = {job[0]: job for job in _self_checked_jobs(_fixture_corpus(tmp_path))}
+    for kind, tamper, exact, in_float in _FORGED:
+        expected = in_float or exact if mode == "float" else exact
+        assert _check_tampered(tmp_path, jobs, kind, mode, tamper) == expected
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_cli_check_rejects_a_negative_fractional_pair(tmp_path, mode):
+    # on Z = {(x0, y0)} the pair f = (4, 0), g = (-1) is >= 1 on the cell
+    # and weighs 4/3 - 1 = 1/3 = th(Z), but it is no fractional cover
+    xs = DiscreteSpace(["x0", "x1"], [Fraction(1, 3), Fraction(2, 3)])
+    ys = DiscreteSpace(["y0"], [Fraction(1)])
+    save_matrix(ProductSet(xs, ys, [[1], [0]]), str(tmp_path / "z.csv"))
+    code, out = _run(["--mode", mode, "thickness", str(tmp_path / "z.csv")])
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["value"] in ("1/3", "0.33333333333333331")
+    rep.update(fractional_f=["4", "0"], fractional_g=["-1"])
+    rp = tmp_path / "forged.json"
+    rp.write_text(json.dumps(rep))
+    code, out = _run(["check", str(rp)])
+    assert code == 2
+    assert json.loads(out)["violations"] == ["fractional pair has a negative entry"]
+
+
+def _metric_jobs(path):
+    """transport and krnorm jobs on a 10-point metric, in directory `path`."""
+    path.mkdir()
+    rho, mu1, mu2, eta = (str(path / f"{name}.json")
+                          for name in ("rho", "mu1", "mu2", "eta"))
+    save_metric(rand_metric(random.Random(3), rand_space(random.Random(3), 10)),
+                rho)
+    save_vector([Fraction(1, 5)] * 5 + [Fraction(0)] * 5, mu1)
+    save_vector([Fraction(1, 10)] * 10, mu2)
+    save_vector([Fraction(1, 4), Fraction(-1, 4)] + [Fraction(0)] * 8, eta)
+    return {"transport": ["transport", rho, mu1, mu2],
+            "krnorm": ["krnorm", rho, eta]}
+
+
+# (command, path to the vector in its report)
+_VECTORS = [("krnorm", ("inputs", "signed")), ("krnorm", ("potential",)),
+            ("transport", ("inputs", "mu1")), ("transport", ("inputs", "mu2")),
+            ("transport", ("potential",)),
+            ("thickness", ("fractional_f",)), ("thickness", ("fractional_g",)),
+            ("srnorm", ("majorant", "a")), ("srnorm", ("majorant", "b"))]
+
+
+@pytest.mark.parametrize("cut", [2, 11], ids=["short", "long"])
+@pytest.mark.parametrize("kind,path", _VECTORS,
+                         ids=["-".join((k,) + p) for k, p in _VECTORS])
+def test_cli_check_rejects_vectors_not_matching_their_space(tmp_path, kind,
+                                                             path, cut):
+    jobs = {job[0]: job for job in _self_checked_jobs(_fixture_corpus(tmp_path))}
+    jobs.update(_metric_jobs(tmp_path / "metric"))
+    code, out = _run(jobs[kind])
+    assert code == 0
+    rep = json.loads(out)
+    *outer, key = path
+    obj = rep
+    for k in outer:
+        obj = obj[k]
+    assert len(obj[key]) == 10
+    obj[key] = (obj[key] * 2)[:cut]
+    rp = tmp_path / "forged.json"
+    rp.write_text(json.dumps(rep))
+    err = _run_failing(["check", str(rp)])
+    assert err.startswith(f"error: malformed {kind} report: {key} has {cut} "
+                          "entries for 10 atoms")
+
+
+def _plus_a_seventh(field):
+    def corrupt(res):
+        return dataclasses.replace(res, **{field: getattr(res, field)
+                                           + Fraction(1, 7)})
+    return corrupt
+
+
+def _moved_mass(res):
+    """The result with one positive cell's mass moved to its neighbour."""
+    p = res.plan
+    mass = [list(row) for row in p.mass]
+    i, j = next((i, j) for i, row in enumerate(mass)
+                for j, v in enumerate(row) if v > 0)
+    mass[i][(j + 1) % len(mass[i])] += mass[i][j]
+    mass[i][j] *= 0
+    return dataclasses.replace(res, plan=Plan(p.x_space, p.y_space, mass))
+
+
+# one solver per kind of certificate, as the CLI binds it
+_CORRUPTED = [("thickness", "thickness", _plus_a_seventh("value")),
+              ("hall", "max_bistochastic_mass", _moved_mass),
+              ("srnorm", "sr_norm", _plus_a_seventh("value")),
+              ("transport", "kantorovich", _moved_mass),
+              ("krnorm", "kr_norm", _plus_a_seventh("value"))]
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("kind,solver,corrupt", _CORRUPTED,
+                         ids=[c[1] for c in _CORRUPTED])
+def test_cli_self_check_catches_a_corrupted_solve(tmp_path, monkeypatch, mode,
+                                                  kind, solver, corrupt):
+    jobs = {job[0]: job for job in _self_checked_jobs(_fixture_corpus(tmp_path))}
+    solve = getattr(cli, solver)
+    monkeypatch.setattr(cli, solver, lambda *a, **k: corrupt(solve(*a, **k)))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = _run(jobs[kind] + ["--mode", mode])
+    assert code == 2 and out == ""
+    assert err.getvalue().startswith("internal invariant violation:\n")

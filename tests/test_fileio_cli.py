@@ -228,27 +228,58 @@ def _tamper_tau_witness(rep):
     rep["witness_set_thickness"] = "1/2"
 
 
+# The violations each tampered report gets, as `check` lists them in exact
+# mode and, where a message prints a number, in float mode.
+_LIPSCHITZ_AT_1 = [f"potential not 1-Lipschitz at ({i},{j})"
+                   for i, j in ((0, 1), (1, 0), (1, 2), (1, 3), (2, 1), (3, 1))]
+_NOT_COVERED = [f"cell ({i},{i}) not covered" for i in range(10)]
+_BELOW_1 = [f"fractional pair below 1 on cell ({i},{i})" for i in range(10)]
+_TAMPERED = [
+    ("krnorm", _tamper_krnorm_potential,
+     _LIPSCHITZ_AT_1 + ["complementary slackness residual 617/6",
+                        "dual pairing != cost"],
+     _LIPSCHITZ_AT_1 + ["complementary slackness residual 102.83333333333333",
+                        "dual pairing != cost"]),
+    ("krnorm", _tamper_krnorm_plan,
+     ["plan row marginals != mu1", "plan column marginals != mu2"], None),
+    ("hall", _tamper_hall_cover,
+     _NOT_COVERED + ["cover weight 0 != reported value 1"] + _BELOW_1
+     + ["fractional pair weight != value"],
+     _NOT_COVERED + ["cover weight 0 != reported value 0.9999999999999999"]
+     + _BELOW_1 + ["fractional pair weight != value"]),
+    ("transport", _tamper_transport_plan,
+     ["plan column marginals != mu2", "plan cost != reported cost"], None),
+    ("thickness", _tamper_thickness_plan,
+     ["witness plan is not subbistochastic",
+      "witness plan carries mass off the set",
+      "witness plan mass != cover weight (duality gap)"], None),
+    ("tau", _tamper_tau_witness,
+     ["witness thickness does not match the exceedance set"], None),
+]
+
+
+def _check_tampered(tmp_path, jobs, kind, mode, tamper):
+    """`check` on the report of jobs[kind] in `mode`, after `tamper`."""
+    code, out = _run(jobs[kind] + ["--mode", mode])
+    assert code == 0
+    rep = json.loads(out)
+    before = json.dumps(rep, sort_keys=True)
+    tamper(rep)
+    assert json.dumps(rep, sort_keys=True) != before, tamper.__name__
+    rp = tmp_path / "tampered.json"
+    rp.write_text(json.dumps(rep))
+    code, out = _run(["check", str(rp)])
+    assert code == 2, tamper.__name__
+    return json.loads(out)["violations"]
+
+
 def test_cli_check_rejects_tampered_certificates(tmp_path):
     paths = _fixture_corpus(tmp_path)
     jobs = {job[0]: job for job in _self_checked_jobs(paths)}
-    cases = [("krnorm", _tamper_krnorm_potential),
-             ("krnorm", _tamper_krnorm_plan),
-             ("hall", _tamper_hall_cover),
-             ("transport", _tamper_transport_plan),
-             ("thickness", _tamper_thickness_plan),
-             ("tau", _tamper_tau_witness)]
-    for kind, tamper in cases:
-        code, out = _run(jobs[kind])
-        assert code == 0
-        rep = json.loads(out)
-        before = json.dumps(rep, sort_keys=True)
-        tamper(rep)
-        assert json.dumps(rep, sort_keys=True) != before, tamper.__name__
-        rp = tmp_path / "tampered.json"
-        rp.write_text(json.dumps(rep))
-        code, out = _run(["check", str(rp)])
-        assert code == 2, tamper.__name__
-        assert json.loads(out)["violations"], tamper.__name__
+    for kind, tamper, exact, in_float in _TAMPERED:
+        for mode, expected in (("exact", exact), ("float", in_float or exact)):
+            assert _check_tampered(tmp_path, jobs, kind, mode, tamper) \
+                == expected, (mode, tamper.__name__)
 
 
 def test_cli_check_reads_report_plans_as_unsigned(tmp_path):
