@@ -36,6 +36,13 @@ def _plan(obj, read):
     return matrix_from_obj("plan", {**obj, "signed": False}, read.exact, read)
 
 
+def _off_spaces(plan, x_space, y_space):
+    """True if the plan declares other spaces than those of what it
+    certifies: its marginals are judged against its own spaces, so such a
+    plan certifies nothing."""
+    return plan.x_space != x_space or plan.y_space != y_space
+
+
 def _mass_on(z, rows):
     """The mass a plan's (scaled) rows put on the cells of z."""
     return sum(rows[i][j] for (i, j) in z.cells())
@@ -48,8 +55,10 @@ def _check_thickness(rep, read, tol):
                           _vector(rep, "fractional_f", z.x_space.size, read),
                           _vector(rep, "fractional_g", z.y_space.size, read),
                           [], [])
-    problems = verify_thickness_result(z, res, tol)
     plan = _plan(rep["plan"], read)
+    if _off_spaces(plan, z.x_space, z.y_space):
+        return ["witness plan is not over the set's spaces"]
+    problems = verify_thickness_result(z, res, tol)
     _, _, rows, d, t = plan.scaled(tol)
     if not plan.is_subbistochastic(tol):
         problems.append("witness plan is not subbistochastic")
@@ -66,6 +75,8 @@ def _check_hall(rep, read, tol):
     mass = read.number(rep["mass"])
     th = read.number(rep["thickness_value"])
     plan = _plan(rep["plan"], read)
+    if _off_spaces(plan, z.x_space, z.y_space):
+        return ["plan is not over the set's spaces"]
     _, _, rows, d, t = plan.scaled(tol)
     problems = []
     if not plan.is_bistochastic(tol):
@@ -92,6 +103,8 @@ def _check_srnorm(rep, read, tol):
                           _vector(rep["majorant"], "b", ny, read)),
         _plan(rep["dual_plan"], read),
         read.number(rep["dual_value"]))
+    if _off_spaces(res.dual_plan, f.x_space, f.y_space):
+        return ["dual plan is not over the function's spaces"]
     problems = verify_sr_certificates(f, res, tol)
     if not close(res.value, res.dual_value, tol):
         problems.append("primal value != dual value")
@@ -124,6 +137,8 @@ def _check_transport(rep, read, tol):
     n = rho.space.size
     res = TransportResult(read.number(rep["cost"]), _plan(rep["plan"], read),
                           _vector(rep, "potential", n, read))
+    if _off_spaces(res.plan, rho.space, rho.space):
+        return ["plan is not over the metric's spaces"]
     return verify_transport_result(_vector(rep["inputs"], "mu1", n, read),
                                    _vector(rep["inputs"], "mu2", n, read),
                                    rho, res, tol)

@@ -3,7 +3,10 @@
 Two solvers live here:
 
 * a bipartite max-flow / min-cut routine (weighted vertex cover by LP duality
-  on a totally unimodular system), and
+  on a totally unimodular system).  Its kernel sweeps a growing family of
+  edge sets in one warm-started max-flow, reading a cover after each batch
+  of edges; a single cover is the one-batch case, and tau and the layer-cake
+  bound read every level set's thickness from one sweep;
 * a balanced min-cost transportation solver (successive shortest paths with
   node potentials) that also handles the max-profit / slack-marginal variant
   through a dummy row and column.
@@ -43,8 +46,7 @@ class BipartiteCoverInstance:
     def __init__(self, row_costs: Sequence[Number], col_costs: Sequence[Number], edges):
         row_costs, col_costs = tuple(row_costs), tuple(col_costs)
         edges = tuple(sorted(set((int(i), int(j)) for i, j in edges)))
-        if any(c <= 0 for c in row_costs) or any(c <= 0 for c in col_costs):
-            raise ValidationError("cover costs must be strictly positive")
+        _require_positive(row_costs + col_costs)
         for i, j in edges:
             if not (0 <= i < len(row_costs) and 0 <= j < len(col_costs)):
                 raise ValidationError(f"edge ({i},{j}) out of range")
@@ -62,6 +64,22 @@ class CoverResult:
     flow_value: Number
 
 
+def _require_positive(costs):
+    if any(c <= 0 for c in costs):
+        raise ValidationError("cover costs must be strictly positive")
+
+
+def _cover_weight(row_costs, col_costs, ints, scale, rows, cols):
+    """A cover's weight: exact costs as the sum of their scaled ints over the
+    scale, floats summed rows first, then columns, each from 0.0."""
+    if scale is not None:
+        nr = len(row_costs)
+        return Fraction(sum(ints[i] for i in rows) +
+                        sum(ints[nr + j] for j in cols), scale)
+    return sum((row_costs[i] for i in rows), 0.0) + \
+        sum((col_costs[j] for j in cols), 0.0)
+
+
 def min_weighted_vertex_cover(inst: BipartiteCoverInstance) -> CoverResult:
     """Minimum-weight cover of all edges, with the max-flow optimality certificate.
 
@@ -69,27 +87,52 @@ def min_weighted_vertex_cover(inst: BipartiteCoverInstance) -> CoverResult:
     cost), row->col arcs of effectively infinite capacity on the edges.  By
     max-flow/min-cut the optimal cover weight equals the max flow, and the cut
     is read off residual reachability (source-side rows stay unpicked).
+    This is the one-batch case of `nested_cover_weights`.
     """
     nr = len(inst.row_costs)
     costs, scale = common_integers(inst.row_costs + inst.col_costs)
     zero = zero_of(inst.row_costs + inst.col_costs)
     if not inst.edges:
         return CoverResult(zero, [], [], [], zero)
-    rows, cols, flow, total = _max_flow_cover(
-        costs[:nr], costs[nr:], inst.edges, 0 if scale is not None else EPS)
+    [(rows, cols)], flow, total = _max_flow_cover(
+        costs[:nr], costs[nr:], [inst.edges], 0 if scale is not None else EPS)
     if scale is not None:
         flow = [Fraction(x, scale) for x in flow]
         total = Fraction(total, scale)
-    value = sum((inst.row_costs[i] for i in rows), zero) + \
-        sum((inst.col_costs[j] for j in cols), zero)
+    value = _cover_weight(inst.row_costs, inst.col_costs, costs, scale, rows, cols)
     return CoverResult(value, rows, cols, flow, total)
 
 
-def _max_flow_cover(row_costs, col_costs, edges, tol):
-    """Max-flow kernel of the cover: (rows, cols, flow per edge, flow value).
+def nested_cover_weights(row_costs: Sequence[Number], col_costs: Sequence[Number],
+                         batches) -> list:
+    """The least cover weight of each growing edge set, from one max-flow.
 
-    tol is 0 on scaled ints and EPS on floats; the zero follows it, so int
-    sums stay ints."""
+    The k-th edge set is the union of batches[0..k].  Adding edges keeps the
+    flow found so far feasible, so it is augmented further instead of solved
+    again (Gallo, Grigoriadis & Tarjan, SIAM J. Comput. 18, 1989).  The
+    residual reachability of a maximum flow is the same for every maximum
+    flow, so each cover is the one `min_weighted_vertex_cover` returns on
+    that edge set alone, and its weight is summed the same way.
+    """
+    row_costs, col_costs = tuple(row_costs), tuple(col_costs)
+    if any(batches):
+        _require_positive(row_costs + col_costs)
+    nr = len(row_costs)
+    costs, scale = common_integers(row_costs + col_costs)
+    covers, _, _ = _max_flow_cover(costs[:nr], costs[nr:], batches,
+                                   0 if scale is not None else EPS)
+    return [_cover_weight(row_costs, col_costs, costs, scale, rows, cols)
+            for rows, cols in covers]
+
+
+def _max_flow_cover(row_costs, col_costs, batches, tol):
+    """Max-flow kernel of the cover, warm-started over growing edge sets.
+
+    Adds each batch of edges in turn and augments the flow until no path is
+    left; the failed search is the residual reachability from the source,
+    which gives that edge set's cover.  Returns ([(rows, cols) per batch],
+    flow per edge in the order added, flow value).  tol is 0 on scaled ints
+    and EPS on floats; the zero follows it, so int sums stay ints."""
     nr, nc = len(row_costs), len(col_costs)
     zero = 0 * tol
     big = sum(row_costs) + sum(col_costs)  # exceeds any cut
@@ -108,59 +151,46 @@ def _max_flow_cover(row_costs, col_costs, edges, tol):
         add_arc(src, 1 + i, row_costs[i])
     for j in range(nc):
         add_arc(1 + nr + j, snk, col_costs[j])
-    edge_arc_pos = {}
-    for (i, j) in edges:
-        edge_arc_pos[(i, j)] = (1 + i, len(graph[1 + i]))
-        add_arc(1 + i, 1 + nr + j, big)
-
+    edge_arcs = []
+    covers = []
     total = zero
-    while True:
-        # BFS (lowest index first) for a shortest augmenting path
-        parent: list[Optional[tuple]] = [None] * n
-        parent[src] = (src, -1)
-        queue = [src]
-        qi = 0
-        while qi < len(queue) and parent[snk] is None:
-            u = queue[qi]
-            qi += 1
-            for ai, arc in enumerate(graph[u]):
-                v, cap, flow, _ = arc
-                if parent[v] is None and cap - flow > tol:
-                    parent[v] = (u, ai)
-                    queue.append(v)
-        if parent[snk] is None:
-            break
-        # bottleneck
-        path = []
-        v = snk
-        while v != src:
-            u, ai = parent[v]
-            path.append((u, ai))
-            v = u
-        bottleneck = min(graph[u][ai][1] - graph[u][ai][2] for u, ai in path)
-        for u, ai in path:
-            arc = graph[u][ai]
-            arc[2] += bottleneck
-            graph[arc[0]][arc[3]][2] -= bottleneck
-        total += bottleneck
-
-    # residual reachability from the source
-    seen = [False] * n
-    seen[src] = True
-    stack = [src]
-    while stack:
-        u = stack.pop()
-        for v, cap, flow, _ in graph[u]:
-            if not seen[v] and cap - flow > tol:
-                seen[v] = True
-                stack.append(v)
-    rows = [i for i in range(nr) if not seen[1 + i]]
-    cols = [j for j in range(nc) if seen[1 + nr + j]]
-    flow_per_edge = []
-    for (i, j) in edges:
-        u, ai = edge_arc_pos[(i, j)]
-        flow_per_edge.append(graph[u][ai][2])
-    return rows, cols, flow_per_edge, total
+    for batch in batches:
+        for (i, j) in batch:
+            edge_arcs.append((1 + i, len(graph[1 + i])))
+            add_arc(1 + i, 1 + nr + j, big)
+        while True:
+            # BFS (lowest index first) for a shortest augmenting path
+            parent: list[Optional[tuple]] = [None] * n
+            parent[src] = (src, -1)
+            queue = [src]
+            qi = 0
+            while qi < len(queue) and parent[snk] is None:
+                u = queue[qi]
+                qi += 1
+                for ai, arc in enumerate(graph[u]):
+                    v, cap, flow, _ = arc
+                    if parent[v] is None and cap - flow > tol:
+                        parent[v] = (u, ai)
+                        queue.append(v)
+            if parent[snk] is None:
+                break
+            # bottleneck
+            path = []
+            v = snk
+            while v != src:
+                u, ai = parent[v]
+                path.append((u, ai))
+                v = u
+            bottleneck = min(graph[u][ai][1] - graph[u][ai][2] for u, ai in path)
+            for u, ai in path:
+                arc = graph[u][ai]
+                arc[2] += bottleneck
+                graph[arc[0]][arc[3]][2] -= bottleneck
+            total += bottleneck
+        # the failed search reached exactly the source side of the cut
+        covers.append(([i for i in range(nr) if parent[1 + i] is None],
+                       [j for j in range(nc) if parent[1 + nr + j] is not None]))
+    return covers, [graph[u][ai][2] for u, ai in edge_arcs], total
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from .flows import TransportationInstance, solve_transportation
 from .model import (DEFAULT_TOL, Number, Plan, ProductFunction,
                     SeparableMajorant, ValidationError, close, common_scales,
                     zero_of)
-from .thickness import thickness_of_level_set
+from .thickness import level_set_thicknesses
 
 
 @dataclass
@@ -50,13 +50,17 @@ def sr_norm(f: ProductFunction) -> SrNormResult:
 
 
 def layer_cake_integral(f: ProductFunction) -> Number:
-    """Integral over lam of th({|f| >= lam}): piecewise constant, summed exactly."""
+    """Integral over lam of th({|f| >= lam}): piecewise constant, summed exactly.
+
+    The sets {|f| >= w} only grow as w falls, so one warm-started max-flow
+    gives the thickness at every level (`thickness.level_set_thicknesses`).
+    """
     zero = zero_of(v for row in f.values for v in row)
     levels = sorted({abs(v) for row in f.values for v in row} - {zero})
     total = zero
     prev = zero
-    for w in levels:
-        total += (w - prev) * thickness_of_level_set(f, w)
+    for w, th in zip(levels, level_set_thicknesses(f.abs(), levels, ">=")):
+        total += (w - prev) * th
         prev = w
     return total
 

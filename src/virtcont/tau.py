@@ -2,16 +2,20 @@
 
 tau(f, g) is the least eps such that the set where |f - g| > eps has
 thickness at most eps.  On atomic spaces the exceedance set only changes at
-the finitely many distinct values of |f - g|, so the infimum is attained and
-found by a breakpoint scan.
+the finitely many distinct values of |f - g|, so the infimum is attained at
+a breakpoint.  The exceedance sets are nested, so one warm-started max-flow
+sweeps them from the top breakpoint down and gives every one's thickness
+(`thickness.level_set_thicknesses`); a scan over the breakpoints then takes
+the minimum.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .model import Number, ProductFunction, ValidationError, level_set, zero_of
-from .thickness import thickness
+from .thickness import level_set_thicknesses, thickness
 
 
 @dataclass
@@ -27,23 +31,23 @@ def _diff_abs(f: ProductFunction, g: ProductFunction) -> ProductFunction:
 
 
 def tau_distance(f: ProductFunction, g: ProductFunction) -> TauResult:
-    """Exact tau(f, g) via the breakpoint scan.
+    """Exact tau(f, g) from the breakpoint sweep.
 
     On [v_k, v_{k+1}) the exceedance set {|f-g| > eps} is constant, equal to
     {|f-g| > v_k}; on that interval the best feasible eps is
-    max(v_k, th({|f-g| > v_k})).  Minimizing over breakpoints gives tau.
+    max(v_k, th_k), th_k = th({|f-g| > v_k}).  Minimizing over breakpoints
+    gives tau, and the witness is th_k at the largest v_k <= tau.
     """
     d = _diff_abs(f, g)
     zero = zero_of(v for row in d.values for v in row)
     levels = sorted({zero} | {v for row in d.values for v in row})
+    ths = level_set_thicknesses(d, levels, ">")
     best = None
-    for v in levels:
-        th = thickness(level_set(d, v, ">")).value
+    for v, th in zip(levels, ths):
         candidate = max(v, th)
         if best is None or candidate < best:
             best = candidate
-    witness = thickness(level_set(d, best, ">")).value
-    return TauResult(best, witness)
+    return TauResult(best, ths[bisect_right(levels, best) - 1])
 
 
 def tau_ball_check(f: ProductFunction, g: ProductFunction, eps: Number) -> bool:

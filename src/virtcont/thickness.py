@@ -9,10 +9,12 @@ as the optimal fractional pair.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain
 
-from .flows import BipartiteCoverInstance, min_weighted_vertex_cover
+from .flows import (BipartiteCoverInstance, min_weighted_vertex_cover,
+                    nested_cover_weights)
 from .model import (DEFAULT_TOL, Number, Plan, ProductFunction, ProductSet,
                     ValidationError, common_scales, level_set, unscaled,
                     zero_of)
@@ -50,8 +52,8 @@ def thickness(z: ProductSet) -> ThicknessResult:
 def _flow_plan(z: ProductSet, res: ThicknessResult) -> Plan:
     """The max-flow certificate of `thickness` as a subbistochastic plan on z.
 
-    Kept out of `thickness` itself: tau and the layer cake call it once per
-    level and need only the value.
+    Kept out of `thickness` itself: `tau_ball_check` and the tau check need
+    only the value.
     """
     zero = res.value * 0
     mass = [[zero] * z.y_space.size for _ in range(z.x_space.size)]
@@ -63,6 +65,30 @@ def _flow_plan(z: ProductSet, res: ThicknessResult) -> Plan:
 def thickness_of_level_set(f: ProductFunction, lam: Number) -> Number:
     """th({|f| >= lam}), the integrand of the layer-cake bound."""
     return thickness(level_set(f.abs(), lam, ">=")).value
+
+
+def level_set_thicknesses(f: ProductFunction, levels, mode: str) -> list:
+    """[th(level_set(f, v, mode)) for v in levels], levels strictly ascending.
+
+    The level sets only grow as the level falls, so one warm-started max-flow
+    (`flows.nested_cover_weights`) gives every thickness, from the top level
+    down.  A cell of value x lies in the sets of levels[:k], where k counts
+    the levels below x (mode '>') or at most x (mode '>='); a value that is
+    itself a level is counted by its index, without comparisons.
+    """
+    count = {">": bisect_left, ">=": bisect_right}[mode]
+    shift = mode == ">="
+    index = {v: k + shift for k, v in enumerate(levels)}
+    joins = [[] for _ in levels]     # joins[k]: the cells whose top level is k
+    for i, row in enumerate(f.values):
+        for j, x in enumerate(row):
+            k = index.get(x)
+            if k is None:
+                k = count(levels, x)
+            if k:
+                joins[k - 1].append((i, j))
+    return nested_cover_weights(f.x_space.weights, f.y_space.weights,
+                                joins[::-1])[::-1]
 
 
 def verify_thickness_result(z: ProductSet, res: ThicknessResult,

@@ -10,7 +10,8 @@ from fractions import Fraction
 
 import pytest
 
-from virtcont import DiscreteSpace, Plan, ProductSet, cli
+from virtcont import (DiscreteSpace, MetricMatrix, Plan, ProductFunction,
+                      ProductSet, cli)
 from virtcont.fileio import save_matrix, save_metric, save_vector
 
 from test_fileio_cli import (_BELOW_1, _LIPSCHITZ_AT_1, _NOT_COVERED,
@@ -203,3 +204,62 @@ def test_cli_self_check_catches_a_corrupted_solve(tmp_path, monkeypatch, mode,
         code, out = _run(jobs[kind] + ["--mode", mode])
     assert code == 2 and out == ""
     assert err.getvalue().startswith("internal invariant violation:\n")
+
+
+def _uniform_plan(mass):
+    """A plan object over two uniform spaces, labelled as the reports' own."""
+    return {"mass": mass,
+            "x_space": {"labels": ["x0", "x1"], "weights": ["0.5", "0.5"]},
+            "y_space": {"labels": ["y0", "y1"], "weights": ["0.5", "0.5"]}}
+
+
+# On Z = {(x0, y0)} with both spaces weighted (1/4, 3/4), th(Z) = 1/4.  Each
+# forged report claims 1/2, with a plan that would certify it over uniform
+# spaces: read against its own spaces, every plan passes its checks.
+_HALF_COVER = {"cover_x": [0], "cover_y": [0]}
+_OFF_SPACES = [
+    ("thickness", ["z.csv"],
+     {**_HALF_COVER, "value": "0.5", "fractional_f": ["1", "0"],
+      "fractional_g": ["1", "0"],
+      "plan": _uniform_plan([["0.5", "0"], ["0", "0"]])},
+     "witness plan is not over the set's spaces"),
+    ("hall", ["z.csv"],
+     {**_HALF_COVER, "mass": "0.5", "thickness_value": "0.5",
+      "plan": _uniform_plan([["0.5", "0"], ["0", "0.5"]])},
+     "plan is not over the set's spaces"),
+    ("srnorm", ["f.csv"],
+     {"value": "0.5", "dual_value": "0.5",
+      "majorant": {"a": ["1", "0"], "b": ["1", "0"]},
+      "dual_plan": _uniform_plan([["0.5", "0"], ["0", "0"]])},
+     "dual plan is not over the function's spaces"),
+    # the metric's space is the x factor; the plan keeps the solved masses
+    ("transport", ["rho.json", "mu1.json", "mu2.json"],
+     {"plan": _uniform_plan([["0.25", "0"], ["0.5", "0.25"]])},
+     "plan is not over the metric's spaces"),
+]
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("kind,inputs,forged,message", _OFF_SPACES,
+                         ids=[c[0] for c in _OFF_SPACES])
+def test_cli_check_ties_a_plan_to_the_spaces_it_certifies(tmp_path, mode, kind,
+                                                          inputs, forged,
+                                                          message):
+    xs = DiscreteSpace(["x0", "x1"], [Fraction(1, 4), Fraction(3, 4)])
+    ys = DiscreteSpace(["y0", "y1"], [Fraction(1, 4), Fraction(3, 4)])
+    save_matrix(ProductSet(xs, ys, [[1, 0], [0, 0]]), str(tmp_path / "z.csv"))
+    save_matrix(ProductFunction(xs, ys, [[1, 0], [0, 0]]), str(tmp_path / "f.csv"))
+    one = Fraction(1)
+    save_metric(MetricMatrix(xs, ((0 * one, one), (one, 0 * one))),
+                str(tmp_path / "rho.json"))
+    save_vector([Fraction(1, 4), Fraction(3, 4)], str(tmp_path / "mu1.json"))
+    save_vector([Fraction(3, 4), Fraction(1, 4)], str(tmp_path / "mu2.json"))
+    code, out = _run(["--mode", mode, kind] + [str(tmp_path / p) for p in inputs])
+    assert code == 0
+    rep = json.loads(out)
+    rep.update(forged)
+    rp = tmp_path / "forged.json"
+    rp.write_text(json.dumps(rep))
+    code, out = _run(["check", str(rp)])
+    assert code == 2
+    assert json.loads(out)["violations"] == [message]

@@ -7,6 +7,7 @@ definitions, so agreement with the library is meaningful evidence.
 from fractions import Fraction
 
 from virtcont import DiscreteSpace, MetricMatrix, ProductFunction, ProductSet
+from virtcont.model import zero_of
 
 
 def rand_weights(rng, n):
@@ -75,11 +76,37 @@ def brute_thickness(z):
 
 
 def brute_tau(f, g):
-    """tau by direct definition: scan every candidate level exhaustively."""
-    from virtcont import level_set, thickness
+    """tau by direct definition: scan every candidate level exhaustively,
+    with the brute-force thickness (rows up to about 12 atoms)."""
+    from virtcont import level_set
     d = f.sub(g).abs()
     vals = sorted({v for row in d.values for v in row} | {Fraction(0)})
-    return min(max(v, thickness(level_set(d, v, ">")).value) for v in vals)
+    return min(max(v, brute_thickness(level_set(d, v, ">"))) for v in vals)
+
+
+def scan_tau(f, g):
+    """(tau, witness thickness) by one max-flow per breakpoint: the scan
+    `tau_distance` ran before its level sets shared one flow."""
+    from virtcont import level_set, thickness
+    d = f.sub(g).abs()
+    zero = zero_of(v for row in d.values for v in row)
+    best = None
+    for v in sorted({zero} | {v for row in d.values for v in row}):
+        candidate = max(v, thickness(level_set(d, v, ">")).value)
+        if best is None or candidate < best:
+            best = candidate
+    return best, thickness(level_set(d, best, ">")).value
+
+
+def scan_layer_cake(f):
+    """The layer-cake integral by one max-flow per level."""
+    from virtcont import thickness_of_level_set
+    zero = zero_of(v for row in f.values for v in row)
+    total = prev = zero
+    for w in sorted({abs(v) for row in f.values for v in row} - {zero}):
+        total += (w - prev) * thickness_of_level_set(f, w)
+        prev = w
+    return total
 
 
 def _partitions_upto(items, max_blocks):
