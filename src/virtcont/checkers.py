@@ -133,7 +133,7 @@ def _check_tau(rep, read, tol):
 
 
 def _check_transport(rep, read, tol):
-    rho = metric_from_obj(rep["inputs"]["metric"], read.exact)
+    rho = metric_from_obj(rep["inputs"]["metric"], read.exact, read)
     n = rho.space.size
     res = TransportResult(read.number(rep["cost"]), _plan(rep["plan"], read),
                           _vector(rep, "potential", n, read))
@@ -147,7 +147,7 @@ def _check_transport(rep, read, tol):
 def _check_krnorm(rep, read, tol):
     """The plan ships the positive part onto the negative part: a transport
     certificate between the two parts of the signed vector."""
-    rho = metric_from_obj(rep["inputs"]["metric"], read.exact)
+    rho = metric_from_obj(rep["inputs"]["metric"], read.exact, read)
     space = rep["inputs"]["metric"]["space"]
     n = rho.space.size
     signed = _vector(rep["inputs"], "signed", n, read)

@@ -36,6 +36,36 @@ def _parse_weight(text, exact: bool):
         raise ValidationError(f"bad numeric literal {text!r}: {e}") from None
 
 
+class _Reader:
+    """Reads the numbers and spaces of one input file or report.
+
+    A matrix repeats a few number strings many times, and the matrices and
+    metric of a report share their spaces: each distinct string is parsed
+    once, and each distinct space object is read (and validated) once.
+    """
+
+    def __init__(self, exact: bool = True):
+        self.exact = exact
+        self._numbers = {}
+        self._spaces = []
+
+    def number(self, text):
+        if type(text) is not str:
+            return _parse_weight(text, self.exact)
+        x = self._numbers.get(text)
+        if x is None:
+            x = self._numbers[text] = _parse_weight(text, self.exact)
+        return x
+
+    def space(self, obj) -> DiscreteSpace:
+        for known, space in self._spaces:
+            if known == obj:
+                return space
+        space = space_from_obj(obj, self.exact)
+        self._spaces.append((obj, space))
+        return space
+
+
 # ------------------------------------------------------------------ spaces
 
 def space_to_obj(space: DiscreteSpace) -> dict:
@@ -67,12 +97,14 @@ def metric_to_obj(m: MetricMatrix) -> dict:
             "dist": [[format_number(v) for v in row] for row in m.dist]}
 
 
-def metric_from_obj(obj: dict, exact: bool = True) -> MetricMatrix:
+def metric_from_obj(obj: dict, exact: bool = True, read=None) -> MetricMatrix:
+    """A validated semimetric; `read`, if given, is the `_Reader` of the
+    report it sits in."""
     if "space" not in obj or "dist" not in obj:
         raise ValidationError("metric object needs 'space' and 'dist'")
-    space = space_from_obj(obj["space"], exact)
-    m = MetricMatrix(space, [[_parse_weight(v, exact) for v in row]
-                             for row in obj["dist"]])
+    read = read or _Reader(exact)
+    m = MetricMatrix(read.space(obj["space"]),
+                     [[read.number(v) for v in row] for row in obj["dist"]])
     kind, witness = validate_semimetric(m)
     if kind == "invalid":
         raise ValidationError(f"invalid semimetric: {witness}")
@@ -96,7 +128,7 @@ def vector_to_obj(values) -> dict:
 def vector_from_obj(obj: dict, exact: bool = True) -> list:
     if "values" not in obj:
         raise ValidationError("vector object needs 'values'")
-    return [_parse_weight(v, exact) for v in obj["values"]]
+    return list(map(_Reader(exact).number, obj["values"]))
 
 
 def load_vector(path: str, exact: bool = True) -> list:
@@ -105,38 +137,6 @@ def load_vector(path: str, exact: bool = True) -> list:
 
 def save_vector(values, path: str) -> None:
     _dump_json(vector_to_obj(values), path)
-
-
-# ------------------------------------------------------------------ reports
-
-class _Reader:
-    """Reads the numbers and factor spaces of one report or matrix file.
-
-    A matrix repeats a few number strings many times, and the matrices of a
-    report share their factor spaces: each distinct string is parsed once,
-    and each distinct space object is read (and validated) once.
-    """
-
-    def __init__(self, exact: bool = True):
-        self.exact = exact
-        self._numbers = {}
-        self._spaces = []
-
-    def number(self, text):
-        if type(text) is not str:
-            return _parse_weight(text, self.exact)
-        x = self._numbers.get(text)
-        if x is None:
-            x = self._numbers[text] = _parse_weight(text, self.exact)
-        return x
-
-    def space(self, obj) -> DiscreteSpace:
-        for known, space in self._spaces:
-            if known == obj:
-                return space
-        space = space_from_obj(obj, self.exact)
-        self._spaces.append((obj, space))
-        return space
 
 
 # ----------------------------------------------------------------- matrices
@@ -220,8 +220,9 @@ def loads_matrix(text: str, exact: bool = True):
     kind = header.get("kind") if isinstance(header, dict) else None
     if kind not in _KINDS:
         raise ValidationError(f"unknown matrix kind {kind!r}")
-    x_space = space_from_obj(header.get("x_space", {}), exact)
-    y_space = space_from_obj(header.get("y_space", {}), exact)
+    read = _Reader(exact)
+    x_space = read.space(header.get("x_space", {}))
+    y_space = read.space(header.get("y_space", {}))
     body = [row for row in csv.reader(lines[1:]) if row]
     if len(body) != x_space.size + 1:
         raise ValidationError(
@@ -234,7 +235,7 @@ def loads_matrix(text: str, exact: bool = True):
         if len(row) != y_space.size + 1:
             raise ValidationError(f"row {i + 2}: wrong cell count")
     return _build(kind, x_space, y_space, [row[1:] for row in body[1:]],
-                  _Reader(exact), header.get("signed"))
+                  read, header.get("signed"))
 
 
 def load_matrix(path: str, exact: bool = True):

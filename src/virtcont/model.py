@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, repeat
 from math import lcm
-from operator import sub
+from operator import add, sub
 from typing import Iterable, Sequence, Union
 
 Number = Union[Fraction, float, int]
@@ -137,31 +137,25 @@ class DiscreteSpace:
         return DiscreteSpace([f"{prefix}{i}" for i in range(n)], [w] * n)
 
 
-def validate_space(space: DiscreteSpace, tol: float = DEFAULT_TOL) -> list[str]:
-    """Return the list of violated invariants (empty list means pass)."""
-    problems = []
+def validate_space(space: DiscreteSpace) -> list[str]:
+    """Return the list of violated invariants (empty list means pass); the
+    weights compare as in `validate_semimetric`."""
     if len(space.labels) != len(space.weights):
-        problems.append("label/weight count mismatch")
-        return problems
+        return ["label/weight count mismatch"]
     if space.size == 0:
-        problems.append("space has no atoms")
-        return problems
-    for i, w in enumerate(space.weights):
-        if is_exact(w):
-            if w <= 0:
-                problems.append(f"nonpositive weight at index {i}")
-        elif w <= tol:
-            problems.append(f"nonpositive weight at index {i}")
-    total = space.total()
-    if not close(total, 1, tol):
-        problems.append(f"weights sum != 1 (sum = {total})")
+        return ["space has no atoms"]
+    ((ws,),), (d,), t = common_scales(DEFAULT_TOL, [space.weights])
+    problems = [f"nonpositive weight at index {i}"
+                for i, w in enumerate(ws) if w <= t]
+    if not abs(sum(ws) - d) <= t:
+        problems.append(f"weights sum != 1 (sum = {space.total()})")
     if len(set(space.labels)) != len(space.labels):
         problems.append("duplicate label")
     return problems
 
 
-def require_valid_space(space: DiscreteSpace, tol: float = DEFAULT_TOL) -> None:
-    problems = validate_space(space, tol)
+def require_valid_space(space: DiscreteSpace) -> None:
+    problems = validate_space(space)
     if problems:
         raise ValidationError("; ".join(problems))
 
@@ -411,48 +405,36 @@ class MetricMatrix:
         return self.dist[i][j]
 
 
-def validate_semimetric(m: MetricMatrix, tol: float = DEFAULT_TOL):
+def validate_semimetric(m: MetricMatrix):
     """Classify a distance matrix.
 
     Returns ("metric", None), ("semimetric", None), or ("invalid", witness)
-    where the witness names the violated axiom with concrete indices.
+    where the witness names the violated axiom with concrete indices: the
+    diagonal at i; then, per (i, j), a negative and then an asymmetric
+    pair; then the first (i, j, k) with d_ij + d_jk < d_ik, as (i, k, j).
+    The distances are compared on one integer scale (`common_scales`):
+    exactly for rationals, within DEFAULT_TOL for floats.
     """
-    n = m.space.size
-    d = m.dist
+    (d,), _, t = common_scales(DEFAULT_TOL, m.dist)
+    n = len(d)
     for i in range(n):
-        if not close(d[i][i], 0, tol):
+        if not abs(d[i][i]) <= t:
             return ("invalid", ("nonzero diagonal", i))
         for j in range(n):
-            if not nonneg(d[i][j], tol):
+            if not d[i][j] >= -t:
                 return ("invalid", ("negative distance", i, j))
-            if not close(d[i][j], d[j][i], tol):
+            if not abs(d[i][j] - d[j][i]) <= t:
                 return ("invalid", ("asymmetric pair", i, j))
-    if not _triangles_hold(d):
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    gap = d[i][j] + d[j][k] - d[i][k]
-                    if not nonneg(gap, tol):
-                        return ("invalid", ("triangle violation", i, k, j))
-    semimetric = any(close(d[i][j], 0, tol) for i in range(n) for j in range(n) if i != j)
+    # every distance is finite here (an inf or nan fails a test above), so
+    # a min over k finds a violation; each gap sums d_ij + d_jk - d_ik in
+    # that order, which decides a float within ulps of the tolerance
+    for i, di in enumerate(d):
+        for j, (dij, dj) in enumerate(zip(di, d)):
+            if min(map(sub, map(add, repeat(dij), dj), di)) < -t:
+                k = next(k for k in range(n) if dij + dj[k] - di[k] < -t)
+                return ("invalid", ("triangle violation", i, k, j))
+    semimetric = any(abs(d[i][j]) <= t for i in range(n) for j in range(n) if i != j)
     return ("semimetric" if semimetric else "metric", None)
-
-
-def _triangles_hold(d) -> bool:
-    """Every triangle inequality d_ij + d_jk >= d_ik of an exact matrix.
-
-    On the common-denominator ints, each (i, j) checks all k at once as
-    min_k(d_jk - d_ik) >= -d_ij.  False when a triangle fails, and for float
-    matrices, whose tolerant test stays in the caller's triple loop (which
-    also names the first violated triple).
-    """
-    n = len(d)
-    flat, scale = common_integers(v for row in d for v in row)
-    if scale is None:
-        return False
-    rows = [flat[i * n:(i + 1) * n] for i in range(n)]
-    return all(min(map(sub, rows[j], di)) >= -dij
-               for di in rows for j, dij in enumerate(di))
 
 
 def product_measure(z: ProductSet) -> Number:

@@ -14,8 +14,7 @@ from itertools import chain
 
 from .flows import InfeasibleError, TransportationInstance, solve_transportation
 from .model import (DEFAULT_TOL, MetricMatrix, Number, Plan, ValidationError,
-                    close, common_scales, unscaled, validate_semimetric,
-                    zero_of)
+                    close, common_scales, unscaled, zero_of)
 
 
 @dataclass
@@ -46,7 +45,9 @@ def kantorovich(mu1, mu2, rho: MetricMatrix, tol: float = DEFAULT_TOL) -> Transp
     """Optimal plan and Lipschitz dual potential between two weight vectors.
 
     The common mass min(mu1, mu2) stays on the diagonal; the rest is the
-    kr_norm solve of mu1 - mu2, whose potential certifies both.
+    kr_norm solve of mu1 - mu2, whose potential certifies both.  rho must
+    be a semimetric, as `fileio.metric_from_obj` returns one; check a
+    hand-built one with `model.validate_semimetric` first.
     """
     n = rho.space.size
     mu1, mu2 = list(mu1), list(mu2)
@@ -65,7 +66,10 @@ def kr_norm(signed, rho: MetricMatrix, tol: float = DEFAULT_TOL) -> KrNormResult
     """Transport-cost norm of a balanced signed weight vector.
 
     The Lipschitz potential is a c-transform of the transportation duals, so
-    complementary slackness holds exactly on the support of the plan.
+    complementary slackness holds exactly on the support of the plan.  rho
+    must be a semimetric, as `fileio.metric_from_obj` returns one; it is
+    not validated here, so check a hand-built one with
+    `model.validate_semimetric` first.
     """
     signed = list(signed)
     n = rho.space.size
@@ -74,9 +78,6 @@ def kr_norm(signed, rho: MetricMatrix, tol: float = DEFAULT_TOL) -> KrNormResult
     zero = zero_of(chain(signed, *rho.dist))
     if not close(sum(signed), zero, tol):
         raise ValidationError("signed weights do not sum to zero")
-    kind, witness = validate_semimetric(rho, tol)
-    if kind == "invalid":
-        raise ValidationError(f"invalid semimetric: {witness}")
     pos = [max(s, zero) for s in signed]
     neg = [max(-s, zero) for s in signed]
     total = sum(pos, zero)

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -256,5 +257,5 @@ def test_criterion_12_cli_determinism(tmp_path):
         if p.endswith(".csv"):
             obj = load_matrix(p)
             save_matrix(obj, p + ".rt")
-            assert open(p).read() == open(p + ".rt").read()
+            assert Path(p).read_text() == Path(p + ".rt").read_text()
     _passline(12, "all fixture jobs byte-identical; corpus round-trips exactly")

@@ -1,19 +1,25 @@
 """Serialization round-trips and the command-line interface."""
 
 import contextlib
+import importlib
 import io
 import json
+import pkgutil
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from virtcont import DiscreteSpace, Plan, ProductFunction, ProductSet
+import virtcont
+from virtcont import (DiscreteSpace, Plan, ProductFunction, ProductSet,
+                      kantorovich, kr_norm, model)
 from virtcont.cli import main
 from virtcont.fileio import (dumps_matrix, format_number, load_matrix,
-                             loads_matrix, load_space, matrix_from_obj,
+                             load_metric, load_vector, loads_matrix,
+                             load_space, matrix_from_obj,
                              matrix_to_obj, metric_from_obj, metric_to_obj,
                              save_matrix, save_space, save_vector,
                              space_from_obj, space_to_obj, vector_from_obj,
@@ -383,6 +389,71 @@ def test_console_script_entry_point(tmp_path):
     assert json.loads(proc.stdout)["value"] == "1"
 
 
+def test_cli_main_called_again_prints_what_a_fresh_process_prints(tmp_path):
+    # `main` builds its parser once per process; no call may leave a parsed
+    # value or a rejected invocation behind for the next one
+    p = _fixture_corpus(tmp_path)
+    argvs = [["--mode", "float", "srnorm", p["f"]],
+             ["srnorm", p["f"], "--mode", "float"],
+             ["srnorm", p["f"]],
+             ["--format", "text", "thickness", p["z"]],
+             ["srnorm", p["f"], "--blocks", "2"],
+             ["krnorm", p["rho"], p["eta"]]]
+    codes = []
+    for argv in argvs:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as e:   # argparse rejects the invocation
+                code = e.code
+        fresh = subprocess.run([sys.executable, "-m", "virtcont.cli", *argv],
+                               capture_output=True, text=True)
+        assert (code, out.getvalue()) == (fresh.returncode, fresh.stdout), argv
+        codes.append(code)
+    assert codes == [0, 0, 0, 0, 1, 0]
+
+
+def test_a_metric_is_validated_where_it_enters_not_in_the_solver(tmp_path,
+                                                                 monkeypatch):
+    # count calls through every module binding, as perfbench's tracer does
+    calls = []
+    original = model.validate_semimetric
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name in ["virtcont"] + [f"virtcont.{m.name}" for m in
+                                pkgutil.iter_modules(virtcont.__path__)]:
+        mod = importlib.import_module(name)
+        for attr, val in list(vars(mod).items()):
+            if val is original:
+                monkeypatch.setattr(mod, attr, counted)
+
+    def validations(argv):
+        calls.clear()
+        code, out = _run(argv)
+        assert code == 0, argv
+        return len(calls), out
+
+    p = _fixture_corpus(tmp_path)
+    # at load and in the self-check's reading of the report
+    count, out = validations(["transport", p["rho"], p["mu1"], p["mu2"]])
+    assert count == 2
+    assert validations(["krnorm", p["rho"], p["eta"]])[0] == 2
+    rp = tmp_path / "transport.json"
+    rp.write_text(out)
+    assert validations(["check", str(rp)])[0] == 1
+    rho, mu1, mu2 = (load_metric(p["rho"]), load_vector(p["mu1"]),
+                     load_vector(p["mu2"]))
+    calls.clear()
+    kantorovich(mu1, mu2, rho)
+    kr_norm([a - b for a, b in zip(mu1, mu2)], rho)
+    assert calls == []
+
+
 def test_cli_check_report_missing_inputs_exits_1(tmp_path):
     paths = _fixture_corpus(tmp_path)
     _, out = _run(["thickness", paths["z"]])
@@ -456,10 +527,10 @@ def test_cli_check_rejects_set_cells_other_than_0_or_1(tmp_path):
 
 def test_cli_malformed_input_files_exit_1(tmp_path):
     paths = _fixture_corpus(tmp_path)
-    metric = json.loads(open(paths["rho"]).read())
+    metric = json.loads(Path(paths["rho"]).read_text())
     space = metric["space"]
     labels = [[label] for label in space["labels"]]
-    csv_body = open(paths["f"]).read().split("\n", 1)[1]
+    csv_body = Path(paths["f"]).read_text().split("\n", 1)[1]
     files = {
         "vector.json": json.dumps({"values": 5}),
         "dist.json": json.dumps(dict(metric, dist=3)),

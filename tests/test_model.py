@@ -1,5 +1,6 @@
 """Spaces, functions, sets, plans, and semimetric validation."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -103,41 +104,82 @@ def test_set_operations():
     assert set(empty.union(full).cells()) == set(full.cells())
 
 
-def _first_triangle_witness(d, tol):
-    """The triple loop by definition: the first (i, j, k) with
-    d_ij + d_jk < d_ik (beyond tol for floats), reported as (i, k, j)."""
+def _first_witness(d, tol):
+    """The four axioms by definition, in order: the first nonzero diagonal
+    entry; then, for each (i, j), a negative and then an asymmetric pair;
+    then the first (i, j, k) with d_ij + d_jk < d_ik, reported as (i, k, j).
+    Fractions are compared exactly, floats beyond tol."""
     n = len(d)
+    t = 0 if isinstance(d[0][0], Fraction) else tol
+    for i in range(n):
+        if abs(d[i][i]) > t:
+            return ("nonzero diagonal", i)
+        for j in range(n):
+            if d[i][j] < -t:
+                return ("negative distance", i, j)
+            if abs(d[i][j] - d[j][i]) > t:
+                return ("asymmetric pair", i, j)
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                gap = d[i][j] + d[j][k] - d[i][k]
-                if gap < 0 if isinstance(gap, Fraction) else gap < -tol:
+                if d[i][j] + d[j][k] - d[i][k] < -t:
                     return ("triangle violation", i, k, j)
     return None
 
 
 def _spoiled_metric(rng, n, bumps):
-    """A random metric with a few distances raised: several triangles fail."""
+    """A random metric with a few distances raised, so that several
+    triangles fail, and at random a diagonal entry raised, a pair made
+    negative or a pair made asymmetric, which come before them."""
     m = rand_metric(rng, rand_space(rng, n, "p"), denom=7)
     d = [list(row) for row in m.dist]
     for _ in range(bumps):
         i, j = rng.sample(range(n), 2)
         d[i][j] = d[j][i] = d[i][j] + Fraction(rng.randint(20, 60), 11)
+    i, j = rng.sample(range(n), 2)
+    spoil = rng.choice(("triangle", "diagonal", "negative", "asymmetric"))
+    if spoil == "diagonal":
+        d[i][i] = Fraction(rng.randint(1, 5), 7)
+    elif spoil == "negative":
+        d[i][j] = d[j][i] = -Fraction(rng.randint(1, 5), 7)
+    elif spoil == "asymmetric":
+        d[i][j] += Fraction(rng.randint(1, 5), 11)
     return m.space, d
 
 
 def test_triangle_witness_matches_triple_loop_both_regimes():
     rng = random.Random(41)
     seen = set()
-    for trial in range(12):
+    for trial in range(40):
         space, d = _spoiled_metric(rng, rng.randint(4, 9), rng.randint(2, 4))
         for dist in (d, [[float(v) for v in row] for row in d]):
-            expected = _first_triangle_witness(dist, 1e-9)
+            expected = _first_witness(dist, 1e-9)
             assert expected is not None
             kind, witness = validate_semimetric(MetricMatrix(space, dist))
             assert (kind, witness) == ("invalid", expected)
             seen.add(witness)
     assert len(seen) > 6   # the witnesses are not all one triple
+    assert {w[0] for w in seen} == {"nonzero diagonal", "negative distance",
+                                    "asymmetric pair", "triangle violation"}
+
+
+def test_float_triangle_within_ulps_of_the_tolerance():
+    # d01 = d12 = s and d02 near 2s + 1e-9: the triangle (0, 1, 2) fails by
+    # about the tolerance, so the verdict turns on how the gap is summed
+    s3 = DiscreteSpace.uniform(3)
+    for s in (1e-3, 1.0, 7.0, 1e3):
+        xs = [2 * s + 1e-9]
+        for _ in range(64):   # 64 ulps on either side
+            xs = [math.nextafter(xs[0], 0), *xs, math.nextafter(xs[-1], math.inf)]
+        verdicts = set()
+        for x in xs:
+            d = [[0.0, s, x], [s, 0.0, s], [x, s, 0.0]]
+            expected = _first_witness(d, 1e-9)
+            got = validate_semimetric(MetricMatrix(s3, d))
+            assert got == (("metric", None) if expected is None
+                           else ("invalid", expected)), (s, x)
+            verdicts.add(got[0])
+        assert verdicts == {"metric", "invalid"}, s
 
 
 def test_valid_metrics_pass_in_both_regimes():
