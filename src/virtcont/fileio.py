@@ -25,7 +25,7 @@ def format_number(x) -> str:
     if isinstance(x, bool):
         raise ValidationError("boolean is not a number")
     if is_exact(x):
-        return str(Fraction(x))
+        return str(x)       # an int or a Fraction prints as its lowest terms
     return format(x, ".17g")
 
 

@@ -11,20 +11,27 @@ Two solvers live here:
   node potentials) that also handles the max-profit / slack-marginal variant
   through a dummy row and column.
 
-Each has one kernel body, generic over Python ints and floats.  In exact
-mode the rational inputs are scaled once to ints over their common
+In exact mode the rational inputs are scaled once to ints over their common
 denominator (`model.common_integers`), the kernel runs on the ints, and the
 results are divided back to Fractions at the end.  A positive common scale
 preserves every comparison and tie, so the kernel takes the same steps as
-on the Fractions themselves.  Augmentation order is deterministic: ties
-break on the lowest node index.
+on the Fractions themselves.  The max-flow kernel is one body for ints and
+floats.  The transportation solver finds each shortest path by Dijkstra on
+reduced costs over ints (`_ssp_dijkstra`) and by Bellman-Ford over floats
+(`_ssp_bellman_ford`), where round-off can make a reduced cost negative;
+Dijkstra breaks ties as Bellman-Ford's scan does, so on the same numbers
+both give the same plan and potentials.  Augmentation order is
+deterministic: ties break on the lowest node index, or in the
+transportation searches on the arc that Bellman-Ford scans first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import chain
+from math import inf
 from typing import Optional, Sequence
 
 from .model import (EPS, Number, ValidationError, common_integers, is_exact,
@@ -237,23 +244,151 @@ def _ssp_balanced(supplies, demands, cost, tol):
     plan is positive.  Exact inputs are solved on ints: supplies and demands
     scaled by their common denominator d_w, costs by theirs, d_c; the plan
     comes back divided by d_w, the potentials by d_c, the total by d_w*d_c.
+
+    The ints run `_ssp_dijkstra`, floats `_ssp_bellman_ford`.  Both find
+    every node's shortest distance and Bellman-Ford's predecessor among the
+    tight arcs, and fold the distances into pi the same way, so on the same
+    ints they return the same plan and potentials.
     """
     nr, nc = len(supplies), len(demands)
     masses, d_w = common_integers(list(supplies) + list(demands))
     costs, d_c = common_integers(c for row in cost for c in row)
     if d_w is None or d_c is None:
-        return _ssp_kernel(supplies, demands, cost, tol)
-    total, plan, pi = _ssp_kernel(masses[:nr], masses[nr:],
-                                  [costs[i * nc:(i + 1) * nc] for i in range(nr)],
-                                  tol)
+        return _ssp_bellman_ford(supplies, demands, cost, tol)
+    total, plan, pi = _ssp_dijkstra(masses[:nr], masses[nr:],
+                                    [costs[i * nc:(i + 1) * nc] for i in range(nr)])
     return (Fraction(total, d_w * d_c),
             [[Fraction(x, d_w) for x in row] for row in plan],
             [Fraction(p, d_c) for p in pi])
 
 
-def _ssp_kernel(supplies, demands, cost, tol):
-    """The successive-shortest-path loop of `_ssp_balanced`, on scaled ints
-    (tol 0) or floats (tol EPS); the zero follows tol."""
+def _ssp_dijkstra(supplies, demands, cost):
+    """The successive-shortest-path loop of `_ssp_balanced` on scaled ints,
+    each pass a Dijkstra search on the reduced costs c + pi[u] - pi[v].
+
+    After a pass every residual arc between reached nodes has a reduced cost
+    >= 0, and the arcs the augmentation opens are the reverses of tight ones,
+    so the next pass may run Dijkstra (Ahuja, Magnanti & Orlin, *Network
+    Flows*, ch. 9).  A row with no supply is never reached, by any pass, so
+    its dmax potential only enters the duals.
+
+    Ties go as in `_ssp_bellman_ford`, whose strict `<` keeps the tight arc
+    u -> v that it scans first after u's distance became final.  Within a
+    pass it scans the source arc of row i at position i, the forward arc
+    (i, j) at nr + i*nc + j, and then per column j the backward arcs to the
+    rows i and the sink arc at back + j*(nr+1) + i and back + j*(nr+1) + nr;
+    a round repeats these L positions.  A node's key packs its reduced
+    distance and the scan time at which that distance became final into one
+    int, distance * M + round * L + position, and Dijkstra settles the least
+    key first.  An arc out of a settled node gets its first scan time after
+    the node's own, so the least key into a node is Bellman-Ford's pick, and
+    its position names the predecessor.  Only a forward arc out of a row
+    reached by a backward arc starts a new round; a path has fewer than nr
+    of those, so every time stays below M.
+
+    The first pass has no backward arcs, and its costs may be negative.  Its
+    rows take their keys from the source and settle first, and each column
+    key is the least over all of them: Bellman-Ford's first round.
+    """
+    nr, nc = len(supplies), len(demands)
+    back = nr + nr * nc           # position of the first backward arc
+    L = back + nc * (nr + 1)      # positions in one round
+    M = (nr + 1) * L              # exceeds every scan time
+    cost_m = [[c * M for c in row] for row in cost]
+    plan = [[0] * nc for _ in range(nr)]
+    support = [set() for _ in range(nc)]    # rows i with plan[i][j] > 0
+    supply, demand = list(supplies), list(demands)
+    pr, pc, ps = [0] * nr, [0] * nc, 0      # potentials; the source's stays 0
+    total = 0
+    to_ship = sum(supply)
+    while to_ship > 0:
+        dag = not any(support)      # no backward arcs: the first pass
+        rk = [-p * M + i if s > 0 else None
+              for i, (p, s) in enumerate(zip(pr, supply))]
+        heap = [k for k in rk if k is not None]     # keys of the open rows
+        heapify(heap)
+        ck = [None] * nc
+        open_c = list(range(nc))                    # the open columns,
+        ok = [inf] * nc                             # their keys and
+        om = [p * M - j for j, p in enumerate(pc)]  # their potentials' share
+        kc = None       # least key of an open column, once a row is settled
+        while True:
+            if heap and (dag or kc is None or heap[0] < kc):
+                kr = heappop(heap)
+                pos = kr % M % L
+                i = pos if pos < nr else (pos - back) % (nr + 1)
+                if rk[i] != kr:
+                    continue            # superseded by a later, lower key
+                # a row reached by a backward arc scans its forward arcs in
+                # the next round
+                off = kr - pos + pr[i] * M + nr + i * nc + (L if pos >= nr else 0)
+                cm = cost_m[i]
+                ok = [a if a < (b := off + cm[j] - p) else b
+                      for a, j, p in zip(ok, open_c, om)]
+            elif kc is not None and not dag:
+                x = ok.index(kc)
+                j = open_c[x]
+                ck[j] = kc
+                del open_c[x], ok[x], om[x]
+                off = kc - kc % M % L + pc[j] * M + back + j * (nr + 1)
+                for i in support[j]:
+                    k = off + i - (cost[i][j] + pr[i]) * M
+                    if rk[i] is None or k < rk[i]:   # never beats a settled key
+                        rk[i] = k
+                        heappush(heap, k)
+            else:
+                break
+            kc = min(ok, default=None)
+        for j, k in zip(open_c, ok):
+            ck[j] = k
+        sk = min((k - k % M % L + (pc[j] - ps) * M + back + j * (nr + 1) + nr
+                  for j, k in enumerate(ck) if demand[j] > 0), default=None)
+        if sk is None:
+            raise InfeasibleError("transportation network disconnected")
+
+        # trace the path back from the sink, through the predecessors that
+        # the keys' positions name
+        j = (sk % M % L - back) // (nr + 1)
+        bottleneck = min(to_ship, demand[j])
+        forward, backward = [], []
+        while True:
+            i = (ck[j] % M % L - nr) // nc
+            forward.append((i, j))
+            pos = rk[i] % M % L
+            if pos < nr:
+                break
+            j = (pos - back) // (nr + 1)
+            backward.append((i, j))
+            bottleneck = min(bottleneck, plan[i][j])
+        bottleneck = min(bottleneck, supply[i])
+        supply[i] -= bottleneck
+        demand[forward[0][1]] -= bottleneck
+        for i, j in forward:
+            plan[i][j] += bottleneck
+            total += cost[i][j] * bottleneck
+            support[j].add(i)
+        for i, j in backward:
+            plan[i][j] -= bottleneck
+            total -= cost[i][j] * bottleneck
+            if not plan[i][j]:
+                support[j].discard(i)
+        to_ship -= bottleneck
+
+        # fold distances into potentials (unreached rows get the max distance)
+        dr = [None if k is None else k // M for k in rk]
+        dc = [k // M for k in ck]
+        dmax = max(0, sk // M, *dc, *(d for d in dr if d is not None))
+        pr = [p + (dmax if d is None else d) for p, d in zip(pr, dr)]
+        pc = [p + d for p, d in zip(pc, dc)]
+        ps += sk // M
+    return total, plan, [0, *pr, *pc, ps]
+
+
+def _ssp_bellman_ford(supplies, demands, cost, tol):
+    """The successive-shortest-path loop of `_ssp_balanced` on floats (tol
+    EPS), each pass a Bellman-Ford search; the zero follows tol.  On scaled
+    ints (tol 0) it returns what `_ssp_dijkstra` returns, which the tests
+    check."""
     nr, nc = len(supplies), len(demands)
     zero = 0 * tol
     src, snk = 0, nr + nc + 1

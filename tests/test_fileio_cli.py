@@ -39,6 +39,11 @@ def test_format_number_rational_and_float():
     assert format_number(Fraction(1, 3)) == "1/3"
     assert format_number(Fraction(2)) == "2"
     assert format_number(0.25) == "0.25"
+    for x in (0, 7, -3, 10 ** 30, Fraction(-5, 15), Fraction(4, 2),
+              Fraction(-6, 3), Fraction(0)):
+        assert format_number(x) == str(Fraction(x))
+    for x in (0.1, -2.5, 1e300, 1 / 3, -0.0, 3.0):
+        assert format_number(x) == format(x, ".17g")
 
 
 def test_space_round_trip(tmp_path):

@@ -6,10 +6,12 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, strategies as st
 
-from virtcont import (BipartiteCoverInstance, InfeasibleError,
-                      TransportationInstance, min_weighted_vertex_cover,
-                      solve_transportation)
+from virtcont import (BipartiteCoverInstance, DiscreteSpace, InfeasibleError,
+                      MetricMatrix, ProductFunction, TransportationInstance,
+                      flows, kantorovich, kr_norm, min_weighted_vertex_cover,
+                      solve_transportation, sr_norm)
 
 from lp_oracle import transport_lp_value
 from util import brute_cover, rand_weights
@@ -196,3 +198,77 @@ def test_float_transport_results_pinned():
         got.append(repr((res.value, res.u, res.v, res.plan)))
     digest = hashlib.sha1("\n".join(got).encode()).hexdigest()
     assert digest == FLOAT_TRANSPORT_DIGEST
+
+
+# ------------------------------------------------------------ the searches
+# Exact solves run Dijkstra on reduced costs, float solves Bellman-Ford.  On
+# the same ints the two must agree exactly, ties included.
+
+@st.composite
+def _tie_heavy_instances(draw):
+    """Small instances of either mode with unequal sides, zero supplies and
+    demands, and costs over denominators 1 to 3, so shortest paths tie."""
+    nr, nc = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    mass = st.builds(Fraction, st.integers(0, 3), st.integers(1, 3))
+    supplies = draw(st.lists(mass, min_size=nr, max_size=nr))
+    demands = draw(st.lists(mass, min_size=nc, max_size=nc))
+    price = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+    cost = draw(st.lists(st.lists(price, min_size=nc, max_size=nc),
+                         min_size=nr, max_size=nr))
+    mode = draw(st.sampled_from(("min-cost", "max-profit")))
+    if mode == "min-cost":
+        gap = sum(supplies) - sum(demands)
+        if gap > 0:
+            demands[-1] += gap
+        else:
+            supplies[-1] -= gap
+    return TransportationInstance(supplies, demands, cost, mode)
+
+
+@given(_tie_heavy_instances())
+def test_dijkstra_equals_bellman_ford_on_the_same_ints(inst):
+    dijkstra, calls = flows._ssp_dijkstra, []
+
+    def recorded(*args):
+        calls.append(args)
+        return dijkstra(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flows, "_ssp_dijkstra", recorded)
+        solve_transportation(inst)
+    [(supplies, demands, cost)] = calls
+    assert all(isinstance(x, int) for x in
+               [*supplies, *demands, *(c for row in cost for c in row)])
+    assert dijkstra(supplies, demands, cost) == \
+        flows._ssp_bellman_ford(supplies, demands, cost, 0)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_each_regime_runs_its_own_search(monkeypatch, exact):
+    # dyadic data, so that float arithmetic on it is exact
+    num = Fraction if exact else float
+    xs = DiscreteSpace(["x0", "x1", "x2"], [num(w) for w in (0.25, 0.5, 0.25)])
+    ys = DiscreteSpace(["y0", "y1"], [num(w) for w in (0.375, 0.625)])
+    f = ProductFunction(xs, ys, [[num(v) for v in row] for row in
+                                 ((1.5, -0.25), (0.75, 1.0), (-2.25, 0.125))])
+    rho = MetricMatrix(xs, [[num(d) for d in row] for row in
+                            ((0, 1, 1.5), (1, 0, 0.5), (1.5, 0.5, 0))])
+    mu1 = [num(w) for w in (0.5, 0.25, 0.25)]
+    mu2 = [num(w) for w in (0.125, 0.375, 0.5)]
+    search, other = (("_ssp_dijkstra", "_ssp_bellman_ford") if exact else
+                     ("_ssp_bellman_ford", "_ssp_dijkstra"))
+    entered, run = [], getattr(flows, search)
+
+    def counted(*args):
+        entered.append(search)
+        return run(*args)
+
+    def forbidden(*args):
+        raise AssertionError(f"{other} entered")
+
+    monkeypatch.setattr(flows, search, counted)
+    monkeypatch.setattr(flows, other, forbidden)
+    sr_norm(f)
+    kantorovich(mu1, mu2, rho)
+    kr_norm([a - b for a, b in zip(mu1, mu2)], rho)
+    assert len(entered) == 3

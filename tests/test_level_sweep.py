@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from virtcont import (DiscreteSpace, ProductFunction, ValidationError, flows,
                       layer_cake_integral, level_set, tau_distance, thickness)
@@ -13,9 +13,6 @@ from virtcont.model import zero_of
 from virtcont.thickness import level_set_thicknesses
 
 from util import rand_function, rand_space, scan_layer_cake, scan_tau
-
-_PROPERTY = settings(derandomize=True, deadline=None, database=None,
-                     max_examples=100)
 
 
 def _pairs(weight, value):
@@ -62,13 +59,11 @@ def _sweep_equals_per_level_solves(f, g):
     assert layer_cake_integral(f) == scan_layer_cake(f)
 
 
-@_PROPERTY
 @given(_EXACT)
 def test_exact_sweep_equals_per_level_solves(fg):
     _sweep_equals_per_level_solves(*fg)
 
 
-@_PROPERTY
 @given(_FLOAT)
 def test_float_sweep_equals_per_level_solves(fg):
     _sweep_equals_per_level_solves(*fg)

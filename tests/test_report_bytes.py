@@ -2,11 +2,12 @@
 
 Criterion 12 pins run-to-run determinism; these digests pin the bytes
 themselves, so a change to a solver's internals that moves any emitted
-number, certificate or tie-break shows here.  The instances are small
-(n <= 10), fixed-seed and non-uniformly weighted, so that the weights,
-costs and function values carry several distinct denominators.  The
-digests were recorded from the Fraction-only solvers, before the integer
-scaling of the exact kernels.
+number, certificate or tie-break shows here.  The `PINNED` instances are
+small (n <= 10), fixed-seed and non-uniformly weighted, so that the
+weights, costs and function values carry several distinct denominators;
+their digests were recorded from the Fraction-only solvers, before the
+integer scaling of the exact kernels.  Each group below says where its
+own digests come from.
 """
 
 import contextlib
@@ -17,6 +18,7 @@ from fractions import Fraction
 
 import pytest
 
+from virtcont import DiscreteSpace, MetricMatrix
 from virtcont.cli import main
 from virtcont.fileio import save_matrix, save_metric, save_vector
 
@@ -32,6 +34,18 @@ PINNED = {
     ("float", "thickness"): "9e2e8d63247f554f9261381d2506f1025e602688",
     ("float", "hall"): "d5210b13fcc295e7378bea9a4310173605d92d7f",
     ("float", "tau"): "2dcee372dbadc225bc568a0eb812ae1fe2e278ba",
+}
+
+# Exact transportation reports at n = 20 whose shortest paths tie often:
+# integer-valued functions on a uniform and a coarse space, and a metric of
+# zeros inside clusters and ones and twos between them, with coarse masses.
+# Ties between shortest paths decide the plans and the potentials, so these
+# pin the solver's tie-break.  Recorded from the Bellman-Ford search on every
+# augmentation, before the exact path ran Dijkstra on reduced costs.
+TIES_PINNED = {
+    "krnorm": "0dcb860555df0553b117020c2d882b54fcac02a6",
+    "srnorm": "726ef5b54fab71713a1d1b6633d9e5e689727286",
+    "transport": "ef5d58c07c0acaca668492cef7fbfb34a7c0bd83",
 }
 
 # Exact step-fit reports on two of the benchmark's functions, drawn as
@@ -103,6 +117,34 @@ def _corpus(tmp_path):
     }
 
 
+def _tie_corpus(tmp_path):
+    rng = random.Random(2026)
+    n = 20
+    xs, ys = DiscreteSpace.uniform(n, "x"), rand_space(rng, n, "y")
+    save_matrix(rand_function(rng, xs, ys, denom=1, lo=-2, hi=2),
+                str(tmp_path / "f.csv"))
+    cluster = [rng.randrange(5) for _ in range(n)]
+    between = [[0] * 5 for _ in range(5)]
+    for a in range(5):
+        for b in range(a + 1, 5):
+            between[a][b] = between[b][a] = rng.choice((1, 1, 2))
+    rho = MetricMatrix(rand_space(rng, n, "p"),
+                       [[between[cluster[i]][cluster[j]] for j in range(n)]
+                        for i in range(n)])
+    save_metric(rho, str(tmp_path / "rho.json"))
+    mu1, mu2 = rand_weights(rng, n), rand_weights(rng, n)
+    save_vector(mu1, str(tmp_path / "mu1.json"))
+    save_vector(mu2, str(tmp_path / "mu2.json"))
+    save_vector([a - b for a, b in zip(mu1, mu2)], str(tmp_path / "eta.json"))
+    p = {name: str(tmp_path / name) for name in
+         ("f.csv", "rho.json", "mu1.json", "mu2.json", "eta.json")}
+    return {
+        "srnorm": ["srnorm", p["f.csv"]],
+        "transport": ["transport", p["rho.json"], p["mu1.json"], p["mu2.json"]],
+        "krnorm": ["krnorm", p["rho.json"], p["eta.json"]],
+    }
+
+
 def _report_digest(argv):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -115,6 +157,12 @@ def _report_digest(argv):
 def test_report_bytes_pinned(tmp_path, mode, command):
     argv = ["--mode", mode] + _corpus(tmp_path)[command]
     assert _report_digest(argv) == PINNED[(mode, command)]
+
+
+@pytest.mark.parametrize("command", sorted(TIES_PINNED))
+def test_tie_heavy_report_bytes_pinned(tmp_path, command):
+    argv = ["--mode", "exact"] + _tie_corpus(tmp_path)[command]
+    assert _report_digest(argv) == TIES_PINNED[command]
 
 
 def _stepfit_argv(tmp_path, key):

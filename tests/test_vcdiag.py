@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from virtcont import (DiscreteSpace, MetricMatrix, ProductFunction,
                       ValidationError, family_function,
@@ -308,17 +308,11 @@ def _agrees_with_oracle(f, nb, exact):
                 brute_step_fit_exists(f, nb, eps)
 
 
-_PROPERTY = settings(derandomize=True, deadline=None, database=None,
-                     max_examples=100)
-
-
-@_PROPERTY
 @given(_exact_functions(), st.integers(1, 3))
 def test_exact_search_matches_oracle(f, nb):
     _agrees_with_oracle(f, nb, exact=True)
 
 
-@_PROPERTY
 @given(_float_functions(), st.integers(1, 3))
 def test_float_search_matches_oracle(f, nb):
     _agrees_with_oracle(f, nb, exact=False)
