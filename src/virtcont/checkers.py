@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .fileio import _malformed, _Reader, matrix_from_obj, metric_from_obj
 from .model import (DEFAULT_TOL, ProductSet, SeparableMajorant, ValidationError,
-                    close, common_scales, nonneg)
+                    close, common_scales, left_sum, nonneg)
 from .srnorm import SrNormResult, verify_sr_certificates
 from .thickness import ThicknessResult, thickness, verify_thickness_result
 from .transport import TransportResult, verify_transport_result
@@ -45,7 +45,7 @@ def _off_spaces(plan, x_space, y_space):
 
 def _mass_on(z, rows):
     """The mass a plan's (scaled) rows put on the cells of z."""
-    return sum(rows[i][j] for (i, j) in z.cells())
+    return left_sum(rows[i][j] for (i, j) in z.cells())
 
 
 def _check_thickness(rep, read, tol):
@@ -63,7 +63,7 @@ def _check_thickness(rep, read, tol):
     if not plan.is_subbistochastic(tol):
         problems.append("witness plan is not subbistochastic")
     on_z = _mass_on(z, rows)
-    if not abs(sum(sum(map(abs, r)) for r in rows) - on_z) <= t:
+    if not abs(left_sum(left_sum(map(abs, r)) for r in rows) - on_z) <= t:
         problems.append("witness plan carries mass off the set")
     if not abs(on_z - value * d) <= t:
         problems.append("witness plan mass != cover weight (duality gap)")
@@ -200,7 +200,7 @@ def _check_matdist(rep, read, tol):
     problems = []
     if not all(p > t for p in probs):
         problems.append("nonpositive probability in support")
-    if not abs(sum(probs) - d) <= t:
+    if not abs(left_sum(probs) - d) <= t:
         problems.append("probabilities do not sum to 1")
     return problems
 

@@ -4,9 +4,7 @@ Every duality-backed command re-verifies its own certificates through the
 same independent checker exposed by the `check` subcommand before printing
 anything; a failed re-check is an internal invariant violation (exit 2),
 while malformed inputs exit 1.  Reports are byte-stable for a fixed input,
-mode, seed and Python version: since 3.12, `sum()` of floats is
-compensated, so float reports may differ in their last digits from those
-of 3.10 and 3.11, on which the pinned digests are taken.
+mode and seed.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ from .fileio import (_csv_table, _load, _loads_json, _matrix_kind, _parse_weight
                      jsonable, load_matrix, load_metric, load_vector,
                      matrix_to_obj, metric_to_obj)
 from .flows import InfeasibleError
-from .model import DEFAULT_TOL, ValidationError
+from .model import DEFAULT_TOL, ValidationError, left_sum
 from .srnorm import sr_norm
 from .tau import tau_distance
 from .thickness import _flow_plan, thickness
@@ -183,7 +181,7 @@ def _run_transport(args, exact, tol):
     mu1 = load_vector(args.mu1, exact)
     mu2 = load_vector(args.mu2, exact)
     res = kantorovich(mu1, mu2, rho, tol)
-    dual = sum(u * (a - b) for u, a, b in zip(res.potential, mu1, mu2))
+    dual = left_sum(u * (a - b) for u, a, b in zip(res.potential, mu1, mu2))
     return {"cost": res.cost, "primal": res.cost, "dual": dual,
             "gap": res.cost - dual, "potential": res.potential,
             "plan": matrix_to_obj(res.plan),
@@ -194,7 +192,7 @@ def _run_krnorm(args, exact, tol):
     rho = load_metric(args.metric, exact)
     signed = load_vector(args.signed, exact)
     res = kr_norm(signed, rho, tol)
-    dual = sum(u * s for u, s in zip(res.potential, signed))
+    dual = left_sum(u * s for u, s in zip(res.potential, signed))
     return {"value": res.value, "primal": res.value, "dual": dual,
             "gap": res.value - dual, "potential": res.potential,
             "plan": res.plan,

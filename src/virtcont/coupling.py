@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import Number, Plan, ProductFunction, ProductSet, ValidationError
+from .model import (Number, Plan, ProductFunction, ProductSet, ValidationError,
+                    left_sum)
 from .thickness import ThicknessResult, _flow_plan, thickness
 
 
@@ -25,7 +26,7 @@ def max_bistochastic_mass(z: ProductSet) -> HallResult:
     """max over bistochastic plans of the mass placed on Z; equals th(Z)."""
     cert = thickness(z)
     sub = _flow_plan(z, cert)
-    total_on_z = sum(sub.mass[i][j] for (i, j) in z.cells())
+    total_on_z = left_sum(sub.mass[i][j] for (i, j) in z.cells())
     return HallResult(total_on_z, complete_to_bistochastic(sub), cert)
 
 
@@ -59,8 +60,8 @@ def integrate_against_plan(f: ProductFunction, plan: Plan) -> Number:
     """Sum of f * mass over atom pairs (signed masses allowed)."""
     if f.shape != (plan.x_space.size, plan.y_space.size):
         raise ValidationError("factor dimension mismatch")
-    return sum(f[i, j] * plan.mass[i][j]
-               for i in range(f.x_space.size) for j in range(f.y_space.size))
+    return left_sum(f[i, j] * plan.mass[i][j]
+                    for i in range(f.x_space.size) for j in range(f.y_space.size))
 
 
 def qb_norm(eta: Plan) -> Number:

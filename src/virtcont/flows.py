@@ -30,12 +30,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import chain
+from itertools import chain, repeat
 from math import inf
 from typing import Optional, Sequence
 
 from .model import (EPS, Number, ValidationError, common_integers, is_exact,
-                    zero_of)
+                    left_sum, zero_of)
 
 
 class InfeasibleError(ValueError):
@@ -83,8 +83,8 @@ def _cover_weight(row_costs, col_costs, ints, scale, rows, cols):
         nr = len(row_costs)
         return Fraction(sum(ints[i] for i in rows) +
                         sum(ints[nr + j] for j in cols), scale)
-    return sum((row_costs[i] for i in rows), 0.0) + \
-        sum((col_costs[j] for j in cols), 0.0)
+    return left_sum((row_costs[i] for i in rows), 0.0) + \
+        left_sum((col_costs[j] for j in cols), 0.0)
 
 
 def min_weighted_vertex_cover(inst: BipartiteCoverInstance) -> CoverResult:
@@ -96,18 +96,9 @@ def min_weighted_vertex_cover(inst: BipartiteCoverInstance) -> CoverResult:
     is read off residual reachability (source-side rows stay unpicked).
     This is the one-batch case of `nested_cover_weights`.
     """
-    nr = len(inst.row_costs)
-    costs, scale = common_integers(inst.row_costs + inst.col_costs)
-    zero = zero_of(inst.row_costs + inst.col_costs)
-    if not inst.edges:
-        return CoverResult(zero, [], [], [], zero)
-    [(rows, cols)], flow, total = _max_flow_cover(
-        costs[:nr], costs[nr:], [inst.edges], 0 if scale is not None else EPS)
-    if scale is not None:
-        flow = [Fraction(x, scale) for x in flow]
-        total = Fraction(total, scale)
-    value = _cover_weight(inst.row_costs, inst.col_costs, costs, scale, rows, cols)
-    return CoverResult(value, rows, cols, flow, total)
+    [(rows, cols)], [value], flow, total = _scaled_covers(
+        inst.row_costs, inst.col_costs, [inst.edges])
+    return CoverResult(value, rows, cols, list(flow), total)
 
 
 def nested_cover_weights(row_costs: Sequence[Number], col_costs: Sequence[Number],
@@ -124,12 +115,24 @@ def nested_cover_weights(row_costs: Sequence[Number], col_costs: Sequence[Number
     row_costs, col_costs = tuple(row_costs), tuple(col_costs)
     if any(batches):
         _require_positive(row_costs + col_costs)
+    return _scaled_covers(row_costs, col_costs, batches)[1]
+
+
+def _scaled_covers(row_costs: tuple, col_costs: tuple, batches):
+    """`_max_flow_cover` on the costs as ints over their common denominator
+    (floats as given, with EPS as the kernel's zero), its results back in
+    the costs' units: ([(rows, cols) per batch], [weight per batch], flow
+    per edge, flow value).  The flow is divided lazily, as an iterator,
+    since the nested sweep drops it."""
     nr = len(row_costs)
     costs, scale = common_integers(row_costs + col_costs)
-    covers, _, _ = _max_flow_cover(costs[:nr], costs[nr:], batches,
-                                   0 if scale is not None else EPS)
-    return [_cover_weight(row_costs, col_costs, costs, scale, rows, cols)
-            for rows, cols in covers]
+    covers, flow, total = _max_flow_cover(
+        costs[:nr], costs[nr:], batches, 0 if scale is not None else EPS)
+    if scale is not None:
+        flow = map(Fraction, flow, repeat(scale))
+        total = Fraction(total, scale)
+    return covers, [_cover_weight(row_costs, col_costs, costs, scale, rows, cols)
+                    for rows, cols in covers], flow, total
 
 
 def _max_flow_cover(row_costs, col_costs, batches, tol):
@@ -142,7 +145,7 @@ def _max_flow_cover(row_costs, col_costs, batches, tol):
     and EPS on floats; the zero follows it, so int sums stay ints."""
     nr, nc = len(row_costs), len(col_costs)
     zero = 0 * tol
-    big = sum(row_costs) + sum(col_costs)  # exceeds any cut
+    big = left_sum(row_costs) + left_sum(col_costs)  # exceeds any cut
 
     # node ids: 0 = source, 1..nr rows, nr+1..nr+nc cols, nr+nc+1 = sink
     src, snk = 0, nr + nc + 1
@@ -403,7 +406,7 @@ def _ssp_bellman_ford(supplies, demands, cost, tol):
         return c + pi[u] - pi[v]
 
     total_cost = zero
-    to_ship = sum(supplies, zero)
+    to_ship = left_sum(supplies, zero)
     INF = None
     while to_ship > tol:
         # Bellman-Ford on reduced costs, on every pass (reduced costs may be
@@ -509,7 +512,7 @@ def solve_transportation(inst: TransportationInstance) -> TransportResultRaw:
     tol = 0 if exact else EPS
 
     if inst.mode == "min-cost":
-        if not (abs(sum(inst.supplies) - sum(inst.demands)) <= tol):
+        if not (abs(left_sum(inst.supplies) - left_sum(inst.demands)) <= tol):
             raise InfeasibleError("marginal totals differ")
         cost, plan, pi = _ssp_balanced(inst.supplies, inst.demands, inst.matrix, tol)
         nr, nc = len(inst.supplies), len(inst.demands)
@@ -519,8 +522,8 @@ def solve_transportation(inst: TransportationInstance) -> TransportResultRaw:
 
     # max-profit: reduce to balanced min-cost with a dummy row and column.
     nr, nc = len(inst.supplies), len(inst.demands)
-    supplies = list(inst.supplies) + [sum(inst.demands, zero)]
-    demands = list(inst.demands) + [sum(inst.supplies, zero)]
+    supplies = list(inst.supplies) + [left_sum(inst.demands, zero)]
+    demands = list(inst.demands) + [left_sum(inst.supplies, zero)]
     cost = [[-inst.matrix[i][j] for j in range(nc)] + [zero] for i in range(nr)]
     cost.append([zero] * (nc + 1))
     total_cost, plan_ext, pi = _ssp_balanced(supplies, demands, cost, tol)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from itertools import chain, repeat
 from math import lcm
 from operator import add, sub
@@ -30,6 +31,12 @@ def parse_number(text: str, exact: bool = True) -> Number:
     if "/" in s:
         return float(Fraction(s))
     return float(s)
+
+
+def left_sum(values: Iterable[Number], start: Number = 0) -> Number:
+    """sum() added strictly left to right.  Since Python 3.12 `sum()` of
+    floats is compensated, so float results would depend on the version."""
+    return reduce(add, values, start)
 
 
 def is_exact(x: Number) -> bool:
@@ -129,7 +136,7 @@ class DiscreteSpace:
         return len(self.labels)
 
     def total(self) -> Number:
-        return sum(self.weights)
+        return left_sum(self.weights)
 
     @staticmethod
     def uniform(n: int, prefix: str = "a") -> "DiscreteSpace":
@@ -147,7 +154,7 @@ def validate_space(space: DiscreteSpace) -> list[str]:
     ((ws,),), (d,), t = common_scales(DEFAULT_TOL, [space.weights])
     problems = [f"nonpositive weight at index {i}"
                 for i, w in enumerate(ws) if w <= t]
-    if not abs(sum(ws) - d) <= t:
+    if not abs(left_sum(ws) - d) <= t:
         problems.append(f"weights sum != 1 (sum = {space.total()})")
     if len(set(space.labels)) != len(space.labels):
         problems.append("duplicate label")
@@ -297,8 +304,8 @@ class SeparableMajorant:
         return True
 
     def weight(self, x_space: DiscreteSpace, y_space: DiscreteSpace) -> Number:
-        return (sum(w * v for w, v in zip(x_space.weights, self.a))
-                + sum(w * v for w, v in zip(y_space.weights, self.b)))
+        return (left_sum(w * v for w, v in zip(x_space.weights, self.a))
+                + left_sum(w * v for w, v in zip(y_space.weights, self.b)))
 
 
 @dataclass(frozen=True)
@@ -339,31 +346,32 @@ class Plan:
         return xw, yw, rows, d, 0 if exact else tol
 
     def row_marginals(self) -> list:
-        return [sum(row) for row in self.mass]
+        return [left_sum(row) for row in self.mass]
 
     def col_marginals(self) -> list:
         n = self.y_space.size
-        return [sum(row[j] for row in self.mass) for j in range(n)]
+        return [left_sum(row[j] for row in self.mass) for j in range(n)]
 
     def abs_row_marginals(self) -> list:
-        return [sum(abs(v) for v in row) for row in self.mass]
+        return [left_sum(abs(v) for v in row) for row in self.mass]
 
     def abs_col_marginals(self) -> list:
         n = self.y_space.size
-        return [sum(abs(row[j]) for row in self.mass) for j in range(n)]
+        return [left_sum(abs(row[j]) for row in self.mass) for j in range(n)]
 
     def total(self) -> Number:
-        return sum(sum(row) for row in self.mass)
+        return left_sum(left_sum(row) for row in self.mass)
 
     def is_bistochastic(self, tol: float = DEFAULT_TOL) -> bool:
         xw, yw, rows, _, t = self.scaled(tol)
-        return (all(abs(sum(r) - w) <= t for r, w in zip(rows, xw))
-                and all(abs(sum(c) - w) <= t for c, w in zip(zip(*rows), yw)))
+        return (all(abs(left_sum(r) - w) <= t for r, w in zip(rows, xw))
+                and all(abs(left_sum(c) - w) <= t for c, w in zip(zip(*rows), yw)))
 
     def is_subbistochastic(self, tol: float = DEFAULT_TOL) -> bool:
         xw, yw, rows, _, t = self.scaled(tol)
-        return (all(w - sum(map(abs, r)) >= -t for r, w in zip(rows, xw))
-                and all(w - sum(map(abs, c)) >= -t for c, w in zip(zip(*rows), yw)))
+        return (all(w - left_sum(map(abs, r)) >= -t for r, w in zip(rows, xw))
+                and all(w - left_sum(map(abs, c)) >= -t
+                        for c, w in zip(zip(*rows), yw)))
 
     @staticmethod
     def product(x_space: DiscreteSpace, y_space: DiscreteSpace) -> "Plan":
@@ -440,7 +448,7 @@ def validate_semimetric(m: MetricMatrix):
 def product_measure(z: ProductSet) -> Number:
     """mu x nu (Z): total product weight of the member cells."""
     mu, nu = z.x_space.weights, z.y_space.weights
-    return sum(mu[i] * nu[j] for (i, j) in z.cells()) or zero_of(mu + nu)
+    return left_sum(mu[i] * nu[j] for (i, j) in z.cells()) or zero_of(mu + nu)
 
 
 def level_set(f: ProductFunction, threshold: Number, mode: str = ">") -> ProductSet:

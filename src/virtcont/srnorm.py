@@ -14,7 +14,7 @@ from fractions import Fraction
 from .flows import TransportationInstance, solve_transportation
 from .model import (DEFAULT_TOL, Number, Plan, ProductFunction,
                     SeparableMajorant, ValidationError, close, common_scales,
-                    zero_of)
+                    left_sum, zero_of)
 from .thickness import level_set_thicknesses
 
 
@@ -43,8 +43,9 @@ def sr_norm(f: ProductFunction) -> SrNormResult:
     b = [max(v + shift, v * 0) for v in b]
     majorant = SeparableMajorant(a, b)
     plan = Plan(f.x_space, f.y_space, res.plan)
-    dual_value = sum(absf[i][j] * res.plan[i][j]
-                     for i in range(f.x_space.size) for j in range(f.y_space.size))
+    dual_value = left_sum(absf[i][j] * res.plan[i][j]
+                          for i in range(f.x_space.size)
+                          for j in range(f.y_space.size))
     primal_value = majorant.weight(f.x_space, f.y_space)
     return SrNormResult(primal_value, majorant, plan, dual_value)
 
@@ -82,24 +83,21 @@ def nuclear_bound(rank_one_terms, x_space, y_space):
     mu, nu = x_space.weights, y_space.weights
     zero = Fraction(0)
     for (s, u, v) in rank_one_terms:
-        un = sum(w * q * q for w, q in zip(mu, u))
-        vn = sum(w * q * q for w, q in zip(nu, v))
+        un = left_sum(w * q * q for w, q in zip(mu, u))
+        vn = left_sum(w * q * q for w, q in zip(nu, v))
         if not close(un, 1) or not close(vn, 1):
             raise ValidationError("rank-one factors must be normalized in the weighted 2-norm")
-    bound = sum((abs(s) for (s, _, _) in rank_one_terms), zero)
-    a = [sum(abs(s) * u[i] * u[i] for (s, u, _) in rank_one_terms) / 2
+    bound = left_sum((abs(s) for (s, _, _) in rank_one_terms), zero)
+    a = [left_sum((abs(s) * u[i] * u[i] for (s, u, _) in rank_one_terms), zero) / 2
          for i in range(x_space.size)]
-    b = [sum(abs(s) * v[j] * v[j] for (s, _, v) in rank_one_terms) / 2
+    b = [left_sum((abs(s) * v[j] * v[j] for (s, _, v) in rank_one_terms), zero) / 2
          for j in range(y_space.size)]
-    if not rank_one_terms:
-        a = [zero] * x_space.size
-        b = [zero] * y_space.size
     return bound, SeparableMajorant(a, b)
 
 
 def kernel_from_terms(rank_one_terms, x_space, y_space) -> ProductFunction:
     zero = Fraction(0)
-    values = [[sum((s * u[i] * v[j] for (s, u, v) in rank_one_terms), zero)
+    values = [[left_sum((s * u[i] * v[j] for (s, u, v) in rank_one_terms), zero)
                for j in range(y_space.size)] for i in range(x_space.size)]
     return ProductFunction(x_space, y_space, values)
 
@@ -126,13 +124,14 @@ def verify_sr_certificates(f: ProductFunction, res: SrNormResult,
     if not all(ai + bj - abs(v) >= -t
                for ai, row in zip(a, fv) for bj, v in zip(b, row)):
         problems.append("majorant does not dominate |f|")
-    weight = sum(w * v for w, v in zip(mu, a)) + sum(w * v for w, v in zip(nu, b))
+    weight = (left_sum(w * v for w, v in zip(mu, a))
+              + left_sum(w * v for w, v in zip(nu, b)))
     if not abs(weight - res.value * dw * df) <= t:
         problems.append("majorant weight != reported value")
     if not res.dual_plan.is_subbistochastic(tol):
         problems.append("dual plan is not subbistochastic")
-    pairing = sum(abs(v) * m for frow, mrow in zip(fv, mass)
-                  for v, m in zip(frow, mrow))
+    pairing = left_sum(abs(v) * m for frow, mrow in zip(fv, mass)
+                       for v, m in zip(frow, mrow))
     if not abs(pairing - res.value * df * dp) <= t:
         problems.append("dual pairing != reported value (duality gap)")
     return problems

@@ -24,12 +24,6 @@ class TauResult:
     witness_set_thickness: Number  # th({|f-g| > value})
 
 
-def _diff_abs(f: ProductFunction, g: ProductFunction) -> ProductFunction:
-    if f.shape != g.shape:
-        raise ValidationError("factor dimension mismatch")
-    return f.sub(g).abs()
-
-
 def tau_distance(f: ProductFunction, g: ProductFunction) -> TauResult:
     """Exact tau(f, g) from the breakpoint sweep.
 
@@ -38,15 +32,11 @@ def tau_distance(f: ProductFunction, g: ProductFunction) -> TauResult:
     max(v_k, th_k), th_k = th({|f-g| > v_k}).  Minimizing over breakpoints
     gives tau, and the witness is th_k at the largest v_k <= tau.
     """
-    d = _diff_abs(f, g)
+    d = f.sub(g).abs()
     zero = zero_of(v for row in d.values for v in row)
     levels = sorted({zero} | {v for row in d.values for v in row})
     ths = level_set_thicknesses(d, levels, ">")
-    best = None
-    for v, th in zip(levels, ths):
-        candidate = max(v, th)
-        if best is None or candidate < best:
-            best = candidate
+    best = min(map(max, levels, ths))
     return TauResult(best, ths[bisect_right(levels, best) - 1])
 
 
@@ -54,5 +44,5 @@ def tau_ball_check(f: ProductFunction, g: ProductFunction, eps: Number) -> bool:
     """True iff th({|f-g| > eps}) <= eps."""
     if eps < 0:
         raise ValidationError("eps must be nonnegative")
-    d = _diff_abs(f, g)
+    d = f.sub(g).abs()
     return thickness(level_set(d, eps, ">")).value <= eps

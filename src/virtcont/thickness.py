@@ -16,8 +16,8 @@ from itertools import chain
 from .flows import (BipartiteCoverInstance, min_weighted_vertex_cover,
                     nested_cover_weights)
 from .model import (DEFAULT_TOL, Number, Plan, ProductFunction, ProductSet,
-                    ValidationError, common_scales, level_set, unscaled,
-                    zero_of)
+                    ValidationError, common_scales, left_sum, level_set,
+                    unscaled, zero_of)
 
 
 @dataclass
@@ -36,11 +36,7 @@ def thickness(z: ProductSet) -> ThicknessResult:
     mu, nu = z.x_space.weights, z.y_space.weights
     zero = zero_of(mu + nu)
     one = zero + 1
-    cells = sorted(z.cells())
-    if not cells:
-        return ThicknessResult(zero, [], [],
-                               [zero] * len(mu), [zero] * len(nu), [], [])
-    inst = BipartiteCoverInstance(mu, nu, cells)
+    inst = BipartiteCoverInstance(mu, nu, z.cells())
     res = min_weighted_vertex_cover(inst)
     rows, cols = set(res.rows), set(res.cols)
     f = [one if i in rows else zero for i in range(len(mu))]
@@ -110,7 +106,7 @@ def verify_thickness_result(z: ProductSet, res: ThicknessResult,
     for (i, j) in cells:
         if i not in cx and j not in cy:
             problems.append(f"cell ({i},{j}) not covered")
-    total = sum(mu[i] for i in cx) + sum(nu[j] for j in cy)
+    total = left_sum(mu[i] for i in cx) + left_sum(nu[j] for j in cy)
     if not abs(total - value) <= t:
         problems.append(f"cover weight {unscaled(total, dw)} != "
                         f"reported value {unscaled(value, dw)}")
@@ -119,7 +115,7 @@ def verify_thickness_result(z: ProductSet, res: ThicknessResult,
             problems.append(f"fractional pair below 1 on cell ({i},{j})")
     if not all(v >= -t for v in chain(f, g)):
         problems.append("fractional pair has a negative entry")
-    fw = sum(w * v for w, v in zip(mu, f)) + sum(w * v for w, v in zip(nu, g))
+    fw = left_sum(w * v for w, v in zip(mu, f)) + left_sum(w * v for w, v in zip(nu, g))
     if not abs(fw - value * dp) <= t:
         problems.append("fractional pair weight != value")
     return problems

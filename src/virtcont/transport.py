@@ -14,7 +14,7 @@ from itertools import chain
 
 from .flows import InfeasibleError, TransportationInstance, solve_transportation
 from .model import (DEFAULT_TOL, MetricMatrix, Number, Plan, ValidationError,
-                    close, common_scales, unscaled, zero_of)
+                    close, common_scales, left_sum, unscaled, zero_of)
 
 
 @dataclass
@@ -53,7 +53,7 @@ def kantorovich(mu1, mu2, rho: MetricMatrix, tol: float = DEFAULT_TOL) -> Transp
     mu1, mu2 = list(mu1), list(mu2)
     if len(mu1) != n or len(mu2) != n:
         raise ValidationError("weight vectors do not match the space")
-    if not close(sum(mu1), sum(mu2), tol):
+    if not close(left_sum(mu1), left_sum(mu2), tol):
         raise InfeasibleError("marginal totals differ")
     res = kr_norm([a - b for a, b in zip(mu1, mu2)], rho, tol)
     mass = [list(row) for row in res.plan]
@@ -76,11 +76,11 @@ def kr_norm(signed, rho: MetricMatrix, tol: float = DEFAULT_TOL) -> KrNormResult
     if len(signed) != n:
         raise ValidationError("signed vector does not match the space")
     zero = zero_of(chain(signed, *rho.dist))
-    if not close(sum(signed), zero, tol):
+    if not close(left_sum(signed), zero, tol):
         raise ValidationError("signed weights do not sum to zero")
     pos = [max(s, zero) for s in signed]
     neg = [max(-s, zero) for s in signed]
-    total = sum(pos, zero)
+    total = left_sum(pos, zero)
     if close(total, zero, tol):
         return KrNormResult(zero, [zero] * n, [[zero] * n for _ in range(n)])
     inst = TransportationInstance(pos, neg, rho.dist, mode="min-cost")
@@ -114,7 +114,8 @@ def two_level_duality_check(rho_matrix, mu, nu, z=None) -> TwoLevelReport:
         raise ValidationError("cost matrix dimensions do not match weights")
     inst = TransportationInstance(mu, nu, rho, mode="min-cost")
     res = solve_transportation(inst)
-    dual = sum(m * w for m, w in zip(mu, res.u)) + sum(m * w for m, w in zip(nu, res.v))
+    dual = (left_sum(m * w for m, w in zip(mu, res.u))
+            + left_sum(m * w for m, w in zip(nu, res.v)))
     return TwoLevelReport(res.value, dual, res.value - dual, res.plan, res.u, res.v)
 
 
@@ -138,9 +139,9 @@ def verify_transport_result(mu1, mu2, rho: MetricMatrix, res: TransportResult,
     _, _, mass, dp, tp = res.plan.scaled(tol)
     t = max(t, tp)   # 0 unless some value is a float
     problems = []
-    if not all(abs(sum(r) * dm - m * dp) <= t for r, m in zip(mass, m1)):
+    if not all(abs(left_sum(r) * dm - m * dp) <= t for r, m in zip(mass, m1)):
         problems.append("plan row marginals != mu1")
-    if not all(abs(sum(c) * dm - m * dp) <= t for c, m in zip(zip(*mass), m2)):
+    if not all(abs(left_sum(c) * dm - m * dp) <= t for c, m in zip(zip(*mass), m2)):
         problems.append("plan column marginals != mu2")
     for i in range(n):
         for j in range(n):
@@ -153,10 +154,10 @@ def verify_transport_result(mu1, mu2, rho: MetricMatrix, res: TransportResult,
     if not support_resid <= t:
         problems.append("complementary slackness residual "
                         f"{unscaled(support_resid, du)}")
-    pairing = sum(ui * (a - b) for ui, a, b in zip(u, m1, m2))
+    pairing = left_sum(ui * (a - b) for ui, a, b in zip(u, m1, m2))
     if not abs(pairing - res.cost * du * dm) <= t:
         problems.append("dual pairing != cost")
-    plan_cost = sum(dist[i][j] * mass[i][j] for i in range(n) for j in range(n))
+    plan_cost = left_sum(dist[i][j] * mass[i][j] for i in range(n) for j in range(n))
     if not abs(plan_cost - res.cost * du * dp) <= t:
         problems.append("plan cost != reported cost")
     return problems

@@ -30,7 +30,7 @@ from typing import Optional
 
 from .model import (DEFAULT_TOL, EPS, DiscreteSpace, MetricMatrix, Number,
                     ProductFunction, ValidationError, common_integers,
-                    is_exact, nonneg, zero_of)
+                    is_exact, left_sum, nonneg, zero_of)
 
 EXACT_SIDE_LIMIT = 8
 HEURISTIC_RESTARTS = 20
@@ -63,7 +63,7 @@ class MatrixDistribution:
 # ---------------------------------------------------------------- exact core
 
 def _subset_sums(weights):
-    """Weight of every index subset, added in index order as `sum()` adds it."""
+    """Weight of every index subset, added in index order as `left_sum` adds it."""
     table = [0] * (1 << len(weights))
     for m in range(1, 1 << len(weights)):
         high = m.bit_length() - 1
@@ -140,13 +140,6 @@ def _exact_search(f: ProductFunction, n_blocks: int, bound: Number,
         m = len(blocks)
         allowed = [y for y in range(nc) if not (forced >> y) & 1]
         am = len(allowed)
-        if am == 0:
-            obj = max(base, wsy[full_c])
-            if obj < best:
-                best, best_cfg = obj, (em, [list(b) for b in blocks], full_c, [])
-                if stop_early:
-                    return True
-            return False
 
         # range of each column pair across all row blocks
         pdm = [[0] * am for _ in range(am)]
@@ -359,8 +352,8 @@ def _objective(f: ProductFunction, cfg):
     em, row_blocks, ec, col_groups = cfg
     mu, nu = f.x_space.weights, f.y_space.weights
     zero = zero_of(mu + nu)
-    worst = max(sum((w for i, w in enumerate(mu) if (em >> i) & 1), zero),
-                sum((w for j, w in enumerate(nu) if (ec >> j) & 1), zero))
+    worst = max(left_sum((w for i, w in enumerate(mu) if (em >> i) & 1), zero),
+                left_sum((w for j, w in enumerate(nu) if (ec >> j) & 1), zero))
     for rows in row_blocks:
         for cols in col_groups:
             cells = [f[i, j] for i in rows for j in cols]
@@ -377,8 +370,8 @@ def _heuristic(f: ProductFunction, n_blocks: int, seed: int):
     wy = [float(w) for w in f.y_space.weights]
     best_val = None
     best_cfg = None
-    row_means = sorted(range(nr), key=lambda i: sum(v[i]))
-    col_means = sorted(range(nc), key=lambda j: sum(vt[j]))
+    row_means = sorted(range(nr), key=lambda i: left_sum(v[i]))
+    col_means = sorted(range(nc), key=lambda j: left_sum(vt[j]))
     for t in range(HEURISTIC_RESTARTS):
         rng = random.Random(seed * 1000003 + t)
         if t == 0:
@@ -395,9 +388,9 @@ def _heuristic(f: ProductFunction, n_blocks: int, seed: int):
             rowasg = [rng.randint(1, n_blocks) for _ in range(nr)]
             colasg = [rng.randint(1, n_blocks) for _ in range(nc)]
         for _ in range(50):
-            ey = sum(wy[j] for j in range(nc) if colasg[j] == 0)
+            ey = left_sum(wy[j] for j in range(nc) if colasg[j] == 0)
             a = _sweep(v, wx, rowasg, colasg, ey, n_blocks)
-            ex = sum(wx[i] for i in range(nr) if rowasg[i] == 0)
+            ex = left_sum(wx[i] for i in range(nr) if rowasg[i] == 0)
             b = _sweep(vt, wy, colasg, rowasg, ex, n_blocks)
             if not (a or b):
                 break
@@ -513,9 +506,9 @@ def step_fit_violations(f: ProductFunction, fit: StepFit, strict: bool = True,
             return nonneg(eps - v, tol)
         return v < eps if strict else v <= eps
 
-    if not below(sum((mu[i] for i in fit.x_blocks[0]), mu[0] * 0)):
+    if not below(left_sum((mu[i] for i in fit.x_blocks[0]), mu[0] * 0)):
         problems.append("exceptional x-class too heavy")
-    if not below(sum((nu[j] for j in fit.y_blocks[0]), nu[0] * 0)):
+    if not below(left_sum((nu[j] for j in fit.y_blocks[0]), nu[0] * 0)):
         problems.append("exceptional y-class too heavy")
     for bi, blk in enumerate(fit.x_blocks[1:]):
         for bj, grp in enumerate(fit.y_blocks[1:]):

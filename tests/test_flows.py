@@ -28,6 +28,16 @@ def test_single_edge_cover():
     assert (list(res.rows), list(res.cols)) in (([0], []), ([], [0]))
 
 
+@pytest.mark.parametrize("one", [Fraction(1), 1.0], ids=["exact", "float"])
+def test_no_edges_give_the_empty_cover(one):
+    res = min_weighted_vertex_cover(
+        BipartiteCoverInstance((one / 4, 3 * one / 4), (one / 2,) * 2, ()))
+    zero = one * 0
+    assert (res.rows, res.cols, res.flow) == ([], [], [])
+    assert res.value == res.flow_value == zero
+    assert type(res.value) is type(res.flow_value) is type(zero)
+
+
 def test_diagonal_matching_uniform():
     n = 4
     w = tuple(Fraction(1, n) for _ in range(n))

@@ -125,6 +125,10 @@ def test_nuclear_bound():
     # empty sum
     bound0, _ = nuclear_bound([], s, s)
     assert bound0 == 0
+    xs, ys = DiscreteSpace.uniform(3), DiscreteSpace.uniform(2)
+    bound0, maj0 = nuclear_bound([], xs, ys)
+    assert (bound0, maj0.a, maj0.b) == (0, (0,) * 3, (0,) * 2)
+    assert {type(v) for v in (bound0, *maj0.a, *maj0.b)} == {Fraction}
     # two terms with s = 1/2 each
     terms2 = [(Fraction(1, 2), ones, ones), (Fraction(1, 2), ones, ones)]
     bound2, _ = nuclear_bound(terms2, s, s)

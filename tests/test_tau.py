@@ -3,8 +3,10 @@
 import random
 from fractions import Fraction
 
-from virtcont import (DiscreteSpace, ProductFunction, level_set, tau_ball_check,
-                      tau_distance, thickness)
+import pytest
+
+from virtcont import (DiscreteSpace, ProductFunction, ValidationError,
+                      level_set, tau_ball_check, tau_distance, thickness)
 
 from util import brute_tau, fn_on, rand_function, rand_space
 
@@ -33,6 +35,15 @@ def test_tau_single_cell():
     f = fn_on(s, s, lambda i, j: Fraction(1) if (i, j) == (0, 0) else Fraction(0))
     zero = ProductFunction.constant(s, s, Fraction(0))
     assert tau_distance(f, zero).value == Fraction(1, 10)
+
+
+def test_functions_of_other_shapes_are_rejected():
+    s = DiscreteSpace.uniform(2)
+    f = ProductFunction.constant(s, s, Fraction(1))
+    g = ProductFunction.constant(DiscreteSpace.uniform(3), s, Fraction(1))
+    for job in (lambda: tau_distance(f, g), lambda: tau_ball_check(f, g, 1)):
+        with pytest.raises(ValidationError, match="factor dimension mismatch"):
+            job()
 
 
 def test_tau_matches_bruteforce_scan():

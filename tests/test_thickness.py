@@ -17,10 +17,17 @@ def _single_cell(xs, ys, i, j):
 
 
 def test_empty_set_has_thickness_zero():
-    s = DiscreteSpace.uniform(3)
-    res = thickness(ProductSet.empty(s, s))
-    assert res.value == 0
-    assert res.cover_x == [] and res.cover_y == []
+    # in both regimes: the regime's zero, an empty cover, a zero fractional
+    # pair, and no flow or cells
+    for one in (Fraction(1), 1.0):
+        xs = DiscreteSpace(["a", "b", "c"], [one / 4, one / 4, one / 2])
+        ys = DiscreteSpace(["p", "q"], [one / 3, 2 * one / 3])
+        res = thickness(ProductSet.empty(xs, ys))
+        zero = one * 0
+        assert type(res.value) is type(zero) and res.value == zero
+        assert (res.cover_x, res.cover_y, res.flow, res.cells) == ([], [], [], [])
+        assert res.fractional_f == [zero] * 3 and res.fractional_g == [zero] * 2
+        assert {type(v) for v in res.fractional_f + res.fractional_g} == {type(zero)}
 
 
 def test_single_cell_uniform_grid():

@@ -82,6 +82,17 @@ def test_step_function_fits_itself():
     assert vc_profile(ProductFunction.constant(s, s, Fraction(5)), 1).value == 0
 
 
+@pytest.mark.parametrize("one", [Fraction(1), 1.0], ids=["exact", "float"])
+def test_fit_with_every_column_exceptional(one):
+    # one row block spans 0 and 5, so both columns are forced into the
+    # exceptional class; their weight 1/2 stays below eps = 2
+    s = DiscreteSpace.uniform(2)
+    f = ProductFunction(s, s, [[0 * one, 0 * one], [5 * one, 5 * one]])
+    fit = step_fit_exists(f, 1, 2)
+    assert fit.x_blocks == [[], [0, 1]] and fit.y_blocks == [[0, 1]]
+    assert fit.levels == [[]] and fit.exact
+
+
 def test_triangle_profile_frozen_value():
     f = family_function("triangle_indicator", 8)
     res = vc_profile(f, 4)
