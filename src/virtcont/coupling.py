@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .model import (Number, Plan, ProductFunction, ProductSet, ValidationError,
-                    left_sum)
+                    left_sum, unscaled)
 from .thickness import ThicknessResult, _flow_plan, thickness
 
 
@@ -26,7 +26,8 @@ def max_bistochastic_mass(z: ProductSet) -> HallResult:
     """max over bistochastic plans of the mass placed on Z; equals th(Z)."""
     cert = thickness(z)
     sub = _flow_plan(z, cert)
-    total_on_z = left_sum(sub.mass[i][j] for (i, j) in z.cells())
+    _, _, rows, d, _ = sub.scaled()
+    total_on_z = unscaled(left_sum(rows[i][j] for (i, j) in z.cells()), d)
     return HallResult(total_on_z, complete_to_bistochastic(sub), cert)
 
 

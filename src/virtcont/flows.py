@@ -6,7 +6,11 @@ Two solvers live here:
   on a totally unimodular system).  Its kernel sweeps a growing family of
   edge sets in one warm-started max-flow, reading a cover after each batch
   of edges; a single cover is the one-batch case, and tau and the layer-cake
-  bound read every level set's thickness from one sweep;
+  bound read every level set's thickness from one sweep.  Its breadth-first
+  search runs on the bipartite network's own flows and stops at the first
+  column it reaches with sink residual left: breadth-first order dequeues
+  that column before any node reached after it, so a search run on to the
+  sink would take the same path;
 * a balanced min-cost transportation solver (successive shortest paths with
   node potentials) that also handles the max-profit / slack-marginal variant
   through a dummy row and column.
@@ -32,7 +36,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain, repeat
 from math import inf
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .model import (EPS, Number, ValidationError, common_integers, is_exact,
                     left_sum, zero_of)
@@ -142,65 +146,85 @@ def _max_flow_cover(row_costs, col_costs, batches, tol):
     left; the failed search is the residual reachability from the source,
     which gives that edge set's cover.  Returns ([(rows, cols) per batch],
     flow per edge in the order added, flow value).  tol is 0 on scaled ints
-    and EPS on floats; the zero follows it, so int sums stay ints."""
+    and EPS on floats; the zero follows it, so int sums stay ints.
+
+    Each path is a shortest one, found breadth first (Edmonds & Karp, J. ACM
+    19, 1972) on the flow through each row, column and edge.  Rows leave the
+    source in index order; a row opens every column it has not reached, in
+    the order its edges were added (edge arcs exceed every cut, so they are
+    always open and never bind); a column opens rows back through edges with
+    flow above tol.  The search stops at the first column it reaches with
+    sink residual above tol.  Every column reached before it has none, and
+    every node reached after it is dequeued after it, so a search run on to
+    the sink takes the same path.  Residuals are formed as cost - flow, never
+    kept by decrement, so floats take the bits of generic arc lists."""
     nr, nc = len(row_costs), len(col_costs)
     zero = 0 * tol
-    big = left_sum(row_costs) + left_sum(col_costs)  # exceeds any cut
+    row_flow, col_flow = [zero] * nr, [zero] * nc
+    flow, ends = [], []                   # per edge, in the order added
+    row_edges = [[] for _ in range(nr)]   # (column, edge) per row
+    col_edges = [[] for _ in range(nc)]   # (row, edge) per column
 
-    # node ids: 0 = source, 1..nr rows, nr+1..nr+nc cols, nr+nc+1 = sink
-    src, snk = 0, nr + nc + 1
-    n = nr + nc + 2
-    # adjacency as arc lists; arcs stored as [to, cap, flow, rev_index]
-    graph: list[list[list]] = [[] for _ in range(n)]
+    def search(row_via, col_via):
+        """The first column reached with sink residual, or None once all
+        that can be reached is; marks each node with the edge it was
+        reached through, -1 for the source."""
+        rows = [i for i in range(nr) if row_costs[i] - row_flow[i] > tol]
+        for i in rows:
+            row_via[i] = -1
+        while rows:
+            cols = []
+            for i in rows:
+                for j, e in row_edges[i]:
+                    if col_via[j] is None:
+                        col_via[j] = e
+                        if col_costs[j] - col_flow[j] > tol:
+                            return j
+                        cols.append(j)
+            rows = []
+            for j in cols:
+                for i, e in col_edges[j]:
+                    if row_via[i] is None and flow[e] > tol:
+                        row_via[i] = e
+                        rows.append(i)
+        return None
 
-    def add_arc(u, v, cap):
-        graph[u].append([v, cap, zero, len(graph[v])])
-        graph[v].append([u, zero, zero, len(graph[u]) - 1])
-
-    for i in range(nr):
-        add_arc(src, 1 + i, row_costs[i])
-    for j in range(nc):
-        add_arc(1 + nr + j, snk, col_costs[j])
-    edge_arcs = []
     covers = []
     total = zero
     for batch in batches:
-        for (i, j) in batch:
-            edge_arcs.append((1 + i, len(graph[1 + i])))
-            add_arc(1 + i, 1 + nr + j, big)
+        for i, j in batch:
+            row_edges[i].append((j, len(flow)))
+            col_edges[j].append((i, len(flow)))
+            ends.append((i, j))
+            flow.append(zero)
         while True:
-            # BFS (lowest index first) for a shortest augmenting path
-            parent: list[Optional[tuple]] = [None] * n
-            parent[src] = (src, -1)
-            queue = [src]
-            qi = 0
-            while qi < len(queue) and parent[snk] is None:
-                u = queue[qi]
-                qi += 1
-                for ai, arc in enumerate(graph[u]):
-                    v, cap, flow, _ = arc
-                    if parent[v] is None and cap - flow > tol:
-                        parent[v] = (u, ai)
-                        queue.append(v)
-            if parent[snk] is None:
+            row_via, col_via = [None] * nr, [None] * nc
+            free = search(row_via, col_via)
+            if free is None:
                 break
-            # bottleneck
-            path = []
-            v = snk
-            while v != src:
-                u, ai = parent[v]
-                path.append((u, ai))
-                v = u
-            bottleneck = min(graph[u][ai][1] - graph[u][ai][2] for u, ai in path)
-            for u, ai in path:
-                arc = graph[u][ai]
-                arc[2] += bottleneck
-                graph[arc[0]][arc[3]][2] -= bottleneck
+            forward, backward = [], []    # edges crossed row->col, col->row
+            e = col_via[free]
+            while e != -1:
+                forward.append(e)
+                i = ends[e][0]
+                e = row_via[i]
+                if e != -1:
+                    backward.append(e)
+                    e = col_via[ends[e][1]]
+            bottleneck = min(col_costs[free] - col_flow[free],
+                             row_costs[i] - row_flow[i],
+                             *(flow[e] for e in backward))
+            col_flow[free] += bottleneck
+            row_flow[i] += bottleneck
+            for e in forward:
+                flow[e] += bottleneck
+            for e in backward:
+                flow[e] -= bottleneck
             total += bottleneck
         # the failed search reached exactly the source side of the cut
-        covers.append(([i for i in range(nr) if parent[1 + i] is None],
-                       [j for j in range(nc) if parent[1 + nr + j] is not None]))
-    return covers, [graph[u][ai][2] for u, ai in edge_arcs], total
+        covers.append(([i for i in range(nr) if row_via[i] is None],
+                       [j for j in range(nc) if col_via[j] is not None]))
+    return covers, flow, total
 
 
 @dataclass(frozen=True)

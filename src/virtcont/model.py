@@ -98,8 +98,8 @@ def common_scales(tol: float, *groups):
 
 
 def unscaled(x: Number, d: int) -> Number:
-    """A number for a message: a scaled int back over its scale d, a float
-    (whose scale is 1) as it is."""
+    """A scaled int back over its scale d, a float (whose scale is 1) as it
+    is: a sum or a number for a message, in the units of the values."""
     return Fraction(x, d) if isinstance(x, int) else x
 
 
@@ -315,7 +315,9 @@ class Plan:
     Bistochastic plans project onto mu and nu exactly; subbistochastic plans
     project below them componentwise.  The plan keeps its weights and masses
     over one common denominator (`scaled`), which its own checks and the
-    certificate verifiers compare on.
+    certificate verifiers compare on.  The marginals and the total are summed
+    from those rows too: ints over the denominator d, divided by d once per
+    sum, or in float mode the floats themselves, added left to right.
     """
 
     x_space: DiscreteSpace
@@ -346,11 +348,12 @@ class Plan:
         return xw, yw, rows, d, 0 if exact else tol
 
     def row_marginals(self) -> list:
-        return [left_sum(row) for row in self.mass]
+        _, _, rows, d, _ = self._scaled
+        return [unscaled(left_sum(row), d) for row in rows]
 
     def col_marginals(self) -> list:
-        n = self.y_space.size
-        return [left_sum(row[j] for row in self.mass) for j in range(n)]
+        _, _, rows, d, _ = self._scaled
+        return [unscaled(left_sum(col), d) for col in zip(*rows)]
 
     def abs_row_marginals(self) -> list:
         return [left_sum(abs(v) for v in row) for row in self.mass]
@@ -360,7 +363,8 @@ class Plan:
         return [left_sum(abs(row[j]) for row in self.mass) for j in range(n)]
 
     def total(self) -> Number:
-        return left_sum(left_sum(row) for row in self.mass)
+        _, _, rows, d, _ = self._scaled
+        return unscaled(left_sum(map(left_sum, rows)), d)
 
     def is_bistochastic(self, tol: float = DEFAULT_TOL) -> bool:
         xw, yw, rows, _, t = self.scaled(tol)

@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from virtcont import (BipartiteCoverInstance, DiscreteSpace, InfeasibleError,
                       MetricMatrix, ProductFunction, TransportationInstance,
@@ -14,7 +14,7 @@ from virtcont import (BipartiteCoverInstance, DiscreteSpace, InfeasibleError,
                       solve_transportation, sr_norm)
 
 from lp_oracle import transport_lp_value
-from util import brute_cover, rand_weights
+from util import brute_cover, rand_weights, reference_max_flow_cover
 
 FLOAT_TRANSPORT_DIGEST = "c14f1103718872703bc47541ed808ebfaea50b3e"
 
@@ -62,6 +62,33 @@ def test_cover_matches_bruteforce_random():
         assert res.flow_value == res.value
         covered = set(res.rows), set(res.cols)
         assert all(i in covered[0] or j in covered[1] for (i, j) in edges)
+
+
+@st.composite
+def _cover_networks(draw):
+    """Arguments of the max-flow kernel: sides 0 to 12, any density, 1 to 5
+    batches, and int or float costs, either all equal, so that augmenting
+    paths tie, or random."""
+    nr, nc = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    exact = draw(st.booleans())
+    if draw(st.booleans()):
+        cost = st.just(3 if exact else 0.1)
+    else:
+        cost = st.integers(1, 30) if exact else st.floats(1e-3, 10)
+    row_costs = draw(st.lists(cost, min_size=nr, max_size=nr))
+    col_costs = draw(st.lists(cost, min_size=nc, max_size=nc))
+    cells = draw(st.permutations([(i, j) for i in range(nr) for j in range(nc)]))
+    cells = cells[:draw(st.integers(0, len(cells)))]
+    cuts = sorted(draw(st.lists(st.integers(0, len(cells)), max_size=4)))
+    batches = [cells[a:b] for a, b in zip([0] + cuts, cuts + [len(cells)])]
+    return row_costs, col_costs, batches, 0 if exact else flows.EPS
+
+
+@settings(max_examples=300)
+@given(_cover_networks())
+def test_cover_kernel_equals_generic_edmonds_karp(args):
+    # repr compares the float bits and the number types, not only values
+    assert repr(flows._max_flow_cover(*args)) == repr(reference_max_flow_cover(*args))
 
 
 def test_max_profit_zero_matrix():

@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from virtcont import (DiscreteSpace, MetricMatrix, ProductFunction,
+from virtcont import (DiscreteSpace, MetricMatrix, Plan, ProductFunction,
                       ProductSet, ValidationError, level_set, parse_number,
                       product_measure, validate_semimetric, validate_space)
-from virtcont.model import require_valid_space
+from virtcont.model import left_sum, require_valid_space
 
 from util import fn_on, rand_metric, rand_space
 
@@ -197,3 +197,37 @@ def test_valid_metrics_pass_in_both_regimes():
     d[0][2] = d[2][0] = Fraction(2 * 999983 + 1, 999983)
     assert validate_semimetric(MetricMatrix(s, d)) == \
         ("invalid", ("triangle violation", 0, 2, 1))
+
+
+# ------------------------------------------------------------- plan sums
+# The marginals and the total of a plan are summed on its integer scale;
+# they must equal the sums of the masses themselves, in both regimes.
+
+def test_exact_plan_sums_equal_fraction_sums():
+    rng = random.Random(41)
+    xs, ys = rand_space(rng, 4, "x"), rand_space(rng, 5, "y")
+    mass = [[Fraction(rng.randint(0, 20), rng.choice((1, 2, 3, 7, 11, 13)))
+             for _ in range(5)] for _ in range(4)]
+    plan = Plan(xs, ys, mass, signed=True)
+    rows = [sum(row, Fraction(0)) for row in mass]
+    cols = [sum((row[j] for row in mass), Fraction(0)) for j in range(5)]
+    assert plan.row_marginals() == rows
+    assert plan.col_marginals() == cols
+    assert plan.total() == sum(rows, Fraction(0))
+    assert all(type(x) is Fraction
+               for x in plan.row_marginals() + plan.col_marginals() + [plan.total()])
+
+
+def test_float_plan_sums_add_left_to_right():
+    # each row and column holds 1e16, 1.0 and -1e16 in some order, so its
+    # sum depends on the order of the additions
+    big, one = 1e16, 1.0
+    s = DiscreteSpace(["a", "b", "c"], [0.25, 0.25, 0.5])
+    mass = [[big, one, -big], [one, -big, big], [-big, big, 0.1]]
+    plan = Plan(s, s, mass, signed=True)
+    rows = [left_sum(row) for row in mass]
+    cols = [left_sum(row[j] for row in mass) for j in range(3)]
+    assert list(map(repr, plan.row_marginals())) == list(map(repr, rows))
+    assert list(map(repr, plan.col_marginals())) == list(map(repr, cols))
+    assert repr(plan.total()) == repr(left_sum(rows))
+    assert rows != [math.fsum(row) for row in mass]

@@ -48,6 +48,18 @@ TIES_PINNED = {
     "transport": "ef5d58c07c0acaca668492cef7fbfb34a7c0bd83",
 }
 
+# Cover reports at a benchmark size, n = 40, on one uniform and one random
+# space: equal weights make many covers and augmenting paths tie, so these
+# pin the max-flow kernel's search order and its per-edge flow.  Recorded
+# from the Edmonds-Karp kernel over generic arc lists, before its search was
+# written on the bipartite network's own state.
+WIDE_PINNED = {
+    ("exact", "thickness"): "86df634f8aa19c2d4476feb121ffc3a6107878aa",
+    ("exact", "hall"): "ef638a044cb32daaef4d9486f73bbe6f1702fc79",
+    ("float", "thickness"): "22ec776eefb70e1b55ccac8438fedae03431a4f9",
+    ("float", "hall"): "fe2c5b6c9d36c175c46f7bc2fd004aa30a98e6e7",
+}
+
 # Exact step-fit reports on two of the benchmark's functions, drawn as
 # perfbench/workloads.py draws "v-6-0.csv" and "v-8-0.csv".  Each `stepfit`
 # runs at the profile value, where no strict fit exists, and 1/24 above it.
@@ -145,6 +157,14 @@ def _tie_corpus(tmp_path):
     }
 
 
+def _wide_corpus(tmp_path):
+    rng = random.Random(2040)
+    xs, ys = DiscreteSpace.uniform(40, "x"), rand_space(rng, 40, "y")
+    path = str(tmp_path / "z40.csv")
+    save_matrix(rand_set(rng, xs, ys, 0.08), path)
+    return {"thickness": ["thickness", path], "hall": ["hall", path]}
+
+
 def _report_digest(argv):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -163,6 +183,12 @@ def test_report_bytes_pinned(tmp_path, mode, command):
 def test_tie_heavy_report_bytes_pinned(tmp_path, command):
     argv = ["--mode", "exact"] + _tie_corpus(tmp_path)[command]
     assert _report_digest(argv) == TIES_PINNED[command]
+
+
+@pytest.mark.parametrize("mode,command", sorted(WIDE_PINNED))
+def test_wide_cover_report_bytes_pinned(tmp_path, mode, command):
+    argv = ["--mode", mode] + _wide_corpus(tmp_path)[command]
+    assert _report_digest(argv) == WIDE_PINNED[(mode, command)]
 
 
 def _stepfit_argv(tmp_path, key):

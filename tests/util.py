@@ -7,7 +7,7 @@ definitions, so agreement with the library is meaningful evidence.
 from fractions import Fraction
 
 from virtcont import DiscreteSpace, MetricMatrix, ProductFunction, ProductSet
-from virtcont.model import zero_of
+from virtcont.model import left_sum, zero_of
 
 
 def rand_weights(rng, n):
@@ -68,6 +68,66 @@ def brute_cover(row_costs, col_costs, edges):
              + sum((col_costs[j] for j in cols), Fraction(0)))
         best = w if best is None else min(best, w)
     return best
+
+
+def reference_max_flow_cover(row_costs, col_costs, batches, tol):
+    """`flows._max_flow_cover` as plain Edmonds-Karp on generic arc lists:
+    one full BFS per augmenting path, lowest node index first, over nodes
+    0 = source, 1..nr rows, nr+1..nr+nc columns, nr+nc+1 = sink.  Arcs are
+    [to, capacity, flow, index of the reverse arc]; edge arcs carry `big`,
+    which exceeds every cut.  Returns what the library kernel returns."""
+    nr, nc = len(row_costs), len(col_costs)
+    zero = 0 * tol
+    big = left_sum(row_costs) + left_sum(col_costs)
+    src, snk = 0, nr + nc + 1
+    n = nr + nc + 2
+    graph = [[] for _ in range(n)]
+
+    def add_arc(u, v, cap):
+        graph[u].append([v, cap, zero, len(graph[v])])
+        graph[v].append([u, zero, zero, len(graph[u]) - 1])
+
+    for i in range(nr):
+        add_arc(src, 1 + i, row_costs[i])
+    for j in range(nc):
+        add_arc(1 + nr + j, snk, col_costs[j])
+    edge_arcs = []
+    covers = []
+    total = zero
+    for batch in batches:
+        for (i, j) in batch:
+            edge_arcs.append((1 + i, len(graph[1 + i])))
+            add_arc(1 + i, 1 + nr + j, big)
+        while True:
+            parent = [None] * n
+            parent[src] = (src, -1)
+            queue = [src]
+            qi = 0
+            while qi < len(queue) and parent[snk] is None:
+                u = queue[qi]
+                qi += 1
+                for ai, arc in enumerate(graph[u]):
+                    v, cap, flow, _ = arc
+                    if parent[v] is None and cap - flow > tol:
+                        parent[v] = (u, ai)
+                        queue.append(v)
+            if parent[snk] is None:
+                break
+            path = []
+            v = snk
+            while v != src:
+                u, ai = parent[v]
+                path.append((u, ai))
+                v = u
+            bottleneck = min(graph[u][ai][1] - graph[u][ai][2] for u, ai in path)
+            for u, ai in path:
+                arc = graph[u][ai]
+                arc[2] += bottleneck
+                graph[arc[0]][arc[3]][2] -= bottleneck
+            total += bottleneck
+        covers.append(([i for i in range(nr) if parent[1 + i] is None],
+                       [j for j in range(nc) if parent[1 + nr + j] is not None]))
+    return covers, [graph[u][ai][2] for u, ai in edge_arcs], total
 
 
 def brute_thickness(z):
