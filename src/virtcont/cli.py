@@ -25,7 +25,7 @@ from .flows import InfeasibleError
 from .model import DEFAULT_TOL, ValidationError, left_sum
 from .srnorm import sr_norm
 from .tau import tau_distance
-from .thickness import _flow_plan, thickness
+from .thickness import thickness
 from .transport import kantorovich, kr_norm
 from .vcdiag import (FAMILIES, matrix_distribution_exact,
                      matrix_distribution_sample, refinement_study,
@@ -138,13 +138,12 @@ def _fit_obj(fit):
 def _run_thickness(args, exact, tol):
     z = _load_as("set", args.set, exact, args.command)
     res = thickness(z)
-    plan = _flow_plan(z, res)
-    dual = plan.total()
+    dual = res.plan.total()
     return {"value": res.value, "primal": res.value, "dual": dual,
             "gap": res.value - dual,
             "cover_x": res.cover_x, "cover_y": res.cover_y,
             "fractional_f": res.fractional_f, "fractional_g": res.fractional_g,
-            "plan": matrix_to_obj(plan), "inputs": {"set": matrix_to_obj(z)}}
+            "plan": matrix_to_obj(res.plan), "inputs": {"set": matrix_to_obj(z)}}
 
 
 def _run_tau(args, exact, tol):

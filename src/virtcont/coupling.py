@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .model import (Number, Plan, ProductFunction, ProductSet, ValidationError,
                     left_sum, unscaled)
-from .thickness import ThicknessResult, _flow_plan, thickness
+from .thickness import ThicknessResult, thickness
 
 
 @dataclass
@@ -25,10 +25,9 @@ class HallResult:
 def max_bistochastic_mass(z: ProductSet) -> HallResult:
     """max over bistochastic plans of the mass placed on Z; equals th(Z)."""
     cert = thickness(z)
-    sub = _flow_plan(z, cert)
-    _, _, rows, d, _ = sub.scaled()
+    _, _, rows, d, _ = cert.plan.scaled()
     total_on_z = unscaled(left_sum(rows[i][j] for (i, j) in z.cells()), d)
-    return HallResult(total_on_z, complete_to_bistochastic(sub), cert)
+    return HallResult(total_on_z, complete_to_bistochastic(cert.plan), cert)
 
 
 def complete_to_bistochastic(sub: Plan) -> Plan:

@@ -347,6 +347,12 @@ class Plan:
         xw, yw, rows, d, exact = self._scaled
         return xw, yw, rows, d, 0 if exact else tol
 
+    def is_over(self, x_space: DiscreteSpace, y_space: DiscreteSpace) -> bool:
+        """False if the plan declares other spaces than those of what it
+        certifies: its marginals are judged against its own spaces, so such
+        a plan certifies nothing."""
+        return self.x_space == x_space and self.y_space == y_space
+
     def row_marginals(self) -> list:
         _, _, rows, d, _ = self._scaled
         return [unscaled(left_sum(row), d) for row in rows]

@@ -4,7 +4,8 @@ The thickness of Z in X x Y is the least weight mu(X~) + nu(Y~) of a cross
 cover (X~ x Y) u (X x Y~) containing Z.  On atomic spaces this is exactly a
 weighted bipartite vertex cover, solved by max-flow; the fractional relaxation
 attains the same optimum (total unimodularity), so the integral cover doubles
-as the optimal fractional pair.
+as the optimal fractional pair.  The maximum flow is a subbistochastic plan
+on Z of that same mass (the Hall-type identity), the certificate's other side.
 """
 
 from __future__ import annotations
@@ -27,12 +28,11 @@ class ThicknessResult:
     cover_y: list          # indices of Y-atoms in the cover
     fractional_f: list     # per-X values in [0,1]
     fractional_g: list     # per-Y values in [0,1]
-    flow: list             # max-flow certificate aligned with member cells
-    cells: list            # member cells, sorted
+    plan: Plan             # the max-flow: subbistochastic, carried on the set
 
 
 def thickness(z: ProductSet) -> ThicknessResult:
-    """Exact minimum cover weight with integral and fractional certificates."""
+    """Exact minimum cover weight with its cover, fractional pair and plan."""
     mu, nu = z.x_space.weights, z.y_space.weights
     zero = zero_of(mu + nu)
     one = zero + 1
@@ -41,21 +41,11 @@ def thickness(z: ProductSet) -> ThicknessResult:
     rows, cols = set(res.rows), set(res.cols)
     f = [one if i in rows else zero for i in range(len(mu))]
     g = [one if j in cols else zero for j in range(len(nu))]
-    return ThicknessResult(res.value, res.rows, res.cols, f, g,
-                           res.flow, list(inst.edges))
-
-
-def _flow_plan(z: ProductSet, res: ThicknessResult) -> Plan:
-    """The max-flow certificate of `thickness` as a subbistochastic plan on z.
-
-    Kept out of `thickness` itself: `tau_ball_check` and the tau check need
-    only the value.
-    """
-    zero = res.value * 0
-    mass = [[zero] * z.y_space.size for _ in range(z.x_space.size)]
-    for (i, j), fl in zip(res.cells, res.flow):
+    mass = [[zero] * len(nu) for _ in mu]
+    for (i, j), fl in zip(inst.edges, res.flow):
         mass[i][j] = fl
-    return Plan(z.x_space, z.y_space, mass)
+    return ThicknessResult(res.value, res.rows, res.cols, f, g,
+                           Plan(z.x_space, z.y_space, mass))
 
 
 def thickness_of_level_set(f: ProductFunction, lam: Number) -> Number:
@@ -87,22 +77,21 @@ def level_set_thicknesses(f: ProductFunction, levels, mode: str) -> list:
                                 joins[::-1])[::-1]
 
 
-def verify_thickness_result(z: ProductSet, res: ThicknessResult,
-                            tol: float = DEFAULT_TOL) -> list[str]:
-    """Re-check a thickness certificate without the solver; list of violations.
-
-    Weights and the value share one integer scale dw, the fractional pair
-    has its own dp, so the pair's weight is set against value * dp.
+def verify_cover(z: ProductSet, value: Number, cover_x, cover_y, fractional_f,
+                 fractional_g, tol: float = DEFAULT_TOL) -> list[str]:
+    """Violations of the cover half of a thickness certificate: the cover and
+    the fractional pair must cover z and weigh the value.  Weights and value
+    share one integer scale dw, the pair has its own dp: set against value * dp.
     """
     nx, ny = z.x_space.size, z.y_space.size
-    if len(res.fractional_f) != nx or len(res.fractional_g) != ny:
+    if len(fractional_f) != nx or len(fractional_g) != ny:
         raise ValidationError("fractional pair does not match the factors")
     ((mu, nu, (value,)), (f, g)), (dw, dp), t = common_scales(
-        tol, [z.x_space.weights, z.y_space.weights, [res.value]],
-        [res.fractional_f, res.fractional_g])
+        tol, [z.x_space.weights, z.y_space.weights, [value]],
+        [fractional_f, fractional_g])
     problems = []
     cells = list(z.cells())
-    cx, cy = set(res.cover_x), set(res.cover_y)
+    cx, cy = set(cover_x), set(cover_y)
     for (i, j) in cells:
         if i not in cx and j not in cy:
             problems.append(f"cell ({i},{j}) not covered")
@@ -118,4 +107,25 @@ def verify_thickness_result(z: ProductSet, res: ThicknessResult,
     fw = left_sum(w * v for w, v in zip(mu, f)) + left_sum(w * v for w, v in zip(nu, g))
     if not abs(fw - value * dp) <= t:
         problems.append("fractional pair weight != value")
+    return problems
+
+
+def verify_thickness_result(z: ProductSet, res: ThicknessResult,
+                            tol: float = DEFAULT_TOL) -> list[str]:
+    """Re-check both sides of a thickness certificate without the solver;
+    list of violations.  The cover (`verify_cover`) bounds th(z) above, a
+    subbistochastic plan on z bounds it below."""
+    plan = res.plan
+    if not plan.is_over(z.x_space, z.y_space):
+        return ["witness plan is not over the set's spaces"]
+    problems = verify_cover(z, res.value, res.cover_x, res.cover_y,
+                            res.fractional_f, res.fractional_g, tol)
+    _, _, rows, d, t = plan.scaled(tol)
+    if not plan.is_subbistochastic(tol):
+        problems.append("witness plan is not subbistochastic")
+    on_z = left_sum(rows[i][j] for (i, j) in z.cells())
+    if not abs(left_sum(left_sum(map(abs, r)) for r in rows) - on_z) <= t:
+        problems.append("witness plan carries mass off the set")
+    if not abs(on_z - res.value * d) <= t:
+        problems.append("witness plan mass != cover weight (duality gap)")
     return problems

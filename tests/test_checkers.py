@@ -17,7 +17,7 @@ from virtcont.fileio import save_matrix, save_metric, save_vector
 from test_fileio_cli import (_BELOW_1, _LIPSCHITZ_AT_1, _NOT_COVERED,
                              _check_tampered, _fixture_corpus, _run,
                              _run_failing, _self_checked_jobs)
-from util import rand_metric, rand_space
+from util import rand_function, rand_metric, rand_space
 
 
 def _set(**items):
@@ -118,6 +118,28 @@ def test_cli_check_rejects_a_negative_fractional_pair(tmp_path, mode):
     code, out = _run(["check", str(rp)])
     assert code == 2
     assert json.loads(out)["violations"] == ["fractional pair has a negative entry"]
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_cli_check_rejects_a_tau_value_that_is_not_the_least(tmp_path, mode):
+    # perfbench's f-10-0/g-10-0 pair, drawn as its workloads draw it; a value
+    # of 100 is feasible ({|f - g| > 100} is empty), but so is every smaller
+    # value down to tau
+    rng = random.Random("fixed:f-10-0.csv")
+    xs, ys = rand_space(rng, 10, "x"), rand_space(rng, 10, "y")
+    f, g = str(tmp_path / "f.csv"), str(tmp_path / "g.csv")
+    save_matrix(rand_function(rng, xs, ys), f)
+    save_matrix(rand_function(rng, xs, ys), g)
+    code, out = _run(["--mode", mode, "tau", f, g])
+    assert code == 0
+    rep = json.loads(out)
+    rep.update(value="100", witness_set_thickness="0")
+    rp = tmp_path / "forged.json"
+    rp.write_text(json.dumps(rep))
+    code, out = _run(["check", str(rp)])
+    assert code == 2
+    assert json.loads(out)["violations"] == [
+        "reported value is not the least feasible one"]
 
 
 def _metric_jobs(path):

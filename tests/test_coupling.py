@@ -52,12 +52,7 @@ def test_completion_dominates_and_is_bistochastic():
     rng = random.Random(25)
     xs, ys = rand_space(rng, 3, "x"), rand_space(rng, 3, "y")
     z = rand_set(rng, xs, ys, density=0.4)
-    sub = max_bistochastic_mass(z).thickness_certificate
-    sub_plan = Plan(xs, ys, [[Fraction(0)] * 3 for _ in range(3)])
-    mass = [[Fraction(0)] * 3 for _ in range(3)]
-    for (i, j), fl in zip(sub.cells, sub.flow):
-        mass[i][j] = fl
-    sub_plan = Plan(xs, ys, mass)
+    sub_plan = max_bistochastic_mass(z).thickness_certificate.plan
     full = complete_to_bistochastic(sub_plan)
     assert full.is_bistochastic()
     for i in range(3):

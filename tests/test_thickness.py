@@ -1,10 +1,14 @@
 """Thickness: flow solver vs brute force vs the fractional cover LP."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
-from virtcont import (DiscreteSpace, ProductSet, thickness,
+from hypothesis import example, given, strategies as st
+
+from virtcont import (DiscreteSpace, Plan, ProductSet, thickness,
                       thickness_of_level_set, verify_thickness_result)
+from virtcont.model import left_sum
 
 from lp_oracle import cover_lp_data, dense_lp_solve
 from util import brute_thickness, fn_on, rand_set, rand_space
@@ -18,14 +22,16 @@ def _single_cell(xs, ys, i, j):
 
 def test_empty_set_has_thickness_zero():
     # in both regimes: the regime's zero, an empty cover, a zero fractional
-    # pair, and no flow or cells
+    # pair, and a zero plan
     for one in (Fraction(1), 1.0):
         xs = DiscreteSpace(["a", "b", "c"], [one / 4, one / 4, one / 2])
         ys = DiscreteSpace(["p", "q"], [one / 3, 2 * one / 3])
         res = thickness(ProductSet.empty(xs, ys))
         zero = one * 0
         assert type(res.value) is type(zero) and res.value == zero
-        assert (res.cover_x, res.cover_y, res.flow, res.cells) == ([], [], [], [])
+        assert (res.cover_x, res.cover_y) == ([], [])
+        assert res.plan == Plan.zero(xs, ys)
+        assert {type(v) for row in res.plan.mass for v in row} == {type(zero)}
         assert res.fractional_f == [zero] * 3 and res.fractional_g == [zero] * 2
         assert {type(v) for v in res.fractional_f + res.fractional_g} == {type(zero)}
 
@@ -114,3 +120,73 @@ def test_level_set_thickness():
     f = fn_on(s, s, lambda i, j: Fraction(1) if (i, j) == (0, 0) else Fraction(0))
     assert thickness_of_level_set(f, Fraction(1, 2)) == Fraction(1, 10)
     assert thickness_of_level_set(f, Fraction(2)) == 0
+
+
+def _sets(weight):
+    """Sets of any cells on sides of 1 to 6 atoms, weighted in one regime."""
+    @st.composite
+    def sets(draw):
+        nr, nc = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+
+        def space(n, prefix):
+            parts = [draw(st.integers(1, 9)) for _ in range(n)]
+            return DiscreteSpace([f"{prefix}{i}" for i in range(n)],
+                                 [weight(p, sum(parts)) for p in parts])
+
+        xs, ys = space(nr, "x"), space(nc, "y")
+        return ProductSet(xs, ys, [[draw(st.booleans()) for _ in range(nc)]
+                                   for _ in range(nr)])
+    return sets()
+
+
+_GAP = "witness plan mass != cover weight (duality gap)"
+
+
+def _both_sides_checked(z):
+    """thickness(z) verifies; three forgeries of it do not."""
+    res = thickness(z)
+    assert verify_thickness_result(z, res) == []
+    nx, ny = z.x_space.size, z.y_space.size
+    plan = res.plan
+
+    def with_plan(mass):
+        return replace(res, plan=Plan(plan.x_space, plan.y_space, mass))
+
+    # the cover of all rows with its own value: the cover side holds, and
+    # only the plan shows that the set is thinner
+    whole = left_sum(z.x_space.weights)
+    one, zero = whole * 0 + 1, whole * 0
+    all_rows = replace(res, value=whole, cover_x=list(range(nx)), cover_y=[],
+                       fractional_f=[one] * nx, fractional_g=[zero] * ny)
+    if abs(whole - res.value) > 1e-6:
+        assert verify_thickness_result(z, all_rows) == [_GAP]
+    if res.value > 1e-6:
+        halved = with_plan([[v / 2 for v in row] for row in plan.mass])
+        assert verify_thickness_result(z, halved) == [_GAP]
+    cells = set(z.cells())
+    off = [(i, j) for i in range(nx) for j in range(ny) if (i, j) not in cells]
+    if off and cells:
+        i, j = max(cells, key=lambda c: plan.mass[c[0]][c[1]])
+        if plan.mass[i][j] > 1e-6:
+            mass = [list(row) for row in plan.mass]
+            k, m = off[0]
+            mass[k][m] += mass[i][j]
+            mass[i][j] *= 0
+            problems = verify_thickness_result(z, with_plan(mass))
+            assert {"witness plan carries mass off the set", _GAP} <= set(problems)
+
+
+_TWO = DiscreteSpace.uniform(2)
+
+
+# th = 1/2 on one cell of the uniform 2 x 2 space: the cover of both rows,
+# with value 1 and pair (1, 1), (0, 0), is a cover but not the least
+@example(ProductSet(_TWO, _TWO, [[True, False], [False, False]]))
+@given(_sets(Fraction))
+def test_exact_thickness_certifies_both_sides(z):
+    _both_sides_checked(z)
+
+
+@given(_sets(lambda p, total: p / total))
+def test_float_thickness_certifies_both_sides(z):
+    _both_sides_checked(z)
