@@ -77,18 +77,22 @@ def level_set_thicknesses(f: ProductFunction, levels, mode: str) -> list:
                                 joins[::-1])[::-1]
 
 
-def verify_cover(z: ProductSet, value: Number, cover_x, cover_y, fractional_f,
-                 fractional_g, tol: float = DEFAULT_TOL) -> list[str]:
+def verify_cover(z: ProductSet, value: Number, cover_x, cover_y,
+                 fractional_f=None, fractional_g=None,
+                 tol: float = DEFAULT_TOL) -> list[str]:
     """Violations of the cover half of a thickness certificate: the cover and
     the fractional pair must cover z and weigh the value.  Weights and value
     share one integer scale dw, the pair has its own dp: set against value * dp.
+    Without a pair (a hall cover) only the cover is checked.
     """
-    nx, ny = z.x_space.size, z.y_space.size
-    if len(fractional_f) != nx or len(fractional_g) != ny:
-        raise ValidationError("fractional pair does not match the factors")
-    ((mu, nu, (value,)), (f, g)), (dw, dp), t = common_scales(
-        tol, [z.x_space.weights, z.y_space.weights, [value]],
-        [fractional_f, fractional_g])
+    groups = [[z.x_space.weights, z.y_space.weights, [value]]]
+    if fractional_f is not None:
+        if (len(fractional_f) != z.x_space.size
+                or len(fractional_g) != z.y_space.size):
+            raise ValidationError("fractional pair does not match the factors")
+        groups.append([fractional_f, fractional_g])
+    scaled, scales, t = common_scales(tol, *groups)
+    (mu, nu, (value,)), dw = scaled[0], scales[0]
     problems = []
     cells = list(z.cells())
     cx, cy = set(cover_x), set(cover_y)
@@ -99,6 +103,9 @@ def verify_cover(z: ProductSet, value: Number, cover_x, cover_y, fractional_f,
     if not abs(total - value) <= t:
         problems.append(f"cover weight {unscaled(total, dw)} != "
                         f"reported value {unscaled(value, dw)}")
+    if fractional_f is None:
+        return problems
+    (f, g), dp = scaled[1], scales[1]
     for (i, j) in cells:
         if not f[i] + g[j] - dp >= -t:
             problems.append(f"fractional pair below 1 on cell ({i},{j})")

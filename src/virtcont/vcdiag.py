@@ -16,7 +16,11 @@ grow one row at a time, each block carrying its per-column value range, and
 a partial partition is cut as soon as the columns it already forces into the
 exceptional class weigh at least the current best.  Larger instances fall
 back to a seeded alternating local search whose result is flagged as an
-upper bound.
+upper bound; its restarts are scored on the search's scale.
+
+Exact matrix distributions run on the integer scale too: weights and
+distances are scaled once, probabilities are products of int weights, and
+the matrices are sorted on their scaled entries.
 """
 
 from __future__ import annotations
@@ -24,13 +28,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import ceil
+from operator import itemgetter
 from typing import Optional
 
 from .model import (DEFAULT_TOL, EPS, DiscreteSpace, MetricMatrix, Number,
                     ProductFunction, ValidationError, common_integers,
-                    is_exact, left_sum, nonneg, zero_of)
+                    is_exact, left_sum, nonneg, unscaled)
 
 EXACT_SIDE_LIMIT = 8
 HEURISTIC_RESTARTS = 20
@@ -71,26 +77,42 @@ def _subset_sums(weights):
     return table
 
 
-def _exact_search(f: ProductFunction, n_blocks: int, bound: Number,
-                  stop_early: bool):
-    """Best configuration with objective strictly below bound.
+def _on_scale(f: ProductFunction):
+    """f on the one scale of the search and the heuristic's scoring.
 
-    Returns (objective, config) with config = (row_exc_mask, row_blocks,
-    col_exc_mask, col_groups), or (bound, None) if nothing beats it.
+    Exact values are multiplied by the common denominator d of the values and
+    the weights, class weights by 2d, all ints, so a half-gap (a - b)/2 is
+    compared with a weight w as a - b against 2w and an objective o stands
+    for o/(2d).  Float values stay as they are and the weights are doubled,
+    which is exact; o then stands for o/2.
 
-    The search runs on one scale: exact values times the common denominator
-    d of the values and the weights, class weights times 2d, all ints, so a
-    half-gap (a - b)/2 is compared with a weight w as a - b against 2w and
-    an objective o stands for o/(2d).  Float values stay as they are and the
-    weights are doubled, which is exact.
+    Returns (rows of values, row weights, column weights, d), d None for floats.
     """
     nr, nc = f.shape
     flat, scale = common_integers([v for row in f.values for v in row]
                                   + list(f.x_space.weights + f.y_space.weights))
     cells = nr * nc
-    vr = [flat[i * nc:(i + 1) * nc] for i in range(nr)]
-    wsx = _subset_sums([2 * w for w in flat[cells:cells + nr]])
-    wsy = _subset_sums([2 * w for w in flat[cells + nr:]])
+    return ([flat[i * nc:(i + 1) * nc] for i in range(nr)],
+            [2 * w for w in flat[cells:cells + nr]],
+            [2 * w for w in flat[cells + nr:]], scale)
+
+
+def _unscale(o, scale):
+    """An objective on the scale of `_on_scale` in the units of the values."""
+    return o / 2 if scale is None else Fraction(o, 2 * scale)
+
+
+def _exact_search(scaled, n_blocks: int, bound: Number, stop_early: bool):
+    """Best configuration with objective strictly below bound.
+
+    Returns (objective, config) with config = (row_exc_mask, row_blocks,
+    col_exc_mask, col_groups), or (bound, None) if nothing beats it.  The
+    search compares ints on the scale of `_on_scale(f)`, given as scaled.
+    """
+    vr, wx, wy, scale = scaled
+    nr, nc = len(wx), len(wy)
+    wsx = _subset_sums(wx)
+    wsy = _subset_sums(wy)
     if scale is None:
         best = 2 * bound
     elif bound == INF:
@@ -226,7 +248,7 @@ def _exact_search(f: ProductFunction, n_blocks: int, bound: Number,
             break
     if best_cfg is None:
         return bound, None
-    return (best / 2 if scale is None else Fraction(best, 2 * scale)), best_cfg
+    return _unscale(best, scale), best_cfg
 
 
 # ------------------------------------------------------------- local search
@@ -346,23 +368,26 @@ def _half(x):
     return Fraction(x) / 2 if is_exact(x) else x / 2
 
 
-def _objective(f: ProductFunction, cfg):
-    """Objective of a search config: its heaviest exceptional class or its
-    widest block-pair half-range, with class weights added in index order."""
+def _score(scaled, cfg):
+    """Objective of a search config on the scale of `_on_scale`: its heaviest
+    exceptional class, with weights added in index order, or its widest
+    block-pair range."""
     em, row_blocks, ec, col_groups = cfg
-    mu, nu = f.x_space.weights, f.y_space.weights
-    zero = zero_of(mu + nu)
-    worst = max(left_sum((w for i, w in enumerate(mu) if (em >> i) & 1), zero),
-                left_sum((w for j, w in enumerate(nu) if (ec >> j) & 1), zero))
+    vr, wx, wy, _ = scaled
+    o = max(left_sum(w for i, w in enumerate(wx) if (em >> i) & 1),
+            left_sum(w for j, w in enumerate(wy) if (ec >> j) & 1))
     for rows in row_blocks:
         for cols in col_groups:
-            cells = [f[i, j] for i in rows for j in cols]
-            worst = max(worst, _half(max(cells) - min(cells)))
-    return worst
+            cells = [vr[i][j] for i in rows for j in cols]
+            o = max(o, max(cells) - min(cells))
+    return o
 
 
-def _heuristic(f: ProductFunction, n_blocks: int, seed: int):
-    """Alternating row/column local search; returns (objective, config)."""
+def _heuristic(f: ProductFunction, scaled, n_blocks: int, seed: int):
+    """Alternating row/column local search; returns (objective, config).
+
+    The sweeps run on floats; each restart is scored on the scale of
+    `_on_scale(f)`, given as scaled."""
     nr, nc = f.shape
     v = [[float(x) for x in row] for row in f.values]
     vt = [[v[i][j] for i in range(nr)] for j in range(nc)]
@@ -395,10 +420,10 @@ def _heuristic(f: ProductFunction, n_blocks: int, seed: int):
             if not (a or b):
                 break
         cfg = _assignments_to_config(rowasg, colasg, n_blocks)
-        val = _objective(f, cfg)
+        val = _score(scaled, cfg)
         if best_val is None or val < best_val:
             best_val, best_cfg = val, cfg
-    return best_val, best_cfg
+    return _unscale(best_val, scaled[3]), best_cfg
 
 
 def _assignments_to_config(rowasg, colasg, n_blocks):
@@ -448,11 +473,11 @@ def step_fit_exists(f: ProductFunction, n_blocks: int, eps: Number,
         raise ValidationError("eps must be positive")
     nr, nc = f.shape
     if nr <= EXACT_SIDE_LIMIT and nc <= EXACT_SIDE_LIMIT:
-        _, cfg = _exact_search(f, n_blocks, eps, stop_early=True)
+        _, cfg = _exact_search(_on_scale(f), n_blocks, eps, stop_early=True)
         if cfg is None:
             return None
         return _fit_from_config(f, cfg, eps, exact=True)
-    val, cfg = _heuristic(f, n_blocks, seed)
+    val, cfg = _heuristic(f, _on_scale(f), n_blocks, seed)
     if val < eps:
         return _fit_from_config(f, cfg, eps, exact=False)
     return None
@@ -468,10 +493,11 @@ def vc_profile(f: ProductFunction, n_blocks: int, seed: int = 0) -> VcProfileRes
     if n_blocks < 1:
         raise ValidationError("block count must be at least 1")
     nr, nc = f.shape
-    hval, cfg = _heuristic(f, n_blocks, seed)
+    scaled = _on_scale(f)
+    hval, cfg = _heuristic(f, scaled, n_blocks, seed)
     if nr <= EXACT_SIDE_LIMIT and nc <= EXACT_SIDE_LIMIT:
         # the search returns hval itself if nothing beats it
-        value, found = _exact_search(f, n_blocks, hval, stop_early=False)
+        value, found = _exact_search(scaled, n_blocks, hval, stop_early=False)
         if found is not None:
             cfg = found
         return VcProfileResult(value, True, _fit_from_config(f, cfg, value, True))
@@ -558,8 +584,9 @@ def family_function(name: str, n: int) -> ProductFunction:
     return ProductFunction(x, y, vals)
 
 
-def _triangle_lower_bound(n: int, n_blocks: int, seed: int):
-    """Certified lower bound on the staircase profile at grid size n.
+def _triangle_lower_bound(n: int, profile):
+    """Certified lower bound on the staircase profile at grid size n, from
+    profile(m, strict), the exact profile of `_staircase(m, strict)`.
 
     Any fit on the 2m grid restricts, through the lighter parity class on
     each side, to a fit of one of the two staircase patterns on the m grid
@@ -573,9 +600,7 @@ def _triangle_lower_bound(n: int, n_blocks: int, seed: int):
             raise ValidationError(
                 "staircase lower bounds need grid sizes of the form 8 * 2^k")
         m //= 2
-    weak = vc_profile(_staircase(m, strict=False), n_blocks, seed).value
-    strong = vc_profile(_staircase(m, strict=True), n_blocks, seed).value
-    return min(weak, strong)
+    return min(profile(m, False).value, profile(m, True).value)
 
 
 def refinement_study(family: str, grid_sizes, n_blocks: int,
@@ -598,15 +623,22 @@ def refinement_study(family: str, grid_sizes, n_blocks: int,
         raise ValidationError(f"unknown family {family!r}")
     base = grid_sizes[0]
     rows = []
+
+    # each staircase is profiled once per study: a grid size and the
+    # lower bound of its doubles may both need it
+    @cache
+    def staircase_profile(m, strict):
+        return vc_profile(_staircase(m, strict), n_blocks, seed)
+
     for n in grid_sizes:
         if family == "triangle_indicator":
             blocks = n_blocks
             if n <= EXACT_SIDE_LIMIT:
-                res = vc_profile(family_function(family, n), blocks, seed)
+                res = staircase_profile(n, False)
                 rows.append({"n": n, "blocks": blocks, "value": res.value,
                              "kind": "exact" if res.exact else "upper"})
             else:
-                value = _triangle_lower_bound(n, blocks, seed)
+                value = _triangle_lower_bound(n, staircase_profile)
                 rows.append({"n": n, "blocks": blocks, "value": value,
                              "kind": "lower"})
         else:
@@ -620,24 +652,53 @@ def refinement_study(family: str, grid_sizes, n_blocks: int,
 # ------------------------------------------------------ matrix distributions
 
 def matrix_distribution_exact(m: MetricMatrix, k: int) -> MatrixDistribution:
-    """Exact law of the k x k distance matrix of 2k points drawn from mu."""
+    """Exact law of the k x k distance matrix of 2k points drawn from mu.
+
+    Exact weights and distances are scaled once to ints (`model.common_integers`,
+    each on its own scale): a probability is a product of int weights over
+    dw^(2k), and the matrices are keyed and sorted as tuples of scaled ints,
+    whose order is that of the Fractions.  Floats run the same loop as they
+    are, adding in the same order.  Each matrix is reported with the distances
+    of the first index tuple that draws it; only positive probabilities are
+    kept (a zero-weight atom, or a float product that underflows, adds none).
+    """
     if k < 1:
         raise ValidationError("matrix order must be at least 1")
     n = m.space.size
     if n ** (2 * k) > ENUM_GUARD:
         raise ValidationError(
             f"enumeration too large ({n}^{2 * k} index tuples > {ENUM_GUARD})")
-    w = m.space.weights
-    one = zero_of(w) + 1
+    w, dw = common_integers(m.space.weights)
+    flat, _ = common_integers(v for row in m.dist for v in row)
+    rows = [flat[i * n:(i + 1) * n] for i in range(n)]
+    one = 1.0 if dw is None else 1
+    # pick(row) is the row's entries in the columns ys, as a tuple
+    cols = [(ys, itemgetter(*ys) if k > 1 else lambda row, j=ys[0]: (row[j],))
+            for ys in product(range(n), repeat=k)]
     acc: dict = {}
-    for tup in product(range(n), repeat=2 * k):
-        p = one
-        for i in tup:
-            p = p * w[i]
-        xs, ys = tup[:k], tup[k:]
-        mat = tuple(tuple(m.dist[i][j] for j in ys) for i in xs)
-        acc[mat] = acc.get(mat, one * 0) + p
-    support = sorted(acc.items())
+    first: dict = {}
+    for xs in product(range(n), repeat=k):
+        px = one
+        for i in xs:
+            px *= w[i]
+        sub = [rows[i] for i in xs]
+        for ys, pick in cols:
+            p = px
+            for j in ys:
+                p *= w[j]
+            key = tuple(map(pick, sub))
+            if key in acc:
+                acc[key] += p
+            else:
+                acc[key] = p
+                first[key] = xs, pick
+    scale = 1 if dw is None else dw ** (2 * k)
+    support = []
+    for key in sorted(acc):
+        if acc[key] > 0:
+            xs, pick = first[key]
+            support.append((tuple(pick(m.dist[i]) for i in xs),
+                            unscaled(acc[key], scale)))
     return MatrixDistribution(k, support)
 
 

@@ -254,10 +254,8 @@ _TAMPERED = [
     ("krnorm", _tamper_krnorm_plan,
      ["plan row marginals != mu1", "plan column marginals != mu2"], None),
     ("hall", _tamper_hall_cover,
-     _NOT_COVERED + ["cover weight 0 != reported value 1"] + _BELOW_1
-     + ["fractional pair weight != value"],
-     _NOT_COVERED + ["cover weight 0 != reported value 0.9999999999999999"]
-     + _BELOW_1 + ["fractional pair weight != value"]),
+     _NOT_COVERED + ["cover weight 0 != reported value 1"],
+     _NOT_COVERED + ["cover weight 0 != reported value 0.9999999999999999"]),
     ("transport", _tamper_transport_plan,
      ["plan column marginals != mu2", "plan cost != reported cost"], None),
     ("thickness", _tamper_thickness_plan,

@@ -216,3 +216,36 @@ def test_stepfit_report_bytes_pinned(tmp_path, key):
 def test_float_stepfit_report_bytes_pinned(tmp_path, key):
     argv = ["--mode", "float"] + _stepfit_argv(tmp_path, key)
     assert _report_digest(argv) == FLOAT_STEPFIT_PINNED[key]
+
+
+# Matrix-distribution reports on `_corpus`'s rho.json and on a metric drawn as
+# perfbench/workloads.py draws "rho-8.json": the exact law at orders 1 and 2,
+# the float law at order 2, and 2000 seeded samples.  Recorded from the
+# enumeration that multiplied and summed Fraction weights and sorted the
+# matrices as tuples of Fractions, before it ran on the integer scale.
+MATDIST_PINNED = {
+    "exact rho 1": "fd7183de1628adb42de7f928eb06e7f55c7d4307",
+    "exact rho 2": "eaca0c2a9f550f4b32a536daf67e745ecef13d43",
+    "exact rho-8 1": "9e0ec767d1b2361ccc8e2537d714d0d50c4856b1",
+    "exact rho-8 2": "7e1c304808bc77d952e5db146438a2f905a02377",
+    "float rho 2": "41b0c8b416b046d100426f97de719032d8c79097",
+    "float rho-8 2": "d437fdbe0bbfd82fcebd46a7c6c1e4a71a646694",
+    "exact rho-8 2 samples": "9314424f3630b079ee875f2446864bcea6b40c09",
+}
+
+
+def _matdist_argv(tmp_path, key):
+    mode, name, order, *samples = key.split()
+    if name == "rho":
+        path = _corpus(tmp_path)["transport"][1]
+    else:
+        rng = random.Random(f"fixed:{name}.json")
+        path = str(tmp_path / f"{name}.json")
+        save_metric(rand_metric(rng, rand_space(rng, 8, "p")), path)
+    argv = ["--mode", mode, "matdist", path, "--order", order]
+    return argv + ["--samples", "2000", "--seed", "0"] if samples else argv
+
+
+@pytest.mark.parametrize("key", sorted(MATDIST_PINNED))
+def test_matdist_report_bytes_pinned(tmp_path, key):
+    assert _report_digest(_matdist_argv(tmp_path, key)) == MATDIST_PINNED[key]

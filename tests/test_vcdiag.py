@@ -17,9 +17,11 @@ from virtcont import (DiscreteSpace, MetricMatrix, ProductFunction,
                       step_fit_exists, step_fit_violations, vc_profile)
 from virtcont.checkers import check_report
 from virtcont.cli import main
-from virtcont.fileio import save_matrix
+from virtcont.fileio import jsonable, save_matrix
+from virtcont.vcdiag import ENUM_GUARD, _heuristic, _on_scale
 
-from util import (brute_step_fit_exists, fn_on, rand_function, rand_space)
+from util import (brute_step_fit_exists, fn_on, rand_function, rand_metric,
+                  rand_space, reference_heuristic, reference_matrix_distribution)
 
 
 def test_exists_matches_bruteforce_oracle():
@@ -342,3 +344,143 @@ def test_exact_function_with_float_eps():
         value = vc_profile(f, nb).value
         near = float(value)
         assert (step_fit_exists(f, nb, near) is not None) == (near > value)
+
+
+@st.composite
+def _wide_functions(draw, exact):
+    """Functions of sides 1-10: exact values with small prime denominators
+    and weights with large, pairwise coprime ones, or float values spread
+    over 1e-3..1e3 with weights from integer parts."""
+    nr, nc = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    primes = iter(_PRIMES)
+
+    def space(n, prefix):
+        if exact:
+            ws = [Fraction(draw(st.integers(1, p // n)), p)
+                  for p in (next(primes) for _ in range(n - 1))]
+            ws.append(1 - sum(ws))
+        else:
+            parts = [draw(st.integers(1, 9)) for _ in range(n)]
+            ws = [p / sum(parts) for p in parts]
+        return DiscreteSpace([f"{prefix}{i}" for i in range(n)], ws)
+
+    if exact:
+        value = st.builds(lambda q, a: Fraction(a, q), st.sampled_from([1, 2, 3, 5, 7, 11, 13]),
+                          st.integers(-39, 39))
+    else:
+        value = st.builds(lambda sign, e: sign * 10.0 ** e,
+                          st.sampled_from([-1, 1]), st.floats(-3, 3))
+    return ProductFunction(space(nr, "x"), space(nc, "y"),
+                           [[draw(value) for _ in range(nc)] for _ in range(nr)])
+
+
+@given(_wide_functions(exact=True), st.integers(1, 4), st.integers(0, 3))
+def test_exact_heuristic_scores_as_the_reference(f, nb, seed):
+    assert repr(_heuristic(f, _on_scale(f), nb, seed)) \
+        == repr(reference_heuristic(f, nb, seed))
+
+
+@given(_wide_functions(exact=False), st.integers(1, 4), st.integers(0, 3))
+def test_float_heuristic_scores_as_the_reference(f, nb, seed):
+    assert repr(_heuristic(f, _on_scale(f), nb, seed)) \
+        == repr(reference_heuristic(f, nb, seed))
+
+
+@st.composite
+def _metric_orders(draw, exact):
+    """(distance table on 1-6 atoms, order 1-3), of order 3 only up to 4
+    atoms (`test_largest_laws_equal_the_reference` takes 6).  The distances
+    come from a pool of at most four values, so that many index tuples draw
+    the same matrix; exact weights have pairwise coprime denominators, float
+    values are spread over 1e-3..1e3."""
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 6 if k < 3 else 4))
+    if exact:
+        ws = [Fraction(draw(st.integers(1, p // n)), p)
+              for p in (11, 13, 17, 19, 23)[:n - 1]]
+        ws.append(1 - sum(ws))
+        value = st.builds(lambda q, a: Fraction(a, q), st.sampled_from([1, 3, 7, 10]),
+                          st.integers(0, 30))
+    else:
+        parts = [draw(st.integers(1, 9)) for _ in range(n)]
+        ws = [p / sum(parts) for p in parts]
+        value = st.builds(lambda e: 10.0 ** e, st.floats(-3, 3))
+    pool = draw(st.lists(value, min_size=1, max_size=4))
+    d = [[0 * pool[0]] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i][j] = d[j][i] = draw(st.sampled_from(pool))
+    assert n ** (2 * k) <= ENUM_GUARD
+    return MetricMatrix(DiscreteSpace([f"p{i}" for i in range(n)], ws), d), k
+
+
+def _same_law(support, reference):
+    # entry by entry, so that a failure names its first differing entry
+    # instead of diffing two reprs of thousands of entries
+    assert list(map(repr, support)) == list(map(repr, reference))
+
+
+@given(_metric_orders(exact=True))
+def test_exact_matrix_distribution_equals_the_reference(mk):
+    _same_law(matrix_distribution_exact(*mk).support,
+              reference_matrix_distribution(*mk))
+
+
+@given(_metric_orders(exact=False))
+def test_float_matrix_distribution_equals_the_reference(mk):
+    _same_law(matrix_distribution_exact(*mk).support,
+              reference_matrix_distribution(*mk))
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_largest_laws_equal_the_reference(exact):
+    # n = 6, k = 3: 6^6 index tuples, the most within ENUM_GUARD at side 6;
+    # the Fraction reference takes about 2 s here
+    rng = random.Random(6)
+    m = rand_metric(rng, rand_space(rng, 6, "p"), denom=2, hi=2)
+    if not exact:
+        m = MetricMatrix(DiscreteSpace(m.space.labels, [float(w) for w in m.space.weights]),
+                         [[float(v) for v in row] for row in m.dist])
+    _same_law(matrix_distribution_exact(m, 3).support,
+              reference_matrix_distribution(m, 3))
+
+
+def _matdist_check(dist, mode):
+    """`check` of a matdist report of dist, as the CLI writes its support."""
+    support = [{"matrix": [list(row) for row in mat], "probability": p}
+               for mat, p in dist.support]
+    return check_report(jsonable({"command": "matdist", "mode": mode,
+                                  "order": dist.k, "support": support}))
+
+
+def test_matrix_distribution_leaves_out_a_zero_weight_atom():
+    # DiscreteSpace takes an atom of weight 0 (files do not): the matrices
+    # only it draws have probability 0 and stay out of the support
+    half, zero = Fraction(1, 2), Fraction(0)
+    m = MetricMatrix(DiscreteSpace(("a", "b", "c"), (half, zero, half)),
+                     [[Fraction(v) for v in row]
+                      for row in ([0, 1, 2], [1, 0, 3], [2, 3, 0])])
+    without_b = MetricMatrix(DiscreteSpace.uniform(2),
+                             [[zero, Fraction(2)], [Fraction(2), zero]])
+    for k in (1, 2):
+        dist = matrix_distribution_exact(m, k)
+        assert dist.support == matrix_distribution_exact(without_b, k).support
+        assert _matdist_check(dist, "exact") == []
+
+
+def test_float_matrix_distribution_leaves_out_an_underflow():
+    # only atom a lies at distances 1 and 2 from b and c, so the matrix
+    # [[1, 2], [1, 2]] needs a drawn twice: 1e-200 squared underflows to 0.0,
+    # as does every other matrix that needs it twice
+    tiny = Fraction(1, 10 ** 200)
+    d = [[0, 1, 2], [1, 0, 3], [2, 3, 0]]
+    exact = MetricMatrix(DiscreteSpace(("a", "b", "c"),
+                                       (tiny, (1 - tiny) / 2, (1 - tiny) / 2)),
+                         [[Fraction(v) for v in row] for row in d])
+    floats = MetricMatrix(DiscreteSpace(("a", "b", "c"), (1e-200, 0.5, 0.5)),
+                          [[float(v) for v in row] for row in d])
+    mats = [mat for mat, _ in matrix_distribution_exact(exact, 2).support]
+    assert ((1, 2), (1, 2)) in mats
+    dist = matrix_distribution_exact(floats, 2)
+    assert ((1, 2), (1, 2)) not in [mat for mat, _ in dist.support]
+    assert all(p > 0 for _, p in dist.support)

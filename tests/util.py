@@ -4,10 +4,13 @@ Everything here is deliberately naive: brute-force enumeration and direct
 definitions, so agreement with the library is meaningful evidence.
 """
 
+import random
 from fractions import Fraction
+from itertools import product
 
 from virtcont import DiscreteSpace, MetricMatrix, ProductFunction, ProductSet
-from virtcont.model import left_sum, zero_of
+from virtcont.model import is_exact, left_sum, zero_of
+from virtcont.vcdiag import HEURISTIC_RESTARTS, _assignments_to_config, _sweep
 
 
 def rand_weights(rng, n):
@@ -216,3 +219,80 @@ def brute_step_fit_exists(f, n_blocks, eps):
             if ok:
                 return True
     return False
+
+
+def _reference_objective(f, cfg):
+    """Objective of a step-fit search config in the values' own arithmetic:
+    its heaviest exceptional class or its widest block-pair half-range, with
+    class weights added in index order."""
+    em, row_blocks, ec, col_groups = cfg
+    mu, nu = f.x_space.weights, f.y_space.weights
+    zero = zero_of(mu + nu)
+    worst = max(left_sum((w for i, w in enumerate(mu) if (em >> i) & 1), zero),
+                left_sum((w for j, w in enumerate(nu) if (ec >> j) & 1), zero))
+    for rows in row_blocks:
+        for cols in col_groups:
+            cells = [f[i, j] for i in rows for j in cols]
+            gap = max(cells) - min(cells)
+            worst = max(worst, Fraction(gap) / 2 if is_exact(gap) else gap / 2)
+    return worst
+
+
+def reference_heuristic(f, n_blocks, seed):
+    """`vcdiag._heuristic` with each restart scored in Fractions (or floats)
+    by `_reference_objective` instead of on the search's integer scale; the
+    library's own sweeps move the blocks.  Returns (objective, config)."""
+    nr, nc = f.shape
+    v = [[float(x) for x in row] for row in f.values]
+    vt = [[v[i][j] for i in range(nr)] for j in range(nc)]
+    wx = [float(w) for w in f.x_space.weights]
+    wy = [float(w) for w in f.y_space.weights]
+    best_val = None
+    best_cfg = None
+    row_means = sorted(range(nr), key=lambda i: left_sum(v[i]))
+    col_means = sorted(range(nc), key=lambda j: left_sum(vt[j]))
+    for t in range(HEURISTIC_RESTARTS):
+        rng = random.Random(seed * 1000003 + t)
+        if t == 0:
+            rowasg = [1 + (i * n_blocks) // nr for i in range(nr)]
+            colasg = [1 + (j * n_blocks) // nc for j in range(nc)]
+        elif t == 1:
+            rowasg = [0] * nr
+            colasg = [0] * nc
+            for pos, i in enumerate(row_means):
+                rowasg[i] = 1 + (pos * n_blocks) // nr
+            for pos, j in enumerate(col_means):
+                colasg[j] = 1 + (pos * n_blocks) // nc
+        else:
+            rowasg = [rng.randint(1, n_blocks) for _ in range(nr)]
+            colasg = [rng.randint(1, n_blocks) for _ in range(nc)]
+        for _ in range(50):
+            ey = left_sum(wy[j] for j in range(nc) if colasg[j] == 0)
+            a = _sweep(v, wx, rowasg, colasg, ey, n_blocks)
+            ex = left_sum(wx[i] for i in range(nr) if rowasg[i] == 0)
+            b = _sweep(vt, wy, colasg, rowasg, ex, n_blocks)
+            if not (a or b):
+                break
+        cfg = _assignments_to_config(rowasg, colasg, n_blocks)
+        val = _reference_objective(f, cfg)
+        if best_val is None or val < best_val:
+            best_val, best_cfg = val, cfg
+    return best_val, best_cfg
+
+
+def reference_matrix_distribution(m, k):
+    """The support of `vcdiag.matrix_distribution_exact` by plain enumeration
+    in the weights' own arithmetic: the product of the 2k weights of every
+    index tuple, added per distance matrix in enumeration order, the matrices
+    sorted, and positive probabilities kept."""
+    n = m.space.size
+    w = m.space.weights
+    one = zero_of(w) + 1
+    acc = {}
+    for tup in product(range(n), repeat=2 * k):
+        p = one
+        for i in tup:
+            p = p * w[i]
+        mat = tuple(tuple(m.dist[i][j] for j in tup[k:]) for i in tup[:k])
+        acc[mat] = acc.get(mat, one * 0) + p
+    return [(mat, p) for mat, p in sorted(acc.items()) if p > 0]
