@@ -180,7 +180,7 @@ def _check_matdist(rep, read, tol):
     ((probs,),), (d,), t = common_scales(
         tol, [[read.number(e["probability"]) for e in rep["support"]]])
     problems = []
-    if not all(p > t for p in probs):
+    if not all(p > 0 for p in probs):   # a probability below tol is still one
         problems.append("nonpositive probability in support")
     if not abs(left_sum(probs) - d) <= t:
         problems.append("probabilities do not sum to 1")

@@ -19,8 +19,9 @@ import sys
 from .checkers import _CHECKS, check_report
 from .coupling import max_bistochastic_mass
 from .fileio import (_csv_table, _load, _loads_json, _matrix_kind, _parse_weight,
-                     jsonable, load_matrix, load_metric, load_vector,
-                     matrix_to_obj, metric_to_obj)
+                     dumps_json, jsonable, load_matrix, load_metric,
+                     load_vector, matrices_to_obj, matrix_to_obj,
+                     metric_to_obj)
 from .flows import InfeasibleError
 from .model import DEFAULT_TOL, ValidationError, left_sum
 from .srnorm import sr_norm
@@ -235,13 +236,14 @@ def _run_matdist(args, exact, tol):
     rho = load_metric(args.metric, exact)
     if args.samples is None:
         dist = matrix_distribution_exact(rho, args.order)
-        support = [{"matrix": [list(row) for row in mat], "probability": p}
-                   for mat, p in dist.support]
+        mats = matrices_to_obj([mat for mat, _ in dist.support], dist.k)
+        support = [{"matrix": mat, "probability": p}
+                   for mat, (_, p) in zip(mats, dist.support)]
         return {"order": dist.k, "support": support,
                 "inputs": {"metric": metric_to_obj(rho)}}
     mats = matrix_distribution_sample(rho, args.order, args.samples, args.seed)
     return {"order": args.order, "count": args.samples, "seed": args.seed,
-            "samples": [[list(row) for row in mat] for mat in mats]}
+            "samples": matrices_to_obj(mats, args.order)}
 
 
 def _run_check(args, exact, tol):
@@ -278,7 +280,7 @@ def _report_text(rep) -> str:
 
 def emit_report(rep: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(rep, sort_keys=True, indent=2) + "\n"
+        return dumps_json(rep) + "\n"
     if fmt == "csv":
         return _report_csv(rep)
     return _report_text(rep)

@@ -4,8 +4,10 @@ Matrix files (functions, sets, plans) carry a one-line JSON header naming
 both factor spaces, then one CSV row per X-atom with a Y-label header row.
 Reports embed the same matrices as objects with the same cells.  Numbers
 serialize as "p/q" strings in exact mode and as 17-significant-digit
-decimals in float mode; parse(emit(x)) == x in both regimes.  A malformed
-file raises a ValidationError that names its path.
+decimals in float mode; parse(emit(x)) == x in both regimes.  Each
+distinct number string of a file is parsed once, and each distinct number
+object of a matrix is formatted once.  A malformed file raises a
+ValidationError that names its path.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import io
 import json
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import chain
 
 from .model import (DiscreteSpace, MetricMatrix, Plan, ProductFunction,
                     ProductSet, ValidationError, is_exact, parse_number,
@@ -27,6 +30,15 @@ def format_number(x) -> str:
     if is_exact(x):
         return str(x)       # an int or a Fraction prints as its lowest terms
     return format(x, ".17g")
+
+
+def _cell_strings(rows, write=format_number) -> list:
+    """write(cell) for each cell of the rows, once per distinct cell object.
+    Keyed by id (the rows keep each cell alive), never by value: 0.0 == -0.0
+    and 1 == 1.0 == Fraction(1) == True, but they print apart."""
+    cells = list(chain.from_iterable(rows))
+    text = {k: write(v) for k, v in dict(zip(map(id, cells), cells)).items()}
+    return [list(map(text.__getitem__, map(id, row))) for row in rows]
 
 
 def _parse_weight(text, exact: bool):
@@ -57,11 +69,25 @@ class _Reader:
             x = self._numbers[text] = _parse_weight(text, self.exact)
         return x
 
+    def numbers(self, row) -> list:
+        """`number` of each cell, mapped at C speed once the strings not seen
+        before are parsed.  A row with another cell or a malformed one is
+        read cell by cell, so that the error names its first bad cell."""
+        known = self._numbers
+        try:
+            for text in set(row).difference(known):
+                if type(text) is not str:
+                    raise TypeError
+                known[text] = _parse_weight(text, self.exact)
+        except (TypeError, ValidationError):
+            return [self.number(v) for v in row]
+        return list(map(known.__getitem__, row))
+
     def space(self, obj) -> DiscreteSpace:
         for known, space in self._spaces:
             if known == obj:
                 return space
-        space = space_from_obj(obj, self.exact)
+        space = space_from_obj(obj, self.exact, self)
         self._spaces.append((obj, space))
         return space
 
@@ -70,14 +96,15 @@ class _Reader:
 
 def space_to_obj(space: DiscreteSpace) -> dict:
     return {"labels": list(space.labels),
-            "weights": [format_number(w) for w in space.weights]}
+            "weights": _cell_strings([space.weights])[0]}
 
 
-def space_from_obj(obj: dict, exact: bool = True) -> DiscreteSpace:
+def space_from_obj(obj: dict, exact: bool = True, read=None) -> DiscreteSpace:
+    """A validated space; `read`, if given, is the `_Reader` of its file."""
     if not isinstance(obj, dict) or "labels" not in obj or "weights" not in obj:
         raise ValidationError("space object needs 'labels' and 'weights'")
     space = DiscreteSpace(obj["labels"],
-                          [_parse_weight(w, exact) for w in obj["weights"]])
+                          (read or _Reader(exact)).numbers(obj["weights"]))
     require_valid_space(space)
     return space
 
@@ -94,7 +121,7 @@ def save_space(space: DiscreteSpace, path: str) -> None:
 
 def metric_to_obj(m: MetricMatrix) -> dict:
     return {"kind": "metric", "space": space_to_obj(m.space),
-            "dist": [[format_number(v) for v in row] for row in m.dist]}
+            "dist": _cell_strings(m.dist)}
 
 
 def metric_from_obj(obj: dict, exact: bool = True, read=None) -> MetricMatrix:
@@ -104,7 +131,7 @@ def metric_from_obj(obj: dict, exact: bool = True, read=None) -> MetricMatrix:
         raise ValidationError("metric object needs 'space' and 'dist'")
     read = read or _Reader(exact)
     m = MetricMatrix(read.space(obj["space"]),
-                     [[read.number(v) for v in row] for row in obj["dist"]])
+                     list(map(read.numbers, obj["dist"])))
     kind, witness = validate_semimetric(m)
     if kind == "invalid":
         raise ValidationError(f"invalid semimetric: {witness}")
@@ -161,13 +188,12 @@ def _build(kind, x_space, y_space, cells, read, signed):
     if not all(isinstance(row, (list, tuple)) for row in cells):
         raise ValidationError("matrix rows must be lists of cells")
     if kind == "set":
-        text = [[str(v) for v in row] for row in cells]
+        text = [list(map(str, row)) for row in cells]
         if not set().union(*text) <= {"0", "1"}:
             raise ValidationError("set cells must be 0 or 1")
         return ProductSet(x_space, y_space,
-                          [[v == "1" for v in row] for row in text])
-    number = read.number
-    rows = [[number(v) for v in row] for row in cells]
+                          [list(map("1".__eq__, row)) for row in text])
+    rows = list(map(read.numbers, cells))
     if kind == "plan":
         return Plan(x_space, y_space, rows, signed=bool(signed))
     return ProductFunction(x_space, y_space, rows)
@@ -178,10 +204,16 @@ def matrix_to_obj(m) -> dict:
     also carries `"signed": true`."""
     _, key, write = _KINDS[_matrix_kind(m)]
     obj = {"x_space": space_to_obj(m.x_space), "y_space": space_to_obj(m.y_space),
-           key: [[write(v) for v in row] for row in getattr(m, key)]}
+           key: _cell_strings(getattr(m, key), write)}
     if getattr(m, "signed", False):
         obj["signed"] = True
     return obj
+
+
+def matrices_to_obj(mats, k: int) -> list:
+    """k x k matrices of numbers as rows of strings, as reports list them."""
+    rows = _cell_strings([row for mat in mats for row in mat])
+    return [rows[i:i + k] for i in range(0, len(rows), k)]
 
 
 def matrix_from_obj(kind: str, obj: dict, exact: bool = True, read=None):
@@ -283,18 +315,46 @@ def _loads_json(text: str, what: str = "bad JSON"):
 
 def _dump_json(obj, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(dumps_json(obj) + "\n")
+
+
+_escape = json.encoder.encode_basestring_ascii   # json's own C escaper
+_SCALARS = {str: _escape, int: int.__repr__}     # type -> its JSON writer
+
+
+def dumps_json(obj, indent: str = "\n") -> str:
+    """json.dumps(obj, sort_keys=True, indent=2) byte for byte, for what
+    `jsonable` returns, with each list of strings or ints in one C-level
+    join (json encodes in pure Python when given an indent).  `indent` is
+    the line break and margin of obj's closing bracket."""
+    write = _SCALARS.get(type(obj))
+    if write is not None:
+        return write(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict) and obj:
+        items = (_escape(k) + ": " + dumps_json(obj[k], inner) for k in sorted(obj))
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        kinds = set(map(type, obj))
+        write = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+        items = map(write, obj) if write else (dumps_json(v, inner) for v in obj)
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    return json.dumps(obj)  # empty containers, bools, None, a float label
+
+
+_PLAIN = frozenset([str, int, bool, type(None)])   # what jsonable keeps as is
 
 
 def jsonable(x):
     """Recursively convert model numbers to their string form for reports."""
-    if isinstance(x, bool) or x is None or isinstance(x, (str, int)):
+    if type(x) is str or x is None or isinstance(x, (str, int)):
         return x  # bare ints are indices and counts, not measured quantities
     if isinstance(x, (float, Fraction)):
         return format_number(x)
     if isinstance(x, dict):
         return {str(k): jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
+        if _PLAIN.issuperset(map(type, x)):
+            return list(x)      # such as the cells that matrix_to_obj wrote
         return [jsonable(v) for v in x]
     raise ValidationError(f"cannot serialize {type(x).__name__}")

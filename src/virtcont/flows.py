@@ -34,8 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import chain, repeat
+from itertools import chain
 from math import inf
+from operator import itemgetter
 from typing import Sequence
 
 from .model import (EPS, Number, ValidationError, common_integers, is_exact,
@@ -56,11 +57,16 @@ class BipartiteCoverInstance:
 
     def __init__(self, row_costs: Sequence[Number], col_costs: Sequence[Number], edges):
         row_costs, col_costs = tuple(row_costs), tuple(col_costs)
-        edges = tuple(sorted(set((int(i), int(j)) for i, j in edges)))
+        edges = tuple(sorted({(int(i), int(j)) for i, j in edges}))
         _require_positive(row_costs + col_costs)
-        for i, j in edges:
-            if not (0 <= i < len(row_costs) and 0 <= j < len(col_costs)):
-                raise ValidationError(f"edge ({i},{j}) out of range")
+        nr, nc = len(row_costs), len(col_costs)
+        cols = list(map(itemgetter(1), edges))
+        if edges and not (0 <= edges[0][0] and edges[-1][0] < nr and
+                          0 <= min(cols) and max(cols) < nc):
+            # the first edge out of range, in sorted order
+            i, j = next((i, j) for i, j in edges
+                        if not (0 <= i < nr and 0 <= j < nc))
+            raise ValidationError(f"edge ({i},{j}) out of range")
         object.__setattr__(self, "row_costs", row_costs)
         object.__setattr__(self, "col_costs", col_costs)
         object.__setattr__(self, "edges", edges)
@@ -73,6 +79,12 @@ class CoverResult:
     cols: list            # picked column indices
     flow: list            # certificate flow per edge, aligned with inst.edges
     flow_value: Number
+
+
+def _over(ints, d):
+    """k -> Fraction(k, d) for the ints given, one Fraction per distinct k:
+    plans then share cells, which are formatted and rescaled once each."""
+    return {k: Fraction(k, d) for k in set(ints)}.__getitem__
 
 
 def _require_positive(costs):
@@ -133,7 +145,7 @@ def _scaled_covers(row_costs: tuple, col_costs: tuple, batches):
     covers, flow, total = _max_flow_cover(
         costs[:nr], costs[nr:], batches, 0 if scale is not None else EPS)
     if scale is not None:
-        flow = map(Fraction, flow, repeat(scale))
+        flow = map(_over(flow, scale), flow)
         total = Fraction(total, scale)
     return covers, [_cover_weight(row_costs, col_costs, costs, scale, rows, cols)
                     for rows, cols in covers], flow, total
@@ -284,8 +296,9 @@ def _ssp_balanced(supplies, demands, cost, tol):
         return _ssp_bellman_ford(supplies, demands, cost, tol)
     total, plan, pi = _ssp_dijkstra(masses[:nr], masses[nr:],
                                     [costs[i * nc:(i + 1) * nc] for i in range(nr)])
+    fraction = _over(chain.from_iterable(plan), d_w)
     return (Fraction(total, d_w * d_c),
-            [[Fraction(x, d_w) for x in row] for row in plan],
+            [list(map(fraction, row)) for row in plan],
             [Fraction(p, d_c) for p in pi])
 
 

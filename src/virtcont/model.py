@@ -64,9 +64,11 @@ def common_integers(values: Iterable[Number]):
     values = list(values)
     if not all_exact(values):
         return values, None
-    ratios = [v.as_integer_ratio() for v in values]
-    d = lcm(*{q for _, q in ratios})
-    return [p * (d // q) for p, q in ratios], d
+    ids = list(map(id, values))     # one ratio per object the list keeps alive
+    ratios = {k: v.as_integer_ratio() for k, v in dict(zip(ids, values)).items()}
+    d = lcm(*{q for _, q in ratios.values()})
+    ints = {k: p * (d // q) for k, (p, q) in ratios.items()}
+    return list(map(ints.__getitem__, ids)), d
 
 
 def common_scales(tol: float, *groups):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .flows import TransportationInstance, solve_transportation
 from .model import (DEFAULT_TOL, Number, Plan, ProductFunction,
@@ -43,9 +44,10 @@ def sr_norm(f: ProductFunction) -> SrNormResult:
     b = [max(v + shift, v * 0) for v in b]
     majorant = SeparableMajorant(a, b)
     plan = Plan(f.x_space, f.y_space, res.plan)
-    dual_value = left_sum(absf[i][j] * res.plan[i][j]
-                          for i in range(f.x_space.size)
-                          for j in range(f.y_space.size))
+    # the cells without mass add exact zeros in either regime
+    dual_value = left_sum((v * m for frow, mrow in zip(absf, res.plan)
+                           for v, m in zip(frow, mrow) if m),
+                          zero_of(chain(mu, nu, *absf)))
     primal_value = majorant.weight(f.x_space, f.y_space)
     return SrNormResult(primal_value, majorant, plan, dual_value)
 

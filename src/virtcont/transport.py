@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from operator import sub
 
 from .flows import InfeasibleError, TransportationInstance, solve_transportation
 from .model import (DEFAULT_TOL, MetricMatrix, Number, Plan, ValidationError,
@@ -86,10 +87,11 @@ def kr_norm(signed, rho: MetricMatrix, tol: float = DEFAULT_TOL) -> KrNormResult
     inst = TransportationInstance(pos, neg, rho.dist, mode="min-cost")
     res = solve_transportation(inst)
     # c-transform of the sink potential: 1-Lipschitz by the triangle inequality,
-    # tight on the support of the shipped mass
-    u = [min(rho.dist[i][k] - res.v[k] for k in range(n)) for i in range(n)]
+    # tight on the support of the shipped mass; on one integer scale d
+    ((v, *dist),), (d,), _ = common_scales(tol, [res.v, *rho.dist])
+    u = [min(map(sub, row, v)) for row in dist]
     shift = u[0]
-    u = [x - shift for x in u]
+    u = [unscaled(x - shift, d) for x in u]
     return KrNormResult(res.value, u, res.plan)
 
 

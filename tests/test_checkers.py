@@ -285,3 +285,73 @@ def test_cli_check_ties_a_plan_to_the_spaces_it_certifies(tmp_path, mode, kind,
     code, out = _run(["check", str(rp)])
     assert code == 2
     assert json.loads(out)["violations"] == [message]
+
+
+def _matdist_report(tmp_path, mode):
+    """The order-2 matdist report of a 4-atom metric whose three light atoms
+    give most matrices a probability far below the default tolerance."""
+    space = DiscreteSpace(["a", "b", "c", "d"],
+                          [Fraction(1, 1000)] * 3 + [Fraction(997, 1000)])
+    dist = [[Fraction(0) if i == j else Fraction(10 + 4 * min(i, j) + max(i, j))
+             for j in range(4)] for i in range(4)]
+    save_metric(MetricMatrix(space, dist), str(tmp_path / "rho.json"))
+    code, out = _run(["--mode", mode, "matdist", str(tmp_path / "rho.json"),
+                      "--order", "2"])
+    assert code == 0
+    return json.loads(out)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_cli_matdist_keeps_probabilities_below_the_tolerance(tmp_path, mode):
+    rep = _matdist_report(tmp_path, mode)
+    assert min(Fraction(e["probability"]) for e in rep["support"]) < Fraction(1, 10 ** 9)
+    rp = tmp_path / "report.json"
+    rp.write_text(json.dumps(rep))
+    code, out = _run(["check", str(rp)])
+    assert code == 0 and json.loads(out)["violations"] == []
+    for forged in ("0", "-1e-12"):
+        rep["support"][0]["probability"] = forged
+        rp.write_text(json.dumps(rep))
+        code, out = _run(["check", str(rp)])
+        assert code == 2
+        assert "nonpositive probability in support" in json.loads(out)["violations"]
+
+
+# Rows of a plan or metric that hold a list, a JSON number, `true` and two
+# malformed strings, with the message `check` gives for each; a JSON number
+# is read as its decimal text.  The messages were recorded before rows were
+# read through a set of their distinct strings: the error still names the
+# first bad cell in row order, whatever the hash seed.
+_BAD_CELLS = {"list": [1], "number": 0.5, "true": True, "zero": "1/0", "x": "x"}
+_BAD_ROWS = [
+    (("list", "number", "true", "zero", "x"),
+     "bad numeric literal [1]: Invalid literal for Fraction: '[1]'"),
+    (("number", "true", "zero", "list", "x"),
+     "bad numeric literal True: Invalid literal for Fraction: 'True'"),
+    (("number", "zero", "x", "true", "list"),
+     "bad numeric literal '1/0': Fraction(1, 0)"),
+    (("number", "x", "zero", "true"),
+     "bad numeric literal 'x': Invalid literal for Fraction: 'x'"),
+    (("zero", "x"), "bad numeric literal '1/0': Fraction(1, 0)"),
+    (("x", "zero"), "bad numeric literal 'x': Invalid literal for Fraction: 'x'"),
+]
+
+
+@pytest.mark.parametrize("kind,path", [("thickness", ("plan", "mass")),
+                                       ("transport", ("inputs", "metric", "dist"))])
+@pytest.mark.parametrize("cells,message", _BAD_ROWS,
+                         ids=["-".join(c) for c, _ in _BAD_ROWS])
+def test_cli_check_names_the_first_bad_cell_of_a_row(tmp_path, kind, path,
+                                                     cells, message):
+    jobs = {job[0]: job for job in _self_checked_jobs(_fixture_corpus(tmp_path))}
+    jobs.update(_metric_jobs(tmp_path / "metric"))
+    code, out = _run(jobs[kind])
+    assert code == 0
+    rep = json.loads(out)
+    row = rep
+    for k in path:
+        row = row[k]
+    row[1][:len(cells)] = [_BAD_CELLS[c] for c in cells]
+    rp = tmp_path / "forged.json"
+    rp.write_text(json.dumps(rep))
+    assert _run_failing(["check", str(rp)]) == f"error: {message}\n"

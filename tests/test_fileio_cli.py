@@ -12,12 +12,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import virtcont
 from virtcont import (DiscreteSpace, Plan, ProductFunction, ProductSet,
                       kantorovich, kr_norm, model)
 from virtcont.cli import main
-from virtcont.fileio import (dumps_matrix, format_number, load_matrix,
+from virtcont.fileio import (_cell_strings, _Reader, dumps_json,
+                             dumps_matrix, format_number, load_matrix,
                              load_metric, load_vector, loads_matrix,
                              load_space, matrix_from_obj,
                              matrix_to_obj, metric_from_obj, metric_to_obj,
@@ -44,6 +46,43 @@ def test_format_number_rational_and_float():
         assert format_number(x) == str(Fraction(x))
     for x in (0.1, -2.5, 1e300, 1 / 3, -0.0, 3.0):
         assert format_number(x) == format(x, ".17g")
+
+
+# what `jsonable` returns: strings (any code point, control characters
+# included), ints, bools and None, in lists and string-keyed dicts
+_JSON = st.recursive(
+    st.one_of(st.text(), st.integers(), st.booleans(), st.none()),
+    lambda inner: st.one_of(st.lists(inner), st.dictionaries(st.text(), inner)),
+    max_leaves=40)
+
+
+@given(_JSON)
+@example({"": [], "b": {}, "\u00e9\U0001f600": ["\x00\n\"\\", "\u2028"],
+          "n": [1, -2, 10 ** 30], "t": [True, None, False]})
+def test_dumps_json_writes_what_json_dumps_writes(obj):
+    assert dumps_json(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+def test_numbers_are_formatted_once_per_object_never_by_value():
+    cells = [[0.0, -0.0, 1, Fraction(1), True, 1.0], [-0.0, True, 0.0]]
+    calls = []
+    text = _cell_strings(cells, lambda v: calls.append(v) or repr(v))
+    assert text == [list(map(repr, row)) for row in cells]
+    assert len(calls) == len({id(v) for row in cells for v in row})
+    assert _cell_strings([[0.0, -0.0], [-0.0, 0.0]]) == [["0", "-0"], ["-0", "0"]]
+    with pytest.raises(model.ValidationError, match="boolean"):
+        _cell_strings([[1, Fraction(1), True]])
+    assert model.common_integers([1, Fraction(1), True, Fraction(1, 2)]) == \
+        ([2, 2, 2, 1], 2)
+
+
+def test_a_reader_parses_each_string_of_a_row_once():
+    read = _Reader(exact=False)
+    row = read.numbers(["-0", "0", "-0", "1/4"])
+    assert [str(v) for v in row] == ["-0.0", "0.0", "-0.0", "0.25"]
+    assert row[0] is row[2] and read.numbers(["1/4"])[0] is row[3]
+    # a number cell is read by its decimal text, as `number` reads it
+    assert _Reader().numbers(["1", 1, 0.5]) == [1, 1, Fraction(1, 2)]
 
 
 def test_space_round_trip(tmp_path):
