@@ -20,13 +20,16 @@ from .thickness import (ThicknessResult, thickness, verify_cover,
 from .transport import TransportResult, verify_transport_result
 from .vcdiag import StepFit, step_fit_violations
 
-# Every check takes (report, the `_Reader` of that report, tol): the reader
-# parses each distinct number string and reads each distinct space once.
+# Every check takes (report, the `_Reader` of its job, tol): the reader
+# parses each distinct number string, reads each distinct space and validates
+# each distinct metric once per job, the job's inputs included.
 
 
 def _vector(obj, key, n, read):
     """The numbers under obj[key], one per atom of an n-atom space."""
     values = obj[key]
+    if not isinstance(values, (list, tuple)):
+        raise TypeError(f"{key} must be a list")
     if len(values) != n:
         # raised as an IndexError, which `check_report` reports as a
         # malformed report, like any other cell that is not where it belongs
@@ -200,8 +203,9 @@ _CHECKS = {
 }
 
 
-def check_report(rep: dict, tol: float = DEFAULT_TOL) -> list[str]:
-    """Re-verify the certificates inside a report dict; list of violations."""
+def check_report(rep: dict, tol: float = DEFAULT_TOL, read=None) -> list[str]:
+    """Re-verify the certificates inside a report dict; list of violations.
+    `read` is the `_Reader` of the job that wrote it; by default, a fresh one."""
     if not isinstance(rep, dict):
         raise ValidationError("a report must be a JSON object")
     cmd = rep.get("command")
@@ -212,4 +216,4 @@ def check_report(rep: dict, tol: float = DEFAULT_TOL) -> list[str]:
         raise ValidationError(f"malformed {cmd} report: mode {mode!r} "
                               "is neither 'exact' nor 'float'")
     with _malformed(f"{cmd} report"):
-        return _CHECKS[cmd](rep, _Reader(mode == "exact"), tol)
+        return _CHECKS[cmd](rep, read or _Reader(mode == "exact"), tol)

@@ -18,7 +18,7 @@ import sys
 
 from .checkers import _CHECKS, check_report
 from .coupling import max_bistochastic_mass
-from .fileio import (_csv_table, _load, _loads_json, _matrix_kind, _parse_weight,
+from .fileio import (_csv_table, _load, _loads_json, _matrix_kind, _Reader,
                      dumps_json, jsonable, load_matrix, load_metric,
                      load_vector, matrices_to_obj, matrix_to_obj,
                      metric_to_obj)
@@ -121,11 +121,11 @@ _parser = functools.cache(_build_parser)
 
 
 # ------------------------------------------------------------------ commands
-# Every runner takes (args, exact, tol) and returns the report dict.
+# Every runner takes (args, the job's `_Reader`, tol) and returns the report.
 
-def _load_as(kind, path, exact, command):
+def _load_as(kind, path, read, command):
     """The matrix file at path, which must hold a `kind` ("set" or "function")."""
-    m = load_matrix(path, exact)
+    m = load_matrix(path, read=read)
     if _matrix_kind(m) != kind:
         raise ValidationError(f"{command} expects a {kind} matrix")
     return m
@@ -136,8 +136,8 @@ def _fit_obj(fit):
             "levels": fit.levels, "epsilon": fit.epsilon, "exact": fit.exact}
 
 
-def _run_thickness(args, exact, tol):
-    z = _load_as("set", args.set, exact, args.command)
+def _run_thickness(args, read, tol):
+    z = _load_as("set", args.set, read, args.command)
     res = thickness(z)
     dual = res.plan.total()
     return {"value": res.value, "primal": res.value, "dual": dual,
@@ -147,17 +147,17 @@ def _run_thickness(args, exact, tol):
             "plan": matrix_to_obj(res.plan), "inputs": {"set": matrix_to_obj(z)}}
 
 
-def _run_tau(args, exact, tol):
-    f = _load_as("function", args.f, exact, args.command)
-    g = _load_as("function", args.g, exact, args.command)
+def _run_tau(args, read, tol):
+    f = _load_as("function", args.f, read, args.command)
+    g = _load_as("function", args.g, read, args.command)
     res = tau_distance(f, g)
     return {"value": res.value,
             "witness_set_thickness": res.witness_set_thickness,
             "inputs": {"f": matrix_to_obj(f), "g": matrix_to_obj(g)}}
 
 
-def _run_srnorm(args, exact, tol):
-    f = _load_as("function", args.function, exact, args.command)
+def _run_srnorm(args, read, tol):
+    f = _load_as("function", args.function, read, args.command)
     res = sr_norm(f)
     return {"value": res.value, "primal": res.value, "dual": res.dual_value,
             "dual_value": res.dual_value, "gap": res.value - res.dual_value,
@@ -166,8 +166,8 @@ def _run_srnorm(args, exact, tol):
             "inputs": {"function": matrix_to_obj(f)}}
 
 
-def _run_hall(args, exact, tol):
-    z = _load_as("set", args.set, exact, args.command)
+def _run_hall(args, read, tol):
+    z = _load_as("set", args.set, read, args.command)
     res = max_bistochastic_mass(z)
     cert = res.thickness_certificate
     return {"mass": res.mass, "thickness_value": cert.value,
@@ -176,10 +176,10 @@ def _run_hall(args, exact, tol):
             "plan": matrix_to_obj(res.plan), "inputs": {"set": matrix_to_obj(z)}}
 
 
-def _run_transport(args, exact, tol):
-    rho = load_metric(args.metric, exact)
-    mu1 = load_vector(args.mu1, exact)
-    mu2 = load_vector(args.mu2, exact)
+def _run_transport(args, read, tol):
+    rho = load_metric(args.metric, read=read)
+    mu1 = load_vector(args.mu1, read=read)
+    mu2 = load_vector(args.mu2, read=read)
     res = kantorovich(mu1, mu2, rho, tol)
     dual = left_sum(u * (a - b) for u, a, b in zip(res.potential, mu1, mu2))
     return {"cost": res.cost, "primal": res.cost, "dual": dual,
@@ -188,9 +188,9 @@ def _run_transport(args, exact, tol):
             "inputs": {"metric": metric_to_obj(rho), "mu1": mu1, "mu2": mu2}}
 
 
-def _run_krnorm(args, exact, tol):
-    rho = load_metric(args.metric, exact)
-    signed = load_vector(args.signed, exact)
+def _run_krnorm(args, read, tol):
+    rho = load_metric(args.metric, read=read)
+    signed = load_vector(args.signed, read=read)
     res = kr_norm(signed, rho, tol)
     dual = left_sum(u * s for u, s in zip(res.potential, signed))
     return {"value": res.value, "primal": res.value, "dual": dual,
@@ -199,9 +199,9 @@ def _run_krnorm(args, exact, tol):
             "inputs": {"metric": metric_to_obj(rho), "signed": signed}}
 
 
-def _run_stepfit(args, exact, tol):
-    f = _load_as("function", args.function, exact, args.command)
-    eps = _parse_weight(args.eps, exact)
+def _run_stepfit(args, read, tol):
+    f = _load_as("function", args.function, read, args.command)
+    eps = read.number(args.eps)
     fit = step_fit_exists(f, args.blocks, eps, args.seed)
     rep = {"found": fit is not None, "blocks": args.blocks, "epsilon": eps,
            "inputs": {"function": matrix_to_obj(f)}}
@@ -210,21 +210,21 @@ def _run_stepfit(args, exact, tol):
     return rep
 
 
-def _run_vcprofile(args, exact, tol):
-    f = _load_as("function", args.function, exact, args.command)
+def _run_vcprofile(args, read, tol):
+    f = _load_as("function", args.function, read, args.command)
     res = vc_profile(f, args.blocks, args.seed)
     return {"value": res.value, "exact_optimum": res.exact,
             "blocks": args.blocks, "witness": _fit_obj(res.witness),
             "inputs": {"function": matrix_to_obj(f)}}
 
 
-def _run_refine(args, exact, tol):
+def _run_refine(args, read, tol):
     try:
         grids = [int(s) for s in args.grids.split(",")]
     except ValueError:
         raise ValidationError("grid sizes must be comma-separated integers") from None
     table = refinement_study(args.family, grids, args.blocks, args.seed)
-    if not exact:
+    if not read.exact:
         # the study stays exact (its lower bounds are certified that way);
         # float mode only reports its values as floats
         for row in table:
@@ -232,8 +232,8 @@ def _run_refine(args, exact, tol):
     return {"family": args.family, "blocks": args.blocks, "table": table}
 
 
-def _run_matdist(args, exact, tol):
-    rho = load_metric(args.metric, exact)
+def _run_matdist(args, read, tol):
+    rho = load_metric(args.metric, read=read)
     if args.samples is None:
         dist = matrix_distribution_exact(rho, args.order)
         mats = matrices_to_obj([mat for mat, _ in dist.support], dist.k)
@@ -246,7 +246,7 @@ def _run_matdist(args, exact, tol):
             "samples": matrices_to_obj(mats, args.order)}
 
 
-def _run_check(args, exact, tol):
+def _run_check(args, read, tol):
     rep = _load(args.report, _loads_json)
     violations = check_report(rep, tol)
     return {"checked_command": rep.get("command"), "violations": violations}
@@ -295,7 +295,8 @@ def main(argv=None) -> int:
         print("error: tolerance must be in (0, 1)", file=sys.stderr)
         return 1
     try:
-        rep = args.run(args, args.mode == "exact", tol)
+        read = _Reader(args.mode == "exact")
+        rep = args.run(args, read, tol)
     except (ValidationError, InfeasibleError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
@@ -305,7 +306,7 @@ def main(argv=None) -> int:
     rep["command"] = args.command
     rep = jsonable(rep)
     if args.command in _CHECKS:
-        violations = check_report(rep, tol)
+        violations = check_report(rep, tol, read)
         if violations:
             print("internal invariant violation:", file=sys.stderr)
             for v in violations:

@@ -49,17 +49,18 @@ def _parse_weight(text, exact: bool):
 
 
 class _Reader:
-    """Reads the numbers and spaces of one input file or report.
-
-    A matrix repeats a few number strings many times, and the matrices and
-    metric of a report share their spaces: each distinct string is parsed
-    once, and each distinct space object is read (and validated) once.
+    """Reads the numbers, spaces and metrics of one job: its input files and
+    the report that its self-check reads back.  A matrix repeats a few number
+    strings many times, and a report shares its spaces and metric with the
+    job's inputs: each distinct string is parsed once, each distinct space
+    object read (and validated) once, and each distinct metric validated once.
     """
 
     def __init__(self, exact: bool = True):
         self.exact = exact
         self._numbers = {}
-        self._spaces = []
+        self._spaces = {}
+        self._metrics = []
 
     def number(self, text):
         if type(text) is not str:
@@ -84,12 +85,23 @@ class _Reader:
         return list(map(known.__getitem__, row))
 
     def space(self, obj) -> DiscreteSpace:
-        for known, space in self._spaces:
-            if known == obj:
-                return space
-        space = space_from_obj(obj, self.exact, self)
-        self._spaces.append((obj, space))
+        # keyed by its JSON text, which tells 1, 1.0 and true apart
+        key = json.dumps(obj, sort_keys=True)
+        space = self._spaces.get(key)
+        if space is None:
+            space = self._spaces[key] = space_from_obj(obj, self.exact, self)
         return space
+
+    def metric(self, m: MetricMatrix) -> MetricMatrix:
+        """m validated, or an equal metric on the same space validated before."""
+        for known in self._metrics:
+            if known.space is m.space and known.dist == m.dist:
+                return known
+        kind, witness = validate_semimetric(m)
+        if kind == "invalid":
+            raise ValidationError(f"invalid semimetric: {witness}")
+        self._metrics.append(m)
+        return m
 
 
 # ------------------------------------------------------------------ spaces
@@ -100,9 +112,11 @@ def space_to_obj(space: DiscreteSpace) -> dict:
 
 
 def space_from_obj(obj: dict, exact: bool = True, read=None) -> DiscreteSpace:
-    """A validated space; `read`, if given, is the `_Reader` of its file."""
+    """A validated space; `read`, if given, is the `_Reader` of its job."""
     if not isinstance(obj, dict) or "labels" not in obj or "weights" not in obj:
         raise ValidationError("space object needs 'labels' and 'weights'")
+    _require_list(obj, "labels", "space")
+    _require_list(obj, "weights", "space")
     space = DiscreteSpace(obj["labels"],
                           (read or _Reader(exact)).numbers(obj["weights"]))
     require_valid_space(space)
@@ -125,21 +139,16 @@ def metric_to_obj(m: MetricMatrix) -> dict:
 
 
 def metric_from_obj(obj: dict, exact: bool = True, read=None) -> MetricMatrix:
-    """A validated semimetric; `read`, if given, is the `_Reader` of the
-    report it sits in."""
+    """A validated semimetric; `read`, if given, is the `_Reader` of its job."""
     if "space" not in obj or "dist" not in obj:
         raise ValidationError("metric object needs 'space' and 'dist'")
     read = read or _Reader(exact)
-    m = MetricMatrix(read.space(obj["space"]),
-                     list(map(read.numbers, obj["dist"])))
-    kind, witness = validate_semimetric(m)
-    if kind == "invalid":
-        raise ValidationError(f"invalid semimetric: {witness}")
-    return m
+    return read.metric(MetricMatrix(read.space(obj["space"]),
+                                    list(map(read.numbers, obj["dist"]))))
 
 
-def load_metric(path: str, exact: bool = True) -> MetricMatrix:
-    return _load(path, lambda text: metric_from_obj(_loads_json(text), exact))
+def load_metric(path: str, exact: bool = True, read=None) -> MetricMatrix:
+    return _load(path, lambda t: metric_from_obj(_loads_json(t), exact, read))
 
 
 def save_metric(m: MetricMatrix, path: str) -> None:
@@ -152,14 +161,15 @@ def vector_to_obj(values) -> dict:
     return {"kind": "vector", "values": [format_number(v) for v in values]}
 
 
-def vector_from_obj(obj: dict, exact: bool = True) -> list:
+def vector_from_obj(obj: dict, exact: bool = True, read=None) -> list:
     if "values" not in obj:
         raise ValidationError("vector object needs 'values'")
-    return list(map(_Reader(exact).number, obj["values"]))
+    _require_list(obj, "values", "vector")
+    return list(map((read or _Reader(exact)).number, obj["values"]))
 
 
-def load_vector(path: str, exact: bool = True) -> list:
-    return _load(path, lambda text: vector_from_obj(_loads_json(text), exact))
+def load_vector(path: str, exact: bool = True, read=None) -> list:
+    return _load(path, lambda t: vector_from_obj(_loads_json(t), exact, read))
 
 
 def save_vector(values, path: str) -> None:
@@ -244,7 +254,7 @@ def dumps_matrix(m) -> str:
     return json.dumps(header, sort_keys=True) + "\n" + table
 
 
-def loads_matrix(text: str, exact: bool = True):
+def loads_matrix(text: str, exact: bool = True, read=None):
     lines = text.splitlines()
     if not lines:
         raise ValidationError("empty matrix file")
@@ -252,7 +262,7 @@ def loads_matrix(text: str, exact: bool = True):
     kind = header.get("kind") if isinstance(header, dict) else None
     if kind not in _KINDS:
         raise ValidationError(f"unknown matrix kind {kind!r}")
-    read = _Reader(exact)
+    read = read or _Reader(exact)
     x_space = read.space(header.get("x_space", {}))
     y_space = read.space(header.get("y_space", {}))
     body = [row for row in csv.reader(lines[1:]) if row]
@@ -270,8 +280,8 @@ def loads_matrix(text: str, exact: bool = True):
                   read, header.get("signed"))
 
 
-def load_matrix(path: str, exact: bool = True):
-    return _load(path, lambda text: loads_matrix(text, exact))
+def load_matrix(path: str, exact: bool = True, read=None):
+    return _load(path, lambda text: loads_matrix(text, exact, read))
 
 
 def save_matrix(obj, path: str) -> None:
@@ -290,6 +300,12 @@ def _malformed(what: str):
         raise ValidationError(f"malformed {what}: missing key {e}") from None
     except (TypeError, AttributeError, IndexError) as e:
         raise ValidationError(f"malformed {what}: {e}") from None
+
+
+def _require_list(obj: dict, key: str, what: str) -> None:
+    """A list given as a string or an object is not read element by element."""
+    if not isinstance(obj[key], (list, tuple)):
+        raise ValidationError(f"{what} {key!r} must be a list")
 
 
 def _load(path: str, parse):

@@ -14,9 +14,11 @@ common denominator d of the values and weights and class weights by 2d, so
 every half-gap and class weight is compared as an int.  The row partitions
 grow one row at a time, each block carrying its per-column value range, and
 a partial partition is cut as soon as the columns it already forces into the
-exceptional class weigh at least the current best.  Larger instances fall
-back to a seeded alternating local search whose result is flagged as an
-upper bound; its restarts are scored on the search's scale.
+exceptional class weigh at least the current best.  The best of the first
+two restarts of a seeded alternating local search bounds the search, and
+later restarts run only until one reaches the certified optimum (see
+`vc_profile`).  Larger instances run every restart, and the result is
+flagged as an upper bound; restarts are scored on the search's scale.
 
 Exact matrix distributions run on the integer scale too: weights and
 distances are scaled once, probabilities are products of int weights, and
@@ -29,7 +31,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import islice, product
 from math import ceil
 from operator import itemgetter
 from typing import Optional
@@ -383,8 +385,9 @@ def _score(scaled, cfg):
     return o
 
 
-def _heuristic(f: ProductFunction, scaled, n_blocks: int, seed: int):
-    """Alternating row/column local search; returns (objective, config).
+def _restarts(f: ProductFunction, scaled, n_blocks: int, seed: int):
+    """Alternating row/column local search; yields (objective, config) of
+    each restart in order.
 
     The sweeps run on floats; each restart is scored on the scale of
     `_on_scale(f)`, given as scaled."""
@@ -393,8 +396,6 @@ def _heuristic(f: ProductFunction, scaled, n_blocks: int, seed: int):
     vt = [[v[i][j] for i in range(nr)] for j in range(nc)]
     wx = [float(w) for w in f.x_space.weights]
     wy = [float(w) for w in f.y_space.weights]
-    best_val = None
-    best_cfg = None
     row_means = sorted(range(nr), key=lambda i: left_sum(v[i]))
     col_means = sorted(range(nc), key=lambda j: left_sum(vt[j]))
     for t in range(HEURISTIC_RESTARTS):
@@ -420,10 +421,18 @@ def _heuristic(f: ProductFunction, scaled, n_blocks: int, seed: int):
             if not (a or b):
                 break
         cfg = _assignments_to_config(rowasg, colasg, n_blocks)
-        val = _score(scaled, cfg)
-        if best_val is None or val < best_val:
-            best_val, best_cfg = val, cfg
-    return _unscale(best_val, scaled[3]), best_cfg
+        yield _score(scaled, cfg), cfg
+
+
+def _least(restarts):
+    """The (objective, config) of least objective, the first of equals."""
+    return min(restarts, key=itemgetter(0))
+
+
+def _heuristic(f: ProductFunction, scaled, n_blocks: int, seed: int):
+    """The best of all restarts, (objective in the values' units, config)."""
+    val, cfg = _least(_restarts(f, scaled, n_blocks, seed))
+    return _unscale(val, scaled[3]), cfg
 
 
 def _assignments_to_config(rowasg, colasg, n_blocks):
@@ -486,22 +495,36 @@ def step_fit_exists(f: ProductFunction, n_blocks: int, eps: Number,
 def vc_profile(f: ProductFunction, n_blocks: int, seed: int = 0) -> VcProfileResult:
     """Least eps admitting an N-block step fit (infimum over strict fits).
 
-    Exact up to 8 atoms per side (the heuristic only seeds the pruned
-    enumeration); an upper bound flagged exact=False beyond that.  The witness
-    attains the reported objective, so it is a valid fit for every eps above it.
+    Exact up to 8 atoms per side; an upper bound flagged exact=False beyond
+    that.  The witness attains the reported objective, so it is a valid fit
+    for every eps above it.
+
+    In the exact range the best of the first two restarts bounds the search,
+    and later restarts run only until one reaches its optimum.  The witness
+    is still the one a search from the best of all restarts gives: from any
+    bound above the optimum, `_exact_search` returns the first configuration
+    in its fixed visiting order that reaches the optimum (pruning cuts only
+    subtrees that cannot beat the running best, a column forced out under a
+    looser bound is in no optimal configuration, and the column DP visits
+    the remaining subsets in the same relative order).  So the witness is
+    the first restart that reaches the optimum, if any, else the search's.
     """
     if n_blocks < 1:
         raise ValidationError("block count must be at least 1")
     nr, nc = f.shape
     scaled = _on_scale(f)
-    hval, cfg = _heuristic(f, scaled, n_blocks, seed)
-    if nr <= EXACT_SIDE_LIMIT and nc <= EXACT_SIDE_LIMIT:
-        # the search returns hval itself if nothing beats it
-        value, found = _exact_search(scaled, n_blocks, hval, stop_early=False)
-        if found is not None:
-            cfg = found
-        return VcProfileResult(value, True, _fit_from_config(f, cfg, value, True))
-    return VcProfileResult(hval, False, _fit_from_config(f, cfg, hval, False))
+    if nr > EXACT_SIDE_LIMIT or nc > EXACT_SIDE_LIMIT:
+        hval, cfg = _heuristic(f, scaled, n_blocks, seed)
+        return VcProfileResult(hval, False, _fit_from_config(f, cfg, hval, False))
+    restarts = _restarts(f, scaled, n_blocks, seed)
+    bound, cfg = _least(islice(restarts, 2))
+    # the search returns the bound itself if nothing beats it
+    value, found = _exact_search(scaled, n_blocks, _unscale(bound, scaled[3]),
+                                 stop_early=False)
+    if found is not None:
+        cfg = next((c for o, c in restarts
+                    if _unscale(o, scaled[3]) == value), found)
+    return VcProfileResult(value, True, _fit_from_config(f, cfg, value, True))
 
 
 def step_fit_violations(f: ProductFunction, fit: StepFit, strict: bool = True,

@@ -15,15 +15,18 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import virtcont
-from virtcont import (DiscreteSpace, Plan, ProductFunction, ProductSet,
-                      kantorovich, kr_norm, model)
+from virtcont import (DiscreteSpace, MetricMatrix, Plan, ProductFunction,
+                      ProductSet, ValidationError, fileio, kantorovich,
+                      kr_norm, model)
+from virtcont.checkers import check_report
 from virtcont.cli import main
 from virtcont.fileio import (_cell_strings, _Reader, dumps_json,
                              dumps_matrix, format_number, load_matrix,
                              load_metric, load_vector, loads_matrix,
                              load_space, matrix_from_obj,
                              matrix_to_obj, metric_from_obj, metric_to_obj,
-                             save_matrix, save_space, save_vector,
+                             save_matrix, save_metric, save_space,
+                             save_vector,
                              space_from_obj, space_to_obj, vector_from_obj,
                              vector_to_obj)
 
@@ -481,10 +484,11 @@ def test_a_metric_is_validated_where_it_enters_not_in_the_solver(tmp_path,
         return len(calls), out
 
     p = _fixture_corpus(tmp_path)
-    # at load and in the self-check's reading of the report
+    # at load only: the self-check reads the report through the job's reader,
+    # which has validated the metric it embeds
     count, out = validations(["transport", p["rho"], p["mu1"], p["mu2"]])
-    assert count == 2
-    assert validations(["krnorm", p["rho"], p["eta"]])[0] == 2
+    assert count == 1
+    assert validations(["krnorm", p["rho"], p["eta"]])[0] == 1
     rp = tmp_path / "transport.json"
     rp.write_text(out)
     assert validations(["check", str(rp)])[0] == 1
@@ -494,6 +498,59 @@ def test_a_metric_is_validated_where_it_enters_not_in_the_solver(tmp_path,
     kantorovich(mu1, mu2, rho)
     kr_norm([a - b for a, b in zip(mu1, mu2)], rho)
     assert calls == []
+
+
+def test_a_reader_validates_each_other_metric_a_report_embeds(tmp_path,
+                                                              monkeypatch):
+    p = _fixture_corpus(tmp_path)
+    _, out = _run(["transport", p["rho"], p["mu1"], p["mu2"]])
+    read = _Reader()
+    load_metric(p["rho"], read=read)
+    calls = []
+    original = fileio.validate_semimetric
+    monkeypatch.setattr(fileio, "validate_semimetric",
+                        lambda m: calls.append(m) or original(m))
+    rep = json.loads(out)
+    assert check_report(rep, read=read) == [] and calls == []
+    # metric B: every distance doubled, on the same space
+    dist = rep["inputs"]["metric"]["dist"]
+    rep["inputs"]["metric"]["dist"] = [[str(2 * Fraction(d)) for d in row]
+                                       for row in dist]
+    assert check_report(rep, read=read) and len(calls) == 1
+    # an asymmetric metric B is rejected
+    rep["inputs"]["metric"]["dist"] = [row[:] for row in dist]
+    rep["inputs"]["metric"]["dist"][0][1] = "100"
+    with pytest.raises(ValidationError, match="invalid semimetric"):
+        check_report(rep, read=read)
+    assert len(calls) == 2
+
+
+def test_a_space_is_read_once_per_json_text_not_per_equal_object(tmp_path):
+    # [1] == [true] in Python, but only the first is a list of weights
+    good = {"labels": ["a"], "weights": [1]}
+    bad = {"labels": ["a"], "weights": [True]}
+    f, g, h = (tmp_path / n for n in ("f.csv", "g.csv", "h.csv"))
+    f.write_text(json.dumps({"kind": "function", "x_space": good,
+                             "y_space": good}) + "\n,a\na,0\n")
+    g.write_text(json.dumps({"kind": "function", "x_space": good,
+                             "y_space": bad}) + "\n,a\na,0\n")
+    h.write_text(json.dumps({"kind": "function", "x_space": bad,
+                             "y_space": bad}) + "\n,a\na,0\n")
+    assert _run(["srnorm", str(f)])[0] == 0
+    assert str(g) in _run_failing(["srnorm", str(g)])
+    # two files of one job share its reader
+    assert str(h) in _run_failing(["tau", str(f), str(h)])
+
+
+def test_cli_jobs_in_one_process_share_no_validated_metric(tmp_path):
+    p = _fixture_corpus(tmp_path)
+    obj = json.loads(Path(p["rho"]).read_text())
+    obj["dist"][0][1] = "100"
+    bad = tmp_path / "asymmetric.json"
+    bad.write_text(json.dumps(obj))
+    assert _run(["transport", p["rho"], p["mu1"], p["mu2"]])[0] == 0
+    err = _run_failing(["transport", str(bad), p["mu1"], p["mu2"]])
+    assert str(bad) in err and "invalid semimetric" in err
 
 
 def test_cli_check_report_missing_inputs_exits_1(tmp_path):
@@ -591,6 +648,48 @@ def test_cli_malformed_input_files_exit_1(tmp_path):
         else:
             job = ["srnorm", bad]
         assert bad in _run_failing(job)
+
+
+def test_cli_lists_given_as_strings_or_objects_exit_1(tmp_path):
+    # each of these was once read element by element, and its job exited 0
+    s3 = DiscreteSpace(["a", "b", "c"], [Fraction(1, 3)] * 3)
+    save_metric(MetricMatrix(s3, [[Fraction(int(i != j)) for j in range(3)]
+                                  for i in range(3)]), str(tmp_path / "rho3.json"))
+    rho3 = json.loads((tmp_path / "rho3.json").read_text())
+    mu = str(tmp_path / "mu.json")
+    save_vector([Fraction(1, 3)] * 3, mu)
+    save_vector([Fraction(1)], str(tmp_path / "one.json"))
+    files = {
+        "values-str.json": ({"kind": "vector", "values": "100"}, "values"),
+        "values-obj.json": ({"kind": "vector",
+                             "values": {"1/3": 0, "2/3": 1, "0": 2}}, "values"),
+        "weights-str.json": ({"kind": "metric", "dist": [["0"]],
+                              "space": {"labels": ["a"], "weights": "1"}},
+                             "weights"),
+        "labels-str.json": (dict(rho3, space=dict(rho3["space"], labels="abc")),
+                            "labels"),
+    }
+    for name, (obj, key) in files.items():
+        bad = str(tmp_path / name)
+        (tmp_path / name).write_text(json.dumps(obj))
+        if name.startswith("values"):
+            job = ["transport", str(tmp_path / "rho3.json"), bad, mu]
+        elif name.startswith("weights"):
+            job = ["transport", bad] + [str(tmp_path / "one.json")] * 2
+        else:
+            job = ["transport", bad, mu, mu]
+        err = _run_failing(job)
+        assert bad in err and repr(key) in err, err
+    # a report's potential spelled as a string of digits is malformed
+    nu = str(tmp_path / "nu.json")
+    save_vector([Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)], nu)
+    code, out = _run(["transport", str(tmp_path / "rho3.json"), mu, nu])
+    assert code == 0
+    rep = json.loads(out)
+    rep["potential"] = "000"
+    rp = tmp_path / "potential-str.json"
+    rp.write_text(json.dumps(rep))
+    assert "potential" in _run_failing(["check", str(rp)])
 
 
 @pytest.mark.parametrize("flags", [

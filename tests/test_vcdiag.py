@@ -18,10 +18,12 @@ from virtcont import (DiscreteSpace, MetricMatrix, ProductFunction,
 from virtcont.checkers import check_report
 from virtcont.cli import main
 from virtcont.fileio import jsonable, save_matrix
+from virtcont import vcdiag
 from virtcont.vcdiag import ENUM_GUARD, _heuristic, _on_scale
 
 from util import (brute_step_fit_exists, fn_on, rand_function, rand_metric,
-                  rand_space, reference_heuristic, reference_matrix_distribution)
+                  rand_space, reference_heuristic, reference_matrix_distribution,
+                  reference_vc_profile)
 
 
 def test_exists_matches_bruteforce_oracle():
@@ -347,11 +349,11 @@ def test_exact_function_with_float_eps():
 
 
 @st.composite
-def _wide_functions(draw, exact):
-    """Functions of sides 1-10: exact values with small prime denominators
+def _wide_functions(draw, exact, side=10):
+    """Functions of sides 1-side (default 10): exact values with small prime denominators
     and weights with large, pairwise coprime ones, or float values spread
     over 1e-3..1e3 with weights from integer parts."""
-    nr, nc = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    nr, nc = draw(st.integers(1, side)), draw(st.integers(1, side))
     primes = iter(_PRIMES)
 
     def space(n, prefix):
@@ -384,6 +386,32 @@ def test_exact_heuristic_scores_as_the_reference(f, nb, seed):
 def test_float_heuristic_scores_as_the_reference(f, nb, seed):
     assert repr(_heuristic(f, _on_scale(f), nb, seed)) \
         == repr(reference_heuristic(f, nb, seed))
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@given(data=st.data(), nb=st.integers(1, 4), seed=st.integers(0, 3))
+def test_profile_equals_the_best_of_all_restarts_then_the_search(exact, data,
+                                                                 nb, seed):
+    f = data.draw(_wide_functions(exact, side=vcdiag.EXACT_SIDE_LIMIT))
+    assert repr(vc_profile(f, nb, seed)) == repr(reference_vc_profile(f, nb, seed))
+
+
+def test_restarts_stop_once_one_reaches_the_certified_optimum(monkeypatch):
+    # restart 0 of this structured family already reaches the optimum
+    yielded = []
+    restarts = vcdiag._restarts
+
+    def counted(*args):
+        for r in restarts(*args):
+            yielded.append(r)
+            yield r
+
+    monkeypatch.setattr(vcdiag, "_restarts", counted)
+    f = family_function("separable_smooth", 4)
+    res = vc_profile(f, 2)
+    assert len(yielded) == 2
+    assert repr(res) == repr(reference_vc_profile(f, 2))
+    assert len(yielded) == 2 + vcdiag.HEURISTIC_RESTARTS
 
 
 @st.composite

@@ -10,7 +10,10 @@ from itertools import product
 
 from virtcont import DiscreteSpace, MetricMatrix, ProductFunction, ProductSet
 from virtcont.model import is_exact, left_sum, zero_of
-from virtcont.vcdiag import HEURISTIC_RESTARTS, _assignments_to_config, _sweep
+from virtcont.vcdiag import (EXACT_SIDE_LIMIT, HEURISTIC_RESTARTS,
+                             VcProfileResult, _assignments_to_config,
+                             _exact_search, _fit_from_config, _heuristic,
+                             _on_scale, _sweep)
 
 
 def rand_weights(rng, n):
@@ -278,6 +281,21 @@ def reference_heuristic(f, n_blocks, seed):
         if best_val is None or val < best_val:
             best_val, best_cfg = val, cfg
     return best_val, best_cfg
+
+
+def reference_vc_profile(f, n_blocks, seed=0):
+    """`vcdiag.vc_profile` as it was before restarts stopped early: all the
+    heuristic's restarts, then the exact search from the best of them, whose
+    config the witness keeps if the search finds nothing better."""
+    nr, nc = f.shape
+    scaled = _on_scale(f)
+    hval, cfg = _heuristic(f, scaled, n_blocks, seed)
+    if nr <= EXACT_SIDE_LIMIT and nc <= EXACT_SIDE_LIMIT:
+        value, found = _exact_search(scaled, n_blocks, hval, stop_early=False)
+        if found is not None:
+            cfg = found
+        return VcProfileResult(value, True, _fit_from_config(f, cfg, value, True))
+    return VcProfileResult(hval, False, _fit_from_config(f, cfg, hval, False))
 
 
 def reference_matrix_distribution(m, k):
