@@ -2,9 +2,9 @@
 
 Every duality-backed command re-verifies its own certificates through the
 same independent checker exposed by the `check` subcommand before printing
-anything; a failed re-check is an internal invariant violation (exit 2),
-while malformed inputs exit 1.  Reports are byte-stable for a fixed input,
-mode and seed.
+anything; a failed re-check is an internal invariant violation (exit 2), as
+is a float solve whose search round-off defeats, while malformed inputs exit
+1.  Reports are byte-stable for a fixed input, mode and seed.
 """
 
 from __future__ import annotations
@@ -300,6 +300,9 @@ def main(argv=None) -> int:
     except (ValidationError, InfeasibleError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except FloatingPointError as e:   # a float solve that round-off defeated
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
     rep["mode"] = args.mode
     rep["tolerance"] = tol

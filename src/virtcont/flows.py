@@ -24,8 +24,11 @@ floats.  The transportation solver finds each shortest path by Dijkstra on
 reduced costs over ints (`_ssp_dijkstra`) and by Bellman-Ford over floats
 (`_ssp_bellman_ford`), where round-off can make a reduced cost negative;
 Dijkstra breaks ties as Bellman-Ford's scan does, so on the same numbers
-both give the same plan and potentials.  Augmentation order is
-deterministic: ties break on the lowest node index, or in the
+both give the same plan and potentials.  Each Bellman-Ford pass searches
+with a strict `<` first.  Round-off can make that test close a cycle in the
+predecessors; only such a pass is searched again, with an EPS margin, and
+if that cycles too the solve raises FloatingPointError.  Augmentation
+order is deterministic: ties break on the lowest node index, or in the
 transportation searches on the arc that Bellman-Ford scans first.
 """
 
@@ -287,7 +290,9 @@ def _ssp_balanced(supplies, demands, cost, tol):
     The ints run `_ssp_dijkstra`, floats `_ssp_bellman_ford`.  Both find
     every node's shortest distance and Bellman-Ford's predecessor among the
     tight arcs, and fold the distances into pi the same way, so on the same
-    ints they return the same plan and potentials.
+    ints they return the same plan and potentials.  On floats a pass whose
+    strict search closes a round-off cycle is searched again with an EPS
+    margin; FloatingPointError means that this search cycled as well.
     """
     nr, nc = len(supplies), len(demands)
     masses, d_w = common_integers(list(supplies) + list(demands))
@@ -428,7 +433,15 @@ def _ssp_bellman_ford(supplies, demands, cost, tol):
     """The successive-shortest-path loop of `_ssp_balanced` on floats (tol
     EPS), each pass a Bellman-Ford search; the zero follows tol.  On scaled
     ints (tol 0) it returns what `_ssp_dijkstra` returns, which the tests
-    check."""
+    check.
+
+    Each pass first searches with a strict `<`.  On floats that test can
+    accept a round-off "improvement" that closes a cycle in the
+    predecessors, and the trace back from the sink then runs longer than
+    the node count.  Only such a pass is searched again, taking an arc only
+    if it shortens a distance by more than tol; if that trace cycles too,
+    the solve raises FloatingPointError.
+    """
     nr, nc = len(supplies), len(demands)
     zero = 0 * tol
     src, snk = 0, nr + nc + 1
@@ -442,86 +455,110 @@ def _ssp_bellman_ford(supplies, demands, cost, tol):
     def reduced(c, u, v):
         return c + pi[u] - pi[v]
 
-    total_cost = zero
-    to_ship = left_sum(supplies, zero)
-    INF = None
-    while to_ship > tol:
-        # Bellman-Ford on reduced costs, on every pass (reduced costs may be
-        # negative while the potentials start at zero).  On ints it is exact.
-        # On floats the strict `<` can accept a round-off "improvement" that
-        # closes a cycle in `prev`; the trace below then grows until memory
-        # runs out.
-        dist = [INF] * n
+    def search(margin):
+        """Distances and predecessor nodes from the source, by rounds of
+        Bellman-Ford on the reduced costs c + pi[u] - pi[v] (which may be
+        negative while the potentials start at zero).  An arc u -> v is
+        taken if it makes v's distance less than its current one minus the
+        margin.  A round scans the source's arcs, the rows' forward arcs in
+        row order, then per column its backward arcs and its sink arc, but
+        only out of nodes whose distance was set since they were last
+        scanned: from any other node every arc gives the sum it gave then,
+        which took nothing then and takes nothing now, since distances only
+        fall.  So each round takes the arcs that a scan of every arc would
+        take, in the same order, and ends the search in the same round."""
+        # the forward arcs' reduced costs, each formed as `reduced` forms it
+        rf = [[(c + pi[1 + i]) - p for c, p in zip(cost[i], pi[1 + nr:snk])]
+              for i in range(nr)]
+        dist = [None] * n
         prev = [None] * n
         dist[src] = zero
+        fresh = [False] * n     # distance set since the node was scanned
+        fresh[src] = True
         for _ in range(n):
             changed = False
-            # source -> rows with remaining supply, cost 0
+            if fresh[src]:      # source -> rows with remaining supply, cost 0
+                fresh[src] = False
+                for i in range(nr):
+                    if remaining_supply[i] > tol:
+                        d = dist[src] + reduced(zero, src, 1 + i)
+                        if dist[1 + i] is None or d < dist[1 + i] - margin:
+                            dist[1 + i], prev[1 + i] = d, src
+                            fresh[1 + i] = changed = True
             for i in range(nr):
-                if remaining_supply[i] > tol:
-                    d = dist[src] + reduced(zero, src, 1 + i)
-                    if dist[1 + i] is None or d < dist[1 + i]:
-                        dist[1 + i] = d
-                        prev[1 + i] = (src, ("s", i))
-                        changed = True
-            for i in range(nr):
-                if dist[1 + i] is None:
-                    continue
-                for j in range(nc):
-                    d = dist[1 + i] + reduced(cost[i][j], 1 + i, 1 + nr + j)
-                    if dist[1 + nr + j] is None or d < dist[1 + nr + j]:
-                        dist[1 + nr + j] = d
-                        prev[1 + nr + j] = (1 + i, ("f", i, j))
-                        changed = True
+                if fresh[1 + i]:
+                    fresh[1 + i] = False
+                    du = dist[1 + i]
+                    for v, c in enumerate(rf[i], 1 + nr):
+                        d = du + c
+                        if dist[v] is None or d < dist[v] - margin:
+                            dist[v], prev[v] = d, 1 + i
+                            fresh[v] = changed = True
             for j in range(nc):
-                if dist[1 + nr + j] is None:
+                u = 1 + nr + j
+                if not fresh[u]:
                     continue
+                fresh[u] = False
+                du = dist[u]
                 # backward arcs col -> row where plan > 0
                 for i in range(nr):
                     if plan[i][j] > tol:
-                        d = dist[1 + nr + j] + reduced(-cost[i][j], 1 + nr + j, 1 + i)
-                        if dist[1 + i] is None or d < dist[1 + i]:
-                            dist[1 + i] = d
-                            prev[1 + i] = (1 + nr + j, ("b", i, j))
-                            changed = True
+                        d = du + reduced(-cost[i][j], u, 1 + i)
+                        if dist[1 + i] is None or d < dist[1 + i] - margin:
+                            dist[1 + i], prev[1 + i] = d, u
+                            fresh[1 + i] = changed = True
                 if remaining_demand[j] > tol:
-                    d = dist[1 + nr + j] + reduced(zero, 1 + nr + j, snk)
-                    if dist[snk] is None or d < dist[snk]:
-                        dist[snk] = d
-                        prev[snk] = (1 + nr + j, ("t", j))
+                    d = du + reduced(zero, u, snk)
+                    if dist[snk] is None or d < dist[snk] - margin:
+                        dist[snk], prev[snk] = d, u
                         changed = True
             if not changed:
                 break
         if dist[snk] is None:
             raise InfeasibleError("transportation network disconnected")
+        return dist, prev
 
-        # trace the path and find the bottleneck
+    def trace(prev):
+        """The path's rows and columns in order from the source, or None
+        once the trace back from the sink is longer than the node count."""
         path = []
-        node = snk
+        node = prev[snk]
         while node != src:
-            pnode, tag = prev[node]
-            path.append(tag)
-            node = pnode
+            if len(path) == n:
+                return None
+            path.append(node)
+            node = prev[node]
         path.reverse()
-        bottleneck = to_ship
-        for tag in path:
-            if tag[0] == "s":
-                bottleneck = min(bottleneck, remaining_supply[tag[1]])
-            elif tag[0] == "t":
-                bottleneck = min(bottleneck, remaining_demand[tag[1]])
-            elif tag[0] == "b":
-                bottleneck = min(bottleneck, plan[tag[1]][tag[2]])
-        for tag in path:
-            if tag[0] == "s":
-                remaining_supply[tag[1]] -= bottleneck
-            elif tag[0] == "t":
-                remaining_demand[tag[1]] -= bottleneck
-            elif tag[0] == "f":
-                plan[tag[1]][tag[2]] += bottleneck
-                total_cost += cost[tag[1]][tag[2]] * bottleneck
-            elif tag[0] == "b":
-                plan[tag[1]][tag[2]] -= bottleneck
-                total_cost -= cost[tag[1]][tag[2]] * bottleneck
+        return [u - 1 for u in path[0::2]], [u - 1 - nr for u in path[1::2]]
+
+    total_cost = zero
+    to_ship = left_sum(supplies, zero)
+    while to_ship > tol:
+        for margin in (zero, tol):
+            dist, prev = search(margin)
+            path = trace(prev)
+            if path is not None:
+                break
+        else:
+            raise FloatingPointError(
+                "float round-off closed a cycle in the transportation search")
+        rows, cols = path
+        # the path is source, row, column, row, ..., column, sink: forward
+        # arcs (rows[k], cols[k]), backward arcs (rows[k + 1], cols[k])
+        bottleneck = min(to_ship, remaining_supply[rows[0]])
+        for i, j in zip(rows[1:], cols):
+            bottleneck = min(bottleneck, plan[i][j])
+        bottleneck = min(bottleneck, remaining_demand[cols[-1]])
+        remaining_supply[rows[0]] -= bottleneck
+        for k, j in enumerate(cols):
+            i = rows[k]
+            plan[i][j] += bottleneck
+            total_cost += cost[i][j] * bottleneck
+            if k + 1 < len(rows):
+                i = rows[k + 1]
+                plan[i][j] -= bottleneck
+                total_cost -= cost[i][j] * bottleneck
+        remaining_demand[cols[-1]] -= bottleneck
         to_ship -= bottleneck
 
         # fold distances into potentials (unreached nodes get the max distance)

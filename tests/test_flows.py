@@ -14,7 +14,8 @@ from virtcont import (BipartiteCoverInstance, DiscreteSpace, InfeasibleError,
                       solve_transportation, sr_norm)
 
 from lp_oracle import transport_lp_value
-from util import brute_cover, rand_weights, reference_max_flow_cover
+from util import (brute_cover, rand_weights, reference_bellman_ford,
+                  reference_max_flow_cover)
 
 FLOAT_TRANSPORT_DIGEST = "c14f1103718872703bc47541ed808ebfaea50b3e"
 
@@ -278,6 +279,80 @@ def test_dijkstra_equals_bellman_ford_on_the_same_ints(inst):
                [*supplies, *demands, *(c for row in cost for c in row)])
     assert dijkstra(supplies, demands, cost) == \
         flows._ssp_bellman_ford(supplies, demands, cost, 0)
+
+
+@st.composite
+def _float_transport_networks(draw):
+    """Arguments of the float transportation kernel: sides 1 to 8, masses
+    k/q with zeros, balanced before rounding, and costs spread over 1e-3 to
+    1e3.  The costs are drawn one by one, or as a_i + b_j, on which every
+    plan costs the same, or as |a_i - b_j|, a metric on a line; the last
+    two tie shortest paths up to round-off."""
+    nr, nc = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    q = draw(st.integers(1, 12))
+    supplies = draw(st.lists(st.integers(0, 5), min_size=nr, max_size=nr))
+    demands = draw(st.lists(st.integers(0, 5), min_size=nc, max_size=nc))
+    gap = sum(supplies) - sum(demands)
+    if gap > 0:
+        demands[-1] += gap
+    else:
+        supplies[-1] -= gap
+    spread = st.floats(-3, 3).map(lambda e: 10.0 ** e)
+    form = draw(st.sampled_from(("free", "sum", "line")))
+    if form == "free":
+        cost = draw(st.lists(st.lists(spread, min_size=nc, max_size=nc),
+                             min_size=nr, max_size=nr))
+    else:
+        a = draw(st.lists(spread, min_size=nr, max_size=nr))
+        b = draw(st.lists(spread, min_size=nc, max_size=nc))
+        cost = [[x + y if form == "sum" else abs(x - y) for y in b] for x in a]
+    return [k / q for k in supplies], [k / q for k in demands], cost
+
+
+def _transport_certificate_problems(supplies, demands, cost, total, plan, pi, tol):
+    """What `transport.verify_transport_result` checks, on a cost matrix and
+    the kernel's potentials: the plan's marginals, dual feasibility,
+    complementary slackness, the dual pairing and the plan's cost."""
+    nr, nc = len(supplies), len(demands)
+    u, v = [-pi[1 + i] for i in range(nr)], pi[1 + nr:1 + nr + nc]
+    problems = []
+    if any(x < -tol for row in plan for x in row):
+        problems.append("negative mass")
+    if any(abs(sum(row) - s) > tol for row, s in zip(plan, supplies)):
+        problems.append("row marginals")
+    if any(abs(sum(col) - d) > tol for col, d in zip(zip(*plan), demands)):
+        problems.append("column marginals")
+    for i in range(nr):
+        for j in range(nc):
+            slack = cost[i][j] - u[i] - v[j]
+            if slack < -tol or (plan[i][j] > tol and slack > tol):
+                problems.append(f"dual slack {slack} at ({i},{j})")
+    if abs(sum(s * x for s, x in zip(supplies, u)) +
+           sum(d * y for d, y in zip(demands, v)) - total) > tol:
+        problems.append("dual pairing")
+    if abs(sum(c * x for crow, prow in zip(cost, plan)
+               for c, x in zip(crow, prow)) - total) > tol:
+        problems.append("plan cost")
+    return problems
+
+
+@settings(max_examples=300)
+@given(_float_transport_networks())
+def test_float_search_equals_the_one_without_retry_until_that_one_cycles(args):
+    # the reference is the search before a pass whose trace cycles was
+    # searched again, with every arc scanned in every round; where it
+    # cycles, it returns None
+    cycled = reference_bellman_ford(*args, flows.EPS)
+    try:
+        got = flows._ssp_bellman_ford(*args, flows.EPS)
+    except FloatingPointError:
+        assert cycled is None
+        return
+    if cycled is not None:
+        # repr compares the float bits, not only the values
+        assert repr(got) == repr(cycled)
+    else:
+        assert _transport_certificate_problems(*args, *got, 1e-9) == []
 
 
 @pytest.mark.parametrize("exact", [True, False])

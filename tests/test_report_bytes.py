@@ -13,7 +13,10 @@ own digests come from.
 import contextlib
 import hashlib
 import io
+import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -249,3 +252,88 @@ def _matdist_argv(tmp_path, key):
 @pytest.mark.parametrize("key", sorted(MATDIST_PINNED))
 def test_matdist_report_bytes_pinned(tmp_path, key):
     assert _report_digest(_matdist_argv(tmp_path, key)) == MATDIST_PINNED[key]
+
+
+# Float reports of the transport kinds, on instances drawn as
+# perfbench/workloads.py draws "h-<n>-<c>.csv" and "rho-<n>-<c>.json" (with
+# its "mu1", "mu2" and "eta" vectors).  Recorded from the Bellman-Ford search
+# that scanned every arc in every round and formed each reduced cost where
+# it used it, before a pass whose trace meets a cycle was searched again.
+# These instances finished there; on the two below it ran out of memory.
+FLOAT_TRANSPORT_PINNED = {
+    "srnorm h-10-0": "09e88055bea3b7e2f7468be822019c7cc9ecd341",
+    "srnorm h-20-0": "408ea6b2cf020d816242c4bd7c4308e10d8b49bd",
+    "transport rho-10-2": "ce74b1e36470db496fc09e9f576d4b5bc11378ca",
+    "krnorm rho-10-2": "b53b5aa17e6a10d45f9e4a3a2e117c60d6d03add",
+    "transport rho-20-0": "5f4b724b015eb1bfef5a096376c3e76063ebc490",
+    "krnorm rho-20-0": "afb1870c6011aac4b53015a37de83936944b45ee",
+}
+
+# A round-off cycle in the strict search's predecessors on these instances
+# made that search's path trace grow until memory ran out.
+FLOAT_TRANSPORT_CYCLED = ("transport rho-10-0", "krnorm rho-20-1")
+
+
+def _transport_argv(tmp_path, key):
+    command, name = key.split()
+    n = int(name.split("-")[1])
+    if command == "srnorm":
+        rng = random.Random(f"fixed:{name}.csv")
+        path = str(tmp_path / f"{name}.csv")
+        save_matrix(rand_function(rng, rand_space(rng, n, "x"),
+                                  rand_space(rng, n, "y")), path)
+        return [command, path]
+    rng = random.Random(f"fixed:{name}.json")
+    rho = rand_metric(rng, rand_space(rng, n, "p"))
+    mu1, mu2 = rand_weights(rng, n), rand_weights(rng, n)
+    p = {f: str(tmp_path / f) for f in ("rho.json", "mu1.json", "mu2.json", "eta.json")}
+    save_metric(rho, p["rho.json"])
+    save_vector(mu1, p["mu1.json"])
+    save_vector(mu2, p["mu2.json"])
+    save_vector([a - b for a, b in zip(mu1, mu2)], p["eta.json"])
+    if command == "transport":
+        return [command, p["rho.json"], p["mu1.json"], p["mu2.json"]]
+    return [command, p["rho.json"], p["eta.json"]]
+
+
+@pytest.mark.parametrize("key", sorted(FLOAT_TRANSPORT_PINNED))
+def test_float_transport_report_bytes_pinned(tmp_path, key):
+    argv = ["--mode", "float"] + _transport_argv(tmp_path, key)
+    assert _report_digest(argv) == FLOAT_TRANSPORT_PINNED[key]
+
+
+@pytest.mark.parametrize("key", FLOAT_TRANSPORT_CYCLED)
+def test_float_transport_that_cycled_certifies_near_the_exact_value(tmp_path, key):
+    argv = _transport_argv(tmp_path, key)
+    reports = {}
+    for mode in ("float", "exact"):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(["--mode", mode] + argv) == 0
+        reports[mode] = json.loads(buf.getvalue())
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(reports["float"]))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["check", str(report)]) == 0
+    value = "cost" if argv[0] == "transport" else "value"
+    got, exact = float(reports["float"][value]), Fraction(reports["exact"][value])
+    assert abs(got - exact) <= 1e-9
+
+
+@pytest.mark.parametrize("key", FLOAT_TRANSPORT_CYCLED)
+def test_a_float_search_that_cycles_again_exits_2(tmp_path, key):
+    # with EPS 0 the search again is the strict search, which meets the
+    # same cycle; a process of its own, with a capped address space, so
+    # that a trace that never ends raises MemoryError instead of taking
+    # the host's memory
+    argv = ["--mode", "float"] + _transport_argv(tmp_path, key)
+    script = ("import resource, sys; from virtcont import flows; "
+              "from virtcont.cli import main; "
+              "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+              "flows.EPS = 0.0; sys.exit(main(sys.argv[1:]))")
+    proc = subprocess.run([sys.executable, "-c", script, *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr and "MemoryError" not in proc.stderr

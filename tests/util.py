@@ -9,6 +9,7 @@ from fractions import Fraction
 from itertools import product
 
 from virtcont import DiscreteSpace, MetricMatrix, ProductFunction, ProductSet
+from virtcont.flows import InfeasibleError
 from virtcont.model import is_exact, left_sum, zero_of
 from virtcont.vcdiag import (EXACT_SIDE_LIMIT, HEURISTIC_RESTARTS,
                              VcProfileResult, _assignments_to_config,
@@ -134,6 +135,117 @@ def reference_max_flow_cover(row_costs, col_costs, batches, tol):
         covers.append(([i for i in range(nr) if parent[1 + i] is None],
                        [j for j in range(nc) if parent[1 + nr + j] is not None]))
     return covers, [graph[u][ai][2] for u, ai in edge_arcs], total
+
+
+def reference_bellman_ford(supplies, demands, cost, tol):
+    """`flows._ssp_bellman_ford` as it was before a pass whose trace cycles
+    was searched again: every round scans every arc, and each reduced cost
+    is formed where it is used.  The one addition is a guard on the trace:
+    a trace longer than the node count has met a cycle in `prev`, and the
+    search returns None where the kernel it copies ran out of memory."""
+    nr, nc = len(supplies), len(demands)
+    zero = 0 * tol
+    src, snk = 0, nr + nc + 1
+    n = nr + nc + 2
+
+    plan = [[zero] * nc for _ in range(nr)]
+    remaining_supply = list(supplies)
+    remaining_demand = list(demands)
+    pi = [zero] * n  # accumulated shortest distances from the source
+
+    def reduced(c, u, v):
+        return c + pi[u] - pi[v]
+
+    total_cost = zero
+    to_ship = left_sum(supplies, zero)
+    INF = None
+    while to_ship > tol:
+        # Bellman-Ford on reduced costs, on every pass (reduced costs may be
+        # negative while the potentials start at zero).  On ints it is exact.
+        # On floats the strict `<` can accept a round-off "improvement" that
+        # closes a cycle in `prev`.
+        dist = [INF] * n
+        prev = [None] * n
+        dist[src] = zero
+        for _ in range(n):
+            changed = False
+            # source -> rows with remaining supply, cost 0
+            for i in range(nr):
+                if remaining_supply[i] > tol:
+                    d = dist[src] + reduced(zero, src, 1 + i)
+                    if dist[1 + i] is None or d < dist[1 + i]:
+                        dist[1 + i] = d
+                        prev[1 + i] = (src, ("s", i))
+                        changed = True
+            for i in range(nr):
+                if dist[1 + i] is None:
+                    continue
+                for j in range(nc):
+                    d = dist[1 + i] + reduced(cost[i][j], 1 + i, 1 + nr + j)
+                    if dist[1 + nr + j] is None or d < dist[1 + nr + j]:
+                        dist[1 + nr + j] = d
+                        prev[1 + nr + j] = (1 + i, ("f", i, j))
+                        changed = True
+            for j in range(nc):
+                if dist[1 + nr + j] is None:
+                    continue
+                # backward arcs col -> row where plan > 0
+                for i in range(nr):
+                    if plan[i][j] > tol:
+                        d = dist[1 + nr + j] + reduced(-cost[i][j], 1 + nr + j, 1 + i)
+                        if dist[1 + i] is None or d < dist[1 + i]:
+                            dist[1 + i] = d
+                            prev[1 + i] = (1 + nr + j, ("b", i, j))
+                            changed = True
+                if remaining_demand[j] > tol:
+                    d = dist[1 + nr + j] + reduced(zero, 1 + nr + j, snk)
+                    if dist[snk] is None or d < dist[snk]:
+                        dist[snk] = d
+                        prev[snk] = (1 + nr + j, ("t", j))
+                        changed = True
+            if not changed:
+                break
+        if dist[snk] is None:
+            raise InfeasibleError("transportation network disconnected")
+
+        # trace the path and find the bottleneck
+        path = []
+        node = snk
+        while node != src:
+            if len(path) > n:
+                return None
+            pnode, tag = prev[node]
+            path.append(tag)
+            node = pnode
+        path.reverse()
+        bottleneck = to_ship
+        for tag in path:
+            if tag[0] == "s":
+                bottleneck = min(bottleneck, remaining_supply[tag[1]])
+            elif tag[0] == "t":
+                bottleneck = min(bottleneck, remaining_demand[tag[1]])
+            elif tag[0] == "b":
+                bottleneck = min(bottleneck, plan[tag[1]][tag[2]])
+        for tag in path:
+            if tag[0] == "s":
+                remaining_supply[tag[1]] -= bottleneck
+            elif tag[0] == "t":
+                remaining_demand[tag[1]] -= bottleneck
+            elif tag[0] == "f":
+                plan[tag[1]][tag[2]] += bottleneck
+                total_cost += cost[tag[1]][tag[2]] * bottleneck
+            elif tag[0] == "b":
+                plan[tag[1]][tag[2]] -= bottleneck
+                total_cost -= cost[tag[1]][tag[2]] * bottleneck
+        to_ship -= bottleneck
+
+        # fold distances into potentials (unreached nodes get the max distance)
+        finite = [d for d in dist if d is not None]
+        dmax = max(finite)
+        for k in range(n):
+            pi[k] += dist[k] if dist[k] is not None else dmax
+
+    return total_cost, plan, pi
 
 
 def brute_thickness(z):
