@@ -53,7 +53,8 @@ class _Reader:
     the report that its self-check reads back.  A matrix repeats a few number
     strings many times, and a report shares its spaces and metric with the
     job's inputs: each distinct string is parsed once, each distinct space
-    object read (and validated) once, and each distinct metric validated once.
+    object read (and validated) once, and each metric of distinct values
+    validated once.
     """
 
     def __init__(self, exact: bool = True):
@@ -93,9 +94,12 @@ class _Reader:
         return space
 
     def metric(self, m: MetricMatrix) -> MetricMatrix:
-        """m validated, or an equal metric on the same space validated before."""
+        """m validated, or an equal metric on an equal space validated
+        before.  Equal, not the same: a float report writes as doubles the
+        weights that its inputs gave as "p/q" strings, so its space is read
+        from other text."""
         for known in self._metrics:
-            if known.space is m.space and known.dist == m.dist:
+            if known.space == m.space and known.dist == m.dist:
                 return known
         kind, witness = validate_semimetric(m)
         if kind == "invalid":

@@ -26,8 +26,9 @@ reduced costs over ints (`_ssp_dijkstra`) and by Bellman-Ford over floats
 Dijkstra breaks ties as Bellman-Ford's scan does, so on the same numbers
 both give the same plan and potentials.  Each Bellman-Ford pass searches
 with a strict `<` first.  Round-off can make that test close a cycle in the
-predecessors; only such a pass is searched again, with an EPS margin, and
-if that cycles too the solve raises FloatingPointError.  Augmentation
+predecessors; the search then ends with that round, and the pass is
+searched again at once with a margin of EPS * max(1, max|cost|).  If that
+search closes a cycle too, the solve raises FloatingPointError.  Augmentation
 order is deterministic: ties break on the lowest node index, or in the
 transportation searches on the arc that Bellman-Ford scans first.
 """
@@ -291,8 +292,9 @@ def _ssp_balanced(supplies, demands, cost, tol):
     every node's shortest distance and Bellman-Ford's predecessor among the
     tight arcs, and fold the distances into pi the same way, so on the same
     ints they return the same plan and potentials.  On floats a pass whose
-    strict search closes a round-off cycle is searched again with an EPS
-    margin; FloatingPointError means that this search cycled as well.
+    strict search closes a round-off cycle is searched again at once, with
+    the margin EPS * max(1, max|cost|); FloatingPointError means that this
+    search closed a cycle as well.
     """
     nr, nc = len(supplies), len(demands)
     masses, d_w = common_integers(list(supplies) + list(demands))
@@ -437,15 +439,19 @@ def _ssp_bellman_ford(supplies, demands, cost, tol):
 
     Each pass first searches with a strict `<`.  On floats that test can
     accept a round-off "improvement" that closes a cycle in the
-    predecessors, and the trace back from the sink then runs longer than
-    the node count.  Only such a pass is searched again, taking an arc only
-    if it shortens a distance by more than tol; if that trace cycles too,
-    the solve raises FloatingPointError.
+    predecessors; such a search would lower the cycle's distances by a few
+    ulps in every round up to its round cap.  So a search ends at the first
+    round that leaves a cycle, and the pass is searched again at once,
+    taking an arc only if it shortens a distance by more than the margin
+    tol * max(1, max|cost|), scaled to the costs as their round-off is.  If
+    that search leaves a cycle too, the solve raises FloatingPointError.
+    Every search that a pass uses thus ends with acyclic predecessors.
     """
     nr, nc = len(supplies), len(demands)
     zero = 0 * tol
     src, snk = 0, nr + nc + 1
     n = nr + nc + 2
+    margin = tol * max(1, max(map(abs, chain.from_iterable(cost)), default=0))
 
     plan = [[zero] * nc for _ in range(nr)]
     remaining_supply = list(supplies)
@@ -458,25 +464,45 @@ def _ssp_bellman_ford(supplies, demands, cost, tol):
     def search(margin):
         """Distances and predecessor nodes from the source, by rounds of
         Bellman-Ford on the reduced costs c + pi[u] - pi[v] (which may be
-        negative while the potentials start at zero).  An arc u -> v is
-        taken if it makes v's distance less than its current one minus the
-        margin.  A round scans the source's arcs, the rows' forward arcs in
-        row order, then per column its backward arcs and its sink arc, but
-        only out of nodes whose distance was set since they were last
-        scanned: from any other node every arc gives the sum it gave then,
-        which took nothing then and takes nothing now, since distances only
-        fall.  So each round takes the arcs that a scan of every arc would
-        take, in the same order, and ends the search in the same round."""
-        # the forward arcs' reduced costs, each formed as `reduced` forms it
+        negative while the potentials start at zero), or None at the end of
+        the first round that leaves a cycle in the predecessors.  An arc
+        u -> v is taken if it makes v's distance less than its current one
+        minus the margin.  A round scans the source's arcs, the rows'
+        forward arcs in row order, then per column its backward arcs and its
+        sink arc, but only out of nodes whose distance was set since they
+        were last scanned: from any other node every arc gives the sum it
+        gave then, which took nothing then and takes nothing now, since
+        distances only fall.  So each round takes the arcs that a scan of
+        every arc would take, in the same order, and ends the search in the
+        same round.
+
+        A cycle left by a round passes through a node whose predecessor the
+        round set, since the round before left none (the sink is on no
+        cycle, and a round that sets only its predecessor is the last).  So
+        the check walks up the predecessors from those nodes only, stamping
+        each node it meets with the walk's number: a walk ends at the
+        source or at a node met earlier in the round, and has met a cycle
+        if that node carries its own stamp."""
+        # the forward arcs' reduced costs, and per column its backward arcs
+        # (row node, reduced cost) in row order, each formed as `reduced`
+        # forms it
         rf = [[(c + pi[1 + i]) - p for c, p in zip(cost[i], pi[1 + nr:snk])]
               for i in range(nr)]
+        rb = [[] for _ in range(nc)]
+        for i, row in enumerate(plan):
+            for j, x in enumerate(row):
+                if x > tol:
+                    rb[j].append((1 + i, (-cost[i][j] + pi[1 + nr + j]) - pi[1 + i]))
         dist = [None] * n
         prev = [None] * n
         dist[src] = zero
         fresh = [False] * n     # distance set since the node was scanned
         fresh[src] = True
+        stamp = [0] * n         # the number of the last walk to meet a node
+        stamp[src] = inf        # where every walk ends
+        walks = 0
         for _ in range(n):
-            changed = False
+            moved = []          # the nodes but the sink whose prev was set
             if fresh[src]:      # source -> rows with remaining supply, cost 0
                 fresh[src] = False
                 for i in range(nr):
@@ -484,7 +510,8 @@ def _ssp_bellman_ford(supplies, demands, cost, tol):
                         d = dist[src] + reduced(zero, src, 1 + i)
                         if dist[1 + i] is None or d < dist[1 + i] - margin:
                             dist[1 + i], prev[1 + i] = d, src
-                            fresh[1 + i] = changed = True
+                            fresh[1 + i] = True
+                            moved.append(1 + i)
             for i in range(nr):
                 if fresh[1 + i]:
                     fresh[1 + i] = False
@@ -493,39 +520,43 @@ def _ssp_bellman_ford(supplies, demands, cost, tol):
                         d = du + c
                         if dist[v] is None or d < dist[v] - margin:
                             dist[v], prev[v] = d, 1 + i
-                            fresh[v] = changed = True
+                            fresh[v] = True
+                            moved.append(v)
             for j in range(nc):
                 u = 1 + nr + j
                 if not fresh[u]:
                     continue
                 fresh[u] = False
                 du = dist[u]
-                # backward arcs col -> row where plan > 0
-                for i in range(nr):
-                    if plan[i][j] > tol:
-                        d = du + reduced(-cost[i][j], u, 1 + i)
-                        if dist[1 + i] is None or d < dist[1 + i] - margin:
-                            dist[1 + i], prev[1 + i] = d, u
-                            fresh[1 + i] = changed = True
+                for v, c in rb[j]:
+                    d = du + c
+                    if dist[v] is None or d < dist[v] - margin:
+                        dist[v], prev[v] = d, u
+                        fresh[v] = True
+                        moved.append(v)
                 if remaining_demand[j] > tol:
                     d = du + reduced(zero, u, snk)
                     if dist[snk] is None or d < dist[snk] - margin:
                         dist[snk], prev[snk] = d, u
-                        changed = True
-            if not changed:
+            if not moved:
                 break
+            first = walks + 1   # the stamps of this round's walks
+            for v in moved:
+                walks += 1
+                while stamp[v] < first:
+                    stamp[v] = walks
+                    v = prev[v]
+                if stamp[v] == walks:
+                    return None
         if dist[snk] is None:
             raise InfeasibleError("transportation network disconnected")
         return dist, prev
 
     def trace(prev):
-        """The path's rows and columns in order from the source, or None
-        once the trace back from the sink is longer than the node count."""
+        """The path's rows and columns in order from the source."""
         path = []
         node = prev[snk]
         while node != src:
-            if len(path) == n:
-                return None
             path.append(node)
             node = prev[node]
         path.reverse()
@@ -534,15 +565,12 @@ def _ssp_bellman_ford(supplies, demands, cost, tol):
     total_cost = zero
     to_ship = left_sum(supplies, zero)
     while to_ship > tol:
-        for margin in (zero, tol):
-            dist, prev = search(margin)
-            path = trace(prev)
-            if path is not None:
-                break
-        else:
+        found = search(zero) or search(margin)
+        if found is None:
             raise FloatingPointError(
                 "float round-off closed a cycle in the transportation search")
-        rows, cols = path
+        dist, prev = found
+        rows, cols = trace(prev)
         # the path is source, row, column, row, ..., column, sink: forward
         # arcs (rows[k], cols[k]), backward arcs (rows[k + 1], cols[k])
         bottleneck = min(to_ship, remaining_supply[rows[0]])

@@ -460,9 +460,9 @@ def test_cli_main_called_again_prints_what_a_fresh_process_prints(tmp_path):
     assert codes == [0, 0, 0, 0, 1, 0]
 
 
-def test_a_metric_is_validated_where_it_enters_not_in_the_solver(tmp_path,
-                                                                 monkeypatch):
-    # count calls through every module binding, as perfbench's tracer does
+def _counted_metric_validations(monkeypatch):
+    """The list that each `validate_semimetric` call appends its arguments
+    to, counted through every module binding, as perfbench's tracer does."""
     calls = []
     original = model.validate_semimetric
 
@@ -476,6 +476,12 @@ def test_a_metric_is_validated_where_it_enters_not_in_the_solver(tmp_path,
         for attr, val in list(vars(mod).items()):
             if val is original:
                 monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def test_a_metric_is_validated_where_it_enters_not_in_the_solver(tmp_path,
+                                                                 monkeypatch):
+    calls = _counted_metric_validations(monkeypatch)
 
     def validations(argv):
         calls.clear()
@@ -498,6 +504,25 @@ def test_a_metric_is_validated_where_it_enters_not_in_the_solver(tmp_path,
     kantorovich(mu1, mu2, rho)
     kr_norm([a - b for a, b in zip(mu1, mu2)], rho)
     assert calls == []
+
+
+def test_a_float_report_reads_back_its_metric_validated(tmp_path, monkeypatch):
+    calls = _counted_metric_validations(monkeypatch)
+    p = _fixture_corpus(tmp_path)
+    # the inputs give weights and distances as "p/q" strings, the report as
+    # doubles; its self-check matches the metric to the input's by value
+    code, out = _run(["--mode", "float", "transport", p["rho"], p["mu1"], p["mu2"]])
+    assert code == 0 and len(calls) == 1
+    read = _Reader(exact=False)
+    load_metric(p["rho"], exact=False, read=read)
+    rep = json.loads(out)
+    calls.clear()
+    assert check_report(rep, read=read) == [] and calls == []
+    # a report whose metric differs in one cell is validated, and rejected
+    rep["inputs"]["metric"]["dist"][0][1] = "100"
+    with pytest.raises(ValidationError, match="invalid semimetric"):
+        check_report(rep, read=read)
+    assert len(calls) == 1
 
 
 def test_a_reader_validates_each_other_metric_a_report_embeds(tmp_path,

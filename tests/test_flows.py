@@ -3,6 +3,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
 import pytest
@@ -281,40 +282,43 @@ def test_dijkstra_equals_bellman_ford_on_the_same_ints(inst):
         flows._ssp_bellman_ford(supplies, demands, cost, 0)
 
 
-@st.composite
-def _float_transport_networks(draw):
-    """Arguments of the float transportation kernel: sides 1 to 8, masses
-    k/q with zeros, balanced before rounding, and costs spread over 1e-3 to
-    1e3.  The costs are drawn one by one, or as a_i + b_j, on which every
-    plan costs the same, or as |a_i - b_j|, a metric on a line; the last
-    two tie shortest paths up to round-off."""
-    nr, nc = draw(st.integers(1, 8)), draw(st.integers(1, 8))
-    q = draw(st.integers(1, 12))
-    supplies = draw(st.lists(st.integers(0, 5), min_size=nr, max_size=nr))
-    demands = draw(st.lists(st.integers(0, 5), min_size=nc, max_size=nc))
+def _float_transport_network(rng):
+    """A float transportation instance and its exact masses: sides 1 to 8,
+    masses k/q with zeros, balanced before rounding, and costs spread over
+    1e-3 to 1e6.  The costs are drawn one by one, or as a_i + b_j, on which
+    every plan costs the same, or as |a_i - b_j|, a metric on a line; the
+    last two tie shortest paths up to round-off.  Returns the kernel's
+    arguments (masses rounded to floats) and the masses as Fractions."""
+    nr, nc, q = rng.randint(1, 8), rng.randint(1, 8), rng.randint(1, 12)
+    supplies = [rng.randint(0, 5) for _ in range(nr)]
+    demands = [rng.randint(0, 5) for _ in range(nc)]
     gap = sum(supplies) - sum(demands)
     if gap > 0:
         demands[-1] += gap
     else:
         supplies[-1] -= gap
-    spread = st.floats(-3, 3).map(lambda e: 10.0 ** e)
-    form = draw(st.sampled_from(("free", "sum", "line")))
+    form = rng.choice(("free", "sum", "line"))
     if form == "free":
-        cost = draw(st.lists(st.lists(spread, min_size=nc, max_size=nc),
-                             min_size=nr, max_size=nr))
+        cost = [[10.0 ** rng.uniform(-3, 6) for _ in range(nc)]
+                for _ in range(nr)]
     else:
-        a = draw(st.lists(spread, min_size=nr, max_size=nr))
-        b = draw(st.lists(spread, min_size=nc, max_size=nc))
+        a = [10.0 ** rng.uniform(-3, 6) for _ in range(nr)]
+        b = [10.0 ** rng.uniform(-3, 6) for _ in range(nc)]
         cost = [[x + y if form == "sum" else abs(x - y) for y in b] for x in a]
-    return [k / q for k in supplies], [k / q for k in demands], cost
+    masses = [Fraction(k, q) for k in supplies], [Fraction(k, q) for k in demands]
+    return ([k / q for k in supplies], [k / q for k in demands], cost), masses
 
 
-def _transport_certificate_problems(supplies, demands, cost, total, plan, pi, tol):
+def _transport_certificate_problems(supplies, demands, cost, total, plan, pi):
     """What `transport.verify_transport_result` checks, on a cost matrix and
     the kernel's potentials: the plan's marginals, dual feasibility,
-    complementary slackness, the dual pairing and the plan's cost."""
+    complementary slackness, the dual pairing and the plan's cost.  Masses
+    are checked at 1e-9; the checks on costs, duals and totals at
+    1e-9 * max(1, max|cost|), since their round-off grows with the costs."""
     nr, nc = len(supplies), len(demands)
     u, v = [-pi[1 + i] for i in range(nr)], pi[1 + nr:1 + nr + nc]
+    tol = 1e-9
+    cost_tol = tol * max(1, *map(abs, chain.from_iterable(cost)))
     problems = []
     if any(x < -tol for row in plan for x in row):
         problems.append("negative mass")
@@ -325,23 +329,24 @@ def _transport_certificate_problems(supplies, demands, cost, total, plan, pi, to
     for i in range(nr):
         for j in range(nc):
             slack = cost[i][j] - u[i] - v[j]
-            if slack < -tol or (plan[i][j] > tol and slack > tol):
+            if slack < -cost_tol or (plan[i][j] > tol and slack > cost_tol):
                 problems.append(f"dual slack {slack} at ({i},{j})")
     if abs(sum(s * x for s, x in zip(supplies, u)) +
-           sum(d * y for d, y in zip(demands, v)) - total) > tol:
+           sum(d * y for d, y in zip(demands, v)) - total) > cost_tol:
         problems.append("dual pairing")
     if abs(sum(c * x for crow, prow in zip(cost, plan)
-               for c, x in zip(crow, prow)) - total) > tol:
+               for c, x in zip(crow, prow)) - total) > cost_tol:
         problems.append("plan cost")
     return problems
 
 
 @settings(max_examples=300)
-@given(_float_transport_networks())
-def test_float_search_equals_the_one_without_retry_until_that_one_cycles(args):
-    # the reference is the search before a pass whose trace cycles was
-    # searched again, with every arc scanned in every round; where it
-    # cycles, it returns None
+@given(st.randoms(use_true_random=False).map(_float_transport_network))
+def test_float_search_equals_the_one_without_retry_until_that_one_cycles(drawn):
+    # the reference is the search before a pass that closes a cycle was
+    # searched again, with every arc scanned in every round; it returns None
+    # at the first round that leaves a cycle, where the kernel searches again
+    args, (supplies, demands) = drawn
     cycled = reference_bellman_ford(*args, flows.EPS)
     try:
         got = flows._ssp_bellman_ford(*args, flows.EPS)
@@ -351,8 +356,29 @@ def test_float_search_equals_the_one_without_retry_until_that_one_cycles(args):
     if cycled is not None:
         # repr compares the float bits, not only the values
         assert repr(got) == repr(cycled)
-    else:
-        assert _transport_certificate_problems(*args, *got, 1e-9) == []
+        return
+    assert _transport_certificate_problems(*args, *got) == []
+    cost = args[2]
+    scale = max(1, *map(abs, chain.from_iterable(cost)))
+    # the total within round-off of the optimum of the exact masses and the
+    # costs' exact values
+    exact = flows._ssp_balanced(supplies, demands,
+                                [list(map(Fraction, row)) for row in cost], 0)[0]
+    assert abs(Fraction(got[0]) - exact) <= 1e-12 * scale * sum(supplies)
+
+
+def test_a_float_search_again_takes_a_margin_scaled_to_the_costs():
+    # costs from 0.1 to 2.4e5 on a 4 x 5 network, where the retry with the
+    # margin EPS itself closes a cycle again, and the solve raised: the
+    # margin is tol * max|cost|, so tol EPS / max|cost| gives margin EPS
+    # (the masses are multiples of 1/2, so tol acts only as the margin)
+    args, _ = _float_transport_network(random.Random(4))
+    scale = max(1, *map(abs, chain.from_iterable(args[2])))
+    assert scale > 1e5
+    with pytest.raises(FloatingPointError):
+        flows._ssp_bellman_ford(*args, flows.EPS / scale)
+    got = flows._ssp_bellman_ford(*args, flows.EPS)
+    assert _transport_certificate_problems(*args, *got) == []
 
 
 @pytest.mark.parametrize("exact", [True, False])

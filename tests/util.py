@@ -137,12 +137,25 @@ def reference_max_flow_cover(row_costs, col_costs, batches, tol):
     return covers, [graph[u][ai][2] for u, ai in edge_arcs], total
 
 
+def _has_cycle(parent, root):
+    """Whether following parent from some node never reaches root; a node
+    without a parent (None) ends its walk too."""
+    for v in range(len(parent)):
+        seen = set()
+        while v is not None and v != root:
+            if v in seen:
+                return True
+            seen.add(v)
+            v = parent[v]
+    return False
+
+
 def reference_bellman_ford(supplies, demands, cost, tol):
-    """`flows._ssp_bellman_ford` as it was before a pass whose trace cycles
-    was searched again: every round scans every arc, and each reduced cost
-    is formed where it is used.  The one addition is a guard on the trace:
-    a trace longer than the node count has met a cycle in `prev`, and the
-    search returns None where the kernel it copies ran out of memory."""
+    """`flows._ssp_bellman_ford` as it was before a pass whose search closes
+    a cycle was searched again: every round scans every arc, and each
+    reduced cost is formed where it is used.  The one addition is a guard at
+    the end of each round: the search returns None at the first round that
+    leaves a cycle in `prev`, the round at which the kernel searches again."""
     nr, nc = len(supplies), len(demands)
     zero = 0 * tol
     src, snk = 0, nr + nc + 1
@@ -205,6 +218,8 @@ def reference_bellman_ford(supplies, demands, cost, tol):
                         changed = True
             if not changed:
                 break
+            if _has_cycle([p and p[0] for p in prev], src):
+                return None
         if dist[snk] is None:
             raise InfeasibleError("transportation network disconnected")
 
@@ -212,8 +227,6 @@ def reference_bellman_ford(supplies, demands, cost, tol):
         path = []
         node = snk
         while node != src:
-            if len(path) > n:
-                return None
             pnode, tag = prev[node]
             path.append(tag)
             node = pnode
