@@ -64,7 +64,7 @@ def _check_hall(rep, read, tol):
     problems = []
     if not plan.is_bistochastic(tol):
         problems.append("plan is not bistochastic")
-    if not abs(left_sum(rows[i][j] for (i, j) in z.cells()) - mass * d) <= t:
+    if not abs(left_sum(z.on_set(rows)) - mass * d) <= t:
         problems.append("plan mass on set != reported mass")
     if not close(mass, th, tol):
         problems.append("mass != thickness value")

@@ -26,7 +26,7 @@ def max_bistochastic_mass(z: ProductSet) -> HallResult:
     """max over bistochastic plans of the mass placed on Z; equals th(Z)."""
     cert = thickness(z)
     _, _, rows, d, _ = cert.plan.scaled()
-    total_on_z = unscaled(left_sum(rows[i][j] for (i, j) in z.cells()), d)
+    total_on_z = unscaled(left_sum(z.on_set(rows)), d)
     return HallResult(total_on_z, complete_to_bistochastic(cert.plan), cert)
 
 

@@ -146,6 +146,7 @@ def metric_from_obj(obj: dict, exact: bool = True, read=None) -> MetricMatrix:
     """A validated semimetric; `read`, if given, is the `_Reader` of its job."""
     if "space" not in obj or "dist" not in obj:
         raise ValidationError("metric object needs 'space' and 'dist'")
+    _require_list(obj, "dist", "metric", rows=True)
     read = read or _Reader(exact)
     return read.metric(MetricMatrix(read.space(obj["space"]),
                                     list(map(read.numbers, obj["dist"]))))
@@ -306,10 +307,14 @@ def _malformed(what: str):
         raise ValidationError(f"malformed {what}: {e}") from None
 
 
-def _require_list(obj: dict, key: str, what: str) -> None:
-    """A list given as a string or an object is not read element by element."""
-    if not isinstance(obj[key], (list, tuple)):
+def _require_list(obj: dict, key: str, what: str, rows: bool = False) -> None:
+    """A list given as a string or an object is not read element by element,
+    nor, with rows, a list whose rows are given so."""
+    value = obj[key]
+    if not isinstance(value, (list, tuple)):
         raise ValidationError(f"{what} {key!r} must be a list")
+    if rows and not all(isinstance(row, (list, tuple)) for row in value):
+        raise ValidationError(f"{what} {key!r} must be a list of lists")
 
 
 def _load(path: str, parse):

@@ -24,13 +24,17 @@ floats.  The transportation solver finds each shortest path by Dijkstra on
 reduced costs over ints (`_ssp_dijkstra`) and by Bellman-Ford over floats
 (`_ssp_bellman_ford`), where round-off can make a reduced cost negative;
 Dijkstra breaks ties as Bellman-Ford's scan does, so on the same numbers
-both give the same plan and potentials.  Each Bellman-Ford pass searches
-with a strict `<` first.  Round-off can make that test close a cycle in the
-predecessors; the search then ends with that round, and the pass is
+both give the same plan and potentials.  Both keep the plan's support per
+column across passes, changed only at each augmenting path's cells, and
+form each reduced cost where they scan its arc, so that no pass builds a
+table of them or scans the whole plan.  Each Bellman-Ford pass searches
+with a strict `<` first.  Round-off can make that test close a cycle in
+the predecessors; the search then ends with that round, and the pass is
 searched again at once with a margin of EPS * max(1, max|cost|).  If that
-search closes a cycle too, the solve raises FloatingPointError.  Augmentation
-order is deterministic: ties break on the lowest node index, or in the
-transportation searches on the arc that Bellman-Ford scans first.
+search closes a cycle too, the solve raises FloatingPointError.
+Augmentation order is deterministic: ties break on the lowest node index,
+or in the transportation searches on the arc that Bellman-Ford scans
+first.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import inf
-from operator import itemgetter
+from operator import itemgetter, lt
 from typing import Sequence
 
 from .model import (EPS, Number, ValidationError, common_integers, is_exact,
@@ -61,7 +65,7 @@ class BipartiteCoverInstance:
 
     def __init__(self, row_costs: Sequence[Number], col_costs: Sequence[Number], edges):
         row_costs, col_costs = tuple(row_costs), tuple(col_costs)
-        edges = tuple(sorted({(int(i), int(j)) for i, j in edges}))
+        edges = _int_pairs(edges)
         _require_positive(row_costs + col_costs)
         nr, nc = len(row_costs), len(col_costs)
         cols = list(map(itemgetter(1), edges))
@@ -89,6 +93,17 @@ def _over(ints, d):
     """k -> Fraction(k, d) for the ints given, one Fraction per distinct k:
     plans then share cells, which are formatted and rescaled once each."""
     return {k: Fraction(k, d) for k in set(ints)}.__getitem__
+
+
+def _int_pairs(edges) -> tuple:
+    """The distinct edges (i, j) as int pairs in increasing order.  Pairs
+    of ints that come so, as `ProductSet.cells` yields them, are kept."""
+    edges = tuple(edges)
+    if (set(map(type, edges)) <= {tuple} and set(map(len, edges)) <= {2}
+            and set(map(type, chain.from_iterable(edges))) <= {int}
+            and all(map(lt, edges, edges[1:]))):
+        return edges
+    return tuple(sorted({(int(i), int(j)) for i, j in edges}))
 
 
 def _require_positive(costs):
@@ -291,10 +306,11 @@ def _ssp_balanced(supplies, demands, cost, tol):
     The ints run `_ssp_dijkstra`, floats `_ssp_bellman_ford`.  Both find
     every node's shortest distance and Bellman-Ford's predecessor among the
     tight arcs, and fold the distances into pi the same way, so on the same
-    ints they return the same plan and potentials.  On floats a pass whose
-    strict search closes a round-off cycle is searched again at once, with
-    the margin EPS * max(1, max|cost|); FloatingPointError means that this
-    search closed a cycle as well.
+    ints they return the same plan and potentials.  Both keep the plan's
+    support across passes and form each reduced cost where they scan its
+    arc.  On floats a pass whose strict search closes a round-off cycle is
+    searched again at once, with the margin EPS * max(1, max|cost|);
+    FloatingPointError means that this search closed a cycle as well.
     """
     nr, nc = len(supplies), len(demands)
     masses, d_w = common_integers(list(supplies) + list(demands))
@@ -446,6 +462,11 @@ def _ssp_bellman_ford(supplies, demands, cost, tol):
     tol * max(1, max|cost|), scaled to the costs as their round-off is.  If
     that search leaves a cycle too, the solve raises FloatingPointError.
     Every search that a pass uses thus ends with acyclic predecessors.
+
+    The plan's support, the rows i with plan[i][j] > tol per column j, is
+    kept across passes as `_ssp_dijkstra` keeps it: an augmentation changes
+    only its path's cells, so only those are tested again.  A search reads
+    it in row order, so it never scans the whole plan.
     """
     nr, nc = len(supplies), len(demands)
     zero = 0 * tol
@@ -454,6 +475,7 @@ def _ssp_bellman_ford(supplies, demands, cost, tol):
     margin = tol * max(1, max(map(abs, chain.from_iterable(cost)), default=0))
 
     plan = [[zero] * nc for _ in range(nr)]
+    support = [set() for _ in range(nc)]    # rows i with plan[i][j] > tol
     remaining_supply = list(supplies)
     remaining_demand = list(demands)
     pi = [zero] * n  # accumulated shortest distances from the source
@@ -474,7 +496,9 @@ def _ssp_bellman_ford(supplies, demands, cost, tol):
         gave then, which took nothing then and takes nothing now, since
         distances only fall.  So each round takes the arcs that a scan of
         every arc would take, in the same order, and ends the search in the
-        same round.
+        same round.  Each reduced cost is formed where it is scanned, in
+        the order `reduced` forms it, with the scanned node's potential
+        read once per scan.
 
         A cycle left by a round passes through a node whose predecessor the
         round set, since the round before left none (the sink is on no
@@ -483,16 +507,8 @@ def _ssp_bellman_ford(supplies, demands, cost, tol):
         each node it meets with the walk's number: a walk ends at the
         source or at a node met earlier in the round, and has met a cycle
         if that node carries its own stamp."""
-        # the forward arcs' reduced costs, and per column its backward arcs
-        # (row node, reduced cost) in row order, each formed as `reduced`
-        # forms it
-        rf = [[(c + pi[1 + i]) - p for c, p in zip(cost[i], pi[1 + nr:snk])]
-              for i in range(nr)]
-        rb = [[] for _ in range(nc)]
-        for i, row in enumerate(plan):
-            for j, x in enumerate(row):
-                if x > tol:
-                    rb[j].append((1 + i, (-cost[i][j] + pi[1 + nr + j]) - pi[1 + i]))
+        pc = pi[1 + nr:snk]     # the columns' potentials
+        back = [sorted(rows) for rows in support]
         dist = [None] * n
         prev = [None] * n
         dist[src] = zero
@@ -515,25 +531,25 @@ def _ssp_bellman_ford(supplies, demands, cost, tol):
             for i in range(nr):
                 if fresh[1 + i]:
                     fresh[1 + i] = False
-                    du = dist[1 + i]
-                    for v, c in enumerate(rf[i], 1 + nr):
-                        d = du + c
+                    du, r = dist[1 + i], pi[1 + i]
+                    for v, c, p in zip(range(1 + nr, snk), cost[i], pc):
+                        d = du + ((c + r) - p)
                         if dist[v] is None or d < dist[v] - margin:
                             dist[v], prev[v] = d, 1 + i
                             fresh[v] = True
                             moved.append(v)
-            for j in range(nc):
+            for j, p in enumerate(pc):
                 u = 1 + nr + j
                 if not fresh[u]:
                     continue
                 fresh[u] = False
                 du = dist[u]
-                for v, c in rb[j]:
-                    d = du + c
-                    if dist[v] is None or d < dist[v] - margin:
-                        dist[v], prev[v] = d, u
-                        fresh[v] = True
-                        moved.append(v)
+                for i in back[j]:
+                    d = du + ((-cost[i][j] + p) - pi[1 + i])
+                    if dist[1 + i] is None or d < dist[1 + i] - margin:
+                        dist[1 + i], prev[1 + i] = d, u
+                        fresh[1 + i] = True
+                        moved.append(1 + i)
                 if remaining_demand[j] > tol:
                     d = du + reduced(zero, u, snk)
                     if dist[snk] is None or d < dist[snk] - margin:
@@ -588,12 +604,15 @@ def _ssp_bellman_ford(supplies, demands, cost, tol):
                 total_cost -= cost[i][j] * bottleneck
         remaining_demand[cols[-1]] -= bottleneck
         to_ship -= bottleneck
+        for i, j in chain(zip(rows, cols), zip(rows[1:], cols)):
+            if plan[i][j] > tol:
+                support[j].add(i)
+            else:
+                support[j].discard(i)
 
         # fold distances into potentials (unreached nodes get the max distance)
-        finite = [d for d in dist if d is not None]
-        dmax = max(finite)
-        for k in range(n):
-            pi[k] += dist[k] if dist[k] is not None else dmax
+        dmax = max(d for d in dist if d is not None)
+        pi[:] = [p + (dmax if d is None else d) for p, d in zip(pi, dist)]
 
     return total_cost, plan, pi
 

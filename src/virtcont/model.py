@@ -10,9 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from math import lcm
-from operator import add, sub
+from operator import add, ge, sub
 from typing import Iterable, Sequence, Union
 
 Number = Union[Fraction, float, int]
@@ -251,10 +251,15 @@ class ProductSet:
         object.__setattr__(self, "membership", rows)
 
     def cells(self):
-        for i, row in enumerate(self.membership):
-            for j, m in enumerate(row):
-                if m:
-                    yield (i, j)
+        """The member cells (i, j), row by row, left to right."""
+        cols = range(self.y_space.size)
+        return chain.from_iterable(zip(repeat(i), compress(cols, row))
+                                   for i, row in enumerate(self.membership))
+
+    def on_set(self, rows):
+        """The values of a matrix at the member cells, in the order of
+        `cells`: a sum of them adds left to right as a sum over `cells` does."""
+        return chain.from_iterable(map(compress, rows, self.membership))
 
     def is_empty(self) -> bool:
         return not any(any(row) for row in self.membership)
@@ -334,7 +339,7 @@ class Plan:
             raise ValidationError("plan matrix dimensions do not match factors")
         ((xw, yw, *cells),), (d,), t = common_scales(
             DEFAULT_TOL, [x_space.weights, y_space.weights, *rows])
-        if not signed and not all(v >= -t for row in cells for v in row):
+        if not signed and not all(map(ge, chain.from_iterable(cells), repeat(-t))):
             raise ValidationError("negative mass in unsigned plan")
         object.__setattr__(self, "x_space", x_space)
         object.__setattr__(self, "y_space", y_space)

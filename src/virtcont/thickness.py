@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress, repeat
+from operator import add, and_, ge, not_, sub
 
 from .flows import (BipartiteCoverInstance, min_weighted_vertex_cover,
                     nested_cover_weights)
@@ -94,11 +95,13 @@ def verify_cover(z: ProductSet, value: Number, cover_x, cover_y,
     scaled, scales, t = common_scales(tol, *groups)
     (mu, nu, (value,)), dw = scaled[0], scales[0]
     problems = []
-    cells = list(z.cells())
+    cols = range(z.y_space.size)
     cx, cy = set(cover_x), set(cover_y)
-    for (i, j) in cells:
-        if i not in cx and j not in cy:
-            problems.append(f"cell ({i},{j}) not covered")
+    open_cols = [j not in cy for j in cols]
+    for i, row in enumerate(z.membership):
+        if i not in cx:
+            problems += [f"cell ({i},{j}) not covered"
+                         for j in compress(cols, map(and_, row, open_cols))]
     total = left_sum(mu[i] for i in cx) + left_sum(nu[j] for j in cy)
     if not abs(total - value) <= t:
         problems.append(f"cover weight {unscaled(total, dw)} != "
@@ -106,9 +109,12 @@ def verify_cover(z: ProductSet, value: Number, cover_x, cover_y,
     if fractional_f is None:
         return problems
     (f, g), dp = scaled[1], scales[1]
-    for (i, j) in cells:
-        if not f[i] + g[j] - dp >= -t:
-            problems.append(f"fractional pair below 1 on cell ({i},{j})")
+    for i, (fi, row) in enumerate(zip(f, z.membership)):
+        # per column, whether fi + g[j] - dp >= -t fails (NaN fails it)
+        low = map(not_, map(ge, map(sub, map(add, repeat(fi), g), repeat(dp)),
+                            repeat(-t)))
+        problems += [f"fractional pair below 1 on cell ({i},{j})"
+                     for j in compress(cols, map(and_, row, low))]
     if not all(v >= -t for v in chain(f, g)):
         problems.append("fractional pair has a negative entry")
     fw = left_sum(w * v for w, v in zip(mu, f)) + left_sum(w * v for w, v in zip(nu, g))
@@ -130,7 +136,7 @@ def verify_thickness_result(z: ProductSet, res: ThicknessResult,
     _, _, rows, d, t = plan.scaled(tol)
     if not plan.is_subbistochastic(tol):
         problems.append("witness plan is not subbistochastic")
-    on_z = left_sum(rows[i][j] for (i, j) in z.cells())
+    on_z = left_sum(z.on_set(rows))
     if not abs(left_sum(left_sum(map(abs, r)) for r in rows) - on_z) <= t:
         problems.append("witness plan carries mass off the set")
     if not abs(on_z - res.value * d) <= t:

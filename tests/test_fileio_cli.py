@@ -693,13 +693,19 @@ def test_cli_lists_given_as_strings_or_objects_exit_1(tmp_path):
                              "weights"),
         "labels-str.json": (dict(rho3, space=dict(rho3["space"], labels="abc")),
                             "labels"),
+        # on 3 atoms, rows of digits once read as the discrete metric
+        "dist-rows-str.json": (dict(rho3, dist=["011", "101", "110"]), "dist"),
     }
+    one_atom = {"labels": ["a"], "weights": ["1"]}
+    for tag, dist in (("str", "0"), ("row-str", ["0"]), ("obj", {"0": 1})):
+        files[f"dist-{tag}-1.json"] = (
+            {"kind": "metric", "space": one_atom, "dist": dist}, "dist")
     for name, (obj, key) in files.items():
         bad = str(tmp_path / name)
         (tmp_path / name).write_text(json.dumps(obj))
         if name.startswith("values"):
             job = ["transport", str(tmp_path / "rho3.json"), bad, mu]
-        elif name.startswith("weights"):
+        elif name.startswith("weights") or name.endswith("-1.json"):
             job = ["transport", bad] + [str(tmp_path / "one.json")] * 2
         else:
             job = ["transport", bad, mu, mu]
@@ -715,6 +721,13 @@ def test_cli_lists_given_as_strings_or_objects_exit_1(tmp_path):
     rp = tmp_path / "potential-str.json"
     rp.write_text(json.dumps(rep))
     assert "potential" in _run_failing(["check", str(rp)])
+    # and so is its metric's distance matrix with rows spelled as strings
+    rep = json.loads(out)
+    rep["inputs"]["metric"]["dist"] = ["".join(row) for row in
+                                       rep["inputs"]["metric"]["dist"]]
+    rp = tmp_path / "dist-rows-str.json"
+    rp.write_text(json.dumps(rep))
+    assert "'dist'" in _run_failing(["check", str(rp)])
 
 
 @pytest.mark.parametrize("flags", [

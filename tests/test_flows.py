@@ -13,6 +13,7 @@ from virtcont import (BipartiteCoverInstance, DiscreteSpace, InfeasibleError,
                       MetricMatrix, ProductFunction, TransportationInstance,
                       flows, kantorovich, kr_norm, min_weighted_vertex_cover,
                       solve_transportation, sr_norm)
+from virtcont.model import left_sum
 
 from lp_oracle import transport_lp_value
 from util import (brute_cover, rand_weights, reference_bellman_ford,
@@ -309,6 +310,26 @@ def _float_transport_network(rng):
     return ([k / q for k in supplies], [k / q for k in demands], cost), masses
 
 
+def _float_profit_network(rng):
+    """The max-profit reduction that `solve_transportation` builds for
+    `sr_norm`, as the kernel gets it: positive masses k/q (the spaces'
+    weights) under slack marginals, profits spread over 1e-3 to 1e6 and
+    negated into costs, and a zero-cost dummy row and column that take the
+    other side's total.  So the first pass meets negative costs, and every
+    row is reached, and its forward arcs scanned, in every pass.  Returns
+    what `_float_transport_network` returns."""
+    nr, nc, q = rng.randint(1, 8), rng.randint(1, 8), rng.randint(1, 12)
+    supplies = [rng.randint(1, 5) for _ in range(nr)]
+    demands = [rng.randint(1, 5) for _ in range(nc)]
+    cost = [[-10.0 ** rng.uniform(-3, 6) for _ in range(nc)] + [0.0]
+            for _ in range(nr)]
+    cost.append([0.0] * (nc + 1))
+    s, d = [k / q for k in supplies], [k / q for k in demands]
+    masses = ([Fraction(k, q) for k in supplies + [sum(demands)]],
+              [Fraction(k, q) for k in demands + [sum(supplies)]])
+    return (s + [left_sum(d, 0.0)], d + [left_sum(s, 0.0)], cost), masses
+
+
 def _transport_certificate_problems(supplies, demands, cost, total, plan, pi):
     """What `transport.verify_transport_result` checks, on a cost matrix and
     the kernel's potentials: the plan's marginals, dual feasibility,
@@ -365,6 +386,13 @@ def test_float_search_equals_the_one_without_retry_until_that_one_cycles(drawn):
     exact = flows._ssp_balanced(supplies, demands,
                                 [list(map(Fraction, row)) for row in cost], 0)[0]
     assert abs(Fraction(got[0]) - exact) <= 1e-12 * scale * sum(supplies)
+
+
+@settings(max_examples=300)
+@given(st.randoms(use_true_random=False).map(_float_profit_network))
+def test_float_search_equals_the_one_without_retry_on_the_sr_norm_shape(drawn):
+    test_float_search_equals_the_one_without_retry_until_that_one_cycles \
+        .hypothesis.inner_test(drawn)
 
 
 def test_a_float_search_again_takes_a_margin_scaled_to_the_costs():

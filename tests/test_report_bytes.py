@@ -260,9 +260,15 @@ def test_matdist_report_bytes_pinned(tmp_path, key):
 # that scanned every arc in every round and formed each reduced cost where
 # it used it, before a pass whose trace meets a cycle was searched again.
 # These instances finished there; on the two below it ran out of memory.
+# The two largest, "h-40-0" and "rho-40-0", were recorded later, from the
+# search that ends at the first round leaving a cycle and searches again,
+# which on "krnorm rho-40-0" it does, before the search formed its reduced
+# costs where it scans them and kept the plan's support between passes.
 FLOAT_TRANSPORT_PINNED = {
     "srnorm h-10-0": "09e88055bea3b7e2f7468be822019c7cc9ecd341",
     "srnorm h-20-0": "408ea6b2cf020d816242c4bd7c4308e10d8b49bd",
+    "srnorm h-40-0": "4370bb2e7926677eaffd00e1c42ec54021191eda",
+    "krnorm rho-40-0": "f94fa1a5e0468408c8ac0f430d98bc8fff93fff2",
     "transport rho-10-2": "ce74b1e36470db496fc09e9f576d4b5bc11378ca",
     "krnorm rho-10-2": "b53b5aa17e6a10d45f9e4a3a2e117c60d6d03add",
     "transport rho-20-0": "5f4b724b015eb1bfef5a096376c3e76063ebc490",

@@ -4,11 +4,12 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, strategies as st
 
 from virtcont import (DiscreteSpace, Plan, ProductSet, thickness,
                       thickness_of_level_set, verify_thickness_result)
-from virtcont.model import left_sum
+from virtcont.model import ValidationError, left_sum
 
 from lp_oracle import cover_lp_data, dense_lp_solve
 from util import brute_thickness, fn_on, rand_set, rand_space
@@ -190,3 +191,20 @@ def test_exact_thickness_certifies_both_sides(z):
 @given(_sets(lambda p, total: p / total))
 def test_float_thickness_certifies_both_sides(z):
     _both_sides_checked(z)
+
+
+def test_nan_fails_the_plan_and_the_fractional_pair():
+    # every comparison with NaN is false, so a NaN cell or pair entry must
+    # fail each test that it meets, as a negative one would
+    xs, ys = DiscreteSpace(["a", "b"], [0.5, 0.5]), DiscreteSpace(["p"], [1.0])
+    nan = float("nan")
+    for mass in ([[nan], [0.5]], [[0.25], [nan]]):
+        with pytest.raises(ValidationError, match="negative mass"):
+            Plan(xs, ys, mass)
+    z = ProductSet(xs, ys, [[True], [True]])
+    res = thickness(z)
+    assert verify_thickness_result(z, res) == []
+    bad = replace(res, fractional_f=[nan, 0.0], fractional_g=[1.0])
+    problems = verify_thickness_result(z, bad)
+    assert "fractional pair below 1 on cell (0,0)" in problems
+    assert "fractional pair below 1 on cell (1,0)" not in problems
