@@ -5,18 +5,18 @@ plan, a majorant and a plan, a plan and a potential).  Checking feasibility
 of both sides plus value equality certifies optimality by weak duality, with
 no reference to how the solver found them.  Each check parses its report
 for the one verifier of its kind of certificate.  A tau report carries none:
-its check solves the two thicknesses that show the value feasible and least.
+its check weighs the two level sets that show the value feasible and least,
+with one warm-started max-flow.
 """
 
 from __future__ import annotations
 
 from .fileio import _malformed, _Reader, matrix_from_obj, metric_from_obj
-from .model import (DEFAULT_TOL, ProductFunction, SeparableMajorant,
-                    ValidationError, close, common_scales, left_sum, level_set,
-                    nonneg)
+from .flows import nested_cover_weights
+from .model import (DEFAULT_TOL, SeparableMajorant, ValidationError, close,
+                    common_scales, left_sum, nonneg)
 from .srnorm import SrNormResult, verify_sr_certificates
-from .thickness import (ThicknessResult, thickness, verify_cover,
-                        verify_thickness_result)
+from .thickness import ThicknessResult, verify_cover, verify_thickness_result
 from .transport import TransportResult, verify_transport_result
 from .vcdiag import StepFit, step_fit_violations
 
@@ -101,18 +101,24 @@ def _check_tau(rep, read, tol):
     # |f - g| and the value on one integer scale
     (((v,), *rows),), _, _ = common_scales(tol, [[value], *f.values, *g.values])
     nx = f.x_space.size
-    d = ProductFunction(f.x_space, f.y_space,
-                        [[abs(a - b) for a, b in zip(fr, gr)]
-                         for fr, gr in zip(rows[:nx], rows[nx:])])
-    over = thickness(level_set(d, v, ">")).value
+    above, at = [], []      # the cells of {|f - g| > v}, of {|f - g| = v}
+    for i, (fr, gr) in enumerate(zip(rows[:nx], rows[nx:])):
+        for j, (a, b) in enumerate(zip(fr, gr)):
+            gap = abs(a - b)
+            if gap > v:
+                above.append((i, j))
+            elif gap == v:
+                at.append((i, j))
+    # every eps < value has {|f - g| > eps} containing {|f - g| >= value}, the
+    # exceedance set grown by `at`: one warm-started max-flow weighs both
+    over, *least = nested_cover_weights(f.x_space.weights, f.y_space.weights,
+                                        [above, at] if value > 0 else [above])
     problems = []
     if not close(over, witness, tol):
         problems.append("witness thickness does not match the exceedance set")
     if not nonneg(value - over, tol):
         problems.append("reported value is not feasible (set too thick)")
-    # every eps < value has {|f - g| > eps} containing {|f - g| >= value}
-    if value > 0 and not nonneg(thickness(level_set(d, v, ">=")).value - value,
-                                tol):
+    if least and not nonneg(least[0] - value, tol):
         problems.append("reported value is not the least feasible one")
     return problems
 

@@ -44,7 +44,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import inf
-from operator import itemgetter, lt
+from operator import itemgetter, lt, sub
 from typing import Sequence
 
 from .model import (EPS, Number, ValidationError, common_integers, is_exact,
@@ -658,4 +658,8 @@ def solve_transportation(inst: TransportationInstance) -> TransportResultRaw:
     if not exact:
         a = [max(x, 0.0) for x in a]
         b = [max(x, 0.0) for x in b]
+    # no pass reaches a row with no supply, so its potential need not cover
+    # its profits; the least nonnegative dual that does adds 0 to the value
+    a = [max([zero, *map(sub, inst.matrix[i], b)]) if s == 0 else x
+         for i, (s, x) in enumerate(zip(inst.supplies, a))]
     return TransportResultRaw(-total_cost, plan, a, b)

@@ -14,11 +14,11 @@ common denominator d of the values and weights and class weights by 2d, so
 every half-gap and class weight is compared as an int.  The row partitions
 grow one row at a time, each block carrying its per-column value range, and
 a partial partition is cut as soon as the columns it already forces into the
-exceptional class weigh at least the current best.  The best of the first
-two restarts of a seeded alternating local search bounds the search, and
-later restarts run only until one reaches the certified optimum (see
-`vc_profile`).  Larger instances run every restart, and the result is
-flagged as an upper bound; restarts are scored on the search's scale.
+exceptional class weigh at least the current best.  The better of the first
+two restarts of an alternating local search bounds the search, and no other
+restart runs (see `vc_profile`).  Larger instances run every seeded restart,
+and the result is flagged as an upper bound; restarts are scored on the
+search's scale.
 
 Exact matrix distributions run on the integer scale too: weights and
 distances are scaled once, probabilities are products of int weights, and
@@ -499,15 +499,11 @@ def vc_profile(f: ProductFunction, n_blocks: int, seed: int = 0) -> VcProfileRes
     that.  The witness attains the reported objective, so it is a valid fit
     for every eps above it.
 
-    In the exact range the best of the first two restarts bounds the search,
-    and later restarts run only until one reaches its optimum.  The witness
-    is still the one a search from the best of all restarts gives: from any
-    bound above the optimum, `_exact_search` returns the first configuration
-    in its fixed visiting order that reaches the optimum (pruning cuts only
-    subtrees that cannot beat the running best, a column forced out under a
-    looser bound is in no optimal configuration, and the column DP visits
-    the remaining subsets in the same relative order).  So the witness is
-    the first restart that reaches the optimum, if any, else the search's.
+    In the exact range only the first two restarts run, and the better of
+    them bounds `_exact_search`.  The witness is the search's configuration
+    if it finds one below that bound, else that restart's.  Neither restart
+    draws a random number, so an exact-range profile does not depend on
+    seed.
     """
     if n_blocks < 1:
         raise ValidationError("block count must be at least 1")
@@ -516,14 +512,12 @@ def vc_profile(f: ProductFunction, n_blocks: int, seed: int = 0) -> VcProfileRes
     if nr > EXACT_SIDE_LIMIT or nc > EXACT_SIDE_LIMIT:
         hval, cfg = _heuristic(f, scaled, n_blocks, seed)
         return VcProfileResult(hval, False, _fit_from_config(f, cfg, hval, False))
-    restarts = _restarts(f, scaled, n_blocks, seed)
-    bound, cfg = _least(islice(restarts, 2))
+    bound, cfg = _least(islice(_restarts(f, scaled, n_blocks, seed), 2))
     # the search returns the bound itself if nothing beats it
     value, found = _exact_search(scaled, n_blocks, _unscale(bound, scaled[3]),
                                  stop_early=False)
     if found is not None:
-        cfg = next((c for o, c in restarts
-                    if _unscale(o, scaled[3]) == value), found)
+        cfg = found
     return VcProfileResult(value, True, _fit_from_config(f, cfg, value, True))
 
 

@@ -9,10 +9,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from virtcont import (DiscreteSpace, MetricMatrix, Plan, ProductFunction,
-                      ProductSet, cli)
-from virtcont.fileio import save_matrix, save_metric, save_vector
+                      ProductSet, checkers, cli, flows)
+from virtcont.checkers import check_report
+from virtcont.fileio import (format_number, matrix_to_obj, save_matrix,
+                             save_metric, save_vector)
+from virtcont.model import level_set
+from virtcont.thickness import thickness
 
 from test_fileio_cli import (_BELOW_1, _LIPSCHITZ_AT_1, _NOT_COVERED,
                              _check_tampered, _fixture_corpus, _run,
@@ -140,6 +145,48 @@ def test_cli_check_rejects_a_tau_value_that_is_not_the_least(tmp_path, mode):
     assert code == 2
     assert json.loads(out)["violations"] == [
         "reported value is not the least feasible one"]
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@given(data=st.data())
+def test_tau_check_weighs_both_level_sets_as_thickness_does(exact, data):
+    # one max-flow weighs {|f - g| > value}, then {|f - g| >= value}; values
+    # over denominators 1 to 4 tie often, and the value is one of the gaps
+    cast = Fraction if exact else float
+    nx, ny = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    rng = data.draw(st.randoms(use_true_random=False))
+    xs, ys = rand_space(rng, nx, "x"), rand_space(rng, ny, "y")
+    if not exact:
+        xs = DiscreteSpace(xs.labels, list(map(float, xs.weights)))
+        ys = DiscreteSpace(ys.labels, list(map(float, ys.weights)))
+    levels = [cast(Fraction(a, b)) for a in range(-4, 5) for b in range(1, 5)]
+    f, g = (ProductFunction(xs, ys, [[rng.choice(levels) for _ in range(ny)]
+                                     for _ in range(nx)]) for _ in range(2))
+    d = f.sub(g).abs()
+    value = data.draw(st.sampled_from([x for row in d.values for x in row]))
+    want = [thickness(level_set(d, value, ">")).value]
+    if value > 0:
+        want.append(thickness(level_set(d, value, ">=")).value)
+    rep = {"command": "tau", "mode": "exact" if exact else "float",
+           "inputs": {"f": matrix_to_obj(f), "g": matrix_to_obj(g)},
+           "value": format_number(value),
+           "witness_set_thickness": format_number(want[0])}
+    scaled_covers, calls = flows._scaled_covers, []
+
+    def recorded(*args):
+        res = scaled_covers(*args)
+        calls.append(res[1])
+        return res
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flows, "_scaled_covers", recorded)
+        problems = check_report(rep)
+    assert [repr(calls)] == [repr([want])]
+    assert "witness thickness does not match the exceedance set" not in problems
+
+
+def test_tau_check_calls_no_thickness_solve():
+    assert "thickness" not in checkers._check_tau.__code__.co_names
 
 
 def _metric_jobs(path):

@@ -103,6 +103,38 @@ def test_max_profit_zero_matrix():
     assert res.value == 0
 
 
+@pytest.mark.parametrize("one", [Fraction(1), 1.0], ids=["exact", "float"])
+def test_max_profit_dual_of_a_row_with_no_supply_covers_its_profits(one):
+    # no pass reaches row 0, so its dual is the least one above its profit
+    res = solve_transportation(TransportationInstance(
+        [0 * one, one], [one], [[10 * one], [one]], "max-profit"))
+    assert (res.value, res.u, res.v) == (one, [10 * one, one], [0 * one])
+    assert all(type(x) is type(one) for x in [res.value] + res.u + res.v)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@given(data=st.data())
+def test_max_profit_duals_cover_every_profit_with_zero_masses(exact, data):
+    nr, nc = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    mass = st.builds(Fraction, st.integers(0, 3), st.integers(1, 3))
+    price = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+    supplies = data.draw(st.lists(mass, min_size=nr, max_size=nr))
+    demands = data.draw(st.lists(mass, min_size=nc, max_size=nc))
+    profit = data.draw(st.lists(st.lists(price, min_size=nc, max_size=nc),
+                                min_size=nr, max_size=nr))
+    cast = Fraction if exact else float
+    tol = 0 if exact else 1e-9
+    res = solve_transportation(TransportationInstance(
+        map(cast, supplies), map(cast, demands),
+        [map(cast, row) for row in profit], "max-profit"))
+    assert all(x >= 0 for x in res.u + res.v)
+    for a, row in zip(res.u, profit):
+        for b, p in zip(res.v, row):
+            assert a + b >= p - tol
+    assert abs(sum(s * a for s, a in zip(supplies, res.u))
+               + sum(d * b for d, b in zip(demands, res.v)) - res.value) <= tol
+
+
 def test_min_cost_matches_dense_lp():
     rng = random.Random(23)
     for _ in range(20):

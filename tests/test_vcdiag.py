@@ -19,7 +19,7 @@ from virtcont.checkers import check_report
 from virtcont.cli import main
 from virtcont.fileio import jsonable, save_matrix
 from virtcont import vcdiag
-from virtcont.vcdiag import ENUM_GUARD, _heuristic, _on_scale
+from virtcont.vcdiag import ENUM_GUARD, _heuristic, _on_scale, _unscale
 
 from util import (brute_step_fit_exists, fn_on, rand_function, rand_metric,
                   rand_space, reference_heuristic, reference_matrix_distribution,
@@ -392,12 +392,23 @@ def test_float_heuristic_scores_as_the_reference(f, nb, seed):
 @given(data=st.data(), nb=st.integers(1, 4), seed=st.integers(0, 3))
 def test_profile_equals_the_best_of_all_restarts_then_the_search(exact, data,
                                                                  nb, seed):
+    # the search certifies the value, so two restarts give the reference's
+    # value; the witness is a fit at it, and the reference's own wherever no
+    # restart of the reference reached the optimum
     f = data.draw(_wide_functions(exact, side=vcdiag.EXACT_SIDE_LIMIT))
-    assert repr(vc_profile(f, nb, seed)) == repr(reference_vc_profile(f, nb, seed))
+    res = vc_profile(f, nb, seed)
+    ref = reference_vc_profile(f, nb, seed)
+    assert repr((res.value, res.exact)) == repr((ref.value, ref.exact))
+    assert step_fit_violations(f, res.witness, strict=False) == []
+    assert res.witness.epsilon == res.value
+    if ref.value < _heuristic(f, _on_scale(f), nb, seed)[0]:
+        assert repr(res.witness) == repr(ref.witness)
+    for other in range(4):
+        assert repr(vc_profile(f, nb, other)) == repr(res)
 
 
-def test_restarts_stop_once_one_reaches_the_certified_optimum(monkeypatch):
-    # restart 0 of this structured family already reaches the optimum
+def test_exact_profile_draws_only_the_first_two_restarts(monkeypatch):
+    # the search beats both restarts here, and no restart reaches its optimum
     yielded = []
     restarts = vcdiag._restarts
 
@@ -407,11 +418,24 @@ def test_restarts_stop_once_one_reaches_the_certified_optimum(monkeypatch):
             yield r
 
     monkeypatch.setattr(vcdiag, "_restarts", counted)
-    f = family_function("separable_smooth", 4)
+    x = DiscreteSpace(["x0", "x1", "x2", "x3"],
+                      [Fraction(w, 19) for w in (7, 1, 2, 9)])
+    y = DiscreteSpace(["y0", "y1", "y2"], [Fraction(w, 9) for w in (2, 6, 1)])
+    q = Fraction(1, 4)
+    f = ProductFunction(x, y, [[1, -q, -1], [-3 * q, 2 * q, 2 * q],
+                               [-3 * q, -q, -3 * q], [1, 2 * q, -1]])
+    scale = _on_scale(f)[3]
     res = vc_profile(f, 2)
     assert len(yielded) == 2
-    assert repr(res) == repr(reference_vc_profile(f, 2))
+    ref = reference_vc_profile(f, 2)
     assert len(yielded) == 2 + vcdiag.HEURISTIC_RESTARTS
+    assert res.value == Fraction(3, 19)
+    assert all(_unscale(o, scale) > res.value for o, _ in yielded)
+    assert repr(res) == repr(ref)
+    # past the exact range the heuristic still runs every restart
+    yielded.clear()
+    assert not vc_profile(family_function("separable_smooth", 9), 2).exact
+    assert len(yielded) == vcdiag.HEURISTIC_RESTARTS
 
 
 @st.composite
