@@ -19,29 +19,26 @@ In exact mode the rational inputs are scaled once to ints over their common
 denominator (`model.common_integers`), the kernel runs on the ints, and the
 results are divided back to Fractions at the end.  A positive common scale
 preserves every comparison and tie, so the kernel takes the same steps as
-on the Fractions themselves.  The max-flow kernel is one body for ints and
-floats.  The transportation solver finds each shortest path by Dijkstra on
-reduced costs over ints (`_ssp_dijkstra`) and by Bellman-Ford over floats
-(`_ssp_bellman_ford`), where round-off can make a reduced cost negative;
-Dijkstra breaks ties as Bellman-Ford's scan does, so on the same numbers
-both give the same plan and potentials.  Both keep the plan's support per
-column across passes, changed only at each augmenting path's cells, and
-form each reduced cost where they scan its arc, so that no pass builds a
-table of them or scans the whole plan.  Each Bellman-Ford pass searches
-with a strict `<` first.  Round-off can make that test close a cycle in
-the predecessors; the search then ends with that round, and the pass is
-searched again at once with a margin of EPS * max(1, max|cost|).  If that
-search closes a cycle too, the solve raises FloatingPointError.
-Augmentation order is deterministic: ties break on the lowest node index,
-or in the transportation searches on the arc that Bellman-Ford scans
-first.
+on the Fractions themselves.  Each kernel is one body for ints and floats,
+with tol 0 on the ints and EPS on floats.  The transportation solver finds
+each shortest path by a Bellman-Ford search on reduced costs
+(`_ssp_bellman_ford`), which stays correct where float round-off makes a
+reduced cost negative.  It keeps the plan's support per column across
+passes, changed only at each augmenting path's cells, and forms each
+reduced cost where it scans its arc, so that no pass builds a table of
+them or scans the whole plan.  Each pass searches with a strict `<` first.
+On floats, round-off can make that test close a cycle in the predecessors;
+the search then ends with that round, and the pass is searched again at
+once with a margin of EPS * max(1, max|cost|).  If that search closes a
+cycle too, the solve raises FloatingPointError.  Augmentation order is
+deterministic: ties break on the lowest node index, or in the
+transportation search on the arc that it scans first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import inf
 from operator import itemgetter, lt, sub
@@ -303,155 +300,26 @@ def _ssp_balanced(supplies, demands, cost, tol):
     scaled by their common denominator d_w, costs by theirs, d_c; the plan
     comes back divided by d_w, the potentials by d_c, the total by d_w*d_c.
 
-    The ints run `_ssp_dijkstra`, floats `_ssp_bellman_ford`.  Both find
-    every node's shortest distance and Bellman-Ford's predecessor among the
-    tight arcs, and fold the distances into pi the same way, so on the same
-    ints they return the same plan and potentials.  Both keep the plan's
-    support across passes and form each reduced cost where they scan its
-    arc.  On floats a pass whose strict search closes a round-off cycle is
-    searched again at once, with the margin EPS * max(1, max|cost|);
-    FloatingPointError means that this search closed a cycle as well.
+    Ints and floats run the same kernel, `_ssp_bellman_ford`, with tol 0 on
+    the ints and EPS on floats; this wrapper is where the regime is decided.
     """
     nr, nc = len(supplies), len(demands)
     masses, d_w = common_integers(list(supplies) + list(demands))
     costs, d_c = common_integers(c for row in cost for c in row)
     if d_w is None or d_c is None:
         return _ssp_bellman_ford(supplies, demands, cost, tol)
-    total, plan, pi = _ssp_dijkstra(masses[:nr], masses[nr:],
-                                    [costs[i * nc:(i + 1) * nc] for i in range(nr)])
+    total, plan, pi = _ssp_bellman_ford(
+        masses[:nr], masses[nr:], [costs[i * nc:(i + 1) * nc] for i in range(nr)], 0)
     fraction = _over(chain.from_iterable(plan), d_w)
     return (Fraction(total, d_w * d_c),
             [list(map(fraction, row)) for row in plan],
             [Fraction(p, d_c) for p in pi])
 
 
-def _ssp_dijkstra(supplies, demands, cost):
-    """The successive-shortest-path loop of `_ssp_balanced` on scaled ints,
-    each pass a Dijkstra search on the reduced costs c + pi[u] - pi[v].
-
-    After a pass every residual arc between reached nodes has a reduced cost
-    >= 0, and the arcs the augmentation opens are the reverses of tight ones,
-    so the next pass may run Dijkstra (Ahuja, Magnanti & Orlin, *Network
-    Flows*, ch. 9).  A row with no supply is never reached, by any pass, so
-    its dmax potential only enters the duals.
-
-    Ties go as in `_ssp_bellman_ford`, whose strict `<` keeps the tight arc
-    u -> v that it scans first after u's distance became final.  Within a
-    pass it scans the source arc of row i at position i, the forward arc
-    (i, j) at nr + i*nc + j, and then per column j the backward arcs to the
-    rows i and the sink arc at back + j*(nr+1) + i and back + j*(nr+1) + nr;
-    a round repeats these L positions.  A node's key packs its reduced
-    distance and the scan time at which that distance became final into one
-    int, distance * M + round * L + position, and Dijkstra settles the least
-    key first.  An arc out of a settled node gets its first scan time after
-    the node's own, so the least key into a node is Bellman-Ford's pick, and
-    its position names the predecessor.  Only a forward arc out of a row
-    reached by a backward arc starts a new round; a path has fewer than nr
-    of those, so every time stays below M.
-
-    The first pass has no backward arcs, and its costs may be negative.  Its
-    rows take their keys from the source and settle first, and each column
-    key is the least over all of them: Bellman-Ford's first round.
-    """
-    nr, nc = len(supplies), len(demands)
-    back = nr + nr * nc           # position of the first backward arc
-    L = back + nc * (nr + 1)      # positions in one round
-    M = (nr + 1) * L              # exceeds every scan time
-    cost_m = [[c * M for c in row] for row in cost]
-    plan = [[0] * nc for _ in range(nr)]
-    support = [set() for _ in range(nc)]    # rows i with plan[i][j] > 0
-    supply, demand = list(supplies), list(demands)
-    pr, pc, ps = [0] * nr, [0] * nc, 0      # potentials; the source's stays 0
-    total = 0
-    to_ship = sum(supply)
-    while to_ship > 0:
-        dag = not any(support)      # no backward arcs: the first pass
-        rk = [-p * M + i if s > 0 else None
-              for i, (p, s) in enumerate(zip(pr, supply))]
-        heap = [k for k in rk if k is not None]     # keys of the open rows
-        heapify(heap)
-        ck = [None] * nc
-        open_c = list(range(nc))                    # the open columns,
-        ok = [inf] * nc                             # their keys and
-        om = [p * M - j for j, p in enumerate(pc)]  # their potentials' share
-        kc = None       # least key of an open column, once a row is settled
-        while True:
-            if heap and (dag or kc is None or heap[0] < kc):
-                kr = heappop(heap)
-                pos = kr % M % L
-                i = pos if pos < nr else (pos - back) % (nr + 1)
-                if rk[i] != kr:
-                    continue            # superseded by a later, lower key
-                # a row reached by a backward arc scans its forward arcs in
-                # the next round
-                off = kr - pos + pr[i] * M + nr + i * nc + (L if pos >= nr else 0)
-                cm = cost_m[i]
-                ok = [a if a < (b := off + cm[j] - p) else b
-                      for a, j, p in zip(ok, open_c, om)]
-            elif kc is not None and not dag:
-                x = ok.index(kc)
-                j = open_c[x]
-                ck[j] = kc
-                del open_c[x], ok[x], om[x]
-                off = kc - kc % M % L + pc[j] * M + back + j * (nr + 1)
-                for i in support[j]:
-                    k = off + i - (cost[i][j] + pr[i]) * M
-                    if rk[i] is None or k < rk[i]:   # never beats a settled key
-                        rk[i] = k
-                        heappush(heap, k)
-            else:
-                break
-            kc = min(ok, default=None)
-        for j, k in zip(open_c, ok):
-            ck[j] = k
-        sk = min((k - k % M % L + (pc[j] - ps) * M + back + j * (nr + 1) + nr
-                  for j, k in enumerate(ck) if demand[j] > 0), default=None)
-        if sk is None:
-            raise InfeasibleError("transportation network disconnected")
-
-        # trace the path back from the sink, through the predecessors that
-        # the keys' positions name
-        j = (sk % M % L - back) // (nr + 1)
-        bottleneck = min(to_ship, demand[j])
-        forward, backward = [], []
-        while True:
-            i = (ck[j] % M % L - nr) // nc
-            forward.append((i, j))
-            pos = rk[i] % M % L
-            if pos < nr:
-                break
-            j = (pos - back) // (nr + 1)
-            backward.append((i, j))
-            bottleneck = min(bottleneck, plan[i][j])
-        bottleneck = min(bottleneck, supply[i])
-        supply[i] -= bottleneck
-        demand[forward[0][1]] -= bottleneck
-        for i, j in forward:
-            plan[i][j] += bottleneck
-            total += cost[i][j] * bottleneck
-            support[j].add(i)
-        for i, j in backward:
-            plan[i][j] -= bottleneck
-            total -= cost[i][j] * bottleneck
-            if not plan[i][j]:
-                support[j].discard(i)
-        to_ship -= bottleneck
-
-        # fold distances into potentials (unreached rows get the max distance)
-        dr = [None if k is None else k // M for k in rk]
-        dc = [k // M for k in ck]
-        dmax = max(0, sk // M, *dc, *(d for d in dr if d is not None))
-        pr = [p + (dmax if d is None else d) for p, d in zip(pr, dr)]
-        pc = [p + d for p, d in zip(pc, dc)]
-        ps += sk // M
-    return total, plan, [0, *pr, *pc, ps]
-
-
 def _ssp_bellman_ford(supplies, demands, cost, tol):
-    """The successive-shortest-path loop of `_ssp_balanced` on floats (tol
-    EPS), each pass a Bellman-Ford search; the zero follows tol.  On scaled
-    ints (tol 0) it returns what `_ssp_dijkstra` returns, which the tests
-    check.
+    """The successive-shortest-path loop of `_ssp_balanced`, each pass a
+    Bellman-Ford search (Ahuja, Magnanti & Orlin, *Network Flows*, ch. 9):
+    on scaled ints with tol 0, on floats with tol EPS; the zero follows tol.
 
     Each pass first searches with a strict `<`.  On floats that test can
     accept a round-off "improvement" that closes a cycle in the
@@ -461,12 +329,15 @@ def _ssp_bellman_ford(supplies, demands, cost, tol):
     taking an arc only if it shortens a distance by more than the margin
     tol * max(1, max|cost|), scaled to the costs as their round-off is.  If
     that search leaves a cycle too, the solve raises FloatingPointError.
-    Every search that a pass uses thus ends with acyclic predecessors.
+    Every search that a pass uses thus ends with acyclic predecessors.  On
+    ints the margin is 0 and the retry never runs, since exact arithmetic
+    closes a cycle in the predecessors only around a negative cycle of the
+    residual network, and successive shortest paths leave none.
 
     The plan's support, the rows i with plan[i][j] > tol per column j, is
-    kept across passes as `_ssp_dijkstra` keeps it: an augmentation changes
-    only its path's cells, so only those are tested again.  A search reads
-    it in row order, so it never scans the whole plan.
+    kept across passes: an augmentation changes only its path's cells, so
+    only those are tested again.  A search reads it in row order, so it
+    never scans the whole plan.
     """
     nr, nc = len(supplies), len(demands)
     zero = 0 * tol
@@ -654,10 +525,11 @@ def solve_transportation(inst: TransportationInstance) -> TransportResultRaw:
     u_dummy, v_dummy = u[nr], v[nc]
     a = [-(u[i] + v_dummy) for i in range(nr)]
     b = [-(v[j] + u_dummy) for j in range(nc)]
-    # guard against float dust in the nonnegative duals
+    # guard against float dust in the nonnegative duals; max keeps the first
+    # of equal values, so 0.0 comes first and -0.0 never reaches a report
     if not exact:
-        a = [max(x, 0.0) for x in a]
-        b = [max(x, 0.0) for x in b]
+        a = [max(0.0, x) for x in a]
+        b = [max(0.0, x) for x in b]
     # no pass reaches a row with no supply, so its potential need not cover
     # its profits; the least nonnegative dual that does adds 0 to the value
     a = [max([zero, *map(sub, inst.matrix[i], b)]) if s == 0 else x

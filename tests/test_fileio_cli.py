@@ -201,6 +201,20 @@ def test_cli_float_mode(tmp_path):
     assert rep["mode"] == "float"
 
 
+def test_cli_float_srnorm_writes_no_negative_zero(tmp_path):
+    # max-profit duals clamped with max(x, 0.0) kept -0.0 (max returns the
+    # first of equal values): this majorant's b was written ["1", "-0"]
+    s = DiscreteSpace.uniform(2)
+    f = tmp_path / "f.csv"
+    save_matrix(ProductFunction(s, s, [[1, 0], [2, 0]]), str(f))
+    code, out = _run(["--mode", "float", "srnorm", str(f)])
+    assert code == 0
+    assert '"-0"' not in out
+    rp = tmp_path / "r.json"
+    rp.write_text(out)
+    assert _run(["check", str(rp)])[0] == 0
+
+
 def test_cli_float_refine_reports_floats():
     job = ["refine", "--family", "separable_smooth", "--grids", "2,4",
            "--blocks", "1"]

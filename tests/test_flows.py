@@ -19,7 +19,7 @@ from lp_oracle import transport_lp_value
 from util import (brute_cover, rand_weights, reference_bellman_ford,
                   reference_max_flow_cover)
 
-FLOAT_TRANSPORT_DIGEST = "c14f1103718872703bc47541ed808ebfaea50b3e"
+FLOAT_TRANSPORT_DIGEST = "d48ab89ea8718f74d0c86cb470cf19b6f703b412"
 
 
 def test_single_edge_cover():
@@ -273,8 +273,9 @@ def test_float_transport_results_pinned():
 
 
 # ------------------------------------------------------------ the searches
-# Exact solves run Dijkstra on reduced costs, float solves Bellman-Ford.  On
-# the same ints the two must agree exactly, ties included.
+# Both regimes run one Bellman-Ford search, exact solves on scaled ints.
+# There it must take the plans and potentials that a search scanning every
+# arc in every round takes, ties included.
 
 @st.composite
 def _tie_heavy_instances(draw):
@@ -298,21 +299,21 @@ def _tie_heavy_instances(draw):
 
 
 @given(_tie_heavy_instances())
-def test_dijkstra_equals_bellman_ford_on_the_same_ints(inst):
-    dijkstra, calls = flows._ssp_dijkstra, []
+def test_exact_search_equals_the_full_scan_on_the_same_ints(inst):
+    search, calls = flows._ssp_bellman_ford, []
 
     def recorded(*args):
         calls.append(args)
-        return dijkstra(*args)
+        return search(*args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(flows, "_ssp_dijkstra", recorded)
+        mp.setattr(flows, "_ssp_bellman_ford", recorded)
         solve_transportation(inst)
-    [(supplies, demands, cost)] = calls
-    assert all(isinstance(x, int) for x in
-               [*supplies, *demands, *(c for row in cost for c in row)])
-    assert dijkstra(supplies, demands, cost) == \
-        flows._ssp_bellman_ford(supplies, demands, cost, 0)
+    [(supplies, demands, cost, tol)] = calls
+    assert tol == 0 and all(isinstance(x, int) for x in
+                            [tol, *supplies, *demands, *chain(*cost)])
+    assert search(supplies, demands, cost, tol) == \
+        reference_bellman_ford(supplies, demands, cost, tol)
 
 
 def _float_transport_network(rng):
@@ -442,7 +443,7 @@ def test_a_float_search_again_takes_a_margin_scaled_to_the_costs():
 
 
 @pytest.mark.parametrize("exact", [True, False])
-def test_each_regime_runs_its_own_search(monkeypatch, exact):
+def test_each_regime_runs_the_one_search(monkeypatch, exact):
     # dyadic data, so that float arithmetic on it is exact
     num = Fraction if exact else float
     xs = DiscreteSpace(["x0", "x1", "x2"], [num(w) for w in (0.25, 0.5, 0.25)])
@@ -453,20 +454,16 @@ def test_each_regime_runs_its_own_search(monkeypatch, exact):
                             ((0, 1, 1.5), (1, 0, 0.5), (1.5, 0.5, 0))])
     mu1 = [num(w) for w in (0.5, 0.25, 0.25)]
     mu2 = [num(w) for w in (0.125, 0.375, 0.5)]
-    search, other = (("_ssp_dijkstra", "_ssp_bellman_ford") if exact else
-                     ("_ssp_bellman_ford", "_ssp_dijkstra"))
-    entered, run = [], getattr(flows, search)
+    entered, run = [], flows._ssp_bellman_ford
 
-    def counted(*args):
-        entered.append(search)
-        return run(*args)
+    def counted(supplies, demands, cost, tol):
+        types = {type(x) for x in [tol, *supplies, *demands, *chain(*cost)]}
+        entered.append((types, tol))
+        return run(supplies, demands, cost, tol)
 
-    def forbidden(*args):
-        raise AssertionError(f"{other} entered")
-
-    monkeypatch.setattr(flows, search, counted)
-    monkeypatch.setattr(flows, other, forbidden)
+    monkeypatch.setattr(flows, "_ssp_bellman_ford", counted)
     sr_norm(f)
     kantorovich(mu1, mu2, rho)
     kr_norm([a - b for a, b in zip(mu1, mu2)], rho)
-    assert len(entered) == 3
+    # int arguments and tol 0 in exact mode, floats and tol EPS in float mode
+    assert entered == [({int}, 0) if exact else ({float}, flows.EPS)] * 3

@@ -43,8 +43,8 @@ PINNED = {
 # integer-valued functions on a uniform and a coarse space, and a metric of
 # zeros inside clusters and ones and twos between them, with coarse masses.
 # Ties between shortest paths decide the plans and the potentials, so these
-# pin the solver's tie-break.  Recorded from the Bellman-Ford search on every
-# augmentation, before the exact path ran Dijkstra on reduced costs.
+# pin the solver's tie-break.  Recorded from a Bellman-Ford search that
+# scanned every arc in every round.
 TIES_PINNED = {
     "krnorm": "0dcb860555df0553b117020c2d882b54fcac02a6",
     "srnorm": "726ef5b54fab71713a1d1b6633d9e5e689727286",
