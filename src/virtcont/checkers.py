@@ -196,6 +196,32 @@ def _check_matdist(rep, read, tol):
     return problems
 
 
+# A duality report repeats the values of its two sides as `primal` and
+# `dual`, and their difference as `gap`.  Per kind: the key that `primal`
+# repeats, the key that `dual` repeats, and the sign of primal - dual in the
+# gap (hall's primal is a greatest mass, so its gap is dual - primal).
+_SIDES = {
+    "thickness": ("value", "value", 1),
+    "hall": ("mass", "thickness_value", -1),
+    "srnorm": ("value", "dual_value", 1),
+    "transport": ("cost", "cost", 1),
+    "krnorm": ("value", "value", 1),
+}
+
+
+def _check_sides(rep, read, tol, primal_key, dual_key, sign):
+    primal, dual, gap = (read.number(rep[k]) for k in ("primal", "dual", "gap"))
+    problems = []
+    if not close(primal, read.number(rep[primal_key]), tol):
+        problems.append(f"primal != {primal_key}")
+    if not close(dual, read.number(rep[dual_key]), tol):
+        problems.append(f"dual != {dual_key}")
+    if not close(gap, sign * (primal - dual), tol):
+        problems.append("gap != primal - dual" if sign > 0 else
+                        "gap != dual - primal")
+    return problems
+
+
 _CHECKS = {
     "thickness": _check_thickness,
     "hall": _check_hall,
@@ -221,5 +247,9 @@ def check_report(rep: dict, tol: float = DEFAULT_TOL, read=None) -> list[str]:
     if mode not in ("exact", "float"):
         raise ValidationError(f"malformed {cmd} report: mode {mode!r} "
                               "is neither 'exact' nor 'float'")
+    read = read or _Reader(mode == "exact")
     with _malformed(f"{cmd} report"):
-        return _CHECKS[cmd](rep, read or _Reader(mode == "exact"), tol)
+        problems = _CHECKS[cmd](rep, read, tol)
+        if cmd in _SIDES:
+            problems += _check_sides(rep, read, tol, *_SIDES[cmd])
+        return problems

@@ -508,7 +508,8 @@ def solve_transportation(inst: TransportationInstance) -> TransportResultRaw:
             raise InfeasibleError("marginal totals differ")
         cost, plan, pi = _ssp_balanced(inst.supplies, inst.demands, inst.matrix, tol)
         nr, nc = len(inst.supplies), len(inst.demands)
-        u = [-pi[1 + i] for i in range(nr)]
+        # zero - p, not -p: a float potential of 0.0 gives the dual 0.0, not -0.0
+        u = [zero - pi[1 + i] for i in range(nr)]
         v = [pi[1 + nr + j] for j in range(nc)]
         return TransportResultRaw(cost, plan, u, v)
 

@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import islice, product
 from math import ceil
-from operator import itemgetter
+from operator import itemgetter, sub
 from typing import Optional
 
 from .model import (DEFAULT_TOL, EPS, DiscreteSpace, MetricMatrix, Number,
@@ -256,111 +256,79 @@ def _exact_search(scaled, n_blocks: int, bound: Number, stop_early: bool):
 # ------------------------------------------------------------- local search
 
 def _sweep(v, wrow, asg, oasg, other_exc_weight, n_blocks):
-    """One greedy pass reassigning rows (columns fixed); returns True if improved."""
-    nr = len(v)
-    nc = len(v[0]) if nr else 0
-    rmin = [[INF] * (n_blocks + 1) for _ in range(nr)]
-    rmax = [[-INF] * (n_blocks + 1) for _ in range(nr)]
-    for r in range(nr):
-        row = v[r]
-        for j in range(nc):
-            c = oasg[j]
-            if c == 0:
-                continue
+    """One greedy pass reassigning rows (columns fixed); returns True if improved.
+
+    A block's range in column group c is the least and the greatest value its
+    rows take in the columns of group c, (INF, -INF) if either set is empty;
+    its half-range is the widest (hi - lo) / 2 over its groups, 0.0 if none.
+    Each block keeps its ranges and half-range, and a move updates only the
+    two blocks it touches.
+    """
+    no_lo, no_hi = [INF] * n_blocks, [-INF] * n_blocks
+    # each row's range in each column group, computed once
+    grouped = [(j, c - 1) for j, c in enumerate(oasg) if c]
+    rlo, rhi = [no_lo[:] for _ in v], [no_hi[:] for _ in v]
+    for lo, hi, row in zip(rlo, rhi, v):
+        for j, c in grouped:
             x = row[j]
-            if x < rmin[r][c]:
-                rmin[r][c] = x
-            if x > rmax[r][c]:
-                rmax[r][c] = x
+            if x < lo[c]:
+                lo[c] = x
+            if x > hi[c]:
+                hi[c] = x
 
-    bmin = [[INF] * (n_blocks + 1) for _ in range(n_blocks + 1)]
-    bmax = [[-INF] * (n_blocks + 1) for _ in range(n_blocks + 1)]
-    ex = 0.0
-    for r in range(nr):
-        b = asg[r]
-        if b == 0:
-            ex += wrow[r]
-            continue
-        for c in range(1, n_blocks + 1):
-            if rmin[r][c] < bmin[b][c]:
-                bmin[b][c] = rmin[r][c]
-            if rmax[r][c] > bmax[b][c]:
-                bmax[b][c] = rmax[r][c]
+    def hull(rows):
+        """The (lows, highs) of the block of the given rows."""
+        return (list(map(min, zip(no_lo, *[rlo[r] for r in rows]))),
+                list(map(max, zip(no_hi, *[rhi[r] for r in rows]))))
 
-    def block_half(lo, hi):
-        h = 0.0
-        for c in range(1, n_blocks + 1):
-            if hi[c] > -INF and lo[c] < INF:
-                d = (hi[c] - lo[c]) / 2
-                if d > h:
-                    h = d
-        return h
+    def half(lo, hi):
+        # an empty group's -INF - INF falls below the floor 0.0
+        return max(0.0, *map(sub, hi, lo)) / 2
 
-    half = [0.0] * (n_blocks + 1)
-    for b in range(1, n_blocks + 1):
-        half[b] = block_half(bmin[b], bmax[b])
+    # the ranges and half-range of each block b = 1..N; the exceptional
+    # class 0 weighs ex and has half-range 0.0
+    ranges = [None] + [hull([i for i, a in enumerate(asg) if a == b])
+                       for b in range(1, n_blocks + 1)]
+    bhalf = [0.0] + [half(lo, hi) for lo, hi in ranges[1:]]
+    ex = left_sum((w for w, a in zip(wrow, asg) if a == 0), 0.0)
 
     improved = False
-    for r in range(nr):
+    for r in range(len(v)):
         b0 = asg[r]
-        if b0 == 0:
-            ex0 = ex - wrow[r]
-            rem_min, rem_max, rem_half = None, None, None
-        else:
-            ex0 = ex
-            rem_min = [INF] * (n_blocks + 1)
-            rem_max = [-INF] * (n_blocks + 1)
-            for r2 in range(nr):
-                if r2 != r and asg[r2] == b0:
-                    for c in range(1, n_blocks + 1):
-                        if rmin[r2][c] < rem_min[c]:
-                            rem_min[c] = rmin[r2][c]
-                        if rmax[r2][c] > rem_max[c]:
-                            rem_max[c] = rmax[r2][c]
-            rem_half = block_half(rem_min, rem_max)
-        halfs = half[:]
-        if b0 != 0:
-            halfs[b0] = rem_half
-        top1 = top2 = 0.0
-        arg1 = -1
-        for b in range(1, n_blocks + 1):
-            h = halfs[b]
-            if h > top1:
-                top1, top2, arg1 = h, top1, b
-            elif h > top2:
-                top2 = h
-        cur = max(ex, other_exc_weight, max(half[1:], default=0.0))
-        best_obj, best_b = cur, b0
-        cand_stats = None
+        best_obj, best_b = max(ex, other_exc_weight, *bhalf), b0
+        halfs = bhalf[:]
+        ex0 = ex if b0 else ex - wrow[r]
+        if b0:
+            rest = hull([i for i, a in enumerate(asg) if a == b0 and i != r])
+            halfs[b0] = half(*rest)
+        # the widest half-range without row r; for a target block b2 it need
+        # not leave out b2's own, which b2 with row r can only widen
+        widest = max(halfs)
         for b2 in range(n_blocks + 1):
             if b2 == b0:
                 continue
             if b2 == 0:
-                cand = max(ex0 + wrow[r], other_exc_weight, top1)
-                nlo = nhi = None
+                cand, h = max(ex0 + wrow[r], other_exc_weight, widest), 0.0
             else:
-                others = top2 if b2 == arg1 else top1
-                nlo = [INF] * (n_blocks + 1)
-                nhi = [-INF] * (n_blocks + 1)
-                for c in range(1, n_blocks + 1):
-                    nlo[c] = min(bmin[b2][c], rmin[r][c])
-                    nhi[c] = max(bmax[b2][c], rmax[r][c])
-                cand = max(ex0, other_exc_weight, others, block_half(nlo, nhi))
+                # the half-range of block b2 with row r; its ranges are built
+                # only if it takes the row
+                lo, hi = ranges[b2]
+                h = half(map(min, lo, rlo[r]), map(max, hi, rhi[r]))
+                cand = max(ex0, other_exc_weight, widest, h)
             if cand < best_obj - EPS:
-                best_obj, best_b = cand, b2
-                cand_stats = (nlo, nhi)
+                best_obj, best_b, best_h = cand, b2, h
         if best_b != b0:
             improved = True
-            if b0 != 0:
-                bmin[b0], bmax[b0], half[b0] = rem_min, rem_max, rem_half
-            else:
+            if b0 == 0:
                 ex -= wrow[r]
+            else:
+                ranges[b0], bhalf[b0] = rest, halfs[b0]
             if best_b == 0:
                 ex += wrow[r]
             else:
-                nlo, nhi = cand_stats
-                bmin[best_b], bmax[best_b] = nlo, nhi
-                half[best_b] = block_half(nlo, nhi)
+                lo, hi = ranges[best_b]
+                ranges[best_b] = list(map(min, lo, rlo[r])), list(map(max, hi, rhi[r]))
+                bhalf[best_b] = best_h
             asg[r] = best_b
     return improved
 
@@ -436,20 +404,13 @@ def _heuristic(f: ProductFunction, scaled, n_blocks: int, seed: int):
 
 
 def _assignments_to_config(rowasg, colasg, n_blocks):
-    em = 0
-    for i, a in enumerate(rowasg):
-        if a == 0:
-            em |= 1 << i
-    ec = 0
-    for j, a in enumerate(colasg):
-        if a == 0:
-            ec |= 1 << j
-    row_blocks = [[i for i, a in enumerate(rowasg) if a == b]
-                  for b in range(1, n_blocks + 1)]
-    col_groups = [[j for j, a in enumerate(colasg) if a == b]
-                  for b in range(1, n_blocks + 1)]
-    return (em, [b for b in row_blocks if b],
-            ec, [g for g in col_groups if g])
+    """The search config (row_exc_mask, row_blocks, col_exc_mask, col_groups)
+    of two assignments, 0 the exceptional class, empty blocks dropped."""
+    def side(asg):
+        blocks = [[i for i, a in enumerate(asg) if a == b] for b in range(n_blocks + 1)]
+        return sum(1 << i for i in blocks[0]), [blk for blk in blocks[1:] if blk]
+
+    return (*side(rowasg), *side(colasg))
 
 
 def _fit_from_config(f: ProductFunction, cfg, epsilon, exact: bool) -> StepFit:
@@ -533,11 +494,8 @@ def step_fit_violations(f: ProductFunction, fit: StepFit, strict: bool = True,
     mu, nu = f.x_space.weights, f.y_space.weights
 
     def check_partition(blocks, n, side):
-        seen = [0] * n
-        for blk in blocks:
-            for i in blk:
-                seen[i] += 1
-        if any(s != 1 for s in seen):
+        # every atom 0..n-1 once: no other index, not even -1 for n-1
+        if sorted(i for blk in blocks for i in blk) != list(range(n)):
             problems.append(f"{side}-blocks are not a partition")
 
     check_partition(fit.x_blocks, nr, "x")

@@ -59,10 +59,12 @@ def _shrink_potential(rep):
 _FORGED = [
     ("thickness", _set(value="1/7"),
      ["cover weight 1 != reported value 1/7", "fractional pair weight != value",
-      "witness plan mass != cover weight (duality gap)"],
+      "witness plan mass != cover weight (duality gap)",
+      "primal != value", "dual != value"],
      ["cover weight 0.9999999999999999 != reported value 0.14285714285714285",
       "fractional pair weight != value",
-      "witness plan mass != cover weight (duality gap)"]),
+      "witness plan mass != cover weight (duality gap)",
+      "primal != value", "dual != value"]),
     ("thickness", _set(cover_x=[0, 1], cover_y=[]),
      _NOT_COVERED[2:] + ["cover weight 1/5 != reported value 1"],
      _NOT_COVERED[2:] + ["cover weight 0.2 != reported value 0.9999999999999999"]),
@@ -74,23 +76,27 @@ _FORGED = [
     ("hall", _cell("plan", "1"),
      ["plan is not bistochastic", "plan mass on set != reported mass"], None),
     ("hall", _set(mass="1/2"),
-     ["plan mass on set != reported mass", "mass != thickness value"], None),
+     ["plan mass on set != reported mass", "mass != thickness value",
+      "primal != mass"], None),
     ("srnorm", _zero_majorant,
      ["majorant does not dominate |f|", "majorant weight != reported value"],
      None),
     ("srnorm", _cell("dual_plan", "1"),
      ["dual plan is not subbistochastic",
       "dual pairing != reported value (duality gap)"], None),
-    ("srnorm", _set(dual_value="1/7"), ["primal value != dual value"], None),
+    ("srnorm", _set(dual_value="1/7"),
+     ["primal value != dual value", "dual != dual_value"], None),
     ("transport", _potential_100, _LIPSCHITZ_AT_1, None),
     ("transport", _set(cost="1/7"),
-     ["dual pairing != cost", "plan cost != reported cost"], None),
+     ["dual pairing != cost", "plan cost != reported cost", "primal != cost",
+      "dual != cost"], None),
     ("transport", _shrink_potential,
      ["complementary slackness residual 4/15", "dual pairing != cost"],
      ["complementary slackness residual 0.2666666666666666",
       "dual pairing != cost"]),
     ("krnorm", _set(value="1/7"),
-     ["dual pairing != cost", "plan cost != reported cost"], None),
+     ["dual pairing != cost", "plan cost != reported cost", "primal != value",
+      "dual != value"], None),
     ("krnorm", _shrink_potential,
      ["complementary slackness residual 17/60", "dual pairing != cost"],
      ["complementary slackness residual 0.2833333333333332",
@@ -104,6 +110,79 @@ def test_cli_check_lists_the_same_violations_of_forged_reports(tmp_path, mode):
     for kind, tamper, exact, in_float in _FORGED:
         expected = in_float or exact if mode == "float" else exact
         assert _check_tampered(tmp_path, jobs, kind, mode, tamper) == expected
+
+
+# The keys that `primal` and `dual` repeat, and the difference `gap` holds:
+# hall's primal is the greatest mass, below its dual.
+_SIDES = {
+    "thickness": ("value", "value", "primal - dual"),
+    "hall": ("mass", "thickness_value", "dual - primal"),
+    "srnorm": ("value", "dual_value", "primal - dual"),
+    "transport": ("cost", "cost", "primal - dual"),
+    "krnorm": ("value", "value", "primal - dual"),
+}
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("kind", sorted(_SIDES))
+def test_cli_check_verifies_primal_dual_and_gap(tmp_path, kind, mode):
+    jobs = {job[0]: job for job in _self_checked_jobs(_fixture_corpus(tmp_path))}
+    primal, dual, gap = _SIDES[kind]
+    gap_message = f"gap != {gap}"
+    for forged, expected in (
+            (_set(primal="99"), [f"primal != {primal}", gap_message]),
+            (_set(dual="-7"), [f"dual != {dual}", gap_message]),
+            (_set(gap="5"), [gap_message]),
+            (_set(primal="99", dual="-7", gap="5"),
+             [f"primal != {primal}", f"dual != {dual}", gap_message])):
+        assert _check_tampered(tmp_path, jobs, kind, mode, forged) == expected
+
+
+def _forge_fit(change):
+    """A tamper that applies change(fit) to a stepfit's fit or a vcprofile's
+    witness."""
+    def tamper(rep):
+        change(rep["fit" if rep["command"] == "stepfit" else "witness"])
+    return tamper
+
+
+def _exceptional_takes_block_1(side):
+    def change(fit):
+        fit[side][0], fit[side][1] = fit[side][0] + fit[side][1], []
+    return change
+
+
+def _minus_1_for_atom_9(fit):
+    # -1 indexes the last atom in Python, but it is no atom of the space
+    fit["x_blocks"][-1][-1] = -1
+
+
+def _level_of_pair_2_3_at_5(fit):
+    fit["levels"][1][2] = "5"
+
+
+# The fixture's g(i, j) = i/30 on 10 uniform atoms has the fit of both
+# commands, in both modes, with blocks [0..3], [4..6], [7..9] on each side
+# and no exceptional atom; a block of 4 atoms weighs more than either eps.
+_FORGED_FITS = [
+    (lambda fit: fit["x_blocks"][-1].pop(), ["x-blocks are not a partition"]),
+    (_minus_1_for_atom_9, ["x-blocks are not a partition"]),
+    (lambda fit: fit["y_blocks"][-1].pop(), ["y-blocks are not a partition"]),
+    (_exceptional_takes_block_1("x_blocks"), ["exceptional x-class too heavy"]),
+    (_exceptional_takes_block_1("y_blocks"), ["exceptional y-class too heavy"]),
+    (_level_of_pair_2_3_at_5,
+     [f"level deviation at cell ({i},{j}) in block pair (2,3)"
+      for i in (4, 5, 6) for j in (7, 8, 9)]),
+]
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("kind", ["stepfit", "vcprofile"])
+def test_cli_check_rejects_forged_step_fits(tmp_path, kind, mode):
+    jobs = {job[0]: job for job in _self_checked_jobs(_fixture_corpus(tmp_path))}
+    for change, expected in _FORGED_FITS:
+        assert _check_tampered(tmp_path, jobs, kind, mode,
+                               _forge_fit(change)) == expected
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
@@ -284,8 +363,10 @@ def _uniform_plan(mass):
 
 # On Z = {(x0, y0)} with both spaces weighted (1/4, 3/4), th(Z) = 1/4.  Each
 # forged report claims 1/2, with a plan that would certify it over uniform
-# spaces: read against its own spaces, every plan passes its checks.
-_HALF_COVER = {"cover_x": [0], "cover_y": [0]}
+# spaces: read against its own spaces, every plan passes its checks.  Its
+# `primal` and `dual` claim 1/2 as well, with a `gap` of 0.
+_HALF_SIDES = {"primal": "0.5", "dual": "0.5", "gap": "0"}
+_HALF_COVER = {"cover_x": [0], "cover_y": [0], **_HALF_SIDES}
 _OFF_SPACES = [
     ("thickness", ["z.csv"],
      {**_HALF_COVER, "value": "0.5", "fractional_f": ["1", "0"],
@@ -297,7 +378,7 @@ _OFF_SPACES = [
       "plan": _uniform_plan([["0.5", "0"], ["0", "0.5"]])},
      "plan is not over the set's spaces"),
     ("srnorm", ["f.csv"],
-     {"value": "0.5", "dual_value": "0.5",
+     {**_HALF_SIDES, "value": "0.5", "dual_value": "0.5",
       "majorant": {"a": ["1", "0"], "b": ["1", "0"]},
       "dual_plan": _uniform_plan([["0.5", "0"], ["0", "0"]])},
      "dual plan is not over the function's spaces"),

@@ -4,7 +4,7 @@ import hashlib
 import random
 from fractions import Fraction
 from itertools import chain
-from math import gcd
+from math import copysign, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +19,7 @@ from lp_oracle import transport_lp_value
 from util import (brute_cover, rand_weights, reference_bellman_ford,
                   reference_max_flow_cover)
 
-FLOAT_TRANSPORT_DIGEST = "d48ab89ea8718f74d0c86cb470cf19b6f703b412"
+FLOAT_TRANSPORT_DIGEST = "c596edc3b0ce03d87e1819f0926e554f23149f61"
 
 
 def test_single_edge_cover():
@@ -257,7 +257,8 @@ def test_float_inputs_stay_float_and_unscaled():
 def test_float_transport_results_pinned():
     # non-dyadic floats: rounding makes the exact comparison above useless,
     # so pin the float results themselves, recorded from the Fraction-only
-    # solver before exact mode was scaled to ints
+    # solver before exact mode was scaled to ints; recorded again when the
+    # min-cost duals stopped giving -0.0, the one change in their repr
     rng = random.Random(37)
     sup = [rng.randint(1, 9) for _ in range(4)]
     sup = [s / sum(sup) for s in sup]
@@ -270,6 +271,27 @@ def test_float_transport_results_pinned():
         got.append(repr((res.value, res.u, res.v, res.plan)))
     digest = hashlib.sha1("\n".join(got).encode()).hexdigest()
     assert digest == FLOAT_TRANSPORT_DIGEST
+
+
+def _negative_zeros(values):
+    return [x for x in values if x == 0 and copysign(1.0, x) < 0]
+
+
+def test_min_cost_float_duals_are_never_negative_zero():
+    # u_i is the negated potential of row i, and a potential of 0.0 negated
+    # is -0.0: a second byte form of zero
+    res = solve_transportation(TransportationInstance(
+        [0.5, 0.5], [0.25, 0.75], [[0.0, 1.0], [2.0, 0.5]]))
+    assert (res.u, res.v) == ([0.0, -0.5], [0.0, 1.0])
+    assert _negative_zeros(res.u + res.v) == []
+    rng = random.Random(5)
+    for _ in range(200):
+        nr, nc = rng.randint(1, 5), rng.randint(1, 5)
+        sup, dem = rand_weights(rng, nr), rand_weights(rng, nc)
+        cost = [[rng.randint(0, 6) / 3 for _ in range(nc)] for _ in range(nr)]
+        res = solve_transportation(TransportationInstance(
+            [float(x) for x in sup], [float(x) for x in dem], cost))
+        assert _negative_zeros(res.u + res.v) == []
 
 
 # ------------------------------------------------------------ the searches

@@ -63,9 +63,10 @@ WIDE_PINNED = {
     ("float", "hall"): "fe2c5b6c9d36c175c46f7bc2fd004aa30a98e6e7",
 }
 
-# Exact step-fit reports on two of the benchmark's functions, drawn as
-# perfbench/workloads.py draws "v-6-0.csv" and "v-8-0.csv".  Each `stepfit`
-# runs at the profile value, where no strict fit exists, and 1/24 above it.
+# Exact step-fit reports on functions drawn as perfbench/workloads.py draws
+# "v-6-0.csv" and "v-8-0.csv" (two of the benchmark's; v-10-0 and v-12-0 the
+# same way, past the exact range).  Each `stepfit` in the exact range runs at
+# the profile value, where no strict fit exists, and 1/24 above it.
 # Recorded from the search that rebuilt every block's column ranges at each
 # leaf of its row partitions, before the partial partitions were cut.
 STEPFIT_PINNED = {
@@ -84,6 +85,13 @@ STEPFIT_PINNED = {
     "refine separable_smooth 4,8": "91f3750001599a4e4138ce703a36c90bb22ba17a",
     "refine triangle_indicator 8,16": "044040c5158f795fb32eec5a0cf5411dee3d11d1",
     "refine metric_kernel 4,8": "7f1d1226284d8d685d5b06f0ac2e001081ba2673",
+    # past 8 atoms per side, where the reports are the local search's: its
+    # moves, restarts and witness; recorded before its row sweep was rewritten
+    "vcprofile v-10-0 2": "49373c8c2e17e7ea3e075cf8af8aff525efe38d7",
+    "vcprofile v-12-0 3": "e79b75ca5696440b3ad27a3a60f8afc279727f12",
+    "stepfit v-12-0 2 1/4": "2f9b0dbb578e9be9861b7e5fa08021cfe4201d03",
+    "refine separable_smooth 8,16": "79e23d607c32cc3ab148230b69ba1eb61f928ff0",
+    "refine metric_kernel 8,16": "ae2e38e17852983af3057262d573829025cfb260",
 }
 
 # The same reports in float mode, where `stepfit` runs at the float profile
@@ -103,6 +111,12 @@ FLOAT_STEPFIT_PINNED = {
     "stepfit v-8-0 2 0.5679824561403508": "01e1967e2b921e59be103c1247edd59d05189a64",
     "stepfit v-8-0 3 0.368421052631579": "41f9628b40fae913119add433d23d270fe5b6b1e",
     "stepfit v-8-0 3 0.41008771929824567": "217c398e0ee8443fbe63d4cff8f414cd554dcfd3",
+    # past 8 atoms per side, recorded with the exact group's five above
+    "vcprofile v-10-0 2": "90aaa03abb44d8bde5b812fde2ff8c7ce9eeb074",
+    "vcprofile v-12-0 3": "a1512663f3c451b105fb400bfb3cf8e455a544de",
+    "stepfit v-12-0 2 1/4": "129225bf0fdbc5ee423b97edb45e8d81788695ce",
+    "refine separable_smooth 8,16": "8a4d13610ad83fdebee6f4ac1100c857269b9ecc",
+    "refine metric_kernel 8,16": "6c36840421dd8007b8b6f6cffb59048a9e45c563",
 }
 
 
