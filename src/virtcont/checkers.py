@@ -159,12 +159,25 @@ def _fit_from_obj(obj, read):
                    bool(obj["exact"]))
 
 
+def _fit_violations(rep, key, strict, read, tol):
+    """The step fit under rep[key] against the report's function and block
+    budget: at most `blocks` non-exceptional blocks on each side."""
+    n = rep["blocks"]
+    if type(n) is not int or n < 1:
+        raise ValidationError(f"blocks {n!r} is not a positive int")
+    f = matrix_from_obj("function", rep["inputs"]["function"], read.exact, read)
+    fit = _fit_from_obj(rep[key], read)
+    problems = step_fit_violations(f, fit, strict=strict, tol=tol)
+    for side, blocks in (("x", fit.x_blocks), ("y", fit.y_blocks)):
+        if len(blocks) - 1 > n:
+            problems.append(f"{side}-side has {len(blocks) - 1} blocks, more than {n}")
+    return problems, fit
+
+
 def _check_stepfit(rep, read, tol):
     if not rep["found"]:
         return []
-    f = matrix_from_obj("function", rep["inputs"]["function"], read.exact, read)
-    return step_fit_violations(f, _fit_from_obj(rep["fit"], read), strict=True,
-                               tol=tol)
+    return _fit_violations(rep, "fit", True, read, tol)[0]
 
 
 def _check_vcprofile(rep, read, tol):
@@ -174,10 +187,8 @@ def _check_vcprofile(rep, read, tol):
     from the search that no smaller eps admits a fit; `check` cannot
     verify it.
     """
-    f = matrix_from_obj("function", rep["inputs"]["function"], read.exact, read)
-    fit = _fit_from_obj(rep["witness"], read)
     # the witness attains the optimum, so its bounds hold non-strictly
-    problems = step_fit_violations(f, fit, strict=False, tol=tol)
+    problems, fit = _fit_violations(rep, "witness", False, read, tol)
     if not close(read.number(rep["value"]), fit.epsilon, tol):
         problems.append("reported value != witness epsilon")
     return problems

@@ -249,7 +249,9 @@ def _run_matdist(args, read, tol):
 def _run_check(args, read, tol):
     rep = _load(args.report, _loads_json)
     violations = check_report(rep, tol)
-    return {"checked_command": rep.get("command"), "violations": violations}
+    # the checked report's mode, which `check_report` read it in
+    return {"checked_command": rep.get("command"), "mode": rep["mode"],
+            "violations": violations}
 
 
 # ------------------------------------------------------------------ emission
@@ -304,7 +306,7 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
 
-    rep["mode"] = args.mode
+    rep.setdefault("mode", args.mode)
     rep["tolerance"] = tol
     rep["command"] = args.command
     rep = jsonable(rep)

@@ -125,12 +125,12 @@ def _exact_search(scaled, n_blocks: int, bound: Number, stop_early: bool):
     full_c = (1 << nc) - 1
     best_cfg = None
 
-    def grow(k, blocks, bmin, bmax, cy):
+    def grow(k, blocks, cy):
         """Place kept[k:] into the row blocks (each existing block in index
         order, then a new one); True once stop_early has a configuration.
 
-        bmin[b][y], bmax[b][y] are the value range of block b in column y,
-        and cy[y] the widest range of column y over all blocks.
+        Each block is (rows, lo, hi), lo[y] and hi[y] its value range in
+        column y, and cy[y] the widest range of column y over all blocks.
         """
         # a column whose own half-range already reaches the bound can only
         # sit in the exceptional class of an improving configuration; ranges
@@ -145,50 +145,39 @@ def _exact_search(scaled, n_blocks: int, bound: Number, stop_early: bool):
         if k < len(kept):
             i = kept[k]
             row = vr[i]
-            for b in range(len(blocks)):
-                lo = [a if a < v else v for a, v in zip(bmin[b], row)]
-                hi = [a if a > v else v for a, v in zip(bmax[b], row)]
+            for b, (rows, lo, hi) in enumerate(blocks):
+                lo = [a if a < v else v for a, v in zip(lo, row)]
+                hi = [a if a > v else v for a, v in zip(hi, row)]
                 ncy = [max(c, h - l) for c, h, l in zip(cy, hi, lo)]
-                if grow(k + 1, blocks[:b] + [blocks[b] + [i]] + blocks[b + 1:],
-                        bmin[:b] + [lo] + bmin[b + 1:],
-                        bmax[:b] + [hi] + bmax[b + 1:], ncy):
+                if grow(k + 1, blocks[:b] + [(rows + [i], lo, hi)] + blocks[b + 1:],
+                        ncy):
                     return True
             # a singleton block has range 0
-            return len(blocks) < n_blocks and grow(
-                k + 1, blocks + [[i]], bmin + [row], bmax + [row], cy)
-        return leaf(blocks, bmin, bmax, forced)
+            return len(blocks) < n_blocks and grow(k + 1, blocks + [([i], row, row)], cy)
+        return leaf(blocks, forced)
 
-    def leaf(blocks, bmin, bmax, forced):
+    def leaf(blocks, forced):
         """Best column side for one row configuration (the column DP)."""
         nonlocal best, best_cfg
-        m = len(blocks)
         allowed = [y for y in range(nc) if not (forced >> y) & 1]
         am = len(allowed)
-
-        # range of each column pair across all row blocks
-        pdm = [[0] * am for _ in range(am)]
-        for p in range(am):
-            yp = allowed[p]
-            for q in range(p, am):
-                yq = allowed[q]
-                if m:
-                    pdm[p][q] = pdm[q][p] = max(
-                        max(bmax[b][yp], bmax[b][yq]) - min(bmin[b][yp], bmin[b][yq])
-                        for b in range(m))
-
         size = 1 << am
-        diam = [0] * size
-        for s in range(1, size):
-            low = (s & -s).bit_length() - 1
-            rest = s & (s - 1)
-            d = pdm[low][low]
-            t = rest
-            while t:
-                q = (t & -t).bit_length() - 1
-                if pdm[low][q] > d:
-                    d = pdm[low][q]
-                t &= t - 1
-            diam[s] = d if d > diam[rest] else diam[rest]
+        # the subsets of the allowed columns, indexed by their bits over
+        # `allowed`, built by one doubling per column that adds the column to
+        # each subset so far: each subset's mask among all columns and, per
+        # row block, its value range.  A subset's diameter is the widest of
+        # its block ranges, which is the widest range of a column pair in it;
+        # it stays the int 0 unless a range is wider, never a float zero
+        cmask, diam = [0], [0] * size
+        for y in allowed:
+            cmask += [c | 1 << y for c in cmask]
+        for _, blo, bhi in blocks:
+            lo, hi = [INF], [-INF]
+            for y in allowed:
+                ylo, yhi = blo[y], bhi[y]
+                lo += [a if a < ylo else ylo for a in lo]
+                hi += [a if a > yhi else yhi for a in hi]
+            diam = [d if d >= h - l else h - l for d, l, h in zip(diam, lo, hi)]
 
         # dp[s] = best max-diameter over partitions of s into <= k groups
         kk = min(n_blocks, am)
@@ -215,10 +204,6 @@ def _exact_search(scaled, n_blocks: int, bound: Number, stop_early: bool):
             dp = nxt
             choices.append(ch)
 
-        cmask = [0] * size
-        for s in range(1, size):
-            low = (s & -s).bit_length() - 1
-            cmask[s] = cmask[s & (s - 1)] | (1 << allowed[low])
         for s in range(size):
             obj = dp[s]
             exc = full_c ^ cmask[s]
@@ -236,7 +221,7 @@ def _exact_search(scaled, n_blocks: int, bound: Number, stop_early: bool):
                     rem ^= g
                     k -= 1
                 best = obj
-                best_cfg = (em, [list(b) for b in blocks], exc, groups)
+                best_cfg = (em, [list(rows) for rows, _, _ in blocks], exc, groups)
                 if stop_early:
                     return True
         return False
@@ -246,7 +231,7 @@ def _exact_search(scaled, n_blocks: int, bound: Number, stop_early: bool):
         if base >= best:
             break
         kept = [i for i in range(nr) if not (em >> i) & 1]
-        if grow(0, [], [], [], [0] * nc):
+        if grow(0, [], [0] * nc):
             break
     if best_cfg is None:
         return bound, None

@@ -161,6 +161,20 @@ def _level_of_pair_2_3_at_5(fit):
     fit["levels"][1][2] = "5"
 
 
+def _fourth_block(side):
+    """Split the last block of `side` in two, both at its levels: the fit
+    stays within eps and breaks only the budget of 3 blocks per side."""
+    def change(fit):
+        last = fit[side].pop()
+        fit[side] += [last[:-1], last[-1:]]
+        if side == "x_blocks":
+            fit["levels"].append(list(fit["levels"][-1]))
+        else:
+            for row in fit["levels"]:
+                row.append(row[-1])
+    return change
+
+
 # The fixture's g(i, j) = i/30 on 10 uniform atoms has the fit of both
 # commands, in both modes, with blocks [0..3], [4..6], [7..9] on each side
 # and no exceptional atom; a block of 4 atoms weighs more than either eps.
@@ -173,6 +187,8 @@ _FORGED_FITS = [
     (_level_of_pair_2_3_at_5,
      [f"level deviation at cell ({i},{j}) in block pair (2,3)"
       for i in (4, 5, 6) for j in (7, 8, 9)]),
+    (_fourth_block("x_blocks"), ["x-side has 4 blocks, more than 3"]),
+    (_fourth_block("y_blocks"), ["y-side has 4 blocks, more than 3"]),
 ]
 
 
@@ -183,6 +199,38 @@ def test_cli_check_rejects_forged_step_fits(tmp_path, kind, mode):
     for change, expected in _FORGED_FITS:
         assert _check_tampered(tmp_path, jobs, kind, mode,
                                _forge_fit(change)) == expected
+
+
+@pytest.mark.parametrize("kind", ["stepfit", "vcprofile"])
+def test_cli_check_reads_a_block_budget_that_is_no_positive_int_as_malformed(
+        tmp_path, kind):
+    jobs = {job[0]: job for job in _self_checked_jobs(_fixture_corpus(tmp_path))}
+    code, out = _run(jobs[kind])
+    assert code == 0
+    rp = tmp_path / "forged.json"
+    for blocks in ("3", 0, -1, 3.0, True, None):
+        rp.write_text(json.dumps({**json.loads(out), "blocks": blocks}))
+        code, _ = _run(["check", str(rp)])
+        assert code == 1, blocks
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_a_check_report_carries_the_checked_reports_mode(tmp_path, mode):
+    path = str(tmp_path / "f.csv")
+    rng = random.Random(7)
+    save_matrix(rand_function(rng, rand_space(rng, 4, "x"), rand_space(rng, 4, "y")),
+                path)
+    code, out = _run(["--mode", mode, "srnorm", path])
+    assert code == 0
+    rp = tmp_path / "r.json"
+    rp.write_text(out)
+    other = "float" if mode == "exact" else "exact"
+    # the check reads the report in its own mode, whatever --mode says
+    code, out = _run(["--mode", other, "--tol", "1e-6", "check", str(rp)])
+    assert code == 0
+    rep = json.loads(out)
+    assert (rep["mode"], float(rep["tolerance"])) == (mode, 1e-6)
+    assert rep["violations"] == []
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])

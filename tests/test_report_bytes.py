@@ -235,6 +235,82 @@ def test_float_stepfit_report_bytes_pinned(tmp_path, key):
     assert _report_digest(argv) == FLOAT_STEPFIT_PINNED[key]
 
 
+# Step-fit reports on tie-heavy functions: values in {0, 1, 2} on uniform
+# spaces, so that many configurations attain the optimum and the witness is
+# the exact search's first optimal one in its enumeration order.  Each
+# `stepfit` runs at the profile value and 1/97 above it; in float mode at the
+# float profile value (its repr) and that plus 1/97.  Recorded from the
+# search that took each column subset's diameter from a table of the ranges
+# of its column pairs.
+TIE_STEPFIT_PINNED = {
+    "exact stepfit t-5x5 2 199/485": "4dbaa6d052578eb1ebaad521f7bd7a7847f46865",
+    "exact stepfit t-5x5 2 2/5": "7e9519b4cae289c191173a945c6de0b3cece3440",
+    "exact stepfit t-5x5 3 199/485": "69fc0d4035d09591d9c77830fcb85b7420dba788",
+    "exact stepfit t-5x5 3 2/5": "0f78bd53869591b4e9cf1212ae11b7b24d5434f9",
+    "exact stepfit t-6x8 2 1/2": "c7d3357a538c2f0465810907a7adf2f93aa7a94a",
+    "exact stepfit t-6x8 2 99/194": "d2c93707fde28d543085d5fce70b93e65d493576",
+    "exact stepfit t-6x8 3 1/2": "6a1d5421b4b82aeb9c948220e798702bd7df8e93",
+    "exact stepfit t-6x8 3 99/194": "fbf60f2e55597c039e8a897aa092e9ba775f4e86",
+    "exact stepfit t-8x6 2 1/2": "9d21b97438637bc433e111bc3a38a260a4114a1a",
+    "exact stepfit t-8x6 2 99/194": "bb2c85edcc779299b7dbb7b54a6c396ca2b58abc",
+    "exact stepfit t-8x6 3 1/2": "918ca5b702ca27d4ebc69284ec27f98d762f1bc5",
+    "exact stepfit t-8x6 3 99/194": "0a98c7ad03215aaabeddac064dd566efbf4d13ee",
+    "exact stepfit t-8x8 2 1/2": "954af2cf4f9fd70407547d5ad70c76167f1873bf",
+    "exact stepfit t-8x8 2 99/194": "380d0f91d1dfc580eb7072bfe8be9f24a4e28284",
+    "exact stepfit t-8x8 3 1/2": "73475dd3feb29d21a67a4bff7bd7c4059c335ee3",
+    "exact stepfit t-8x8 3 99/194": "308b4906e3d2db70d3dc1c753edbe5da6cc8d405",
+    "exact vcprofile t-5x5 2": "b3ffd0873a002f45a4ebf2e6bee97262f8b4b3fb",
+    "exact vcprofile t-5x5 3": "11ee022a5d2aea5047653739aac2f16d305e74db",
+    "exact vcprofile t-6x8 2": "2816afe96de14a93c652a9a14f1e76b61e3c425e",
+    "exact vcprofile t-6x8 3": "ac04765ccd1c3f6f2daf54e1b950aaa23b62895a",
+    "exact vcprofile t-8x6 2": "b2f085092b10dc03b0588fedcdf66cb42461188b",
+    "exact vcprofile t-8x6 3": "dfe83f3a4e2fa51f691cac46f96b9fd99ddfc040",
+    "exact vcprofile t-8x8 2": "09fdde7b37c0a2c7c894c685221eb494e27f1823",
+    "exact vcprofile t-8x8 3": "b1b52c154e85eb1885eb85ddcbc21be2f8a0452d",
+    "float stepfit t-5x5 2 0.4": "44cf747f5b5f218b8737511b26e19107641645a3",
+    "float stepfit t-5x5 2 0.4103092783505155": "8c2262b961e000c092cd5022d4a5b20b21e8a413",
+    "float stepfit t-5x5 3 0.4": "63637124b124f95c19a59d2fe4677399a1010262",
+    "float stepfit t-5x5 3 0.4103092783505155": "5840f8861507cb2a47e79a70605f981aed20ef8d",
+    "float stepfit t-6x8 2 0.5": "07ecf7f498f40e384c61f245aaded04aa99ef7be",
+    "float stepfit t-6x8 2 0.5103092783505154": "23e2f2e97abe2ac52b1a02471f32de48a67c6d18",
+    "float stepfit t-6x8 3 0.5": "3588bd5f4dc96bea7e6ba64f8c2b290e23f27e4a",
+    "float stepfit t-6x8 3 0.5103092783505154": "f36754dfb9c6585b6bfb2d98dcbc2de063a762f8",
+    "float stepfit t-8x6 2 0.5": "d489b7c1186cdaed203a988e87304dd3d0a521bd",
+    "float stepfit t-8x6 2 0.5103092783505154": "6c7e0486a8b0d71dcf7936ec89993e3f4a880388",
+    "float stepfit t-8x6 3 0.5": "b092a3827e1776ba52f796af95c2e75f7e47ed18",
+    "float stepfit t-8x6 3 0.5103092783505154": "f0bfb69bee9b40b8b55f3f55699f2d4bee8330b0",
+    "float stepfit t-8x8 2 0.5": "1d5396a8b459d8e3950f3be5d42b6f536defca63",
+    "float stepfit t-8x8 2 0.5103092783505154": "3040955b676c4c2620da6aedbf62257506b4887f",
+    "float stepfit t-8x8 3 0.5": "19e6b3a82abbec41bab3fe3bd063b47ff63c9e75",
+    "float stepfit t-8x8 3 0.5103092783505154": "67036b36e299764a8a43ca6ced4915a519d20040",
+    "float vcprofile t-5x5 2": "10189d8ff4c084d13ec6022ff4024dc42e02bda0",
+    "float vcprofile t-5x5 3": "ab510370df8339ef5537dc0914340ea911035f45",
+    "float vcprofile t-6x8 2": "750f63e3a257204a87c42ee74911ab94dabd93e4",
+    "float vcprofile t-6x8 3": "3324c5dbc4f86342a0c88b329bf2199aa5fee767",
+    "float vcprofile t-8x6 2": "d5ba85027c4d43f520e2bd0dd0ba13a5dd4ca932",
+    "float vcprofile t-8x6 3": "99c9743a714d3336338e2a66aa1b3187112f5c3d",
+    "float vcprofile t-8x8 2": "53b5c86a988d912717b2452e01743c995ce69f2a",
+    "float vcprofile t-8x8 3": "c325798355afc075e367d872f70014542d41add6",
+}
+
+
+def _tie_stepfit_argv(tmp_path, key):
+    mode, command, name, blocks, *eps = key.split()
+    nr, nc = map(int, name[2:].split("x"))
+    rng = random.Random(f"ties:{name}")
+    path = str(tmp_path / f"{name}.csv")
+    save_matrix(rand_function(rng, DiscreteSpace.uniform(nr, "x"),
+                              DiscreteSpace.uniform(nc, "y"), denom=1, lo=0, hi=2),
+                path)
+    return ["--mode", mode, command, path, "--blocks", blocks] + (
+        ["--eps", eps[0]] if eps else [])
+
+
+@pytest.mark.parametrize("key", sorted(TIE_STEPFIT_PINNED))
+def test_tie_heavy_stepfit_report_bytes_pinned(tmp_path, key):
+    assert _report_digest(_tie_stepfit_argv(tmp_path, key)) == TIE_STEPFIT_PINNED[key]
+
+
 # Matrix-distribution reports on `_corpus`'s rho.json and on a metric drawn as
 # perfbench/workloads.py draws "rho-8.json": the exact law at orders 1 and 2,
 # the float law at order 2, and 2000 seeded samples.  Recorded from the

@@ -4,11 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from virtcont import (DiscreteSpace, ProductFunction, SeparableMajorant,
                       ValidationError, cutoff, kernel_from_terms,
                       layer_cake_integral, nuclear_bound, sr_norm,
                       tau_distance, verify_sr_certificates)
+from virtcont.model import DEFAULT_TOL
 
 from util import fn_on, rand_function, rand_space
 
@@ -146,3 +148,26 @@ def test_majorant_weight_is_primal_value():
     res = sr_norm(f)
     assert res.majorant.weight(xs, ys) == res.value
     assert min(res.majorant.a) == 0
+
+
+@st.composite
+def _float_functions(draw):
+    """Float functions on sides of 1 to 6 atoms with random weights, each
+    value +-10**e for e in [-3, 3]: six orders of magnitude in one f."""
+    nr, nc = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+
+    def space(n, prefix):
+        parts = [draw(st.integers(1, 9)) for _ in range(n)]
+        return DiscreteSpace([f"{prefix}{i}" for i in range(n)],
+                             [p / sum(parts) for p in parts])
+
+    def value():
+        return draw(st.sampled_from((-1, 1))) * 10 ** draw(st.floats(-3, 3))
+
+    return ProductFunction(space(nr, "x"), space(nc, "y"),
+                           [[value() for _ in range(nc)] for _ in range(nr)])
+
+
+@given(_float_functions())
+def test_float_sr_norm_certifies_over_six_orders_of_magnitude(f):
+    assert verify_sr_certificates(f, sr_norm(f), DEFAULT_TOL) == []

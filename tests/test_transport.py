@@ -4,10 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from virtcont import (DiscreteSpace, InfeasibleError, MetricMatrix,
                       ValidationError, kantorovich, kr_norm,
                       two_level_duality_check, verify_transport_result)
+from virtcont.model import DEFAULT_TOL
 
 from lp_oracle import transport_lp_value
 from util import rand_metric, rand_space, rand_weights
@@ -167,3 +169,28 @@ def test_two_level_reweighting_parameter():
     scaled = two_level_duality_check(cost, mu, nu, z=(z1, z2))
     assert scaled.primal == 2 * plain.primal
     assert scaled.gap == 0
+
+
+@st.composite
+def _float_line_problems(draw):
+    """A float line metric on 1 to 8 points, each at +-10**e for e in
+    [-3, 3], with two random float marginals."""
+    n = draw(st.integers(1, 8))
+    xs = [draw(st.sampled_from((-1, 1))) * 10 ** draw(st.floats(-3, 3))
+          for _ in range(n)]
+
+    def weights():
+        parts = [draw(st.integers(0, 9)) for _ in range(n - 1)]
+        parts.append(draw(st.integers(1, 9)))
+        return [p / sum(parts) for p in parts]
+
+    space = DiscreteSpace([f"p{i}" for i in range(n)], weights())
+    rho = MetricMatrix(space, [[abs(a - b) for b in xs] for a in xs])
+    return rho, weights(), weights()
+
+
+@given(_float_line_problems())
+def test_float_kantorovich_certifies_over_six_orders_of_magnitude(problem):
+    rho, mu1, mu2 = problem
+    res = kantorovich(mu1, mu2, rho)
+    assert verify_transport_result(mu1, mu2, rho, res, DEFAULT_TOL) == []
