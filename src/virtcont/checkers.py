@@ -159,13 +159,18 @@ def _fit_from_obj(obj, read):
                    bool(obj["exact"]))
 
 
-def _fit_violations(rep, key, strict, read, tol):
-    """The step fit under rep[key] against the report's function and block
-    budget: at most `blocks` non-exceptional blocks on each side."""
+def _budget(rep, read):
+    """A step-fit report's block budget and function."""
     n = rep["blocks"]
     if type(n) is not int or n < 1:
         raise ValidationError(f"blocks {n!r} is not a positive int")
-    f = matrix_from_obj("function", rep["inputs"]["function"], read.exact, read)
+    return n, matrix_from_obj("function", rep["inputs"]["function"], read.exact, read)
+
+
+def _fit_violations(rep, key, strict, read, tol):
+    """The step fit under rep[key] against the report's function and block
+    budget: at most `blocks` non-exceptional blocks on each side."""
+    n, f = _budget(rep, read)
     fit = _fit_from_obj(rep[key], read)
     problems = step_fit_violations(f, fit, strict=strict, tol=tol)
     for side, blocks in (("x", fit.x_blocks), ("y", fit.y_blocks)):
@@ -175,7 +180,11 @@ def _fit_violations(rep, key, strict, read, tol):
 
 
 def _check_stepfit(rep, read, tol):
+    """A found fit is checked against the budget and function; a report
+    that found none still has to give them, and its eps, well formed."""
+    read.number(rep["epsilon"])
     if not rep["found"]:
+        _budget(rep, read)
         return []
     return _fit_violations(rep, "fit", True, read, tol)[0]
 
@@ -252,7 +261,7 @@ def check_report(rep: dict, tol: float = DEFAULT_TOL, read=None) -> list[str]:
     if not isinstance(rep, dict):
         raise ValidationError("a report must be a JSON object")
     cmd = rep.get("command")
-    if cmd not in _CHECKS:
+    if not isinstance(cmd, str) or cmd not in _CHECKS:
         raise ValidationError(f"no certificate checker for command {cmd!r}")
     mode = rep.get("mode")
     if mode not in ("exact", "float"):

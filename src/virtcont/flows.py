@@ -23,14 +23,8 @@ on the Fractions themselves.  Each kernel is one body for ints and floats,
 with tol 0 on the ints and EPS on floats.  The transportation solver finds
 each shortest path by a Bellman-Ford search on reduced costs
 (`_ssp_bellman_ford`), which stays correct where float round-off makes a
-reduced cost negative.  It keeps the plan's support per column across
-passes, changed only at each augmenting path's cells, and forms each
-reduced cost where it scans its arc, so that no pass builds a table of
-them or scans the whole plan.  Each pass searches with a strict `<` first.
-On floats, round-off can make that test close a cycle in the predecessors;
-the search then ends with that round, and the pass is searched again at
-once with a margin of EPS * max(1, max|cost|).  If that search closes a
-cycle too, the solve raises FloatingPointError.  Augmentation order is
+reduced cost negative; a float search that round-off sends around a cycle
+is run again with a margin scaled to the costs.  Augmentation order is
 deterministic: ties break on the lowest node index, or in the
 transportation search on the arc that it scans first.
 """
@@ -294,14 +288,14 @@ class TransportResultRaw:
 def _ssp_balanced(supplies, demands, cost, tol):
     """Successive shortest paths on the balanced transportation network.
 
-    Returns (total cost, plan, potentials pi) with reduced-cost optimality:
-    cost[i][j] + pi[row i] - pi[col j] >= 0 on all arcs, equality where the
-    plan is positive.  Exact inputs are solved on ints: supplies and demands
-    scaled by their common denominator d_w, costs by theirs, d_c; the plan
-    comes back divided by d_w, the potentials by d_c, the total by d_w*d_c.
-
-    Ints and floats run the same kernel, `_ssp_bellman_ford`, with tol 0 on
-    the ints and EPS on floats; this wrapper is where the regime is decided.
+    Returns (total cost, plan, potentials pi per node: source, rows,
+    columns, sink) with reduced-cost optimality: cost[i][j] + pi[row i] -
+    pi[col j] >= 0 on all arcs, equality where the plan is positive.  This
+    wrapper decides the regime: ints and floats run the same kernel,
+    `_ssp_bellman_ford`.  Exact inputs are solved on ints, with tol 0:
+    supplies and demands scaled by their common denominator d_w, costs by
+    theirs, d_c; the plan comes back divided by d_w, the potentials by d_c,
+    the total by d_w*d_c.  Floats are solved as given, with tol EPS.
     """
     nr, nc = len(supplies), len(demands)
     masses, d_w = common_integers(list(supplies) + list(demands))
@@ -323,26 +317,23 @@ def _ssp_bellman_ford(supplies, demands, cost, tol):
 
     Each pass first searches with a strict `<`.  On floats that test can
     accept a round-off "improvement" that closes a cycle in the
-    predecessors; such a search would lower the cycle's distances by a few
-    ulps in every round up to its round cap.  So a search ends at the first
-    round that leaves a cycle, and the pass is searched again at once,
-    taking an arc only if it shortens a distance by more than the margin
+    predecessors, which would lower the cycle's distances by a few ulps in
+    every round up to the round cap.  So a search ends at the first round
+    that leaves a cycle, and the pass is searched again at once, taking an
+    arc only if it shortens a distance by more than the margin
     tol * max(1, max|cost|), scaled to the costs as their round-off is.  If
-    that search leaves a cycle too, the solve raises FloatingPointError.
-    Every search that a pass uses thus ends with acyclic predecessors.  On
-    ints the margin is 0 and the retry never runs, since exact arithmetic
-    closes a cycle in the predecessors only around a negative cycle of the
-    residual network, and successive shortest paths leave none.
+    that search leaves a cycle too, the solve raises FloatingPointError.  On
+    ints the margin is 0 and the retry never runs: exact arithmetic closes a
+    cycle in the predecessors only around a negative cycle of the residual
+    network, and successive shortest paths leave none.
 
     The plan's support, the rows i with plan[i][j] > tol per column j, is
-    kept across passes: an augmentation changes only its path's cells, so
-    only those are tested again.  A search reads it in row order, so it
-    never scans the whole plan.
+    kept across passes and tested again only at the cells of each
+    augmenting path, which one walk back from the sink gives.
     """
     nr, nc = len(supplies), len(demands)
     zero = 0 * tol
-    src, snk = 0, nr + nc + 1
-    n = nr + nc + 2
+    src, snk, n = 0, nr + nc + 1, nr + nc + 2
     margin = tol * max(1, max(map(abs, chain.from_iterable(cost)), default=0))
 
     plan = [[zero] * nc for _ in range(nr)]
@@ -351,25 +342,22 @@ def _ssp_bellman_ford(supplies, demands, cost, tol):
     remaining_demand = list(demands)
     pi = [zero] * n  # accumulated shortest distances from the source
 
-    def reduced(c, u, v):
-        return c + pi[u] - pi[v]
-
     def search(margin):
-        """Distances and predecessor nodes from the source, by rounds of
-        Bellman-Ford on the reduced costs c + pi[u] - pi[v] (which may be
-        negative while the potentials start at zero), or None at the end of
-        the first round that leaves a cycle in the predecessors.  An arc
-        u -> v is taken if it makes v's distance less than its current one
-        minus the margin.  A round scans the source's arcs, the rows'
-        forward arcs in row order, then per column its backward arcs and its
-        sink arc, but only out of nodes whose distance was set since they
-        were last scanned: from any other node every arc gives the sum it
-        gave then, which took nothing then and takes nothing now, since
-        distances only fall.  So each round takes the arcs that a scan of
-        every arc would take, in the same order, and ends the search in the
-        same round.  Each reduced cost is formed where it is scanned, in
-        the order `reduced` forms it, with the scanned node's potential
-        read once per scan.
+        """Distances and predecessors from the source by rounds of
+        Bellman-Ford on the reduced costs (c + pi[u]) - pi[v], each formed
+        where its arc is scanned (negative while the potentials start at
+        zero), or None at the end of the first round that leaves a cycle in
+        the predecessors.  An arc u -> v is taken if it makes v's distance
+        less than its current one minus the margin.  The source's arcs, at
+        cost 0 to the rows with supply left, are taken before the first
+        round; pi[source] stays 0, as the source's distance is 0 in every
+        pass.  A round scans the rows' forward arcs in row order, then per
+        column its backward arcs and its sink arc, but only out of nodes
+        whose distance was set since they were last scanned: from any other
+        node every arc gives the sum it gave then, which took nothing then
+        and takes nothing now, since distances only fall.  So each round
+        takes the arcs that a scan of every arc would take, in the same
+        order, and ends the search in the same round.
 
         A cycle left by a round passes through a node whose predecessor the
         round set, since the round before left none (the sink is on no
@@ -380,25 +368,18 @@ def _ssp_bellman_ford(supplies, demands, cost, tol):
         if that node carries its own stamp."""
         pc = pi[1 + nr:snk]     # the columns' potentials
         back = [sorted(rows) for rows in support]
-        dist = [None] * n
-        prev = [None] * n
+        dist, prev = [None] * n, [None] * n
         dist[src] = zero
         fresh = [False] * n     # distance set since the node was scanned
-        fresh[src] = True
+        for i in range(nr):     # source -> rows with supply left, cost 0
+            if remaining_supply[i] > tol:
+                dist[1 + i], prev[1 + i] = zero + (zero - pi[1 + i]), src
+                fresh[1 + i] = True
         stamp = [0] * n         # the number of the last walk to meet a node
         stamp[src] = inf        # where every walk ends
         walks = 0
         for _ in range(n):
             moved = []          # the nodes but the sink whose prev was set
-            if fresh[src]:      # source -> rows with remaining supply, cost 0
-                fresh[src] = False
-                for i in range(nr):
-                    if remaining_supply[i] > tol:
-                        d = dist[src] + reduced(zero, src, 1 + i)
-                        if dist[1 + i] is None or d < dist[1 + i] - margin:
-                            dist[1 + i], prev[1 + i] = d, src
-                            fresh[1 + i] = True
-                            moved.append(1 + i)
             for i in range(nr):
                 if fresh[1 + i]:
                     fresh[1 + i] = False
@@ -422,7 +403,7 @@ def _ssp_bellman_ford(supplies, demands, cost, tol):
                         fresh[1 + i] = True
                         moved.append(1 + i)
                 if remaining_demand[j] > tol:
-                    d = du + reduced(zero, u, snk)
+                    d = du + ((zero + p) - pi[snk])
                     if dist[snk] is None or d < dist[snk] - margin:
                         dist[snk], prev[snk] = d, u
             if not moved:
@@ -439,16 +420,6 @@ def _ssp_bellman_ford(supplies, demands, cost, tol):
             raise InfeasibleError("transportation network disconnected")
         return dist, prev
 
-    def trace(prev):
-        """The path's rows and columns in order from the source."""
-        path = []
-        node = prev[snk]
-        while node != src:
-            path.append(node)
-            node = prev[node]
-        path.reverse()
-        return [u - 1 for u in path[0::2]], [u - 1 - nr for u in path[1::2]]
-
     total_cost = zero
     to_ship = left_sum(supplies, zero)
     while to_ship > tol:
@@ -457,13 +428,16 @@ def _ssp_bellman_ford(supplies, demands, cost, tol):
             raise FloatingPointError(
                 "float round-off closed a cycle in the transportation search")
         dist, prev = found
-        rows, cols = trace(prev)
+        path = [snk]            # the path from the sink back to the source
+        while path[-1] != src:
+            path.append(prev[path[-1]])
         # the path is source, row, column, row, ..., column, sink: forward
         # arcs (rows[k], cols[k]), backward arcs (rows[k + 1], cols[k])
-        bottleneck = min(to_ship, remaining_supply[rows[0]])
-        for i, j in zip(rows[1:], cols):
-            bottleneck = min(bottleneck, plan[i][j])
-        bottleneck = min(bottleneck, remaining_demand[cols[-1]])
+        rows = [u - 1 for u in path[-2:0:-2]]
+        cols = [v - 1 - nr for v in path[-3:0:-2]]
+        bottleneck = min(to_ship, remaining_supply[rows[0]],
+                         *(plan[i][j] for i, j in zip(rows[1:], cols)),
+                         remaining_demand[cols[-1]])
         remaining_supply[rows[0]] -= bottleneck
         for k, j in enumerate(cols):
             i = rows[k]
@@ -480,7 +454,6 @@ def _ssp_bellman_ford(supplies, demands, cost, tol):
                 support[j].add(i)
             else:
                 support[j].discard(i)
-
         # fold distances into potentials (unreached nodes get the max distance)
         dmax = max(d for d in dist if d is not None)
         pi[:] = [p + (dmax if d is None else d) for p, d in zip(pi, dist)]
@@ -500,8 +473,7 @@ def solve_transportation(inst: TransportationInstance) -> TransportResultRaw:
     sum(s*a) + sum(d*b) = profit.
     """
     zero = zero_of(chain(inst.supplies, inst.demands, *inst.matrix))
-    exact = is_exact(zero)
-    tol = 0 if exact else EPS
+    tol = 0 if is_exact(zero) else EPS
 
     if inst.mode == "min-cost":
         if not (abs(left_sum(inst.supplies) - left_sum(inst.demands)) <= tol):
@@ -521,18 +493,15 @@ def solve_transportation(inst: TransportationInstance) -> TransportResultRaw:
     cost.append([zero] * (nc + 1))
     total_cost, plan_ext, pi = _ssp_balanced(supplies, demands, cost, tol)
     plan = [row[:nc] for row in plan_ext[:nr]]
-    u = [-pi[1 + i] for i in range(nr + 1)]
-    v = [pi[1 + nr + 1 + j] for j in range(nc + 1)]
-    u_dummy, v_dummy = u[nr], v[nc]
-    a = [-(u[i] + v_dummy) for i in range(nr)]
-    b = [-(v[j] + u_dummy) for j in range(nc)]
-    # guard against float dust in the nonnegative duals; max keeps the first
-    # of equal values, so 0.0 comes first and -0.0 never reaches a report
-    if not exact:
-        a = [max(0.0, x) for x in a]
-        b = [max(0.0, x) for x in b]
-    # no pass reaches a row with no supply, so its potential need not cover
-    # its profits; the least nonnegative dual that does adds 0 to the value
-    a = [max([zero, *map(sub, inst.matrix[i], b)]) if s == 0 else x
-         for i, (s, x) in enumerate(zip(inst.supplies, a))]
+    u = [-p for p in pi[1:2 + nr]]      # per row, the dummy row last
+    v = pi[2 + nr:3 + nr + nc]          # per column, the dummy column last
+    # each dual is the reduced cost of a zero-cost arc to or from a dummy
+    # node, which is always residual, so it is nonnegative and max only
+    # clears float dust; max keeps the first of equal values, so -0.0 never
+    # reaches a report.  No pass reaches a row with no supply, so its
+    # potential need not cover its profits; the least nonnegative dual that
+    # does adds 0 to the value.
+    b = [max(zero, -(x + u[nr])) for x in v[:nc]]
+    a = [max([zero, *map(sub, row, b)]) if s == 0 else max(zero, -(x + v[nc]))
+         for s, x, row in zip(inst.supplies, u, inst.matrix)]
     return TransportResultRaw(-total_cost, plan, a, b)

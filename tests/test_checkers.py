@@ -215,6 +215,24 @@ def test_cli_check_reads_a_block_budget_that_is_no_positive_int_as_malformed(
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
+def test_cli_check_reads_a_step_fit_report_that_found_no_fit(tmp_path, mode):
+    # one block per side cannot fit g(i, j) = i/30 within 1/100
+    g = _fixture_corpus(tmp_path)["g"]
+    code, report = _run(["--mode", mode, "stepfit", g, "--blocks", "1",
+                         "--eps", "1/100"])
+    assert code == 0 and json.loads(report)["found"] is False
+    rp = tmp_path / "not-found.json"
+    rp.write_text(report)
+    code, out = _run(["check", str(rp)])
+    assert code == 0 and json.loads(out)["violations"] == []
+    # its budget, function and eps are read all the same
+    for key, value in (("blocks", "x"), ("inputs", "garbage"),
+                       ("epsilon", "abc")):
+        rp.write_text(json.dumps({**json.loads(report), key: value}))
+        _run_failing(["check", str(rp)])
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
 def test_a_check_report_carries_the_checked_reports_mode(tmp_path, mode):
     path = str(tmp_path / "f.csv")
     rng = random.Random(7)

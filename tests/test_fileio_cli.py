@@ -613,6 +613,17 @@ def test_cli_check_report_missing_inputs_exits_1(tmp_path):
     rp.write_text(json.dumps([rep]))
     with contextlib.redirect_stderr(io.StringIO()):
         assert _run(["check", str(rp)])[0] == 1
+    # a command that is a list or an object names no checker
+    for command in ([], {}, ["thickness"]):
+        rp.write_text(json.dumps({"command": command, "mode": "exact"}))
+        assert "no certificate checker" in _run_failing(["check", str(rp)])
+    # a tau report whose g has another shape than its f
+    _, out = _run(["tau", paths["f"], paths["g"]])
+    bad = json.loads(out)
+    one_atom = {"labels": ["a"], "weights": ["1"]}
+    bad["inputs"]["g"].update(x_space=one_atom, y_space=one_atom, values=[["0"]])
+    rp.write_text(json.dumps(bad))
+    assert "factor dimension mismatch" in _run_failing(["check", str(rp)])
 
 
 def test_cli_check_rejects_vcprofile_value_not_witness_epsilon(tmp_path):
@@ -677,6 +688,26 @@ def test_cli_malformed_input_files_exit_1(tmp_path):
         "list-header.csv": "[1]\n" + csv_body,
         "str-header.csv": '"set"\n' + csv_body,
     }
+    # a function matrix file broken in each way that `loads_matrix` rejects
+    header, col_row, *rows = Path(paths["f"]).read_text().splitlines()
+    broken = {
+        "empty.csv": ([], "empty matrix file"),
+        "short.csv": ([header, col_row] + rows[:-1], "data rows"),
+        "columns.csv": ([header, col_row + ",extra"] + rows,
+                        "column header does not match Y labels"),
+        "order.csv": ([header, col_row, rows[1], rows[0]] + rows[2:],
+                      "out of order"),
+        "cells.csv": ([header, col_row, rows[0] + ",0"] + rows[1:],
+                      "wrong cell count"),
+    }
+    for name, (lines, message) in broken.items():
+        bad = str(tmp_path / name)
+        (tmp_path / name).write_text("".join(line + "\n" for line in lines))
+        err = _run_failing(["srnorm", bad])
+        assert bad in err and message in err, err
+    # a matrix of the other kind than the command reads
+    assert "srnorm expects a function matrix" in _run_failing(["srnorm", paths["z"]])
+    assert "thickness expects a set matrix" in _run_failing(["thickness", paths["f"]])
     for name, text in files.items():
         bad = str(tmp_path / name)
         (tmp_path / name).write_text(text)
@@ -750,7 +781,8 @@ def test_cli_lists_given_as_strings_or_objects_exit_1(tmp_path):
     ["stepfit", "--blocks", "1", "--eps", "nan"],
     ["refine", "--family", "metric_kernel", "--grids", "0,4", "--blocks", "1"],
     ["refine", "--family", "metric_kernel", "--grids", "-3", "--blocks", "1"],
-], ids=["eps-abc", "eps-1/0", "eps-nan", "grids-0,4", "grids--3"])
+    ["refine", "--family", "metric_kernel", "--grids", "4,x", "--blocks", "1"],
+], ids=["eps-abc", "eps-1/0", "eps-nan", "grids-0,4", "grids--3", "grids-4,x"])
 def test_cli_malformed_numeric_flags_exit_1(tmp_path, flags):
     if flags[0] == "stepfit":
         flags = flags[:1] + [_fixture_corpus(tmp_path)["g"]] + flags[1:]
