@@ -180,13 +180,16 @@ def _fit_violations(rep, key, strict, read, tol):
 
 
 def _check_stepfit(rep, read, tol):
-    """A found fit is checked against the budget and function; a report
-    that found none still has to give them, and its eps, well formed."""
-    read.number(rep["epsilon"])
+    """A found fit is checked against the budget, function and eps; a
+    report that found none still has to give them well formed."""
+    eps = read.number(rep["epsilon"])
     if not rep["found"]:
         _budget(rep, read)
         return []
-    return _fit_violations(rep, "fit", True, read, tol)[0]
+    problems, fit = _fit_violations(rep, "fit", True, read, tol)
+    if not close(eps, fit.epsilon, tol):
+        problems.append("reported epsilon != fit epsilon")
+    return problems
 
 
 def _check_vcprofile(rep, read, tol):
@@ -216,19 +219,6 @@ def _check_matdist(rep, read, tol):
     return problems
 
 
-# A duality report repeats the values of its two sides as `primal` and
-# `dual`, and their difference as `gap`.  Per kind: the key that `primal`
-# repeats, the key that `dual` repeats, and the sign of primal - dual in the
-# gap (hall's primal is a greatest mass, so its gap is dual - primal).
-_SIDES = {
-    "thickness": ("value", "value", 1),
-    "hall": ("mass", "thickness_value", -1),
-    "srnorm": ("value", "dual_value", 1),
-    "transport": ("cost", "cost", 1),
-    "krnorm": ("value", "value", 1),
-}
-
-
 def _check_sides(rep, read, tol, primal_key, dual_key, sign):
     primal, dual, gap = (read.number(rep[k]) for k in ("primal", "dual", "gap"))
     problems = []
@@ -242,16 +232,21 @@ def _check_sides(rep, read, tol, primal_key, dual_key, sign):
     return problems
 
 
+# Per kind of report: its check, then for a duality report its sides.  Such a
+# report repeats the values of its two sides as `primal` and `dual`, and
+# their difference as `gap`: the sides are the key that `primal` repeats, the
+# key that `dual` repeats, and the sign of primal - dual in the gap (hall's
+# primal is a greatest mass, so its gap is dual - primal).
 _CHECKS = {
-    "thickness": _check_thickness,
-    "hall": _check_hall,
-    "srnorm": _check_srnorm,
-    "tau": _check_tau,
-    "transport": _check_transport,
-    "krnorm": _check_krnorm,
-    "stepfit": _check_stepfit,
-    "vcprofile": _check_vcprofile,
-    "matdist": _check_matdist,
+    "thickness": (_check_thickness, "value", "value", 1),
+    "hall": (_check_hall, "mass", "thickness_value", -1),
+    "srnorm": (_check_srnorm, "value", "dual_value", 1),
+    "tau": (_check_tau,),
+    "transport": (_check_transport, "cost", "cost", 1),
+    "krnorm": (_check_krnorm, "value", "value", 1),
+    "stepfit": (_check_stepfit,),
+    "vcprofile": (_check_vcprofile,),
+    "matdist": (_check_matdist,),
 }
 
 
@@ -269,7 +264,6 @@ def check_report(rep: dict, tol: float = DEFAULT_TOL, read=None) -> list[str]:
                               "is neither 'exact' nor 'float'")
     read = read or _Reader(mode == "exact")
     with _malformed(f"{cmd} report"):
-        problems = _CHECKS[cmd](rep, read, tol)
-        if cmd in _SIDES:
-            problems += _check_sides(rep, read, tol, *_SIDES[cmd])
-        return problems
+        check, *sides = _CHECKS[cmd]
+        problems = check(rep, read, tol)
+        return problems + _check_sides(rep, read, tol, *sides) if sides else problems

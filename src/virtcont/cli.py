@@ -15,6 +15,7 @@ import functools
 import io
 import json
 import sys
+from collections import namedtuple
 
 from .checkers import _CHECKS, check_report
 from .coupling import max_bistochastic_mass
@@ -65,54 +66,13 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_global_flags(p, suppress=False)
     sub = p.add_subparsers(dest="command", required=True,
                            parser_class=_CliParser)
-
-    s = sub.add_parser("thickness", help="minimal cross-cover weight of a set")
-    s.add_argument("set", help="product set CSV")
-    s.set_defaults(run=_run_thickness)
-    s = sub.add_parser("tau", help="tau-distance between two functions")
-    s.add_argument("f")
-    s.add_argument("g")
-    s.set_defaults(run=_run_tau)
-    s = sub.add_parser("srnorm", help="separable-regulator norm with dual plan")
-    s.add_argument("function")
-    s.set_defaults(run=_run_srnorm)
-    s = sub.add_parser("hall", help="maximal bistochastic mass on a set")
-    s.add_argument("set")
-    s.set_defaults(run=_run_hall)
-    s = sub.add_parser("transport", help="optimal transport between two weightings")
-    s.add_argument("metric")
-    s.add_argument("mu1")
-    s.add_argument("mu2")
-    s.set_defaults(run=_run_transport)
-    s = sub.add_parser("krnorm", help="transport norm of a balanced signed vector")
-    s.add_argument("metric")
-    s.add_argument("signed")
-    s.set_defaults(run=_run_krnorm)
-    s = sub.add_parser("stepfit", help="N-block step fit within eps, if any")
-    s.add_argument("function")
-    s.add_argument("--blocks", type=int, required=True)
-    s.add_argument("--eps", required=True)
-    s.set_defaults(run=_run_stepfit)
-    s = sub.add_parser("vcprofile", help="least eps admitting an N-block step fit")
-    s.add_argument("function")
-    s.add_argument("--blocks", type=int, required=True)
-    s.set_defaults(run=_run_vcprofile)
-    s = sub.add_parser("refine", help="profile of a study family across grids")
-    s.add_argument("--family", choices=FAMILIES, required=True)
-    s.add_argument("--grids", required=True, help="comma-separated grid sizes")
-    s.add_argument("--blocks", type=int, required=True)
-    s.set_defaults(run=_run_refine)
-    s = sub.add_parser("matdist", help="distance-matrix distribution of a metric")
-    s.add_argument("metric")
-    s.add_argument("--order", type=int, required=True)
-    s.add_argument("--samples", type=int, default=None,
-                   help="draw this many seeded samples instead of enumerating")
-    s.set_defaults(run=_run_matdist)
-    s = sub.add_parser("check", help="re-verify the certificates in a report")
-    s.add_argument("report", help="previously emitted JSON report")
-    s.set_defaults(run=_run_check)
-    for child in sub.choices.values():
-        _add_global_flags(child, suppress=True)
+    for name, cmd in _COMMANDS.items():
+        s = sub.add_parser(name, help=cmd.help)
+        for arg, kind in cmd.inputs.items():
+            s.add_argument(arg, help=f"{kind} file")
+        for flag, options in cmd.flags.items():
+            s.add_argument(flag, **options)
+        _add_global_flags(s, suppress=True)
     return p
 
 
@@ -121,14 +81,23 @@ _parser = functools.cache(_build_parser)
 
 
 # ------------------------------------------------------------------ commands
-# Every runner takes (args, the job's `_Reader`, tol) and returns the report.
+# Every runner takes (args, the job's `_Reader`, tol, its inputs in the order
+# of its `_COMMANDS` row) and returns the report.
 
-def _load_as(kind, path, read, command):
-    """The matrix file at path, which must hold a `kind` ("set" or "function")."""
-    m = load_matrix(path, read=read)
-    if _matrix_kind(m) != kind:
-        raise ValidationError(f"{command} expects a {kind} matrix")
-    return m
+def _inputs(args, read):
+    """The command's input files, each loaded by its kind through the job's
+    reader; the loaders are looked up here on each call, so a rebound one runs."""
+    for arg, kind in _COMMANDS[args.command].inputs.items():
+        path = getattr(args, arg)
+        if kind == "report":
+            yield _load(path, _loads_json)
+        elif kind in ("metric", "vector"):
+            yield (load_metric if kind == "metric" else load_vector)(path, read=read)
+        else:
+            m = load_matrix(path, read=read)
+            if _matrix_kind(m) != kind:     # a set or a function
+                raise ValidationError(f"{args.command} expects a {kind} matrix")
+            yield m
 
 
 def _fit_obj(fit):
@@ -136,8 +105,7 @@ def _fit_obj(fit):
             "levels": fit.levels, "epsilon": fit.epsilon, "exact": fit.exact}
 
 
-def _run_thickness(args, read, tol):
-    z = _load_as("set", args.set, read, args.command)
+def _run_thickness(args, read, tol, z):
     res = thickness(z)
     dual = res.plan.total()
     return {"value": res.value, "primal": res.value, "dual": dual,
@@ -147,17 +115,14 @@ def _run_thickness(args, read, tol):
             "plan": matrix_to_obj(res.plan), "inputs": {"set": matrix_to_obj(z)}}
 
 
-def _run_tau(args, read, tol):
-    f = _load_as("function", args.f, read, args.command)
-    g = _load_as("function", args.g, read, args.command)
+def _run_tau(args, read, tol, f, g):
     res = tau_distance(f, g)
     return {"value": res.value,
             "witness_set_thickness": res.witness_set_thickness,
             "inputs": {"f": matrix_to_obj(f), "g": matrix_to_obj(g)}}
 
 
-def _run_srnorm(args, read, tol):
-    f = _load_as("function", args.function, read, args.command)
+def _run_srnorm(args, read, tol, f):
     res = sr_norm(f)
     return {"value": res.value, "primal": res.value, "dual": res.dual_value,
             "dual_value": res.dual_value, "gap": res.value - res.dual_value,
@@ -166,8 +131,7 @@ def _run_srnorm(args, read, tol):
             "inputs": {"function": matrix_to_obj(f)}}
 
 
-def _run_hall(args, read, tol):
-    z = _load_as("set", args.set, read, args.command)
+def _run_hall(args, read, tol, z):
     res = max_bistochastic_mass(z)
     cert = res.thickness_certificate
     return {"mass": res.mass, "thickness_value": cert.value,
@@ -176,10 +140,7 @@ def _run_hall(args, read, tol):
             "plan": matrix_to_obj(res.plan), "inputs": {"set": matrix_to_obj(z)}}
 
 
-def _run_transport(args, read, tol):
-    rho = load_metric(args.metric, read=read)
-    mu1 = load_vector(args.mu1, read=read)
-    mu2 = load_vector(args.mu2, read=read)
+def _run_transport(args, read, tol, rho, mu1, mu2):
     res = kantorovich(mu1, mu2, rho, tol)
     dual = left_sum(u * (a - b) for u, a, b in zip(res.potential, mu1, mu2))
     return {"cost": res.cost, "primal": res.cost, "dual": dual,
@@ -188,9 +149,7 @@ def _run_transport(args, read, tol):
             "inputs": {"metric": metric_to_obj(rho), "mu1": mu1, "mu2": mu2}}
 
 
-def _run_krnorm(args, read, tol):
-    rho = load_metric(args.metric, read=read)
-    signed = load_vector(args.signed, read=read)
+def _run_krnorm(args, read, tol, rho, signed):
     res = kr_norm(signed, rho, tol)
     dual = left_sum(u * s for u, s in zip(res.potential, signed))
     return {"value": res.value, "primal": res.value, "dual": dual,
@@ -199,8 +158,7 @@ def _run_krnorm(args, read, tol):
             "inputs": {"metric": metric_to_obj(rho), "signed": signed}}
 
 
-def _run_stepfit(args, read, tol):
-    f = _load_as("function", args.function, read, args.command)
+def _run_stepfit(args, read, tol, f):
     eps = read.number(args.eps)
     fit = step_fit_exists(f, args.blocks, eps, args.seed)
     rep = {"found": fit is not None, "blocks": args.blocks, "epsilon": eps,
@@ -210,8 +168,7 @@ def _run_stepfit(args, read, tol):
     return rep
 
 
-def _run_vcprofile(args, read, tol):
-    f = _load_as("function", args.function, read, args.command)
+def _run_vcprofile(args, read, tol, f):
     res = vc_profile(f, args.blocks, args.seed)
     return {"value": res.value, "exact_optimum": res.exact,
             "blocks": args.blocks, "witness": _fit_obj(res.witness),
@@ -232,8 +189,7 @@ def _run_refine(args, read, tol):
     return {"family": args.family, "blocks": args.blocks, "table": table}
 
 
-def _run_matdist(args, read, tol):
-    rho = load_metric(args.metric, read=read)
+def _run_matdist(args, read, tol, rho):
     if args.samples is None:
         dist = matrix_distribution_exact(rho, args.order)
         mats = matrices_to_obj([mat for mat, _ in dist.support], dist.k)
@@ -246,12 +202,49 @@ def _run_matdist(args, read, tol):
             "samples": matrices_to_obj(mats, args.order)}
 
 
-def _run_check(args, read, tol):
-    rep = _load(args.report, _loads_json)
+def _run_check(args, read, tol, rep):
     violations = check_report(rep, tol)
     # the checked report's mode, which `check_report` read it in
     return {"checked_command": rep.get("command"), "mode": rep["mode"],
             "violations": violations}
+
+
+# Each subcommand once: its help, its runner, its input files as argument ->
+# kind in load order, and its flags as flag -> add_argument keywords.
+_Command = namedtuple("_Command", "help run inputs flags", defaults=({}, {}))
+_BLOCKS = {"--blocks": {"type": int, "required": True}}
+_COMMANDS = {
+    "thickness": _Command("minimal cross-cover weight of a set",
+                          _run_thickness, {"set": "set"}),
+    "tau": _Command("tau-distance between two functions", _run_tau,
+                    {"f": "function", "g": "function"}),
+    "srnorm": _Command("separable-regulator norm with dual plan", _run_srnorm,
+                       {"function": "function"}),
+    "hall": _Command("maximal bistochastic mass on a set", _run_hall,
+                     {"set": "set"}),
+    "transport": _Command("optimal transport between two weightings",
+                          _run_transport,
+                          {"metric": "metric", "mu1": "vector", "mu2": "vector"}),
+    "krnorm": _Command("transport norm of a balanced signed vector", _run_krnorm,
+                       {"metric": "metric", "signed": "vector"}),
+    "stepfit": _Command("N-block step fit within eps, if any", _run_stepfit,
+                        {"function": "function"},
+                        {**_BLOCKS, "--eps": {"required": True}}),
+    "vcprofile": _Command("least eps admitting an N-block step fit",
+                          _run_vcprofile, {"function": "function"}, _BLOCKS),
+    "refine": _Command("profile of a study family across grids", _run_refine, {},
+                       {"--family": {"choices": FAMILIES, "required": True},
+                        "--grids": {"required": True,
+                                    "help": "comma-separated grid sizes"},
+                        **_BLOCKS}),
+    "matdist": _Command("distance-matrix distribution of a metric", _run_matdist,
+                        {"metric": "metric"},
+                        {"--order": {"type": int, "required": True},
+                         "--samples": {"type": int, "help": "draw this many "
+                                       "seeded samples instead of enumerating"}}),
+    "check": _Command("re-verify the certificates in a report", _run_check,
+                      {"report": "report"}),
+}
 
 
 # ------------------------------------------------------------------ emission
@@ -298,13 +291,11 @@ def main(argv=None) -> int:
         return 1
     try:
         read = _Reader(args.mode == "exact")
-        rep = args.run(args, read, tol)
-    except (ValidationError, InfeasibleError) as e:
+        rep = _COMMANDS[args.command].run(args, read, tol, *_inputs(args, read))
+    except (ValidationError, InfeasibleError, FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
-    except FloatingPointError as e:   # a float solve that round-off defeated
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        # a float solve that round-off defeated is no input error
+        return 2 if isinstance(e, FloatingPointError) else 1
 
     rep.setdefault("mode", args.mode)
     rep["tolerance"] = tol

@@ -102,17 +102,6 @@ def _require_positive(costs):
         raise ValidationError("cover costs must be strictly positive")
 
 
-def _cover_weight(row_costs, col_costs, ints, scale, rows, cols):
-    """A cover's weight: exact costs as the sum of their scaled ints over the
-    scale, floats summed rows first, then columns, each from 0.0."""
-    if scale is not None:
-        nr = len(row_costs)
-        return Fraction(sum(ints[i] for i in rows) +
-                        sum(ints[nr + j] for j in cols), scale)
-    return left_sum((row_costs[i] for i in rows), 0.0) + \
-        left_sum((col_costs[j] for j in cols), 0.0)
-
-
 def min_weighted_vertex_cover(inst: BipartiteCoverInstance) -> CoverResult:
     """Minimum-weight cover of all edges, with the max-flow optimality certificate.
 
@@ -149,16 +138,21 @@ def _scaled_covers(row_costs: tuple, col_costs: tuple, batches):
     (floats as given, with EPS as the kernel's zero), its results back in
     the costs' units: ([(rows, cols) per batch], [weight per batch], flow
     per edge, flow value).  The flow is divided lazily, as an iterator,
-    since the nested sweep drops it."""
+    since the nested sweep drops it.  A cover's weight is summed on the
+    kernel's costs, rows first, then columns, each from 0 (0.0 on floats)."""
     nr = len(row_costs)
     costs, scale = common_integers(row_costs + col_costs)
+    zero = 0 if scale is not None else 0.0
     covers, flow, total = _max_flow_cover(
         costs[:nr], costs[nr:], batches, 0 if scale is not None else EPS)
+    weights = [left_sum((costs[i] for i in rows), zero) +
+               left_sum((costs[nr + j] for j in cols), zero)
+               for rows, cols in covers]
     if scale is not None:
         flow = map(_over(flow, scale), flow)
         total = Fraction(total, scale)
-    return covers, [_cover_weight(row_costs, col_costs, costs, scale, rows, cols)
-                    for rows, cols in covers], flow, total
+        weights = [Fraction(w, scale) for w in weights]
+    return covers, weights, flow, total
 
 
 def _max_flow_cover(row_costs, col_costs, batches, tol):

@@ -199,6 +199,10 @@ def test_cli_check_rejects_forged_step_fits(tmp_path, kind, mode):
     for change, expected in _FORGED_FITS:
         assert _check_tampered(tmp_path, jobs, kind, mode,
                                _forge_fit(change)) == expected
+    # a fit within its eps, reported under another eps (a profile's value)
+    key, fit = ("epsilon", "fit") if kind == "stepfit" else ("value", "witness")
+    assert _check_tampered(tmp_path, jobs, kind, mode, _set(**{key: "1/1000"})) \
+        == [f"reported {key} != {fit} epsilon"]
 
 
 @pytest.mark.parametrize("kind", ["stepfit", "vcprofile"])
@@ -268,6 +272,22 @@ def test_cli_check_rejects_a_negative_fractional_pair(tmp_path, mode):
     code, out = _run(["check", str(rp)])
     assert code == 2
     assert json.loads(out)["violations"] == ["fractional pair has a negative entry"]
+
+
+@pytest.mark.parametrize("mode,entry,message", [
+    ("exact", "-1", "negative majorant entry"),
+    ("float", "-1", "negative or non-finite majorant entry"),
+    ("float", "nan", "negative or non-finite majorant entry")])
+def test_cli_check_reads_a_negative_or_nan_majorant_entry_as_malformed(
+        tmp_path, mode, entry, message):
+    jobs = {job[0]: job for job in _self_checked_jobs(_fixture_corpus(tmp_path))}
+    code, out = _run(jobs["srnorm"] + ["--mode", mode])
+    assert code == 0
+    rep = json.loads(out)
+    rep["majorant"]["b"][3] = entry
+    rp = tmp_path / "forged.json"
+    rp.write_text(json.dumps(rep))
+    assert _run_failing(["check", str(rp)]) == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])

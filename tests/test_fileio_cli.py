@@ -16,8 +16,8 @@ from hypothesis import example, given, strategies as st
 
 import virtcont
 from virtcont import (DiscreteSpace, MetricMatrix, Plan, ProductFunction,
-                      ProductSet, ValidationError, fileio, kantorovich,
-                      kr_norm, model)
+                      ProductSet, ValidationError, checkers, cli, fileio,
+                      kantorovich, kr_norm, model)
 from virtcont.checkers import check_report
 from virtcont.cli import main
 from virtcont.fileio import (_cell_strings, _Reader, dumps_json,
@@ -266,6 +266,13 @@ def test_cli_check_round_trip(tmp_path):
             code, out2 = _run(["check", str(rp)])
             assert code == 0, (mode, job)
             assert json.loads(out2)["violations"] == []
+
+
+def test_every_command_but_refine_and_check_has_a_checker():
+    # a check row for no command would never run; a command without one
+    # emits its report unchecked
+    assert set(checkers._CHECKS) <= set(cli._COMMANDS)
+    assert set(cli._COMMANDS) - set(checkers._CHECKS) == {"refine", "check"}
 
 
 def _tamper_krnorm_potential(rep):
@@ -718,6 +725,18 @@ def test_cli_malformed_input_files_exit_1(tmp_path):
         else:
             job = ["srnorm", bad]
         assert bad in _run_failing(job)
+    # a metric whose space repeats a label, or has no atoms
+    one_label = space["labels"][:1] * len(space["labels"])
+    for name, bad_metric, message in (
+            ("duplicate-labels.json",
+             dict(metric, space=dict(space, labels=one_label)), "duplicate label"),
+            ("no-atoms.json",
+             dict(metric, space={"labels": [], "weights": []}, dist=[]),
+             "space has no atoms")):
+        bad = tmp_path / name
+        bad.write_text(json.dumps(bad_metric))
+        assert _run_failing(["transport", str(bad), paths["mu1"], paths["mu2"]]) \
+            == f"error: {bad}: {message}\n"
 
 
 def test_cli_lists_given_as_strings_or_objects_exit_1(tmp_path):

@@ -13,7 +13,7 @@ from virtcont import (BipartiteCoverInstance, DiscreteSpace, InfeasibleError,
                       MetricMatrix, ProductFunction, TransportationInstance,
                       flows, kantorovich, kr_norm, min_weighted_vertex_cover,
                       solve_transportation, sr_norm)
-from virtcont.model import left_sum
+from virtcont.model import ValidationError, left_sum
 
 from lp_oracle import transport_lp_value
 from util import (brute_cover, rand_weights, reference_bellman_ford,
@@ -39,6 +39,17 @@ def test_no_edges_give_the_empty_cover(one):
     assert (res.rows, res.cols, res.flow) == ([], [], [])
     assert res.value == res.flow_value == zero
     assert type(res.value) is type(res.flow_value) is type(zero)
+
+
+def test_cover_edges_are_normalised_and_checked_in_range():
+    w = (Fraction(1, 2),) * 2
+    # unsorted, with a duplicate: read as the distinct pairs in order
+    inst = BipartiteCoverInstance(w, w, [(1, 0), (0, 0), (1, 0)])
+    assert inst.edges == ((0, 0), (1, 0))
+    assert min_weighted_vertex_cover(inst) == min_weighted_vertex_cover(
+        BipartiteCoverInstance(w, w, ((0, 0), (1, 0))))
+    with pytest.raises(ValidationError, match=r"^edge \(0,2\) out of range$"):
+        BipartiteCoverInstance(w, w, [(0, 2)])
 
 
 def test_diagonal_matching_uniform():
@@ -153,6 +164,17 @@ def test_min_cost_matches_dense_lp():
                 assert res.u[i] + res.v[j] <= cost[i][j]
                 if res.plan[i][j] > 0:
                     assert res.u[i] + res.v[j] == cost[i][j]
+
+
+@pytest.mark.parametrize("args,message", [
+    (((1,), (1,), ((1,),), "cheapest"), "unknown mode 'cheapest'"),
+    (((1,), (1,), ((1, 2),)), "matrix dimensions do not match"),
+    (((1, 1), (1,), ((1,),)), "matrix dimensions do not match"),
+    (((-1, 2), (1,), ((1,), (1,))), "negative supply or demand"),
+], ids=["mode", "columns", "rows", "negative-supply"])
+def test_transportation_instance_rejects_malformed_data(args, message):
+    with pytest.raises(ValidationError, match=message):
+        TransportationInstance(*args)
 
 
 def test_unbalanced_min_cost_is_infeasible():
