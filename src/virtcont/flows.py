@@ -24,22 +24,26 @@ with tol 0 on the ints and EPS on floats.  The transportation solver finds
 each shortest path by a Bellman-Ford search on reduced costs
 (`_ssp_bellman_ford`), which stays correct where float round-off makes a
 reduced cost negative; a float search that round-off sends around a cycle
-is run again with a margin scaled to the costs.  Augmentation order is
-deterministic: ties break on the lowest node index, or in the
+is run again with a margin scaled to the costs.  A round of that search
+scans only the nodes that the round before it moved, from lists kept per
+phase, tests each arc against a limit formed once per distance, and reads
+backward arcs from a support kept sorted across passes.  Augmentation
+order is deterministic: ties break on the lowest node index, or in the
 transportation search on the arc that it scans first.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import inf
+from math import inf, isfinite
 from operator import itemgetter, lt, sub
 from typing import Sequence
 
-from .model import (EPS, Number, ValidationError, common_integers, is_exact,
-                    left_sum, zero_of)
+from .model import (EPS, Number, ValidationError, all_exact, common_integers,
+                    is_exact, left_sum, zero_of)
 
 
 class InfeasibleError(ValueError):
@@ -263,6 +267,10 @@ class TransportationInstance:
             raise ValidationError(f"unknown mode {mode!r}")
         if len(matrix) != len(supplies) or any(len(r) != len(demands) for r in matrix):
             raise ValidationError("matrix dimensions do not match supplies/demands")
+        # one type test per value: exact values are finite, floats are tested
+        if not all_exact(chain(supplies, demands, *matrix)) and not all(
+                map(isfinite, chain(supplies, demands, *matrix))):
+            raise ValidationError("non-finite supply, demand or matrix entry")
         if any(s < 0 for s in supplies) or any(d < 0 for d in demands):
             raise ValidationError("negative supply or demand")
         object.__setattr__(self, "supplies", supplies)
@@ -321,9 +329,9 @@ def _ssp_bellman_ford(supplies, demands, cost, tol):
     cycle in the predecessors only around a negative cycle of the residual
     network, and successive shortest paths leave none.
 
-    The plan's support, the rows i with plan[i][j] > tol per column j, is
-    kept across passes and tested again only at the cells of each
-    augmenting path, which one walk back from the sink gives.
+    The plan's support, per column j the rows i with plan[i][j] > tol in
+    ascending order, is kept across passes and updated only at the cells of
+    each augmenting path, which one walk back from the sink gives.
     """
     nr, nc = len(supplies), len(demands)
     zero = 0 * tol
@@ -331,7 +339,7 @@ def _ssp_bellman_ford(supplies, demands, cost, tol):
     margin = tol * max(1, max(map(abs, chain.from_iterable(cost)), default=0))
 
     plan = [[zero] * nc for _ in range(nr)]
-    support = [set() for _ in range(nc)]    # rows i with plan[i][j] > tol
+    support = [[] for _ in range(nc)]   # rows i with plan[i][j] > tol, ascending
     remaining_supply = list(supplies)
     remaining_demand = list(demands)
     pi = [zero] * n  # accumulated shortest distances from the source
@@ -342,16 +350,21 @@ def _ssp_bellman_ford(supplies, demands, cost, tol):
         where its arc is scanned (negative while the potentials start at
         zero), or None at the end of the first round that leaves a cycle in
         the predecessors.  An arc u -> v is taken if it makes v's distance
-        less than its current one minus the margin.  The source's arcs, at
-        cost 0 to the rows with supply left, are taken before the first
-        round; pi[source] stays 0, as the source's distance is 0 in every
-        pass.  A round scans the rows' forward arcs in row order, then per
-        column its backward arcs and its sink arc, but only out of nodes
-        whose distance was set since they were last scanned: from any other
-        node every arc gives the sum it gave then, which took nothing then
-        and takes nothing now, since distances only fall.  So each round
-        takes the arcs that a scan of every arc would take, in the same
-        order, and ends the search in the same round.
+        less than lim[v], its current one minus the margin, formed once
+        when that distance is set (inf while v is unreached).  The source's
+        arcs, at cost 0 to the rows with supply left, are taken before the
+        first round; pi[source] stays 0, as the source's distance is 0 in
+        every pass.  A round scans the rows' forward arcs in row order, then
+        per column its backward arcs and its sink arc, but only out of the
+        nodes whose distance was set since they were last scanned: from any
+        other node every arc gives the sum it gave then, which took nothing
+        then and takes nothing now, since distances only fall.  Those nodes
+        are kept in lists, not found by a flag on every node: the rows that
+        the previous round's column phase set (in round 0, the rows with
+        supply left), then the columns that this round's row phase set,
+        each in ascending order.  So each round takes the arcs that a scan
+        of every arc would take, in the same order, and ends the search in
+        the same round.
 
         A cycle left by a round passes through a node whose predecessor the
         round set, since the round before left none (the sink is on no
@@ -361,55 +374,48 @@ def _ssp_bellman_ford(supplies, demands, cost, tol):
         source or at a node met earlier in the round, and has met a cycle
         if that node carries its own stamp."""
         pc = pi[1 + nr:snk]     # the columns' potentials
-        back = [sorted(rows) for rows in support]
-        dist, prev = [None] * n, [None] * n
+        dist, prev, lim = [None] * n, [None] * n, [inf] * n
         dist[src] = zero
-        fresh = [False] * n     # distance set since the node was scanned
-        for i in range(nr):     # source -> rows with supply left, cost 0
-            if remaining_supply[i] > tol:
-                dist[1 + i], prev[1 + i] = zero + (zero - pi[1 + i]), src
-                fresh[1 + i] = True
+        rows = [1 + i for i in range(nr) if remaining_supply[i] > tol]
+        for u in rows:          # source -> rows with supply left, cost 0
+            d = zero + (zero - pi[u])
+            dist[u], prev[u], lim[u] = d, src, d - margin
         stamp = [0] * n         # the number of the last walk to meet a node
         stamp[src] = inf        # where every walk ends
         walks = 0
         for _ in range(n):
-            moved = []          # the nodes but the sink whose prev was set
-            for i in range(nr):
-                if fresh[1 + i]:
-                    fresh[1 + i] = False
-                    du, r = dist[1 + i], pi[1 + i]
-                    for v, c, p in zip(range(1 + nr, snk), cost[i], pc):
-                        d = du + ((c + r) - p)
-                        if dist[v] is None or d < dist[v] - margin:
-                            dist[v], prev[v] = d, 1 + i
-                            fresh[v] = True
-                            moved.append(v)
-            for j, p in enumerate(pc):
-                u = 1 + nr + j
-                if not fresh[u]:
-                    continue
-                fresh[u] = False
-                du = dist[u]
-                for i in back[j]:
+            cols = []           # the columns whose prev the row phase set
+            for u in rows:
+                du, r = dist[u], pi[u]
+                for v, c, p in zip(range(1 + nr, snk), cost[u - 1], pc):
+                    d = du + ((c + r) - p)
+                    if d < lim[v]:
+                        dist[v], prev[v], lim[v] = d, u, d - margin
+                        cols.append(v)
+            rows = []           # the rows whose prev the column phase set
+            for u in sorted(set(cols)):
+                j = u - 1 - nr
+                du, p = dist[u], pc[j]
+                for i in support[j]:
                     d = du + ((-cost[i][j] + p) - pi[1 + i])
-                    if dist[1 + i] is None or d < dist[1 + i] - margin:
-                        dist[1 + i], prev[1 + i] = d, u
-                        fresh[1 + i] = True
-                        moved.append(1 + i)
+                    if d < lim[1 + i]:
+                        dist[1 + i], prev[1 + i], lim[1 + i] = d, u, d - margin
+                        rows.append(1 + i)
                 if remaining_demand[j] > tol:
                     d = du + ((zero + p) - pi[snk])
-                    if dist[snk] is None or d < dist[snk] - margin:
-                        dist[snk], prev[snk] = d, u
-            if not moved:
+                    if d < lim[snk]:
+                        dist[snk], prev[snk], lim[snk] = d, u, d - margin
+            if not cols:
                 break
             first = walks + 1   # the stamps of this round's walks
-            for v in moved:
+            for v in chain(cols, rows):
                 walks += 1
                 while stamp[v] < first:
                     stamp[v] = walks
                     v = prev[v]
                 if stamp[v] == walks:
                     return None
+            rows = sorted(set(rows))
         if dist[snk] is None:
             raise InfeasibleError("transportation network disconnected")
         return dist, prev
@@ -444,10 +450,12 @@ def _ssp_bellman_ford(supplies, demands, cost, tol):
         remaining_demand[cols[-1]] -= bottleneck
         to_ship -= bottleneck
         for i, j in chain(zip(rows, cols), zip(rows[1:], cols)):
+            held = support[j]
+            k = bisect_left(held, i)
+            if held[k:k + 1] == [i]:
+                del held[k]
             if plan[i][j] > tol:
-                support[j].add(i)
-            else:
-                support[j].discard(i)
+                held.insert(k, i)
         # fold distances into potentials (unreached nodes get the max distance)
         dmax = max(d for d in dist if d is not None)
         pi[:] = [p + (dmax if d is None else d) for p, d in zip(pi, dist)]

@@ -298,7 +298,7 @@ class SeparableMajorant:
             if is_exact(v):
                 if v < 0:
                     raise ValidationError("negative majorant entry")
-            elif not (v == v) or v < -DEFAULT_TOL:
+            elif not -DEFAULT_TOL <= v < float("inf"):
                 raise ValidationError("negative or non-finite majorant entry")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)

@@ -277,7 +277,8 @@ def test_cli_check_rejects_a_negative_fractional_pair(tmp_path, mode):
 @pytest.mark.parametrize("mode,entry,message", [
     ("exact", "-1", "negative majorant entry"),
     ("float", "-1", "negative or non-finite majorant entry"),
-    ("float", "nan", "negative or non-finite majorant entry")])
+    ("float", "nan", "negative or non-finite majorant entry"),
+    ("float", "inf", "negative or non-finite majorant entry")])
 def test_cli_check_reads_a_negative_or_nan_majorant_entry_as_malformed(
         tmp_path, mode, entry, message):
     jobs = {job[0]: job for job in _self_checked_jobs(_fixture_corpus(tmp_path))}

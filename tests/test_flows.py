@@ -4,7 +4,7 @@ import hashlib
 import random
 from fractions import Fraction
 from itertools import chain
-from math import copysign, gcd
+from math import copysign, gcd, inf, nan
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -171,7 +171,12 @@ def test_min_cost_matches_dense_lp():
     (((1,), (1,), ((1, 2),)), "matrix dimensions do not match"),
     (((1, 1), (1,), ((1,),)), "matrix dimensions do not match"),
     (((-1, 2), (1,), ((1,), (1,))), "negative supply or demand"),
-], ids=["mode", "columns", "rows", "negative-supply"])
+    (((nan, 1.0), (1.0,), ((1.0,), (1.0,))), "non-finite supply, demand"),
+    (((1.0,), (inf,), ((1.0,),)), "non-finite supply, demand"),
+    (((1.0,), (1.0,), ((-inf,),)), "non-finite supply, demand"),
+    (((Fraction(1),), (Fraction(1),), ((nan,),)), "non-finite supply, demand"),
+], ids=["mode", "columns", "rows", "negative-supply", "nan-supply",
+        "inf-demand", "inf-cost", "nan-cost-with-exact-masses"])
 def test_transportation_instance_rejects_malformed_data(args, message):
     with pytest.raises(ValidationError, match=message):
         TransportationInstance(*args)
@@ -319,13 +324,18 @@ def test_min_cost_float_duals_are_never_negative_zero():
 # ------------------------------------------------------------ the searches
 # Both regimes run one Bellman-Ford search, exact solves on scaled ints.
 # There it must take the plans and potentials that a search scanning every
-# arc in every round takes, ties included.
+# arc in every round takes, ties included.  Each test draws small sides or
+# sides of 9 to 24: there rows are scanned again in later rounds, and node
+# numbers pass the size of a small set's table, so that a set of them no
+# longer iterates in ascending order.
+
 
 @st.composite
 def _tie_heavy_instances(draw):
-    """Small instances of either mode with unequal sides, zero supplies and
+    """Instances of either mode with unequal sides, zero supplies and
     demands, and costs over denominators 1 to 3, so shortest paths tie."""
-    nr, nc = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    sides = draw(st.sampled_from([(1, 6), (9, 24)]))
+    nr, nc = draw(st.integers(*sides)), draw(st.integers(*sides))
     mass = st.builds(Fraction, st.integers(0, 3), st.integers(1, 3))
     supplies = draw(st.lists(mass, min_size=nr, max_size=nr))
     demands = draw(st.lists(mass, min_size=nc, max_size=nc))
@@ -360,14 +370,15 @@ def test_exact_search_equals_the_full_scan_on_the_same_ints(inst):
         reference_bellman_ford(supplies, demands, cost, tol)
 
 
-def _float_transport_network(rng):
-    """A float transportation instance and its exact masses: sides 1 to 8,
-    masses k/q with zeros, balanced before rounding, and costs spread over
-    1e-3 to 1e6.  The costs are drawn one by one, or as a_i + b_j, on which
-    every plan costs the same, or as |a_i - b_j|, a metric on a line; the
-    last two tie shortest paths up to round-off.  Returns the kernel's
-    arguments (masses rounded to floats) and the masses as Fractions."""
-    nr, nc, q = rng.randint(1, 8), rng.randint(1, 8), rng.randint(1, 12)
+def _float_transport_network(rng, sides=(1, 8)):
+    """A float transportation instance and its exact masses: sides drawn
+    from `sides` (1 to 8 unless given), masses k/q with zeros, balanced
+    before rounding, and costs spread over 1e-3 to 1e6.  The costs are
+    drawn one by one, or as a_i + b_j, on which every plan costs the same,
+    or as |a_i - b_j|, a metric on a line; the last two tie shortest paths
+    up to round-off.  Returns the kernel's arguments (masses rounded to
+    floats) and the masses as Fractions."""
+    nr, nc, q = rng.randint(*sides), rng.randint(*sides), rng.randint(1, 12)
     supplies = [rng.randint(0, 5) for _ in range(nr)]
     demands = [rng.randint(0, 5) for _ in range(nc)]
     gap = sum(supplies) - sum(demands)
@@ -387,7 +398,7 @@ def _float_transport_network(rng):
     return ([k / q for k in supplies], [k / q for k in demands], cost), masses
 
 
-def _float_profit_network(rng):
+def _float_profit_network(rng, sides=(1, 8)):
     """The max-profit reduction that `solve_transportation` builds for
     `sr_norm`, as the kernel gets it: positive masses k/q (the spaces'
     weights) under slack marginals, profits spread over 1e-3 to 1e6 and
@@ -395,7 +406,7 @@ def _float_profit_network(rng):
     other side's total.  So the first pass meets negative costs, and every
     row is reached, and its forward arcs scanned, in every pass.  Returns
     what `_float_transport_network` returns."""
-    nr, nc, q = rng.randint(1, 8), rng.randint(1, 8), rng.randint(1, 12)
+    nr, nc, q = rng.randint(*sides), rng.randint(*sides), rng.randint(1, 12)
     supplies = [rng.randint(1, 5) for _ in range(nr)]
     demands = [rng.randint(1, 5) for _ in range(nc)]
     cost = [[-10.0 ** rng.uniform(-3, 6) for _ in range(nc)] + [0.0]
@@ -405,6 +416,9 @@ def _float_profit_network(rng):
     masses = ([Fraction(k, q) for k in supplies + [sum(demands)]],
               [Fraction(k, q) for k in demands + [sum(supplies)]])
     return (s + [left_sum(d, 0.0)], d + [left_sum(s, 0.0)], cost), masses
+
+
+FLOAT_SIDES = st.sampled_from([(1, 8), (9, 24)])
 
 
 def _transport_certificate_problems(supplies, demands, cost, total, plan, pi):
@@ -439,22 +453,27 @@ def _transport_certificate_problems(supplies, demands, cost, total, plan, pi):
 
 
 @settings(max_examples=300)
-@given(st.randoms(use_true_random=False).map(_float_transport_network))
+@given(st.builds(_float_transport_network, st.randoms(use_true_random=False),
+                 FLOAT_SIDES))
 def test_float_search_equals_the_one_without_retry_until_that_one_cycles(drawn):
     # the reference is the search before a pass that closes a cycle was
     # searched again, with every arc scanned in every round; it returns None
-    # at the first round that leaves a cycle, where the kernel searches again
+    # at the first round that leaves a cycle, where the kernel searches again.
+    # Past that round the kernel is compared with the reference that searches
+    # again as it does, still scanning every arc in every round
     args, (supplies, demands) = drawn
     cycled = reference_bellman_ford(*args, flows.EPS)
     try:
         got = flows._ssp_bellman_ford(*args, flows.EPS)
     except FloatingPointError:
         assert cycled is None
+        assert reference_bellman_ford(*args, flows.EPS, retry=True) is None
         return
     if cycled is not None:
         # repr compares the float bits, not only the values
         assert repr(got) == repr(cycled)
         return
+    assert repr(got) == repr(reference_bellman_ford(*args, flows.EPS, retry=True))
     assert _transport_certificate_problems(*args, *got) == []
     cost = args[2]
     scale = max(1, *map(abs, chain.from_iterable(cost)))
@@ -466,7 +485,8 @@ def test_float_search_equals_the_one_without_retry_until_that_one_cycles(drawn):
 
 
 @settings(max_examples=300)
-@given(st.randoms(use_true_random=False).map(_float_profit_network))
+@given(st.builds(_float_profit_network, st.randoms(use_true_random=False),
+                 FLOAT_SIDES))
 def test_float_search_equals_the_one_without_retry_on_the_sr_norm_shape(drawn):
     test_float_search_equals_the_one_without_retry_until_that_one_cycles \
         .hypothesis.inner_test(drawn)

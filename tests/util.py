@@ -150,16 +150,22 @@ def _has_cycle(parent, root):
     return False
 
 
-def reference_bellman_ford(supplies, demands, cost, tol):
+def reference_bellman_ford(supplies, demands, cost, tol, retry=False):
     """`flows._ssp_bellman_ford` as it was before a pass whose search closes
     a cycle was searched again: every round scans every arc, and each
     reduced cost is formed where it is used.  The one addition is a guard at
     the end of each round: the search returns None at the first round that
-    leaves a cycle in `prev`, the round at which the kernel searches again."""
+    leaves a cycle in `prev`, the round at which the kernel searches again.
+
+    With retry, such a pass is searched again as the kernel does, taking an
+    arc only if it shortens a distance by more than the margin
+    tol * max(1, max|cost|), and None is returned only if that search leaves
+    a cycle too."""
     nr, nc = len(supplies), len(demands)
     zero = 0 * tol
     src, snk = 0, nr + nc + 1
     n = nr + nc + 2
+    margin = tol * max([1] + [abs(c) for row in cost for c in row])
 
     plan = [[zero] * nc for _ in range(nr)]
     remaining_supply = list(supplies)
@@ -169,10 +175,9 @@ def reference_bellman_ford(supplies, demands, cost, tol):
     def reduced(c, u, v):
         return c + pi[u] - pi[v]
 
-    total_cost = zero
-    to_ship = left_sum(supplies, zero)
     INF = None
-    while to_ship > tol:
+
+    def search(margin):
         # Bellman-Ford on reduced costs, on every pass (reduced costs may be
         # negative while the potentials start at zero).  On ints it is exact.
         # On floats the strict `<` can accept a round-off "improvement" that
@@ -186,7 +191,7 @@ def reference_bellman_ford(supplies, demands, cost, tol):
             for i in range(nr):
                 if remaining_supply[i] > tol:
                     d = dist[src] + reduced(zero, src, 1 + i)
-                    if dist[1 + i] is None or d < dist[1 + i]:
+                    if dist[1 + i] is None or d < dist[1 + i] - margin:
                         dist[1 + i] = d
                         prev[1 + i] = (src, ("s", i))
                         changed = True
@@ -195,7 +200,7 @@ def reference_bellman_ford(supplies, demands, cost, tol):
                     continue
                 for j in range(nc):
                     d = dist[1 + i] + reduced(cost[i][j], 1 + i, 1 + nr + j)
-                    if dist[1 + nr + j] is None or d < dist[1 + nr + j]:
+                    if dist[1 + nr + j] is None or d < dist[1 + nr + j] - margin:
                         dist[1 + nr + j] = d
                         prev[1 + nr + j] = (1 + i, ("f", i, j))
                         changed = True
@@ -206,13 +211,13 @@ def reference_bellman_ford(supplies, demands, cost, tol):
                 for i in range(nr):
                     if plan[i][j] > tol:
                         d = dist[1 + nr + j] + reduced(-cost[i][j], 1 + nr + j, 1 + i)
-                        if dist[1 + i] is None or d < dist[1 + i]:
+                        if dist[1 + i] is None or d < dist[1 + i] - margin:
                             dist[1 + i] = d
                             prev[1 + i] = (1 + nr + j, ("b", i, j))
                             changed = True
                 if remaining_demand[j] > tol:
                     d = dist[1 + nr + j] + reduced(zero, 1 + nr + j, snk)
-                    if dist[snk] is None or d < dist[snk]:
+                    if dist[snk] is None or d < dist[snk] - margin:
                         dist[snk] = d
                         prev[snk] = (1 + nr + j, ("t", j))
                         changed = True
@@ -220,6 +225,15 @@ def reference_bellman_ford(supplies, demands, cost, tol):
                 break
             if _has_cycle([p and p[0] for p in prev], src):
                 return None
+        return dist, prev
+
+    total_cost = zero
+    to_ship = left_sum(supplies, zero)
+    while to_ship > tol:
+        found = search(zero) or (retry and search(margin))
+        if not found:
+            return None
+        dist, prev = found
         if dist[snk] is None:
             raise InfeasibleError("transportation network disconnected")
 
