@@ -6,8 +6,9 @@ Reports embed the same matrices as objects with the same cells.  Numbers
 serialize as "p/q" strings in exact mode and as 17-significant-digit
 decimals in float mode; parse(emit(x)) == x in both regimes.  Each
 distinct number string of a file is parsed once, and each distinct number
-object of a matrix is formatted once.  A malformed file raises a
-ValidationError that names its path.
+object of a matrix is formatted once.  Set cells are written as the ints 0
+and 1 and read, as a file's "0"/"1" or a report's 0/1, by one lookup each.
+A malformed file raises a ValidationError that names its path.
 """
 
 from __future__ import annotations
@@ -185,10 +186,12 @@ def save_vector(values, path: str) -> None:
 # One codec for functions, sets and plans: a report object carries the same
 # cells as a CSV file, and `_build` reads them from either.
 
-# kind: (class, cells attribute and key, cell writer)
-_KINDS = {"function": (ProductFunction, "values", format_number),
-          "set": (ProductSet, "membership", int),
-          "plan": (Plan, "mass", format_number)}
+# kind: (class, cells attribute and key, writer of its rows)
+_KINDS = {"function": (ProductFunction, "values", _cell_strings),
+          "set": (ProductSet, "membership",
+                  lambda rows: [list(map(int, row)) for row in rows]),
+          "plan": (Plan, "mass", _cell_strings)}
+_BITS = {"0": False, "1": True, 0: False, 1: True}   # the set cells
 
 
 def _matrix_kind(m) -> str:
@@ -203,11 +206,15 @@ def _build(kind, x_space, y_space, cells, read, signed):
     if not all(isinstance(row, (list, tuple)) for row in cells):
         raise ValidationError("matrix rows must be lists of cells")
     if kind == "set":
-        text = [list(map(str, row)) for row in cells]
-        if not set().union(*text) <= {"0", "1"}:
-            raise ValidationError("set cells must be 0 or 1")
-        return ProductSet(x_space, y_space,
-                          [list(map("1".__eq__, row)) for row in text])
+        # one lookup per cell; True == 1 == 1.0, so a cell of a type other
+        # than str and int is looked up by its str
+        if not set(map(type, chain.from_iterable(cells))) <= {str, int}:
+            cells = [list(map(str, row)) for row in cells]
+        try:
+            bits = [list(map(_BITS.__getitem__, row)) for row in cells]
+        except KeyError:
+            raise ValidationError("set cells must be 0 or 1") from None
+        return ProductSet(x_space, y_space, bits)
     rows = list(map(read.numbers, cells))
     if kind == "plan":
         return Plan(x_space, y_space, rows, signed=bool(signed))
@@ -219,7 +226,7 @@ def matrix_to_obj(m) -> dict:
     also carries `"signed": true`."""
     _, key, write = _KINDS[_matrix_kind(m)]
     obj = {"x_space": space_to_obj(m.x_space), "y_space": space_to_obj(m.y_space),
-           key: _cell_strings(getattr(m, key), write)}
+           key: write(getattr(m, key))}
     if getattr(m, "signed", False):
         obj["signed"] = True
     return obj

@@ -10,7 +10,8 @@ Two solvers live here:
   search runs on the bipartite network's own flows and stops at the first
   column it reaches with sink residual left: breadth-first order dequeues
   that column before any node reached after it, so a search run on to the
-  sink would take the same path;
+  sink would take the same path.  A batch's one-edge paths, which the
+  search would return first, are taken in its order without a search;
 * a balanced min-cost transportation solver (successive shortest paths with
   node potentials) that also handles the max-profit / slack-marginal variant
   through a dummy row and column.
@@ -34,7 +35,7 @@ transportation search on the arc that it scans first.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -169,33 +170,41 @@ def _max_flow_cover(row_costs, col_costs, batches, tol):
     and EPS on floats; the zero follows it, so int sums stay ints.
 
     Each path is a shortest one, found breadth first (Edmonds & Karp, J. ACM
-    19, 1972) on the flow through each row, column and edge.  Rows leave the
-    source in index order; a row opens every column it has not reached, in
-    the order its edges were added (edge arcs exceed every cut, so they are
-    always open and never bind); a column opens rows back through edges with
-    flow above tol.  The search stops at the first column it reaches with
-    sink residual above tol.  Every column reached before it has none, and
-    every node reached after it is dequeued after it, so a search run on to
-    the sink takes the same path.  Residuals are formed as cost - flow, never
-    kept by decrement, so floats take the bits of generic arc lists."""
+    19, 1972) on the flow through each row, column and edge.  The rows with
+    residual, kept in a set, leave the source in index order; a row opens
+    every column it has not reached, in the order its edges were added (edge
+    arcs exceed every cut, so they are always open and never bind); a column
+    opens rows back through the edges with flow above tol, which it lists in
+    edge order, updated at the edges of each path.  The search stops at the
+    first column it reaches with sink residual above tol.  Every column
+    reached before it has none, and every node reached after it is dequeued
+    after it, so a search run on to the sink takes the same path.  Residuals
+    are formed as cost - flow, never kept by decrement, so floats take the
+    bits of generic arc lists.
+
+    So the search returns the first edge, in row and then edge order, whose
+    row and column both have residual, if any.  Row and column flows only
+    grow, so an edge that lost this never regains it, and all have lost it
+    after a batch's last search: a batch takes its new edges first, unsearched."""
     nr, nc = len(row_costs), len(col_costs)
     zero = 0 * tol
     row_flow, col_flow = [zero] * nr, [zero] * nc
     flow, ends = [], []                   # per edge, in the order added
-    row_edges = [[] for _ in range(nr)]   # (column, edge) per row
-    col_edges = [[] for _ in range(nc)]   # (row, edge) per column
+    row_edges = [[] for _ in range(nr)]   # (edge, column) per row
+    carried = [[] for _ in range(nc)]     # (edge, row) per column, flow above tol
+    live = {i for i in range(nr) if row_costs[i] > tol}   # rows with residual
 
     def search(row_via, col_via):
         """The first column reached with sink residual, or None once all
         that can be reached is; marks each node with the edge it was
         reached through, -1 for the source."""
-        rows = [i for i in range(nr) if row_costs[i] - row_flow[i] > tol]
+        rows = sorted(live)
         for i in rows:
             row_via[i] = -1
         while rows:
             cols = []
             for i in rows:
-                for j, e in row_edges[i]:
+                for e, j in row_edges[i]:
                     if col_via[j] is None:
                         col_via[j] = e
                         if col_costs[j] - col_flow[j] > tol:
@@ -203,20 +212,46 @@ def _max_flow_cover(row_costs, col_costs, batches, tol):
                         cols.append(j)
             rows = []
             for j in cols:
-                for i, e in col_edges[j]:
-                    if row_via[i] is None and flow[e] > tol:
+                for e, i in carried[j]:
+                    if row_via[i] is None:
                         row_via[i] = e
                         rows.append(i)
         return None
 
+    def augment(i, j, forward, backward):
+        """Pushes the bottleneck of the path from row i to column j."""
+        nonlocal total
+        bottleneck = min(col_costs[j] - col_flow[j],
+                         row_costs[i] - row_flow[i],
+                         *(flow[e] for e in backward))
+        assert bottleneck > tol, "a path without residual would come back"
+        col_flow[j] += bottleneck
+        row_flow[i] += bottleneck
+        if not row_costs[i] - row_flow[i] > tol:
+            live.discard(i)
+        # flows stay >= 0, so only a backward edge can fall to tol or below
+        for e in forward:
+            if not flow[e] > tol:
+                insort(carried[ends[e][1]], (e, ends[e][0]))
+            flow[e] += bottleneck
+        for e in backward:
+            flow[e] -= bottleneck
+            if not flow[e] > tol:
+                carried[ends[e][1]].remove((e, ends[e][0]))
+        total += bottleneck
+
     covers = []
     total = zero
     for batch in batches:
+        start = len(flow)
         for i, j in batch:
-            row_edges[i].append((j, len(flow)))
-            col_edges[j].append((i, len(flow)))
+            row_edges[i].append((len(flow), j))
             ends.append((i, j))
             flow.append(zero)
+        for i in sorted(live.intersection(map(itemgetter(0), ends[start:]))):
+            for e, j in row_edges[i][bisect_left(row_edges[i], (start,)):]:
+                while i in live and col_costs[j] - col_flow[j] > tol:
+                    augment(i, j, [e], ())
         while True:
             row_via, col_via = [None] * nr, [None] * nc
             free = search(row_via, col_via)
@@ -231,16 +266,7 @@ def _max_flow_cover(row_costs, col_costs, batches, tol):
                 if e != -1:
                     backward.append(e)
                     e = col_via[ends[e][1]]
-            bottleneck = min(col_costs[free] - col_flow[free],
-                             row_costs[i] - row_flow[i],
-                             *(flow[e] for e in backward))
-            col_flow[free] += bottleneck
-            row_flow[i] += bottleneck
-            for e in forward:
-                flow[e] += bottleneck
-            for e in backward:
-                flow[e] -= bottleneck
-            total += bottleneck
+            augment(i, free, forward, backward)
         # the failed search reached exactly the source side of the cut
         covers.append(([i for i in range(nr) if row_via[i] is None],
                        [j for j in range(nc) if col_via[j] is not None]))
@@ -268,8 +294,12 @@ class TransportationInstance:
         if len(matrix) != len(supplies) or any(len(r) != len(demands) for r in matrix):
             raise ValidationError("matrix dimensions do not match supplies/demands")
         # one type test per value: exact values are finite, floats are tested
-        if not all_exact(chain(supplies, demands, *matrix)) and not all(
-                map(isfinite, chain(supplies, demands, *matrix))):
+        try:
+            finite = all_exact(chain(supplies, demands, *matrix)) or all(
+                map(isfinite, chain(supplies, demands, *matrix)))
+        except OverflowError:   # an int or Fraction among floats fits no float
+            finite = False
+        if not finite:
             raise ValidationError("non-finite supply, demand or matrix entry")
         if any(s < 0 for s in supplies) or any(d < 0 for d in demands):
             raise ValidationError("negative supply or demand")

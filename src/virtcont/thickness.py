@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
-from operator import add, and_, ge, not_, sub
+from itertools import chain, compress
+from operator import and_
 
 from .flows import (BipartiteCoverInstance, min_weighted_vertex_cover,
                     nested_cover_weights)
@@ -109,12 +109,15 @@ def verify_cover(z: ProductSet, value: Number, cover_x, cover_y,
     if fractional_f is None:
         return problems
     (f, g), dp = scaled[1], scales[1]
+    # (fi + g[j]) - dp >= -t rises with g[j], rounding too: cells are tested
+    # one by one in a row that fails at its least g, or in all if g has a NaN
+    ordered = not any(v != v for v in g)
     for i, (fi, row) in enumerate(zip(f, z.membership)):
-        # per column, whether fi + g[j] - dp >= -t fails (NaN fails it)
-        low = map(not_, map(ge, map(sub, map(add, repeat(fi), g), repeat(dp)),
-                            repeat(-t)))
+        least = min(compress(g, row), default=None) if ordered else None
+        if ordered and (least is None or (fi + least) - dp >= -t):
+            continue
         problems += [f"fractional pair below 1 on cell ({i},{j})"
-                     for j in compress(cols, map(and_, row, low))]
+                     for j in compress(cols, row) if not (fi + g[j]) - dp >= -t]
     if not all(v >= -t for v in chain(f, g)):
         problems.append("fractional pair has a negative entry")
     fw = left_sum(w * v for w, v in zip(mu, f)) + left_sum(w * v for w, v in zip(nu, g))

@@ -664,12 +664,29 @@ def test_cli_check_rejects_set_cells_other_than_0_or_1(tmp_path):
     _, out = _run(["thickness", paths["z"]])
     rep = json.loads(out)
     rp = tmp_path / "bad-set.json"
-    for cell in (2, [0]):
+    # equal to 0 or 1, or printing so after a strip, is not enough
+    for cell in (2, [0], True, False, 1.0, None, " 1"):
         bad = json.loads(out)
         bad["inputs"]["set"]["membership"][0][1] = cell
         rp.write_text(json.dumps(bad))
         assert _run_failing(["check", str(rp)]) == \
             "error: set cells must be 0 or 1\n"
+    # cells as the strings a CSV file holds, and a row mixing both forms
+    for cells in (lambda row: list(map(str, row)),
+                  lambda row: [str(c) if k % 2 else c for k, c in enumerate(row)]):
+        good = json.loads(out)
+        good["inputs"]["set"]["membership"] = list(
+            map(cells, rep["inputs"]["set"]["membership"]))
+        rp.write_text(json.dumps(good))
+        assert _run(["check", str(rp)])[0] == 0
+    # a CSV set file whose cell spells a JSON bool
+    header, col_row, first, *rows = Path(paths["z"]).read_text().splitlines()
+    label, *cells = first.split(",")
+    bad_csv = tmp_path / "bad-set.csv"
+    first = ",".join([label, "true"] + cells[1:])
+    bad_csv.write_text("\n".join([header, col_row, first] + rows) + "\n")
+    assert _run_failing(["thickness", str(bad_csv)]) == \
+        f"error: {bad_csv}: set cells must be 0 or 1\n"
     # a row spelled as a string of cells is not a row
     bad = json.loads(out)
     bad["inputs"]["set"]["membership"][0] = "".join(

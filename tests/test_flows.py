@@ -80,10 +80,15 @@ def test_cover_matches_bruteforce_random():
 
 @st.composite
 def _cover_networks(draw):
-    """Arguments of the max-flow kernel: sides 0 to 12, any density, 1 to 5
-    batches, and int or float costs, either all equal, so that augmenting
-    paths tie, or random."""
-    nr, nc = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    """Arguments of the max-flow kernel, with int or float costs, either all
+    equal, so that augmenting paths tie, or random.  Most draws have sides 0
+    to 12, any density and 1 to 5 batches.  One in four has sides 13 to 40,
+    density at least 1/2 and 2 to 5 batches of shuffled cells, so that most
+    rows recur from batch to batch, as tau's and the layer cake's level sets
+    grow: there most paths are single edges, and flow leaves edges again."""
+    large = draw(st.integers(0, 3)) == 0
+    sides = st.integers(13, 40) if large else st.integers(0, 12)
+    nr, nc = draw(sides), draw(sides)
     exact = draw(st.booleans())
     if draw(st.booleans()):
         cost = st.just(3 if exact else 0.1)
@@ -91,9 +96,16 @@ def _cover_networks(draw):
         cost = st.integers(1, 30) if exact else st.floats(1e-3, 10)
     row_costs = draw(st.lists(cost, min_size=nr, max_size=nr))
     col_costs = draw(st.lists(cost, min_size=nc, max_size=nc))
-    cells = draw(st.permutations([(i, j) for i in range(nr) for j in range(nc)]))
-    cells = cells[:draw(st.integers(0, len(cells)))]
-    cuts = sorted(draw(st.lists(st.integers(0, len(cells)), max_size=4)))
+    cells = [(i, j) for i in range(nr) for j in range(nc)]
+    if large:
+        random.Random(draw(st.integers(0, 2 ** 32))).shuffle(cells)
+        cells = cells[:draw(st.integers((len(cells) + 1) // 2, len(cells)))]
+        cuts = draw(st.lists(st.integers(0, len(cells)), min_size=1, max_size=4))
+    else:
+        cells = draw(st.permutations(cells))
+        cells = cells[:draw(st.integers(0, len(cells)))]
+        cuts = draw(st.lists(st.integers(0, len(cells)), max_size=4))
+    cuts.sort()
     batches = [cells[a:b] for a, b in zip([0] + cuts, cuts + [len(cells)])]
     return row_costs, col_costs, batches, 0 if exact else flows.EPS
 
@@ -175,8 +187,13 @@ def test_min_cost_matches_dense_lp():
     (((1.0,), (inf,), ((1.0,),)), "non-finite supply, demand"),
     (((1.0,), (1.0,), ((-inf,),)), "non-finite supply, demand"),
     (((Fraction(1),), (Fraction(1),), ((nan,),)), "non-finite supply, demand"),
+    # past float range, among floats: no OverflowError from the range test
+    (((Fraction(10 ** 400), 1.0), (1.0,), ((1.0,), (1.0,))),
+     "non-finite supply, demand"),
+    (((1.0,), (1.0,), ((-10 ** 400,),)), "non-finite supply, demand"),
 ], ids=["mode", "columns", "rows", "negative-supply", "nan-supply",
-        "inf-demand", "inf-cost", "nan-cost-with-exact-masses"])
+        "inf-demand", "inf-cost", "nan-cost-with-exact-masses",
+        "fraction-supply-past-float-range", "int-cost-past-float-range"])
 def test_transportation_instance_rejects_malformed_data(args, message):
     with pytest.raises(ValidationError, match=message):
         TransportationInstance(*args)

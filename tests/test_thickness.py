@@ -3,16 +3,19 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from math import inf, nan, nextafter
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from virtcont import (DiscreteSpace, Plan, ProductSet, thickness,
                       thickness_of_level_set, verify_thickness_result)
-from virtcont.model import ValidationError, left_sum
+from virtcont.model import DEFAULT_TOL, ValidationError, left_sum
+from virtcont.thickness import verify_cover
 
 from lp_oracle import cover_lp_data, dense_lp_solve
-from util import brute_thickness, fn_on, rand_set, rand_space
+from util import (brute_thickness, fn_on, rand_set, rand_space,
+                  reference_pair_violations)
 
 
 def _single_cell(xs, ys, i, j):
@@ -208,3 +211,37 @@ def test_nan_fails_the_plan_and_the_fractional_pair():
     problems = verify_thickness_result(z, bad)
     assert "fractional pair below 1 on cell (0,0)" in problems
     assert "fractional pair below 1 on cell (1,0)" not in problems
+    # a NaN in g fails every cell of its column, whatever f is there
+    bad = replace(res, fractional_f=[1.0, 0.0], fractional_g=[nan])
+    problems = verify_thickness_result(z, bad)
+    assert "fractional pair below 1 on cell (0,0)" in problems
+    assert "fractional pair below 1 on cell (1,0)" in problems
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@given(data=st.data())
+def test_fractional_pair_cells_equal_the_per_cell_oracle(exact, data):
+    # the verifier tests each row at its least g; the oracle tests each cell
+    z = data.draw(_sets(Fraction if exact else lambda p, total: p / total))
+    nx, ny = z.x_space.size, z.y_space.size
+    if exact:
+        tol, t = DEFAULT_TOL, 0     # tol does not reach an exact test
+        free = st.builds(Fraction, st.integers(-4, 8), st.integers(1, 4))
+        steps = [Fraction(-1, 1000), 0, Fraction(1, 1000)]
+    else:
+        tol = t = data.draw(st.sampled_from([DEFAULT_TOL, 0.0]))
+        free = st.one_of(st.floats(-1, 2), st.sampled_from([nan, inf, -inf]))
+        steps = [-inf, 0, inf]      # one ulp down, none, one ulp up
+    f = data.draw(st.lists(free, min_size=nx, max_size=nx))
+    g = []
+    for _ in range(ny):
+        if data.draw(st.booleans()):
+            g.append(data.draw(free))
+            continue
+        # at the edge of some row's test: (f_i + g_j) - 1 near -t
+        edge = (1 - t) - f[data.draw(st.integers(0, nx - 1))]
+        step = data.draw(st.sampled_from(steps))
+        g.append(edge + step if exact else nextafter(edge, step) if step else edge)
+    problems = verify_cover(z, 0 * t, [], [], f, g, tol)
+    assert [p for p in problems if p.startswith("fractional pair below 1")] == \
+        reference_pair_violations(z, f, g, t)

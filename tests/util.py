@@ -137,6 +137,17 @@ def reference_max_flow_cover(row_costs, col_costs, batches, tol):
     return covers, [graph[u][ai][2] for u, ai in edge_arcs], total
 
 
+def reference_pair_violations(z, f, g, t):
+    """The cells on which `thickness.verify_cover` finds the fractional pair
+    below 1, each tested on its own as (f_i + g_j) - 1 >= -t (NaN fails it).
+    The values are taken as given: on Fractions at t = 0 this is the
+    verifier's test on ints scaled by dp, on floats its test itself."""
+    return [f"fractional pair below 1 on cell ({i},{j})"
+            for i, row in enumerate(z.membership)
+            for j, member in enumerate(row)
+            if member and not (f[i] + g[j]) - 1 >= -t]
+
+
 def _has_cycle(parent, root):
     """Whether following parent from some node never reaches root; a node
     without a parent (None) ends its walk too."""
