@@ -45,7 +45,7 @@ def _cell_strings(rows, write=format_number) -> list:
 def _parse_weight(text, exact: bool):
     try:
         return parse_number(text, exact)
-    except (ValueError, ZeroDivisionError) as e:
+    except (ValueError, ZeroDivisionError, OverflowError) as e:
         raise ValidationError(f"bad numeric literal {text!r}: {e}") from None
 
 
@@ -381,12 +381,13 @@ def jsonable(x):
     """Recursively convert model numbers to their string form for reports."""
     if type(x) is str or x is None or isinstance(x, (str, int)):
         return x  # bare ints are indices and counts, not measured quantities
-    if isinstance(x, (float, Fraction)):
-        return format_number(x)
     if isinstance(x, dict):
         return {str(k): jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         if _PLAIN.issuperset(map(type, x)):
             return list(x)      # such as the cells that matrix_to_obj wrote
         return [jsonable(v) for v in x]
+    # last: a container tested against Fraction, an ABC, would run in Python
+    if isinstance(x, (float, Fraction)):
+        return format_number(x)
     raise ValidationError(f"cannot serialize {type(x).__name__}")

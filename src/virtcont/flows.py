@@ -39,11 +39,11 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import inf, isfinite
+from math import inf
 from operator import itemgetter, lt, sub
 from typing import Sequence
 
-from .model import (EPS, Number, ValidationError, all_exact, common_integers,
+from .model import (EPS, Number, ValidationError, all_finite, common_integers,
                     is_exact, left_sum, zero_of)
 
 
@@ -293,13 +293,7 @@ class TransportationInstance:
             raise ValidationError(f"unknown mode {mode!r}")
         if len(matrix) != len(supplies) or any(len(r) != len(demands) for r in matrix):
             raise ValidationError("matrix dimensions do not match supplies/demands")
-        # one type test per value: exact values are finite, floats are tested
-        try:
-            finite = all_exact(chain(supplies, demands, *matrix)) or all(
-                map(isfinite, chain(supplies, demands, *matrix)))
-        except OverflowError:   # an int or Fraction among floats fits no float
-            finite = False
-        if not finite:
+        if not all_finite(chain(supplies, demands, *matrix)):
             raise ValidationError("non-finite supply, demand or matrix entry")
         if any(s < 0 for s in supplies) or any(d < 0 for d in demands):
             raise ValidationError("negative supply or demand")

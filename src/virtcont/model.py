@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, compress, repeat
-from math import lcm
+from math import isfinite, lcm
 from operator import add, ge, sub
 from typing import Iterable, Sequence, Union
 
@@ -24,13 +24,18 @@ EPS = 1e-12
 
 
 def parse_number(text: str, exact: bool = True) -> Number:
-    """Parse a numeric literal, accepting 'p/q' rationals and decimal strings."""
+    """Parse a numeric literal, accepting 'p/q' rationals and decimal strings.
+    An ASCII '[-]digits[/digits]' literal, denominator nonzero, skips Fraction's
+    regex: int() reads it, and p / q rounds as float(Fraction(s)) does."""
     s = str(text).strip()
-    if exact:
-        return Fraction(s)
-    if "/" in s:
-        return float(Fraction(s))
-    return float(s)
+    if not exact and "/" not in s:
+        return float(s)
+    p, slash, q = s.partition("/")
+    if s.isascii() and p.removeprefix("-").isdigit() and (q.isdigit() or not slash):
+        p, q = int(p), int(q or 1)
+        if q:
+            return Fraction(p, q) if exact else p / q
+    return Fraction(s) if exact else float(Fraction(s))
 
 
 def left_sum(values: Iterable[Number], start: Number = 0) -> Number:
@@ -39,12 +44,26 @@ def left_sum(values: Iterable[Number], start: Number = 0) -> Number:
     return reduce(add, values, start)
 
 
+# by concrete type where known: isinstance against Fraction, an ABC, runs in Python
+_EXACT = {float: False, int: True, bool: True, Fraction: True}
+
+
 def is_exact(x: Number) -> bool:
-    return isinstance(x, (Fraction, int))
+    exact = _EXACT.get(type(x))
+    return isinstance(x, (Fraction, int)) if exact is None else exact
 
 
 def all_exact(values: Iterable[Number]) -> bool:
     return all(map(isinstance, values, repeat((Fraction, int))))
+
+
+def all_finite(values: Iterable[Number]) -> bool:
+    """All exact, or all finite as floats, in one C-level pass."""
+    values = list(values)
+    try:
+        return all_exact(values) or all(map(isfinite, values))
+    except OverflowError:   # an int or Fraction among floats fits no float
+        return False
 
 
 def zero_of(values: Iterable[Number]) -> Number:
@@ -181,10 +200,8 @@ class ProductFunction:
         rows = tuple(tuple(row) for row in values)
         if len(rows) != x_space.size or any(len(r) != y_space.size for r in rows):
             raise ValidationError("function matrix dimensions do not match factors")
-        for row in rows:
-            for v in row:
-                if not is_exact(v) and not (v == v and abs(v) != float("inf")):
-                    raise ValidationError("non-finite function value")
+        if not all_finite(chain.from_iterable(rows)):
+            raise ValidationError("non-finite function value")
         object.__setattr__(self, "x_space", x_space)
         object.__setattr__(self, "y_space", y_space)
         object.__setattr__(self, "values", rows)
@@ -243,7 +260,9 @@ class ProductSet:
     membership: tuple
 
     def __init__(self, x_space, y_space, membership):
-        rows = tuple(tuple(map(bool, row)) for row in membership)
+        rows = tuple(map(tuple, membership))
+        if not set(map(type, chain.from_iterable(rows))) <= {bool}:
+            rows = tuple(tuple(map(bool, row)) for row in rows)
         if len(rows) != x_space.size or any(len(r) != y_space.size for r in rows):
             raise ValidationError("set matrix dimensions do not match factors")
         object.__setattr__(self, "x_space", x_space)
@@ -294,12 +313,12 @@ class SeparableMajorant:
 
     def __init__(self, a: Sequence[Number], b: Sequence[Number]):
         a, b = tuple(a), tuple(b)
-        for v in a + b:
-            if is_exact(v):
-                if v < 0:
-                    raise ValidationError("negative majorant entry")
-            elif not -DEFAULT_TOL <= v < float("inf"):
-                raise ValidationError("negative or non-finite majorant entry")
+        # an entry is judged as a float, within DEFAULT_TOL, if any one is
+        if all_exact(a + b):
+            if min(a + b, default=0) < 0:
+                raise ValidationError("negative majorant entry")
+        elif not (all_finite(a + b) and min(a + b) >= -DEFAULT_TOL):
+            raise ValidationError("negative or non-finite majorant entry")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 

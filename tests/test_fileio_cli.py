@@ -659,6 +659,24 @@ def _run_failing(argv):
     return err.getvalue()
 
 
+def test_cli_float_literal_beyond_float_range_exits_1(tmp_path):
+    # a "p/q" past float range fits no double: in float mode, an input file
+    # or a report that holds one is an input error, never a traceback
+    huge = Fraction(10 ** 400, 3)
+    s = DiscreteSpace.uniform(2)
+    path = str(tmp_path / "huge.csv")
+    save_matrix(fn_on(s, s, lambda i, j: huge if i == j == 0 else Fraction(0)),
+                path)
+    assert "bad numeric literal" in _run_failing(["--mode", "float", "srnorm", path])
+    code, out = _run(["--mode", "float", "srnorm", _fixture_corpus(tmp_path)["f"]])
+    assert code == 0
+    rep = json.loads(out)
+    rep["value"] = str(huge)
+    rp = tmp_path / "forged.json"
+    rp.write_text(json.dumps(rep))
+    assert "bad numeric literal" in _run_failing(["check", str(rp)])
+
+
 def test_cli_check_rejects_set_cells_other_than_0_or_1(tmp_path):
     paths = _fixture_corpus(tmp_path)
     _, out = _run(["thickness", paths["z"]])

@@ -5,11 +5,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from virtcont import (DiscreteSpace, MetricMatrix, Plan, ProductFunction,
-                      ProductSet, ValidationError, level_set, parse_number,
-                      product_measure, validate_semimetric, validate_space)
-from virtcont.model import left_sum, require_valid_space
+                      ProductSet, SeparableMajorant, ValidationError, level_set,
+                      parse_number, product_measure, validate_semimetric,
+                      validate_space)
+from virtcont.model import is_exact, left_sum, require_valid_space
 
 from util import fn_on, rand_metric, rand_space
 
@@ -19,6 +21,73 @@ def test_parse_number_exact_and_float():
     assert parse_number("0.25", True) == Fraction(1, 4)
     assert parse_number("1/3", False) == pytest.approx(1 / 3)
     assert isinstance(parse_number("2", True), Fraction)
+
+
+def _parse_by_fraction(text, exact):
+    """The reference: every literal through Fraction's regex, or float's."""
+    s = str(text).strip()
+    if exact:
+        return Fraction(s)
+    return float(Fraction(s)) if "/" in s else float(s)
+
+
+def _outcome(parse, text, exact):
+    """The value with its type, floats bitwise, or the exception raised."""
+    try:
+        x = parse(text, exact)
+    except (ValueError, ZeroDivisionError, OverflowError) as e:
+        return type(e), str(e)
+    return type(x), x.hex() if isinstance(x, float) else x
+
+
+_PART = st.one_of(
+    st.text("0123456789", min_size=1, max_size=25),
+    st.integers(0, 10 ** 400).map(str),
+    st.sampled_from(["", "0", "00", "1_0", "\u00b2", "\u0663", "1.5", ".5",
+                     "2e3", "1e400", "inf", "nan", "3 ", " 7"]))
+_SIGN = st.sampled_from(["", "-", "--", "+"])
+
+
+@given(st.one_of(
+    st.builds(lambda pad, a, p, slash, b, q: pad + a + p + slash + b + q + pad,
+              st.sampled_from(["", " ", "\t"]), _SIGN, _PART,
+              st.sampled_from(["", "/", " / "]), _SIGN, _PART),
+    st.text(max_size=12)))
+@example("007/010")
+@example("-0/7")
+@example("-0")
+@example("--1/2")
+@example("+1/2")
+@example("1/-2")
+@example("1_0/3")
+@example("\u00b2/3")
+@example(" 3/4 ")
+@example("1/0")
+@example("1/")
+@example(f"{10 ** 400}/3")
+@example(f"-{10 ** 400}/{10 ** 399 + 1}")
+@example("1" * 5000 + "/3")
+@example("0.1")
+@example("-2.5e-3")
+def test_parse_number_reads_what_fraction_reads(text):
+    for exact in (True, False):
+        assert _outcome(parse_number, text, exact) == \
+            _outcome(_parse_by_fraction, text, exact)
+
+
+class _Float(float):
+    pass
+
+
+class _Rational(Fraction):
+    pass
+
+
+@pytest.mark.parametrize("x,exact", [
+    (3, True), (-10 ** 400, True), (True, True), (Fraction(1, 3), True),
+    (_Rational(1, 3), True), (0.5, False), (-0.0, False), (_Float(0.5), False)])
+def test_is_exact_by_type(x, exact):
+    assert is_exact(x) is exact
 
 
 def test_space_weights_must_sum_to_one():
@@ -102,6 +171,38 @@ def test_set_operations():
     assert empty.is_empty() and not full.is_empty()
     assert empty.issubset(full)
     assert set(empty.union(full).cells()) == set(full.cells())
+    # 0/1 cells, or bools among them, are stored as bools
+    for cells in ([[1, 0], [0, True]], [[True, False], [False, True]]):
+        z = ProductSet(DiscreteSpace.uniform(2), DiscreteSpace.uniform(2), cells)
+        assert z.membership == ((True, False), (False, True))
+        assert {type(v) for row in z.membership for v in row} == {bool}
+
+
+@pytest.mark.parametrize("values", [
+    [[0.5, math.nan], [0.0, 1.0]], [[0.5, 1.0], [-math.inf, 1.0]],
+    # an exact value among floats must fit a float
+    [[0.5, 10 ** 400], [0.0, 1.0]], [[0.5, 1.0], [Fraction(-10 ** 400, 3), 1.0]]])
+def test_a_function_value_that_is_no_finite_float_is_rejected(values):
+    s = DiscreteSpace.uniform(2)
+    with pytest.raises(ValidationError, match="non-finite function value"):
+        ProductFunction(s, s, values)
+    # exact values are finite at any size
+    ProductFunction(s, s, [[1, 10 ** 400], [0, Fraction(-10 ** 400, 3)]])
+
+
+@pytest.mark.parametrize("a,b,message", [
+    ([Fraction(1), 0], [Fraction(-1, 10 ** 12)], "negative majorant entry"),
+    ([1.0, 0.0], [-1e-6], "negative or non-finite majorant entry"),
+    ([1.0, math.nan], [0.0], "negative or non-finite majorant entry"),
+    ([1.0, 0.0], [math.inf], "negative or non-finite majorant entry"),
+    ([1.0, 10 ** 400], [0.0], "negative or non-finite majorant entry")])
+def test_a_majorant_entry_negative_or_past_float_range_is_rejected(a, b, message):
+    with pytest.raises(ValidationError) as e:
+        SeparableMajorant(a, b)
+    assert str(e.value) == message
+    # within the tolerance, and exact at any size
+    SeparableMajorant([1.0, -1e-12], [0.0])
+    SeparableMajorant([1, 10 ** 400], [Fraction(1, 3)])
 
 
 def _first_witness(d, tol):
