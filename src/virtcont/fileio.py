@@ -18,6 +18,7 @@ import io
 import json
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import partial
 from itertools import chain
 
 from .model import (DiscreteSpace, MetricMatrix, Plan, ProductFunction,
@@ -187,9 +188,10 @@ def save_vector(values, path: str) -> None:
 # cells as a CSV file, and `_build` reads them from either.
 
 # kind: (class, cells attribute and key, writer of its rows)
+_INTS = {False: 0, True: 1}.__getitem__     # a set cell as written
 _KINDS = {"function": (ProductFunction, "values", _cell_strings),
           "set": (ProductSet, "membership",
-                  lambda rows: [list(map(int, row)) for row in rows]),
+                  lambda rows: [list(map(_INTS, row)) for row in rows]),
           "plan": (Plan, "mass", _cell_strings)}
 _BITS = {"0": False, "1": True, 0: False, 1: True}   # the set cells
 
@@ -214,7 +216,7 @@ def _build(kind, x_space, y_space, cells, read, signed):
             bits = [list(map(_BITS.__getitem__, row)) for row in cells]
         except KeyError:
             raise ValidationError("set cells must be 0 or 1") from None
-        return ProductSet(x_space, y_space, bits)
+        return ProductSet.of_bools(x_space, y_space, bits)
     rows = list(map(read.numbers, cells))
     if kind == "plan":
         return Plan(x_space, y_space, rows, signed=bool(signed))
@@ -352,6 +354,19 @@ def _dump_json(obj, path: str) -> None:
 
 _escape = json.encoder.encode_basestring_ascii   # json's own C escaper
 _SCALARS = {str: _escape, int: int.__repr__}     # type -> its JSON writer
+_INT_TEXT = {k: repr(k) for k in range(1024)}    # set cells, atom indices
+
+
+def _int_texts(values) -> list:
+    """repr of each int, by table if the table holds them all."""
+    try:
+        return list(map(_INT_TEXT.__getitem__, values))
+    except KeyError:
+        return list(map(int.__repr__, values))
+
+
+# type -> the JSON text of each item of a list of that type only
+_LISTS = {str: partial(map, _escape), int: _int_texts}
 
 
 def dumps_json(obj, indent: str = "\n") -> str:
@@ -368,8 +383,8 @@ def dumps_json(obj, indent: str = "\n") -> str:
         return "{" + inner + ("," + inner).join(items) + indent + "}"
     if isinstance(obj, (list, tuple)) and obj:
         kinds = set(map(type, obj))
-        write = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
-        items = map(write, obj) if write else (dumps_json(v, inner) for v in obj)
+        write = _LISTS.get(kinds.pop()) if len(kinds) == 1 else None
+        items = write(obj) if write else (dumps_json(v, inner) for v in obj)
         return "[" + inner + ("," + inner).join(items) + indent + "]"
     return json.dumps(obj)  # empty containers, bools, None, a float label
 

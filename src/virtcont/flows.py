@@ -40,11 +40,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import inf
-from operator import itemgetter, lt, sub
+from operator import itemgetter, sub
 from typing import Sequence
 
-from .model import (EPS, Number, ValidationError, all_finite, common_integers,
-                    is_exact, left_sum, zero_of)
+from .model import (EPS, Number, ProductSet, ValidationError, all_finite,
+                    common_integers, is_exact, left_sum, zero_of)
 
 
 class InfeasibleError(ValueError):
@@ -71,6 +71,19 @@ class BipartiteCoverInstance:
             i, j = next((i, j) for i, j in edges
                         if not (0 <= i < nr and 0 <= j < nc))
             raise ValidationError(f"edge ({i},{j}) out of range")
+        self._set(row_costs, col_costs, edges)
+
+    @classmethod
+    def of_set(cls, z: ProductSet) -> "BipartiteCoverInstance":
+        """The instance whose least cover weight is th(z): the factor weights
+        as costs and the member cells as edges.  `ProductSet.cells` yields
+        sorted, distinct, in-range int pairs, so only the costs are checked."""
+        _require_positive(z.x_space.weights + z.y_space.weights)
+        inst = object.__new__(cls)
+        inst._set(z.x_space.weights, z.y_space.weights, tuple(z.cells()))
+        return inst
+
+    def _set(self, row_costs, col_costs, edges):
         object.__setattr__(self, "row_costs", row_costs)
         object.__setattr__(self, "col_costs", col_costs)
         object.__setattr__(self, "edges", edges)
@@ -92,13 +105,7 @@ def _over(ints, d):
 
 
 def _int_pairs(edges) -> tuple:
-    """The distinct edges (i, j) as int pairs in increasing order.  Pairs
-    of ints that come so, as `ProductSet.cells` yields them, are kept."""
-    edges = tuple(edges)
-    if (set(map(type, edges)) <= {tuple} and set(map(len, edges)) <= {2}
-            and set(map(type, chain.from_iterable(edges))) <= {int}
-            and all(map(lt, edges, edges[1:]))):
-        return edges
+    """The distinct edges (i, j) as int pairs in increasing order."""
     return tuple(sorted({(int(i), int(j)) for i, j in edges}))
 
 

@@ -7,12 +7,14 @@ is agnostic to which one it gets.  Objects are immutable after construction.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import chain, compress, repeat
 from math import isfinite, lcm
-from operator import add, ge, sub
+from operator import add, ge, le, sub
 from typing import Iterable, Sequence, Union
 
 Number = Union[Fraction, float, int]
@@ -26,16 +28,68 @@ EPS = 1e-12
 def parse_number(text: str, exact: bool = True) -> Number:
     """Parse a numeric literal, accepting 'p/q' rationals and decimal strings.
     An ASCII '[-]digits[/digits]' literal, denominator nonzero, skips Fraction's
-    regex: int() reads it, and p / q rounds as float(Fraction(s)) does."""
+    regex: int() reads it, and p / q rounds as float(Fraction(s)) does.  An
+    exact value must print back: see `_exact_decimal`."""
     s = str(text).strip()
     if not exact and "/" not in s:
         return float(s)
     p, slash, q = s.partition("/")
     if s.isascii() and p.removeprefix("-").isdigit() and (q.isdigit() or not slash):
-        p, q = int(p), int(q or 1)
+        p, q = int(p), int(q or 1)     # int() holds each to the digit limit
         if q:
             return Fraction(p, q) if exact else p / q
-    return Fraction(s) if exact else float(Fraction(s))
+    return _exact_decimal(s) if exact else float(Fraction(s))
+
+
+# the exponent of a decimal literal, as Fraction's regex reads it since
+# Python 3.11 (3.10 takes no "_" there): s with each of its digits made 0
+# is a literal of the same characters, valid in any version exactly when s is
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(_\d+)*)\s*\Z")
+_DIGIT = re.compile(r"\d")
+
+
+# Pythons before 3.10.7 have no limit: they print ints of any length
+_int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+@lru_cache(maxsize=1)     # the limit is set once per process, as a rule
+def _digit_bound(limit: int) -> int:
+    return 10 ** limit
+
+
+def _past_digit_limit(limit: int) -> ValueError:
+    return ValueError(f"Exceeds the limit ({limit} digits) for integer string "
+                      "conversion of a numerator or denominator")
+
+
+def _exact_decimal(s: str) -> Fraction:
+    """Fraction(s), refused if its numerator or denominator has more digits
+    than `sys.get_int_max_str_digits()` lets str() print (no bound if it is
+    0): every exact value read can be written back.
+
+    An exponent E is weighed before 10 ** |E| is formed.  If the mantissa
+    x (s at exponent 0) has c bits in numerator and denominator together,
+    x * 10**E has a numerator above 10**(E - c) and a denominator above
+    10**(-E - c), so |E| >= limit + c is past the limit for any x != 0.
+    Below that, Fraction(s) forms a power of fewer than limit + c digits.
+    """
+    limit = _int_max_str_digits()
+    m = _EXPONENT.search(s) if limit and "/" not in s else None
+    if m:
+        try:    # valid exactly when s is, and read as far as s is first
+            x = Fraction(s[:m.start(1)] + _DIGIT.sub("0", m.group(1)) + s[m.end(1):])
+            e = int(m.group(1))
+        except ValueError:
+            x = None    # Fraction(s) fails, in its own words, before any power
+        if x == 0:
+            return x    # zero at any exponent
+        if x is not None and abs(e) >= (limit + x.numerator.bit_length()
+                                        + x.denominator.bit_length()):
+            raise _past_digit_limit(limit)
+    x = Fraction(s)
+    if limit and max(abs(x.numerator), x.denominator) >= _digit_bound(limit):
+        raise _past_digit_limit(limit)
+    return x
 
 
 def left_sum(values: Iterable[Number], start: Number = 0) -> Number:
@@ -263,6 +317,17 @@ class ProductSet:
         rows = tuple(map(tuple, membership))
         if not set(map(type, chain.from_iterable(rows))) <= {bool}:
             rows = tuple(tuple(map(bool, row)) for row in rows)
+        self._set(x_space, y_space, rows)
+
+    @classmethod
+    def of_bools(cls, x_space, y_space, rows) -> "ProductSet":
+        """The set of rows whose cells are bools already, as `fileio` maps
+        them: the cells are not scanned again."""
+        z = object.__new__(cls)
+        z._set(x_space, y_space, tuple(map(tuple, rows)))
+        return z
+
+    def _set(self, x_space, y_space, rows):
         if len(rows) != x_space.size or any(len(r) != y_space.size for r in rows):
             raise ValidationError("set matrix dimensions do not match factors")
         object.__setattr__(self, "x_space", x_space)
@@ -285,13 +350,13 @@ class ProductSet:
 
     @staticmethod
     def empty(x_space, y_space) -> "ProductSet":
-        return ProductSet(x_space, y_space,
-                          [[False] * y_space.size for _ in range(x_space.size)])
+        return ProductSet.of_bools(x_space, y_space,
+                                   [[False] * y_space.size] * x_space.size)
 
     @staticmethod
     def full(x_space, y_space) -> "ProductSet":
-        return ProductSet(x_space, y_space,
-                          [[True] * y_space.size for _ in range(x_space.size)])
+        return ProductSet.of_bools(x_space, y_space,
+                                   [[True] * y_space.size] * x_space.size)
 
     def union(self, other: "ProductSet") -> "ProductSet":
         _check_same_factors(self, other)
@@ -403,9 +468,17 @@ class Plan:
         return (all(abs(left_sum(r) - w) <= t for r, w in zip(rows, xw))
                 and all(abs(left_sum(c) - w) <= t for c, w in zip(zip(*rows), yw)))
 
+    @cached_property
+    def abs_row_sums(self) -> tuple:
+        """Each row's sum of |mass| on the plan's scale (`scaled`), added
+        left to right: formed once, for the subbistochastic test and for a
+        verifier that weighs the plan's mass off a set."""
+        _, _, rows, _, _ = self._scaled
+        return tuple(left_sum(map(abs, r)) for r in rows)
+
     def is_subbistochastic(self, tol: float = DEFAULT_TOL) -> bool:
         xw, yw, rows, _, t = self.scaled(tol)
-        return (all(w - left_sum(map(abs, r)) >= -t for r, w in zip(rows, xw))
+        return (all(w - r >= -t for r, w in zip(self.abs_row_sums, xw))
                 and all(w - left_sum(map(abs, c)) >= -t
                         for c, w in zip(zip(*rows), yw)))
 
@@ -461,24 +534,44 @@ def validate_semimetric(m: MetricMatrix):
     """
     (d,), _, t = common_scales(DEFAULT_TOL, m.dist)
     n = len(d)
-    for i in range(n):
-        if not abs(d[i][i]) <= t:
-            return ("invalid", ("nonzero diagonal", i))
-        for j in range(n):
-            if not d[i][j] >= -t:
-                return ("invalid", ("negative distance", i, j))
-            if not abs(d[i][j] - d[j][i]) <= t:
-                return ("invalid", ("asymmetric pair", i, j))
+    cells = list(chain.from_iterable(d))
+    mirror = list(chain.from_iterable(zip(*d)))
+    # the entry axioms screened at C speed; the loop only names a failure
+    if not (all(map(le, map(abs, cells[::n + 1]), repeat(t)))
+            and all(map(ge, cells, repeat(-t)))
+            and all(map(le, map(abs, map(sub, cells, mirror)), repeat(t)))):
+        return ("invalid", _entry_fault(d, t))
     # every distance is finite here (an inf or nan fails a test above), so
     # a min over k finds a violation; each gap sums d_ij + d_jk - d_ik in
-    # that order, which decides a float within ulps of the tolerance
+    # that order, which decides a float within ulps of the tolerance.  If
+    # d is exactly symmetric, the gap of (k, j, i) is that of (i, j, k), so
+    # a violation at k < i shows at the earlier pair (k, j): the first pair
+    # that fails has no failing k below i, and only k >= i is scanned.
+    symmetric = cells == mirror
     for i, di in enumerate(d):
+        lo = i if symmetric else 0
+        tail = di[lo:]
         for j, (dij, dj) in enumerate(zip(di, d)):
-            if min(map(sub, map(add, repeat(dij), dj), di)) < -t:
-                k = next(k for k in range(n) if dij + dj[k] - di[k] < -t)
+            if min(map(sub, map(add, repeat(dij), dj[lo:]), tail)) < -t:
+                k = next(k for k in range(lo, n) if dij + dj[k] - di[k] < -t)
                 return ("invalid", ("triangle violation", i, k, j))
-    semimetric = any(abs(d[i][j]) <= t for i in range(n) for j in range(n) if i != j)
+    # the n diagonal distances are zero within t: any other one makes d semi
+    semimetric = sum(map(le, map(abs, cells), repeat(t))) > n
     return ("semimetric" if semimetric else "metric", None)
+
+
+def _entry_fault(d, t):
+    """The first failing entry axiom, in the order `validate_semimetric`
+    names them."""
+    n = len(d)
+    for i in range(n):
+        if not abs(d[i][i]) <= t:
+            return ("nonzero diagonal", i)
+        for j in range(n):
+            if not d[i][j] >= -t:
+                return ("negative distance", i, j)
+            if not abs(d[i][j] - d[j][i]) <= t:
+                return ("asymmetric pair", i, j)
 
 
 def product_measure(z: ProductSet) -> Number:

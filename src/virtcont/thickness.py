@@ -37,7 +37,7 @@ def thickness(z: ProductSet) -> ThicknessResult:
     mu, nu = z.x_space.weights, z.y_space.weights
     zero = zero_of(mu + nu)
     one = zero + 1
-    inst = BipartiteCoverInstance(mu, nu, z.cells())
+    inst = BipartiteCoverInstance.of_set(z)
     res = min_weighted_vertex_cover(inst)
     rows, cols = set(res.rows), set(res.cols)
     f = [one if i in rows else zero for i in range(len(mu))]
@@ -140,7 +140,7 @@ def verify_thickness_result(z: ProductSet, res: ThicknessResult,
     if not plan.is_subbistochastic(tol):
         problems.append("witness plan is not subbistochastic")
     on_z = left_sum(z.on_set(rows))
-    if not abs(left_sum(left_sum(map(abs, r)) for r in rows) - on_z) <= t:
+    if not abs(left_sum(plan.abs_row_sums) - on_z) <= t:
         problems.append("witness plan carries mass off the set")
     if not abs(on_z - res.value * d) <= t:
         problems.append("witness plan mass != cover weight (duality gap)")

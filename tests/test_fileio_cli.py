@@ -62,6 +62,8 @@ _JSON = st.recursive(
 @given(_JSON)
 @example({"": [], "b": {}, "\u00e9\U0001f600": ["\x00\n\"\\", "\u2028"],
           "n": [1, -2, 10 ** 30], "t": [True, None, False]})
+# set cells, negative ints and ints past any table of small ones, in one list
+@example([0, 1, -1, 1023, 1024, -1024, 10 ** 30, 1, 0])
 def test_dumps_json_writes_what_json_dumps_writes(obj):
     assert dumps_json(obj) == json.dumps(obj, sort_keys=True, indent=2)
 
@@ -124,6 +126,24 @@ def test_matrix_round_trips(tmp_path):
     for kind, obj in (("function", f), ("set", z), ("plan", plan),
                       ("plan", signed)):
         assert matrix_from_obj(kind, matrix_to_obj(obj)) == obj
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (1, 5), (5, 1), (2, 2)])
+def test_a_set_read_from_csv_or_a_report_is_the_set_its_rows_give(shape):
+    # the reader maps each cell to a bool by one lookup, and the set takes
+    # those bools unscanned: it must equal the set built from the rows
+    rng = random.Random(59)
+    nx, ny = shape
+    xs, ys = rand_space(rng, nx, "x"), rand_space(rng, ny, "y")
+    for rows in ([[rng.randint(0, 1) for _ in range(ny)] for _ in range(nx)],
+                 [[0] * ny] * nx, [[1] * ny] * nx):
+        z = ProductSet(xs, ys, rows)
+        for read in (loads_matrix(dumps_matrix(z)),
+                     matrix_from_obj("set", matrix_to_obj(z)),
+                     matrix_from_obj("set", json.loads(json.dumps(matrix_to_obj(z))))):
+            assert read == z and hash(read) == hash(z)
+            assert {type(c) for row in read.membership for c in row} == {bool}
+            assert list(read.cells()) == list(z.cells())
 
 
 def _fixture_corpus(tmp_path):
@@ -672,6 +692,29 @@ def test_cli_float_literal_beyond_float_range_exits_1(tmp_path):
     assert code == 0
     rep = json.loads(out)
     rep["value"] = str(huge)
+    rp = tmp_path / "forged.json"
+    rp.write_text(json.dumps(rep))
+    assert "bad numeric literal" in _run_failing(["check", str(rp)])
+
+
+@pytest.mark.parametrize("cell", ["1e5000", "-1e-5000", "1e10000000"])
+def test_cli_exact_literal_past_the_digit_limit_exits_1_at_once(tmp_path, cell):
+    # str() prints no int past sys.get_int_max_str_digits() digits, so such
+    # a value could not be written back; and 10 ** 10000000 alone takes
+    # seconds, so the exponent is weighed before it is formed
+    s = DiscreteSpace.uniform(2)
+    path = tmp_path / "big.csv"
+    path.write_text(dumps_matrix(fn_on(s, s, lambda i, j: 7 if i == j == 0 else 0))
+                    .replace("7", cell))
+    proc = subprocess.run([sys.executable, "-m", "virtcont.cli", "srnorm", str(path)],
+                          capture_output=True, text=True, timeout=20)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith(f"error: {path}: bad numeric literal {cell!r}")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    # a report that holds one is malformed too
+    _, out = _run(["thickness", _fixture_corpus(tmp_path)["z"]])
+    rep = json.loads(out)
+    rep["value"] = cell
     rp = tmp_path / "forged.json"
     rp.write_text(json.dumps(rep))
     assert "bad numeric literal" in _run_failing(["check", str(rp)])

@@ -7,10 +7,11 @@ from itertools import chain
 from math import copysign, gcd, inf, nan
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from virtcont import (BipartiteCoverInstance, DiscreteSpace, InfeasibleError,
-                      MetricMatrix, ProductFunction, TransportationInstance,
+                      MetricMatrix, ProductFunction, ProductSet,
+                      TransportationInstance,
                       flows, kantorovich, kr_norm, min_weighted_vertex_cover,
                       solve_transportation, sr_norm)
 from virtcont.model import ValidationError, left_sum
@@ -50,6 +51,51 @@ def test_cover_edges_are_normalised_and_checked_in_range():
         BipartiteCoverInstance(w, w, ((0, 0), (1, 0))))
     with pytest.raises(ValidationError, match=r"^edge \(0,2\) out of range$"):
         BipartiteCoverInstance(w, w, [(0, 2)])
+
+
+def _set_of(rows, exact=True):
+    """The set of 0/1 rows over spaces of weights 1, 2, 3, ... (normalised),
+    as Fractions or as floats."""
+    def space(n, prefix):
+        w = [Fraction(k, n * (n + 1) // 2) for k in range(1, n + 1)]
+        return DiscreteSpace([f"{prefix}{k}" for k in range(n)],
+                             w if exact else list(map(float, w)))
+    return ProductSet(space(len(rows), "x"), space(len(rows[0]), "y"), rows)
+
+
+@st.composite
+def _sets(draw):
+    nx, ny = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.booleans(), min_size=ny, max_size=ny),
+                         min_size=nx, max_size=nx))
+    return _set_of(rows, draw(st.booleans()))
+
+
+@given(_sets())
+@example(_set_of([[0, 0, 0], [0, 0, 0]]))
+@example(_set_of([[1, 1, 1], [1, 1, 1]], exact=False))
+@example(_set_of([[1, 0, 1, 1]]))
+@example(_set_of([[0], [1], [1]], exact=False))
+@example(_set_of([[0, 1, 0], [0, 0, 0], [1, 1, 0]]))   # an empty row and column
+def test_a_sets_cover_instance_is_the_one_its_cells_give(z):
+    mu, nu = z.x_space.weights, z.y_space.weights
+    inst = BipartiteCoverInstance.of_set(z)
+    assert inst == BipartiteCoverInstance(mu, nu, z.cells())
+    assert type(inst.edges) is tuple
+    assert all(type(e) is tuple and list(map(type, e)) == [int, int]
+               for e in inst.edges)
+
+
+@pytest.mark.parametrize("weight", [0, -0.5, Fraction(-1, 2)])
+def test_a_sets_cover_instance_checks_its_costs(weight):
+    z = _set_of([[1, 0], [0, 1]])
+    x = DiscreteSpace(z.x_space.labels, [weight, 1 - weight])
+    z = ProductSet(x, z.y_space, z.membership)
+    for build in (lambda: BipartiteCoverInstance.of_set(z),
+                  lambda: BipartiteCoverInstance(x.weights, z.y_space.weights,
+                                                 z.cells())):
+        with pytest.raises(ValidationError, match="strictly positive"):
+            build()
 
 
 def test_diagonal_matching_uniform():

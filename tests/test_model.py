@@ -2,6 +2,8 @@
 
 import math
 import random
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,7 +15,7 @@ from virtcont import (DiscreteSpace, MetricMatrix, Plan, ProductFunction,
                       validate_space)
 from virtcont.model import is_exact, left_sum, require_valid_space
 
-from util import fn_on, rand_metric, rand_space
+from util import fn_on, rand_metric, rand_space, reference_semimetric
 
 
 def test_parse_number_exact_and_float():
@@ -24,10 +26,20 @@ def test_parse_number_exact_and_float():
 
 
 def _parse_by_fraction(text, exact):
-    """The reference: every literal through Fraction's regex, or float's."""
+    """The reference: every literal through Fraction's regex, or float's.
+    An exact value that str() cannot print, its numerator or denominator
+    past `sys.get_int_max_str_digits()`, is refused as parse_number
+    refuses it."""
     s = str(text).strip()
     if exact:
-        return Fraction(s)
+        x = Fraction(s)
+        try:
+            str(x)
+        except ValueError:
+            raise ValueError(
+                f"Exceeds the limit ({sys.get_int_max_str_digits()} digits) for "
+                "integer string conversion of a numerator or denominator") from None
+        return x
     return float(Fraction(s)) if "/" in s else float(s)
 
 
@@ -69,10 +81,56 @@ _SIGN = st.sampled_from(["", "-", "--", "+"])
 @example("1" * 5000 + "/3")
 @example("0.1")
 @example("-2.5e-3")
+@example("1e400")
+@example("1e4299")           # 4,300 digits: the most str() prints
+@example("1e4300")
+@example("-1e-4299")
+@example("25e-4300")         # 1/(4 * 10**4298) prints
+@example("1e5000")
+@example("1e-5000")
+@example("0." + "1" * 4300)  # the denominator is past the limit
+@example("0." + "5" * 4299)  # 8,599 characters, each part within it
+@example("1e" + "1" * 5000)  # the exponent itself is past it
+@example("2e32e3")
+@example("1.e5")
 def test_parse_number_reads_what_fraction_reads(text):
     for exact in (True, False):
         assert _outcome(parse_number, text, exact) == \
             _outcome(_parse_by_fraction, text, exact)
+
+
+@pytest.mark.parametrize("text", ["1e10000000", "-1e-10000000", "7.5e999999999",
+                                  "1" * 4000 + "e-999999999", "1e+1000000000"])
+def test_exact_literals_past_the_digit_limit_are_refused_before_any_power(text):
+    # 10 ** 10000000 alone takes seconds; the exponent is weighed first
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="Exceeds the limit"):
+        parse_number(text, True)
+    assert time.perf_counter() - start < 1.0
+    assert parse_number(text, False) in (math.inf, -math.inf, 0.0)
+
+
+def test_a_zero_mantissa_reads_as_zero_at_any_exponent():
+    start = time.perf_counter()
+    for text in ("0e10000000", "-0.000e-999999999", "0.0E+1000000000"):
+        x = parse_number(text, True)
+        assert type(x) is Fraction and x == 0
+    assert time.perf_counter() - start < 1.0
+
+
+def test_the_digit_limit_is_the_one_python_prints_with():
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)           # no limit: nothing refused
+        assert parse_number("1e5000", True) == 10 ** 5000
+        assert parse_number("1e-5000", True) == Fraction(1, 10 ** 5000)
+        sys.set_int_max_str_digits(640)         # the least limit Python takes
+        assert parse_number("1e639", True) == 10 ** 639
+        for text in ("1e640", "1e-640", "1e5000"):
+            with pytest.raises(ValueError, match=r"limit \(640 digits\)"):
+                parse_number(text, True)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 class _Float(float):
@@ -281,6 +339,65 @@ def test_float_triangle_within_ulps_of_the_tolerance():
                            else ("invalid", expected)), (s, x)
             verdicts.add(got[0])
         assert verdicts == {"metric", "invalid"}, s
+
+
+# An exact matrix of n atoms: distances k/q, symmetric with a zero diagonal,
+# drawn from [lo, 2 lo) (a metric) or [0, hi] (triangles may fail), then
+# spoiled by some of: a diagonal entry, a negative pair, an asymmetric pair.
+_SPOILS = st.lists(st.tuples(st.sampled_from(["diagonal", "negative", "asymmetric"]),
+                             st.integers(0, 6), st.integers(0, 6),
+                             st.integers(1, 5)), max_size=2)
+
+
+@st.composite
+def _distances(draw):
+    n = draw(st.integers(1, 6))
+    q = draw(st.sampled_from([1, 3, 7]))
+    lo, hi = draw(st.sampled_from([(0, 6), (1, 12), (4, 8)]))
+    cells = draw(st.lists(st.integers(lo, hi), min_size=n * n, max_size=n * n))
+    d = [[Fraction(cells[min(i, j) * n + max(i, j)], q) if i != j else Fraction(0)
+          for j in range(n)] for i in range(n)]
+    for kind, i, j, k in draw(_SPOILS):
+        i, j = i % n, j % n
+        if kind == "diagonal":
+            d[i][i] = Fraction(k, 7)
+        elif kind == "negative":
+            d[i][j] = d[j][i] = -Fraction(k, 7)
+        else:
+            d[i][j] += Fraction(k, 11)
+    return d
+
+
+# floats: the exact matrix as doubles, then at random a pair moved apart by
+# less than the tolerance (asymmetric, yet accepted as symmetric), an entry
+# nudged by a few ulps, or an entry made inf or nan
+_FLOAT_SPOILS = st.lists(st.tuples(
+    st.sampled_from(["within tolerance", "ulps", "inf", "nan"]),
+    st.integers(0, 6), st.integers(0, 6), st.integers(-4, 4)), max_size=2)
+
+
+@given(_distances(), _FLOAT_SPOILS)
+@example([[0, 1, 2], [1, 0, 1], [2, 1, 0]], [])
+# asymmetric within the tolerance: the triangle (2, 1, 0) fails where
+# (0, 1, 2) holds, so only a scan of every k names it
+@example([[0.0, 1.0, 2.0 + 0.8e-9], [1.0, 0.0, 1.0], [2.0 + 1.3e-9, 1.0, 0.0]], [])
+def test_validate_semimetric_names_what_the_full_scan_names(d, spoils):
+    n = len(d)
+    space = DiscreteSpace.uniform(n)
+    exact = MetricMatrix(space, d)
+    assert validate_semimetric(exact) == reference_semimetric(exact)
+    f = [[float(v) for v in row] for row in d]
+    for kind, i, j, k in spoils:
+        i, j = i % n, j % n
+        if kind == "within tolerance":
+            f[i][j] += k * 2e-10
+        elif kind == "ulps":
+            for _ in range(abs(k)):
+                f[i][j] = math.nextafter(f[i][j], math.copysign(math.inf, k))
+        else:
+            f[i][j] = math.inf if kind == "inf" else math.nan
+    floats = MetricMatrix(space, f)
+    assert validate_semimetric(floats) == reference_semimetric(floats)
 
 
 def test_valid_metrics_pass_in_both_regimes():

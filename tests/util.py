@@ -6,11 +6,13 @@ definitions, so agreement with the library is meaningful evidence.
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
+from operator import add, sub
 
 from virtcont import DiscreteSpace, MetricMatrix, ProductFunction, ProductSet
 from virtcont.flows import InfeasibleError
-from virtcont.model import is_exact, left_sum, zero_of
+from virtcont.model import (DEFAULT_TOL, common_scales, is_exact, left_sum,
+                             zero_of)
 from virtcont.vcdiag import (EXACT_SIDE_LIMIT, HEURISTIC_RESTARTS,
                              VcProfileResult, _assignments_to_config,
                              _exact_search, _fit_from_config, _heuristic,
@@ -135,6 +137,29 @@ def reference_max_flow_cover(row_costs, col_costs, batches, tol):
         covers.append(([i for i in range(nr) if parent[1 + i] is None],
                        [j for j in range(nc) if parent[1 + nr + j] is not None]))
     return covers, [graph[u][ai][2] for u, ai in edge_arcs], total
+
+
+def reference_semimetric(m):
+    """`model.validate_semimetric` as it was before its entry tests were
+    screened at C speed and its triangle scan halved on symmetric input:
+    every entry test in the loop, and every k scanned for each (i, j)."""
+    (d,), _, t = common_scales(DEFAULT_TOL, m.dist)
+    n = len(d)
+    for i in range(n):
+        if not abs(d[i][i]) <= t:
+            return ("invalid", ("nonzero diagonal", i))
+        for j in range(n):
+            if not d[i][j] >= -t:
+                return ("invalid", ("negative distance", i, j))
+            if not abs(d[i][j] - d[j][i]) <= t:
+                return ("invalid", ("asymmetric pair", i, j))
+    for i, di in enumerate(d):
+        for j, (dij, dj) in enumerate(zip(di, d)):
+            if min(map(sub, map(add, repeat(dij), dj), di)) < -t:
+                k = next(k for k in range(n) if dij + dj[k] - di[k] < -t)
+                return ("invalid", ("triangle violation", i, k, j))
+    semimetric = any(abs(d[i][j]) <= t for i in range(n) for j in range(n) if i != j)
+    return ("semimetric" if semimetric else "metric", None)
 
 
 def reference_pair_violations(z, f, g, t):
