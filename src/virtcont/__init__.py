@@ -7,6 +7,9 @@ governs the certificate checks, and the kernels treat values below a fixed
 `model.EPS` (1e-12) as zero.
 """
 
+from .certs import (SrNormResult, StepFit, ThicknessResult, TransportResult,
+                    step_fit_violations, verify_sr_certificates,
+                    verify_thickness_result, verify_transport_result)
 from .coupling import (HallResult, complete_to_bistochastic,
                        integrate_against_plan, max_bistochastic_mass, qb_norm)
 from .flows import (BipartiteCoverInstance, InfeasibleError,
@@ -16,19 +19,15 @@ from .model import (DEFAULT_TOL, DiscreteSpace, MetricMatrix, Number, Plan,
                     ProductFunction, ProductSet, SeparableMajorant,
                     ValidationError, level_set, parse_number, product_measure,
                     validate_semimetric, validate_space)
-from .srnorm import (SrNormResult, cutoff, kernel_from_terms,
-                     layer_cake_integral, nuclear_bound, sr_norm,
-                     verify_sr_certificates)
+from .srnorm import (cutoff, kernel_from_terms, layer_cake_integral,
+                     nuclear_bound, sr_norm)
 from .tau import TauResult, tau_ball_check, tau_distance
-from .thickness import (ThicknessResult, thickness, thickness_of_level_set,
-                        verify_thickness_result)
-from .transport import (KrNormResult, TransportResult, TwoLevelReport,
-                        kantorovich, kr_norm, two_level_duality_check,
-                        verify_transport_result)
-from .vcdiag import (FAMILIES, MatrixDistribution, StepFit, VcProfileResult,
+from .thickness import thickness, thickness_of_level_set
+from .transport import (KrNormResult, TwoLevelReport, kantorovich, kr_norm,
+                        two_level_duality_check)
+from .vcdiag import (FAMILIES, MatrixDistribution, VcProfileResult,
                      family_function, matrix_distribution_exact,
                      matrix_distribution_sample, random_points_check,
-                     refinement_study, sample_points, step_fit_exists,
-                     step_fit_violations, vc_profile)
+                     refinement_study, sample_points, step_fit_exists, vc_profile)
 
 __version__ = "0.1.0"

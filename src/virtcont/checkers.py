@@ -1,24 +1,21 @@
-"""Solver-independent re-verification of emitted reports.
+"""Re-verification of emitted reports, with no reference to their solvers.
 
-Every duality-backed report carries both sides of the duality (a cover and a
-plan, a majorant and a plan, a plan and a potential).  Checking feasibility
-of both sides plus value equality certifies optimality by weak duality, with
-no reference to how the solver found them.  Each check parses its report
-for the one verifier of its kind of certificate.  A tau report carries none:
-its check weighs the two level sets that show the value feasible and least,
-with one warm-started max-flow.
+Each check reads its report into a certificate and hands it to the one
+verifier of its kind (`certs`), then compares the values that the report
+repeats.  A tau report carries no certificate: its check weighs the two
+level sets that show the value feasible and least with one warm-started
+max-flow (`flows`), the one solver module read here.
 """
 
 from __future__ import annotations
 
+from .certs import (SrNormResult, StepFit, ThicknessResult, TransportResult,
+                    step_fit_violations, verify_hall, verify_sr_certificates,
+                    verify_thickness_result, verify_transport_result)
 from .fileio import _malformed, _Reader, matrix_from_obj, metric_from_obj
 from .flows import nested_cover_weights
 from .model import (DEFAULT_TOL, SeparableMajorant, ValidationError, close,
                     common_scales, left_sum, nonneg)
-from .srnorm import SrNormResult, verify_sr_certificates
-from .thickness import ThicknessResult, verify_cover, verify_thickness_result
-from .transport import TransportResult, verify_transport_result
-from .vcdiag import StepFit, step_fit_violations
 
 # Every check takes (report, the `_Reader` of its job, tol): the reader
 # parses each distinct number string, reads each distinct space and validates
@@ -55,23 +52,9 @@ def _check_thickness(rep, read, tol):
 
 def _check_hall(rep, read, tol):
     z = matrix_from_obj("set", rep["inputs"]["set"], read.exact, read)
-    mass = read.number(rep["mass"])
-    th = read.number(rep["thickness_value"])
-    plan = _plan(rep["plan"], read)
-    if not plan.is_over(z.x_space, z.y_space):
-        return ["plan is not over the set's spaces"]
-    _, _, rows, d, t = plan.scaled(tol)
-    problems = []
-    if not plan.is_bistochastic(tol):
-        problems.append("plan is not bistochastic")
-    if not abs(left_sum(z.on_set(rows)) - mass * d) <= t:
-        problems.append("plan mass on set != reported mass")
-    if not close(mass, th, tol):
-        problems.append("mass != thickness value")
-    # a hall report carries no fractional pair: the cover's own indicator
-    # vectors would be one, and would list each of its faults again
-    return problems + verify_cover(z, th, rep["cover_x"], rep["cover_y"],
-                                   tol=tol)
+    return verify_hall(z, read.number(rep["mass"]),
+                       read.number(rep["thickness_value"]), _plan(rep["plan"], read),
+                       rep["cover_x"], rep["cover_y"], tol)
 
 
 def _check_srnorm(rep, read, tol):
@@ -83,8 +66,6 @@ def _check_srnorm(rep, read, tol):
                           _vector(rep["majorant"], "b", ny, read)),
         _plan(rep["dual_plan"], read),
         read.number(rep["dual_value"]))
-    if not res.dual_plan.is_over(f.x_space, f.y_space):
-        return ["dual plan is not over the function's spaces"]
     problems = verify_sr_certificates(f, res, tol)
     if not close(res.value, res.dual_value, tol):
         problems.append("primal value != dual value")
@@ -128,8 +109,6 @@ def _check_transport(rep, read, tol):
     n = rho.space.size
     res = TransportResult(read.number(rep["cost"]), _plan(rep["plan"], read),
                           _vector(rep, "potential", n, read))
-    if not res.plan.is_over(rho.space, rho.space):
-        return ["plan is not over the metric's spaces"]
     return verify_transport_result(_vector(rep["inputs"], "mu1", n, read),
                                    _vector(rep["inputs"], "mu2", n, read),
                                    rho, res, tol)

@@ -8,23 +8,14 @@ mu, demands nu, slack marginals); strong duality is exact in rational mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
+from .certs import SrNormResult, verify_sr_certificates
 from .flows import TransportationInstance, solve_transportation
-from .model import (DEFAULT_TOL, Number, Plan, ProductFunction,
-                    SeparableMajorant, ValidationError, close, common_scales,
-                    left_sum, zero_of)
+from .model import (Number, Plan, ProductFunction, SeparableMajorant,
+                    ValidationError, close, left_sum, zero_of)
 from .thickness import level_set_thicknesses
-
-
-@dataclass
-class SrNormResult:
-    value: Number
-    majorant: SeparableMajorant
-    dual_plan: Plan        # mass lambda_ij = h_ij * mu_i * nu_j, subbistochastic
-    dual_value: Number
 
 
 def sr_norm(f: ProductFunction) -> SrNormResult:
@@ -102,38 +93,3 @@ def kernel_from_terms(rank_one_terms, x_space, y_space) -> ProductFunction:
     values = [[left_sum((s * u[i] * v[j] for (s, u, v) in rank_one_terms), zero)
                for j in range(y_space.size)] for i in range(x_space.size)]
     return ProductFunction(x_space, y_space, values)
-
-
-def verify_sr_certificates(f: ProductFunction, res: SrNormResult,
-                           tol: float = DEFAULT_TOL) -> list[str]:
-    """Solver-independent re-check of both optimality certificates.
-
-    The majorant and f share one integer scale df, the weights another dw,
-    and the dual plan keeps its own dp (`Plan.scaled`): each weight x
-    majorant or |f| x mass sum is set against the value times both scales.
-    """
-    nx, ny = f.shape
-    if len(res.majorant.a) != nx or len(res.majorant.b) != ny:
-        raise ValidationError("majorant does not match the factors")
-    if res.dual_plan.x_space.size != nx or res.dual_plan.y_space.size != ny:
-        raise ValidationError("dual plan does not match the factors")
-    ((a, b, *fv), (mu, nu)), (df, dw), t = common_scales(
-        tol, [res.majorant.a, res.majorant.b, *f.values],
-        [f.x_space.weights, f.y_space.weights])
-    _, _, mass, dp, tp = res.dual_plan.scaled(tol)
-    t = max(t, tp)   # 0 unless some value is a float
-    problems = []
-    if not all(ai + bj - abs(v) >= -t
-               for ai, row in zip(a, fv) for bj, v in zip(b, row)):
-        problems.append("majorant does not dominate |f|")
-    weight = (left_sum(w * v for w, v in zip(mu, a))
-              + left_sum(w * v for w, v in zip(nu, b)))
-    if not abs(weight - res.value * dw * df) <= t:
-        problems.append("majorant weight != reported value")
-    if not res.dual_plan.is_subbistochastic(tol):
-        problems.append("dual plan is not subbistochastic")
-    pairing = left_sum(abs(v) * m for frow, mrow in zip(fv, mass)
-                       for v, m in zip(frow, mrow))
-    if not abs(pairing - res.value * df * dp) <= t:
-        problems.append("dual pairing != reported value (duality gap)")
-    return problems

@@ -13,16 +13,10 @@ from dataclasses import dataclass
 from itertools import chain
 from operator import sub
 
+from .certs import TransportResult, verify_transport_result
 from .flows import InfeasibleError, TransportationInstance, solve_transportation
 from .model import (DEFAULT_TOL, MetricMatrix, Number, Plan, ValidationError,
                     close, common_scales, left_sum, unscaled, zero_of)
-
-
-@dataclass
-class TransportResult:
-    cost: Number
-    plan: Plan             # marginals mu1, mu2
-    potential: list        # u with |u(x)-u(y)| <= rho(x,y), u(0) = 0
 
 
 @dataclass
@@ -119,47 +113,3 @@ def two_level_duality_check(rho_matrix, mu, nu, z=None) -> TwoLevelReport:
     dual = (left_sum(m * w for m, w in zip(mu, res.u))
             + left_sum(m * w for m, w in zip(nu, res.v)))
     return TwoLevelReport(res.value, dual, res.value - dual, res.plan, res.u, res.v)
-
-
-def verify_transport_result(mu1, mu2, rho: MetricMatrix, res: TransportResult,
-                            tol: float = DEFAULT_TOL) -> list[str]:
-    """Solver-independent certificate check for a kantorovich result.
-
-    mu1 and mu2 share one integer scale dm, the metric and the potential
-    another du, and the plan keeps its own dp (`Plan.scaled`): a marginal
-    is set against mu x dp / dm, and a dist x mass or potential x mass sum
-    against the cost times both scales.
-    """
-    n = rho.space.size
-    mu1, mu2, u = list(mu1), list(mu2), list(res.potential)
-    if not len(mu1) == len(mu2) == len(u) == n:
-        raise ValidationError("weight vectors do not match the space")
-    if res.plan.x_space.size != n or res.plan.y_space.size != n:
-        raise ValidationError("plan does not match the space")
-    ((m1, m2), (*dist, u)), (dm, du), t = common_scales(
-        tol, [mu1, mu2], [*rho.dist, u])
-    _, _, mass, dp, tp = res.plan.scaled(tol)
-    t = max(t, tp)   # 0 unless some value is a float
-    problems = []
-    if not all(abs(left_sum(r) * dm - m * dp) <= t for r, m in zip(mass, m1)):
-        problems.append("plan row marginals != mu1")
-    if not all(abs(left_sum(c) * dm - m * dp) <= t for c, m in zip(zip(*mass), m2)):
-        problems.append("plan column marginals != mu2")
-    for i in range(n):
-        for j in range(n):
-            if not dist[i][j] - abs(u[i] - u[j]) >= -t:
-                problems.append(f"potential not 1-Lipschitz at ({i},{j})")
-    support_resid = max(
-        (abs(u[i] - u[j] - dist[i][j])
-         for i in range(n) for j in range(n) if i != j and mass[i][j] > t),
-        default=0)
-    if not support_resid <= t:
-        problems.append("complementary slackness residual "
-                        f"{unscaled(support_resid, du)}")
-    pairing = left_sum(ui * (a - b) for ui, a, b in zip(u, m1, m2))
-    if not abs(pairing - res.cost * du * dm) <= t:
-        problems.append("dual pairing != cost")
-    plan_cost = left_sum(dist[i][j] * mass[i][j] for i in range(n) for j in range(n))
-    if not abs(plan_cost - res.cost * du * dp) <= t:
-        problems.append("plan cost != reported cost")
-    return problems

@@ -36,23 +36,15 @@ from math import ceil
 from operator import itemgetter, sub
 from typing import Optional
 
-from .model import (DEFAULT_TOL, EPS, DiscreteSpace, MetricMatrix, Number,
-                    ProductFunction, ValidationError, common_integers,
-                    is_exact, left_sum, nonneg, unscaled)
+from .certs import StepFit, step_fit_violations
+from .model import (EPS, DiscreteSpace, MetricMatrix, Number, ProductFunction,
+                    ValidationError, common_integers, is_exact, left_sum,
+                    unscaled)
 
 EXACT_SIDE_LIMIT = 8
 HEURISTIC_RESTARTS = 20
 ENUM_GUARD = 10 ** 6
 INF = float("inf")
-
-
-@dataclass
-class StepFit:
-    x_blocks: list    # x_blocks[0] is the exceptional class (possibly empty)
-    y_blocks: list
-    levels: list      # levels[i][j] for non-exceptional block pair (i+1, j+1)
-    epsilon: Number
-    exact: bool       # False: found by the heuristic, no optimality claim
 
 
 @dataclass
@@ -465,46 +457,6 @@ def vc_profile(f: ProductFunction, n_blocks: int, seed: int = 0) -> VcProfileRes
     if found is not None:
         cfg = found
     return VcProfileResult(value, True, _fit_from_config(f, cfg, value, True))
-
-
-def step_fit_violations(f: ProductFunction, fit: StepFit, strict: bool = True,
-                        tol: float = DEFAULT_TOL) -> list[str]:
-    """Check a step fit against its invariants; list of violations.
-
-    Exact bounds hold strictly (or non-strictly, for a fit at the optimum);
-    float bounds hold up to tol.
-    """
-    problems = []
-    nr, nc = f.shape
-    mu, nu = f.x_space.weights, f.y_space.weights
-
-    def check_partition(blocks, n, side):
-        # every atom 0..n-1 once: no other index, not even -1 for n-1
-        if sorted(i for blk in blocks for i in blk) != list(range(n)):
-            problems.append(f"{side}-blocks are not a partition")
-
-    check_partition(fit.x_blocks, nr, "x")
-    check_partition(fit.y_blocks, nc, "y")
-    eps = fit.epsilon
-
-    def below(v):
-        if not (is_exact(v) and is_exact(eps)):
-            return nonneg(eps - v, tol)
-        return v < eps if strict else v <= eps
-
-    if not below(left_sum((mu[i] for i in fit.x_blocks[0]), mu[0] * 0)):
-        problems.append("exceptional x-class too heavy")
-    if not below(left_sum((nu[j] for j in fit.y_blocks[0]), nu[0] * 0)):
-        problems.append("exceptional y-class too heavy")
-    for bi, blk in enumerate(fit.x_blocks[1:]):
-        for bj, grp in enumerate(fit.y_blocks[1:]):
-            c = fit.levels[bi][bj]
-            for i in blk:
-                for j in grp:
-                    if not below(abs(f[i, j] - c)):
-                        problems.append(
-                            f"level deviation at cell ({i},{j}) in block pair ({bi + 1},{bj + 1})")
-    return problems
 
 
 # ------------------------------------------------------- refinement families

@@ -651,6 +651,17 @@ def test_cli_check_report_missing_inputs_exits_1(tmp_path):
     bad["inputs"]["g"].update(x_space=one_atom, y_space=one_atom, values=[["0"]])
     rp.write_text(json.dumps(bad))
     assert "factor dimension mismatch" in _run_failing(["check", str(rp)])
+    # a cover entry is an atom index 0..n-1 of its side: -1 is not atom n-1,
+    # nor is `true` atom 1, and neither is a float or a string
+    for kind in ("thickness", "hall"):
+        _, out = _run([kind, paths["z"]])
+        for key in ("cover_x", "cover_y"):
+            for entry in (-1, True, False, 10, 2.0, "0", None, [0]):
+                bad = json.loads(out)
+                bad[key] = [0, 1, 2, entry]
+                rp.write_text(json.dumps(bad))
+                assert _run_failing(["check", str(rp)]) == \
+                    f"error: {key} entries must be atom indices 0..9\n", (kind, entry)
 
 
 def test_cli_check_rejects_vcprofile_value_not_witness_epsilon(tmp_path):

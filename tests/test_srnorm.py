@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from virtcont import (DiscreteSpace, ProductFunction, SeparableMajorant,
-                      ValidationError, cutoff, kernel_from_terms,
+from virtcont import (DiscreteSpace, Plan, ProductFunction, SeparableMajorant,
+                      SrNormResult, ValidationError, cutoff, kernel_from_terms,
                       layer_cake_integral, nuclear_bound, sr_norm,
                       tau_distance, verify_sr_certificates)
 from virtcont.model import DEFAULT_TOL
@@ -41,6 +41,16 @@ def test_single_cell():
     s = DiscreteSpace.uniform(n)
     f = fn_on(s, s, lambda i, j: Fraction(1) if (i, j) == (0, 0) else Fraction(0))
     assert sr_norm(f).value == Fraction(1, n)
+    # on two spaces weighted (1/4, 3/4) the norm is 1/4; a dual plan over
+    # uniform spaces would certify 1/2, were it judged against its own spaces
+    w = DiscreteSpace(["x0", "x1"], [Fraction(1, 4), Fraction(3, 4)])
+    f = fn_on(w, w, lambda i, j: Fraction(int((i, j) == (0, 0))))
+    assert sr_norm(f).value == Fraction(1, 4)
+    u, half = DiscreteSpace.uniform(2), Fraction(1, 2)
+    forged = SrNormResult(half, SeparableMajorant([1, 0], [1, 0]),
+                          Plan(u, u, [[half, 0], [0, 0]]), half)
+    assert verify_sr_certificates(f, forged) == [
+        "dual plan is not over the function's spaces"]
 
 
 def test_strong_duality_random():

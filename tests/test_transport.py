@@ -1,12 +1,13 @@
 """Metric transport, its dual potential, and the two-level duality."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from virtcont import (DiscreteSpace, InfeasibleError, MetricMatrix,
+from virtcont import (DiscreteSpace, InfeasibleError, MetricMatrix, Plan,
                       ValidationError, kantorovich, kr_norm,
                       two_level_duality_check, verify_transport_result)
 from virtcont.model import DEFAULT_TOL
@@ -39,6 +40,11 @@ def test_two_point_cost_is_distance_times_moved_mass():
     assert res.cost == Fraction(3, 2)
     assert res.plan.mass[0][1] == 1
     assert verify_transport_result(mu1, mu2, rho, res) == []
+    # the same masses over other spaces certify nothing about rho's
+    other = DiscreteSpace(["p", "q"], [Fraction(1, 2)] * 2)
+    moved = dataclasses.replace(res, plan=Plan(other, other, res.plan.mass))
+    assert verify_transport_result(mu1, mu2, rho, moved) == [
+        "plan is not over the metric's spaces"]
 
 
 def test_path_metric_matches_dense_lp():
