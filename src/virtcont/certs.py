@@ -161,7 +161,8 @@ def verify_hall(z: ProductSet, mass: Number, value: Number, plan: Plan,
 
 def verify_sr_certificates(f: ProductFunction, res: SrNormResult,
                            tol: float = DEFAULT_TOL) -> list[str]:
-    """Solver-independent re-check of both optimality certificates.
+    """Solver-independent re-check of both optimality certificates, and of
+    the primal value against the dual value.
 
     The majorant and f share one integer scale df, the weights another dw,
     and the dual plan keeps its own dp (`Plan.scaled`): each weight x
@@ -170,8 +171,10 @@ def verify_sr_certificates(f: ProductFunction, res: SrNormResult,
     nx, ny = f.shape
     if len(res.majorant.a) != nx or len(res.majorant.b) != ny:
         raise ValidationError("majorant does not match the factors")
+    gap = ([] if close(res.value, res.dual_value, tol)
+           else ["primal value != dual value"])
     if not res.dual_plan.is_over(f.x_space, f.y_space):
-        return ["dual plan is not over the function's spaces"]
+        return ["dual plan is not over the function's spaces"] + gap
     ((a, b, *fv), (mu, nu)), (df, dw), mass, dp, t = _scaled(
         res.dual_plan, tol, [res.majorant.a, res.majorant.b, *f.values],
         [f.x_space.weights, f.y_space.weights])
@@ -189,7 +192,7 @@ def verify_sr_certificates(f: ProductFunction, res: SrNormResult,
                        for v, m in zip(frow, mrow))
     if not abs(pairing - res.value * df * dp) <= t:
         problems.append("dual pairing != reported value (duality gap)")
-    return problems
+    return problems + gap
 
 
 def verify_transport_result(mu1, mu2, rho: MetricMatrix, res: TransportResult,
@@ -242,6 +245,9 @@ def step_fit_violations(f: ProductFunction, fit: StepFit, strict: bool = True,
     problems = []
     mu, nu = f.x_space.weights, f.y_space.weights
     for side, blocks, n in zip("xy", (fit.x_blocks, fit.y_blocks), f.shape):
+        # an int, as a cover entry: no bool is read as an atom
+        if not all(type(i) is int for blk in blocks for i in blk):
+            raise ValidationError(f"{side}_blocks entries must be atom indices")
         # every atom 0..n-1 once: no other index, not even -1 for n-1
         if sorted(i for blk in blocks for i in blk) != list(range(n)):
             problems.append(f"{side}-blocks are not a partition")

@@ -182,7 +182,8 @@ def close(a: Number, b: Number, tol: float = DEFAULT_TOL) -> bool:
     """Equality in the active regime: exact if both operands are rational."""
     if is_exact(a) and is_exact(b):
         return a == b
-    return abs(a - b) <= tol
+    # equal infinities too, whose difference is NaN
+    return a == b or abs(a - b) <= tol
 
 
 def nonneg(x: Number, tol: float = DEFAULT_TOL) -> bool:

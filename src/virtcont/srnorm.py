@@ -15,7 +15,7 @@ from .certs import SrNormResult, verify_sr_certificates
 from .flows import TransportationInstance, solve_transportation
 from .model import (Number, Plan, ProductFunction, SeparableMajorant,
                     ValidationError, close, left_sum, zero_of)
-from .thickness import level_set_thicknesses
+from .thickness import exceedance_thicknesses
 
 
 def sr_norm(f: ProductFunction) -> SrNormResult:
@@ -46,17 +46,14 @@ def sr_norm(f: ProductFunction) -> SrNormResult:
 def layer_cake_integral(f: ProductFunction) -> Number:
     """Integral over lam of th({|f| >= lam}): piecewise constant, summed exactly.
 
-    The sets {|f| >= w} only grow as w falls, so one warm-started max-flow
-    gives the thickness at every level (`thickness.level_set_thicknesses`).
+    Between consecutive levels w' < w of |f|, th({|f| >= w}) equals
+    th({|f| > w'}), so one warm-started max-flow over the exceedance sets of
+    |f| gives every step (`thickness.exceedance_thicknesses`).  The least
+    level is the zero, from which the sum starts.
     """
-    zero = zero_of(v for row in f.values for v in row)
-    levels = sorted({abs(v) for row in f.values for v in row} - {zero})
-    total = zero
-    prev = zero
-    for w, th in zip(levels, level_set_thicknesses(f.abs(), levels, ">=")):
-        total += (w - prev) * th
-        prev = w
-    return total
+    levels, ths = exceedance_thicknesses(f.abs())
+    return left_sum(((w - prev) * th for prev, w, th in zip(levels, levels[1:], ths)),
+                    levels[0])
 
 
 def cutoff(f: ProductFunction, n: Number) -> ProductFunction:

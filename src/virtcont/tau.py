@@ -5,7 +5,7 @@ thickness at most eps.  On atomic spaces the exceedance set only changes at
 the finitely many distinct values of |f - g|, so the infimum is attained at
 a breakpoint.  The exceedance sets are nested, so one warm-started max-flow
 sweeps them from the top breakpoint down and gives every one's thickness
-(`thickness.level_set_thicknesses`); a scan over the breakpoints then takes
+(`thickness.exceedance_thicknesses`); a scan over the breakpoints then takes
 the minimum.
 """
 
@@ -14,8 +14,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .model import Number, ProductFunction, ValidationError, level_set, zero_of
-from .thickness import level_set_thicknesses, thickness
+from .model import Number, ProductFunction, ValidationError, level_set
+from .thickness import exceedance_thicknesses, thickness
 
 
 @dataclass
@@ -32,10 +32,7 @@ def tau_distance(f: ProductFunction, g: ProductFunction) -> TauResult:
     max(v_k, th_k), th_k = th({|f-g| > v_k}).  Minimizing over breakpoints
     gives tau, and the witness is th_k at the largest v_k <= tau.
     """
-    d = f.sub(g).abs()
-    zero = zero_of(v for row in d.values for v in row)
-    levels = sorted({zero} | {v for row in d.values for v in row})
-    ths = level_set_thicknesses(d, levels, ">")
+    levels, ths = exceedance_thicknesses(f.sub(g).abs())
     best = min(map(max, levels, ths))
     return TauResult(best, ths[bisect_right(levels, best) - 1])
 

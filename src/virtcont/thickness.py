@@ -10,8 +10,6 @@ on Z of that same mass (the Hall-type identity), the certificate's other side.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-
 from .certs import ThicknessResult, verify_cover, verify_thickness_result
 from .flows import (BipartiteCoverInstance, min_weighted_vertex_cover,
                     nested_cover_weights)
@@ -40,25 +38,23 @@ def thickness_of_level_set(f: ProductFunction, lam: Number) -> Number:
     return thickness(level_set(f.abs(), lam, ">=")).value
 
 
-def level_set_thicknesses(f: ProductFunction, levels, mode: str) -> list:
-    """[th(level_set(f, v, mode)) for v in levels], levels strictly ascending.
+def exceedance_thicknesses(f: ProductFunction) -> tuple:
+    """(levels, ths): the zero of f's regime and every value of f, ascending,
+    with ths[k] = th({f > levels[k]}).
 
-    The level sets only grow as the level falls, so one warm-started max-flow
-    (`flows.nested_cover_weights`) gives every thickness, from the top level
-    down.  A cell of value x lies in the sets of levels[:k], where k counts
-    the levels below x (mode '>') or at most x (mode '>='); a value that is
-    itself a level is counted by its index, without comparisons.
+    The exceedance sets only grow as the level falls, so one warm-started
+    max-flow (`flows.nested_cover_weights`) gives every thickness, from the
+    top level down.  A cell of value levels[k] lies in the sets of
+    levels[:k], so it joins the sweep with the set of levels[k - 1].
     """
-    count = {">": bisect_left, ">=": bisect_right}[mode]
-    shift = mode == ">="
-    index = {v: k + shift for k, v in enumerate(levels)}
+    values = [v for row in f.values for v in row]
+    levels = sorted({zero_of(values)}.union(values))
+    index = {v: k for k, v in enumerate(levels)}
     joins = [[] for _ in levels]     # joins[k]: the cells whose top level is k
     for i, row in enumerate(f.values):
         for j, x in enumerate(row):
-            k = index.get(x)
-            if k is None:
-                k = count(levels, x)
+            k = index[x]
             if k:
                 joins[k - 1].append((i, j))
-    return nested_cover_weights(f.x_space.weights, f.y_space.weights,
-                                joins[::-1])[::-1]
+    return levels, nested_cover_weights(f.x_space.weights, f.y_space.weights,
+                                        joins[::-1])[::-1]

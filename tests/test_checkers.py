@@ -218,6 +218,26 @@ def test_cli_check_reads_a_block_budget_that_is_no_positive_int_as_malformed(
         assert code == 1, blocks
 
 
+@pytest.mark.parametrize("kind", ["stepfit", "vcprofile"])
+def test_cli_check_reads_a_block_entry_that_is_no_int_as_malformed(tmp_path,
+                                                                   kind):
+    # a block entry is an atom index, as a cover entry is: `true` is not
+    # atom 1, and neither is 1.0, "1" or null
+    jobs = {job[0]: job for job in _self_checked_jobs(_fixture_corpus(tmp_path))}
+    code, out = _run(jobs[kind])
+    assert code == 0
+    rp = tmp_path / "forged.json"
+    for side in ("x_blocks", "y_blocks"):
+        for entry in (True, 1.0, "1", None):
+            rep = json.loads(out)
+            fit = rep["fit" if kind == "stepfit" else "witness"]
+            assert fit[side][1][1] == 1
+            fit[side][1][1] = entry
+            rp.write_text(json.dumps(rep))
+            assert _run_failing(["check", str(rp)]) == \
+                f"error: {side} entries must be atom indices\n", (side, entry)
+
+
 @pytest.mark.parametrize("mode", ["exact", "float"])
 def test_cli_check_reads_a_step_fit_report_that_found_no_fit(tmp_path, mode):
     # one block per side cannot fit g(i, j) = i/30 within 1/100

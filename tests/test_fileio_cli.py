@@ -221,6 +221,22 @@ def test_cli_float_mode(tmp_path):
     assert rep["mode"] == "float"
 
 
+@pytest.mark.parametrize("eps", ["inf", "1e400"])
+def test_cli_float_stepfit_at_an_infinite_eps_passes_its_check(tmp_path, eps):
+    # inf - inf is NaN: the fit's eps and the reported one are still equal
+    g = _fixture_corpus(tmp_path)["g"]
+    code, out = _run(["--mode", "float", "stepfit", g, "--blocks", "1",
+                      "--eps", eps])
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["found"] is True
+    assert rep["epsilon"] == rep["fit"]["epsilon"] == "inf"
+    rp = tmp_path / "inf.json"
+    rp.write_text(out)
+    code, out = _run(["check", str(rp)])
+    assert code == 0 and json.loads(out)["violations"] == []
+
+
 def test_cli_float_srnorm_writes_no_negative_zero(tmp_path):
     # max-profit duals clamped with max(x, 0.0) kept -0.0 (max returns the
     # first of equal values): this majorant's b was written ["1", "-0"]
@@ -881,6 +897,67 @@ def test_cli_lists_given_as_strings_or_objects_exit_1(tmp_path):
     rp = tmp_path / "dist-rows-str.json"
     rp.write_text(json.dumps(rep))
     assert "'dist'" in _run_failing(["check", str(rp)])
+
+
+def _without(key, name):
+    """The text of the corpus file `name` with `key` dropped from its JSON
+    object (from the header line of a CSV matrix file)."""
+    def text(p):
+        text = Path(p[name]).read_text()
+        head, *body = text.split("\n", 1) if p[name].endswith(".csv") else [text]
+        obj = json.loads(head)
+        del obj[key]
+        return "\n".join([json.dumps(obj), *body])
+    return text
+
+
+# Input errors of each reader and flag check: argv (over the corpus paths and
+# the broken file "bad"), the broken file's name and text, and the message.
+_INPUT_ERRORS = {
+    "stepfit-blocks-0": (["stepfit", "{g}", "--blocks", "0", "--eps", "1"],
+                         None, "block count must be at least 1"),
+    "stepfit-eps-0": (["stepfit", "{g}", "--blocks", "1", "--eps", "0"],
+                      None, "eps must be positive"),
+    "vcprofile-blocks-0": (["vcprofile", "{g}", "--blocks", "0"],
+                           None, "block count must be at least 1"),
+    "refine-grids-8,4": (["refine", "--family", "metric_kernel", "--grids",
+                          "8,4", "--blocks", "1"],
+                         None, "grid sizes must be ascending"),
+    "refine-blocks-0": (["refine", "--family", "metric_kernel", "--grids",
+                         "4,8", "--blocks", "0"],
+                        None, "block count must be at least 1"),
+    "matdist-order-0": (["matdist", "{rho}", "--order", "0"],
+                        None, "matrix order must be at least 1"),
+    "matdist-samples-0": (["matdist", "{rho}", "--order", "1", "--samples", "0"],
+                          None, "count must be at least 1"),
+    "vector-bad-json": (["krnorm", "{rho}", "{bad}"],
+                        ("bad.json", lambda p: '{"values": [1'), "bad JSON"),
+    "vector-no-values": (["krnorm", "{rho}", "{bad}"],
+                         ("bad.json", _without("values", "eta")),
+                         "vector object needs 'values'"),
+    "metric-no-space": (["transport", "{bad}", "{mu1}", "{mu2}"],
+                        ("bad.json", _without("space", "rho")),
+                        "metric object needs 'space' and 'dist'"),
+    "metric-no-dist": (["transport", "{bad}", "{mu1}", "{mu2}"],
+                       ("bad.json", _without("dist", "rho")),
+                       "metric object needs 'space' and 'dist'"),
+    "matrix-no-x_space": (["srnorm", "{bad}"],
+                          ("bad.csv", _without("x_space", "f")),
+                          "space object needs 'labels' and 'weights'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_INPUT_ERRORS))
+def test_cli_input_errors_exit_1_with_one_line(tmp_path, case):
+    argv, bad, message = _INPUT_ERRORS[case]
+    p = _fixture_corpus(tmp_path)
+    if bad is not None:
+        name, text = bad
+        p["bad"] = str(tmp_path / name)
+        Path(p["bad"]).write_text(text(p))
+        message = f"{p['bad']}: {message}"
+    assert _run_failing([a.format(**p) for a in argv]).startswith(
+        f"error: {message}")
 
 
 @pytest.mark.parametrize("flags", [

@@ -1,5 +1,6 @@
-"""The nested level-set sweep: one warm-started max-flow gives every level's
-thickness, equal bit for bit to one solve per level, in both regimes."""
+"""The exceedance sweep: one warm-started max-flow gives th({f > v}) at the
+zero and at every value v of f, equal bit for bit to one solve per level, in
+both regimes; tau and the layer cake are read off it."""
 
 import random
 from fractions import Fraction
@@ -10,7 +11,7 @@ from hypothesis import given, strategies as st
 from virtcont import (DiscreteSpace, ProductFunction, ValidationError, flows,
                       layer_cake_integral, level_set, tau_distance, thickness)
 from virtcont.model import zero_of
-from virtcont.thickness import level_set_thicknesses
+from virtcont.thickness import exceedance_thicknesses
 
 from util import rand_function, rand_space, scan_layer_cake, scan_tau
 
@@ -45,14 +46,12 @@ _FLOAT = _pairs(lambda p, total: p / total,
 
 
 def _sweep_equals_per_level_solves(f, g):
-    d = f.sub(g).abs()
-    zero = zero_of(v for row in d.values for v in row)
-    for h, levels, mode in (
-            (d, sorted({zero} | {v for row in d.values for v in row}), ">"),
-            (f.abs(), sorted({v for row in f.abs().values for v in row} - {zero}),
-             ">=")):
-        swept = level_set_thicknesses(h, levels, mode)
-        assert swept == [thickness(level_set(h, v, mode)).value for v in levels]
+    for h in (f.sub(g).abs(), f.abs()):
+        values = [v for row in h.values for v in row]
+        zero = zero_of(values)
+        levels, swept = exceedance_thicknesses(h)
+        assert levels == sorted({zero} | set(values))
+        assert swept == [thickness(level_set(h, v, ">")).value for v in levels]
         assert all(type(a) is type(zero) for a in swept)
     res = tau_distance(f, g)
     assert (res.value, res.witness_set_thickness) == scan_tau(f, g)

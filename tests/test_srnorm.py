@@ -1,6 +1,7 @@
 """The regulator norm: strong duality, norm axioms, layer-cake bounds."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -51,6 +52,11 @@ def test_single_cell():
                           Plan(u, u, [[half, 0], [0, 0]]), half)
     assert verify_sr_certificates(f, forged) == [
         "dual plan is not over the function's spaces"]
+    # a dual value other than the value is a violation on either exit
+    assert verify_sr_certificates(f, replace(forged, dual_value=Fraction(99))) == [
+        "dual plan is not over the function's spaces", "primal value != dual value"]
+    assert verify_sr_certificates(f, replace(sr_norm(f), dual_value=Fraction(99))) \
+        == ["primal value != dual value"]
 
 
 def test_strong_duality_random():
