@@ -1,10 +1,12 @@
 """Command-line front end: parse inputs, dispatch, emit deterministic reports.
 
-Every duality-backed command re-verifies its own certificates through the
-same independent checker exposed by the `check` subcommand before printing
-anything; a failed re-check is an internal invariant violation (exit 2), as
-is a float solve whose search round-off defeats, while malformed inputs exit
-1.  Reports are byte-stable for a fixed input, mode and seed.
+Every duality-backed command writes its report once and, before printing
+it, re-verifies the certificates in those bytes, read back, through the
+checker that the `check` subcommand runs; `text` and `csv` render the same
+read-back report.  A failed re-check is an internal invariant violation
+(exit 2), as is a float solve whose search round-off defeats, while
+malformed inputs exit 1.  Reports are byte-stable for a fixed input, mode
+and seed.
 """
 
 from __future__ import annotations
@@ -20,9 +22,8 @@ from collections import namedtuple
 from .checkers import _CHECKS, check_report
 from .coupling import max_bistochastic_mass
 from .fileio import (_csv_table, _load, _loads_json, _matrix_kind, _Reader,
-                     dumps_json, jsonable, load_matrix, load_metric,
-                     load_vector, matrices_to_obj, matrix_to_obj,
-                     metric_to_obj)
+                     dumps_json, load_matrix, load_metric, load_vector,
+                     matrices_to_obj, matrix_to_obj, metric_to_obj)
 from .flows import InfeasibleError
 from .model import DEFAULT_TOL, ValidationError, left_sum
 from .srnorm import sr_norm
@@ -263,17 +264,13 @@ def _report_csv(rep) -> str:
 
 
 def _report_text(rep) -> str:
-    lines = []
-    for key in sorted(rep):
-        val = rep[key]
-        if isinstance(val, (dict, list)):
-            lines.append(f"{key}: {json.dumps(val, sort_keys=True)}")
-        else:
-            lines.append(f"{key}: {val}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{k}: {json.dumps(v, sort_keys=True)}\n"
+                   if isinstance(v, (dict, list)) else f"{k}: {v}\n"
+                   for k, v in sorted(rep.items()))
 
 
 def emit_report(rep: dict, fmt: str) -> str:
+    """rep in the format; `main` passes csv and text the report read back."""
     if fmt == "json":
         return dumps_json(rep) + "\n"
     if fmt == "csv":
@@ -297,10 +294,10 @@ def main(argv=None) -> int:
         # a float solve that round-off defeated is no input error
         return 2 if isinstance(e, FloatingPointError) else 1
 
-    rep.setdefault("mode", args.mode)
-    rep["tolerance"] = tol
-    rep["command"] = args.command
-    rep = jsonable(rep)
+    text = emit_report({"mode": args.mode, **rep, "tolerance": tol,
+                        "command": args.command}, "json")
+    # the report as printed: what the self-check and the other formats read
+    rep = json.loads(text)
     if args.command in _CHECKS:
         violations = check_report(rep, tol, read)
         if violations:
@@ -309,7 +306,8 @@ def main(argv=None) -> int:
                 print(f"  {v}", file=sys.stderr)
             return 2
     try:
-        text = emit_report(rep, args.format)
+        if args.format != "json":
+            text = emit_report(rep, args.format)
     except ValidationError as e:   # a report with no csv rendering
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -2,12 +2,13 @@
 
 Matrix files (functions, sets, plans) carry a one-line JSON header naming
 both factor spaces, then one CSV row per X-atom with a Y-label header row.
-Reports embed the same matrices as objects with the same cells.  Numbers
-serialize as "p/q" strings in exact mode and as 17-significant-digit
-decimals in float mode; parse(emit(x)) == x in both regimes.  Each
-distinct number string of a file is parsed once, and each distinct number
-object of a matrix is formatted once.  Set cells are written as the ints 0
-and 1 and read, as a file's "0"/"1" or a report's 0/1, by one lookup each.
+Reports embed the same matrices as objects with the same cells, and one
+writer, `dumps_json`, writes every report.  Numbers serialize as "p/q"
+strings in exact mode and as 17-significant-digit decimals in float mode;
+parse(emit(x)) == x in both regimes.  Each distinct number string of a
+file is parsed once, and each distinct number object of a matrix is
+formatted once.  Set cells are written as the ints 0 and 1 and read, as a
+file's "0"/"1" or a report's 0/1, by one lookup each.
 A malformed file raises a ValidationError that names its path.
 """
 
@@ -348,12 +349,21 @@ def _loads_json(text: str, what: str = "bad JSON"):
 
 
 def _dump_json(obj, path: str) -> None:
+    # an input file, whose float label stays a number, unlike in a report
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_json(obj) + "\n")
+        fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 _escape = json.encoder.encode_basestring_ascii   # json's own C escaper
-_SCALARS = {str: _escape, int: int.__repr__}     # type -> its JSON writer
+
+
+def _number(x) -> str:
+    return _escape(format_number(x))
+
+
+# type -> its JSON text; a bare int is an index or a count, not a quantity
+_SCALARS = {str: _escape, int: int.__repr__, bool: json.dumps,
+            type(None): json.dumps, Fraction: _number, float: _number}
 _INT_TEXT = {k: repr(k) for k in range(1024)}    # set cells, atom indices
 
 
@@ -370,10 +380,12 @@ _LISTS = {str: partial(map, _escape), int: _int_texts}
 
 
 def dumps_json(obj, indent: str = "\n") -> str:
-    """json.dumps(obj, sort_keys=True, indent=2) byte for byte, for what
-    `jsonable` returns, with each list of strings or ints in one C-level
-    join (json encodes in pure Python when given an indent).  `indent` is
-    the line break and margin of obj's closing bracket."""
+    """The one writer of a report: json.dumps(obj, sort_keys=True, indent=2)
+    byte for byte, once each Fraction or float is replaced by its
+    `format_number` string; dict keys are strings.  Each list of strings or
+    ints alone is joined at C level (json encodes in pure Python when given
+    an indent).  `indent` is the line break and margin of obj's closing
+    bracket."""
     write = _SCALARS.get(type(obj))
     if write is not None:
         return write(obj)
@@ -386,23 +398,11 @@ def dumps_json(obj, indent: str = "\n") -> str:
         write = _LISTS.get(kinds.pop()) if len(kinds) == 1 else None
         items = write(obj) if write else (dumps_json(v, inner) for v in obj)
         return "[" + inner + ("," + inner).join(items) + indent + "]"
-    return json.dumps(obj)  # empty containers, bools, None, a float label
-
-
-_PLAIN = frozenset([str, int, bool, type(None)])   # what jsonable keeps as is
+    if isinstance(obj, (dict, list, tuple)):
+        return json.dumps(obj)      # an empty container
+    raise ValidationError(f"cannot serialize {type(obj).__name__}")
 
 
 def jsonable(x):
-    """Recursively convert model numbers to their string form for reports."""
-    if type(x) is str or x is None or isinstance(x, (str, int)):
-        return x  # bare ints are indices and counts, not measured quantities
-    if isinstance(x, dict):
-        return {str(k): jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        if _PLAIN.issuperset(map(type, x)):
-            return list(x)      # such as the cells that matrix_to_obj wrote
-        return [jsonable(v) for v in x]
-    # last: a container tested against Fraction, an ABC, would run in Python
-    if isinstance(x, (float, Fraction)):
-        return format_number(x)
-    raise ValidationError(f"cannot serialize {type(x).__name__}")
+    """x as its report reads: what json.loads reads from dumps_json(x)."""
+    return json.loads(dumps_json(x))

@@ -8,7 +8,9 @@ import pkgutil
 import random
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
+from math import inf, nan
 from pathlib import Path
 
 import pytest
@@ -66,6 +68,46 @@ _JSON = st.recursive(
 @example([0, 1, -1, 1023, 1024, -1024, 10 ** 30, 1, 0])
 def test_dumps_json_writes_what_json_dumps_writes(obj):
     assert dumps_json(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+def _formatted(x):
+    """x with each Fraction and float as its format_number string."""
+    if isinstance(x, dict):
+        return {k: _formatted(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return type(x)(map(_formatted, x))
+    return format_number(x) if type(x) in (Fraction, float) else x
+
+
+# what a runner returns: the same, with Fractions and floats (signed zeros,
+# infinities, NaN and subnormals among them) and tuples
+_NUMBER = st.one_of(st.fractions(), st.floats(),
+                    st.sampled_from([-0.0, inf, nan, 5e-324, 0.1]))
+_REPORTS = st.recursive(
+    st.one_of(st.text(), st.integers(), st.booleans(), st.none(), _NUMBER),
+    lambda inner: st.one_of(st.lists(inner), st.lists(inner).map(tuple),
+                            st.dictionaries(st.text(), inner)),
+    max_leaves=40)
+
+
+@given(_REPORTS)
+@example({"a": [Fraction(1, 3), Fraction(-2), Fraction(0)],
+          "b": (-0.0, inf, -inf, nan, 5e-324, 0.1),
+          "c": [True, 1, Fraction(1), 1.0, False, 0, None],
+          "d": ((Fraction(1, 2), 0.5), [], (), {}), "e": Fraction(7, 2)})
+def test_dumps_json_writes_model_numbers_as_format_number_strings(obj):
+    text = dumps_json(obj)
+    assert text == json.dumps(_formatted(obj), sort_keys=True, indent=2)
+    assert fileio.jsonable(obj) == json.loads(text)
+    assert fileio.jsonable(obj) == json.loads(json.dumps(_formatted(obj)))
+
+
+@pytest.mark.parametrize("other", [object(), {1, 2}, 1j, b"1", Decimal("0.5")])
+def test_dumps_json_and_jsonable_refuse_any_other_type(other):
+    for obj in (other, [other], {"a": [Fraction(1, 2), other]}, (1, other)):
+        for write in (dumps_json, fileio.jsonable):
+            with pytest.raises(ValidationError, match="cannot serialize"):
+                write(obj)
 
 
 def test_numbers_are_formatted_once_per_object_never_by_value():
@@ -302,6 +344,31 @@ def test_cli_check_round_trip(tmp_path):
             code, out2 = _run(["check", str(rp)])
             assert code == 0, (mode, job)
             assert json.loads(out2)["violations"] == []
+
+
+def test_the_self_check_reads_the_bytes_the_job_prints(tmp_path, monkeypatch,
+                                                      capsys):
+    # a writer that gets one certificate number wrong, still as valid JSON:
+    # the job exits 2 and prints nothing, since it checks what it would print
+    paths = _fixture_corpus(tmp_path)
+    write = fileio.dumps_json
+
+    def wrong(rep, *args):
+        obj = json.loads(write(rep, *args))
+        a = obj["majorant"]["a"]
+        a[0] = format_number(Fraction(a[0]) + 1)
+        return json.dumps(obj, sort_keys=True, indent=2)
+
+    for mode in ("exact", "float"):
+        argv = ["--mode", mode, "srnorm", paths["f"]]
+        assert main(argv) == 0
+        capsys.readouterr()
+        with monkeypatch.context() as m:
+            m.setattr(cli, "dumps_json", wrong)
+            assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("internal invariant violation:\n"), err
 
 
 def test_every_command_but_refine_and_check_has_a_checker():

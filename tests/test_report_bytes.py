@@ -449,3 +449,55 @@ def test_a_float_search_that_cycles_again_exits_2(tmp_path, key):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr and "MemoryError" not in proc.stderr
+
+
+# `--format text` and `--format csv` renderings of draws pinned above, in
+# both modes: `_corpus`'s reports, the step-fit group's "vcprofile v-6-0 2"
+# and `check` of `_corpus`'s thickness report.  Recorded from the CLI that
+# rendered the dict its self-check had checked, before the self-check and
+# the renderings both read the report back from its JSON text.
+RENDER_PINNED = {
+    "csv exact hall": "430f092f7bfff871e3c13334b0b621e59e04573a",
+    "csv exact thickness": "559402e586f5426c5ec4d25069c28fd168ff2019",
+    "csv exact transport": "6dbd062e568477437f0f4d832b828f9fe27e13ee",
+    "csv float hall": "a8eee1046b77b28271bee39dc3fae2e551557ad1",
+    "csv float thickness": "5808c7f19a72266b66646fc38e092f3afb97f506",
+    "csv float transport": "467ca5835e565221e66341ea45317c257cccd134",
+    "text exact check": "f65f8e279e79cda4e7d0db6e11edf851bd0e2dcb",
+    "text exact hall": "ec19ce5cc3290d846b6a4a31717055a445803181",
+    "text exact krnorm": "0f93eacb503f3c5c11321ee2fc436f1f119d0163",
+    "text exact srnorm": "5fb96d73ce6b14ae9849d349cdcb4d54eba632c0",
+    "text exact tau": "2d57660e074c5483fc32545a319b652d7e2962d6",
+    "text exact thickness": "07fd90532645cf82eaeadd9398a3215ab91214f6",
+    "text exact transport": "4011143d339b104dcbd856229ecb44a197cb235d",
+    "text exact vcprofile": "ea12c9f41fbf35cf9807854ea1ff0667c60566a6",
+    "text float check": "03048a712caf16ebc06f51648fd456ebe8709176",
+    "text float hall": "7e5916fdfb728239b6379b26cdff5579c3ef3aed",
+    "text float krnorm": "67fa9395a3dfd0048014aefbd048fbb568c88e39",
+    "text float srnorm": "cc3e71ab61312f6ba092ee41783d6de1212e1da7",
+    "text float tau": "49e18596605b058d640afed9f4d111a6d2319780",
+    "text float thickness": "8a4566471cde5ef671ebf2e77305bea80ac06527",
+    "text float transport": "f07af95b277418fc3814dd5ffd4390c769e8a1cf",
+    "text float vcprofile": "5605f679c1b7427998ab17221f265031b5c074fd",
+}
+
+
+def _render_argv(tmp_path, key):
+    fmt, mode, command = key.split()
+    if command == "vcprofile":
+        argv = _stepfit_argv(tmp_path, "vcprofile v-6-0 2")
+    elif command == "check":
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(["--mode", mode] + _corpus(tmp_path)["thickness"]) == 0
+        report = tmp_path / "report.json"
+        report.write_text(buf.getvalue())
+        argv = ["check", str(report)]
+    else:
+        argv = _corpus(tmp_path)[command]
+    return ["--mode", mode, "--format", fmt] + argv
+
+
+@pytest.mark.parametrize("key", sorted(RENDER_PINNED))
+def test_text_and_csv_renderings_pinned(tmp_path, key):
+    assert _report_digest(_render_argv(tmp_path, key)) == RENDER_PINNED[key]

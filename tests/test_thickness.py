@@ -8,7 +8,7 @@ from math import inf, nan, nextafter
 import pytest
 from hypothesis import example, given, strategies as st
 
-from virtcont import (DiscreteSpace, Plan, ProductSet, thickness,
+from virtcont import (DiscreteSpace, Plan, ProductSet, sr_norm, thickness,
                       thickness_of_level_set, verify_thickness_result)
 from virtcont.model import DEFAULT_TOL, ValidationError, left_sum
 from virtcont.thickness import verify_cover
@@ -194,6 +194,26 @@ def test_exact_thickness_certifies_both_sides(z):
 @given(_sets(lambda p, total: p / total))
 def test_float_thickness_certifies_both_sides(z):
     _both_sides_checked(z)
+
+
+def _sr_norm_of_indicator(z):
+    """sr_norm of z's indicator, with cells in z's regime: a transportation
+    solve, which shares no code with thickness's max-flow."""
+    one = z.x_space.weights[0] * 0 + 1
+    return sr_norm(fn_on(z.x_space, z.y_space,
+                         lambda i, j: one if z.membership[i][j] else one * 0)).value
+
+
+# The least cover of a set is the least separable majorant of its
+# indicator: the cover LP is the sr-norm's LP on 0/1 values.
+@given(_sets(Fraction))
+def test_exact_thickness_is_the_sr_norm_of_the_indicator(z):
+    assert thickness(z).value == _sr_norm_of_indicator(z)
+
+
+@given(_sets(lambda p, total: p / total))
+def test_float_thickness_is_the_sr_norm_of_the_indicator(z):
+    assert abs(thickness(z).value - _sr_norm_of_indicator(z)) <= 1e-9
 
 
 def test_nan_fails_the_plan_and_the_fractional_pair():
