@@ -31,15 +31,16 @@ def max_bistochastic_mass(z: ProductSet) -> HallResult:
 
 
 def complete_to_bistochastic(sub: Plan) -> Plan:
-    """Dominating bistochastic plan: route the marginal deficits northwest-corner."""
+    """Dominating bistochastic plan: route the marginal deficits
+    northwest-corner, on the plan's own scale (`Plan.scaled`)."""
     if sub.signed:
         raise ValidationError("cannot complete a signed plan")
     if not sub.is_subbistochastic():
         raise ValidationError("input plan is not subbistochastic")
-    mu, nu = sub.x_space.weights, sub.y_space.weights
-    row_def = [w - r for w, r in zip(mu, sub.row_marginals())]
-    col_def = [w - c for w, c in zip(nu, sub.col_marginals())]
-    mass = [list(row) for row in sub.mass]
+    xw, yw, rows, d, t = sub.scaled()
+    row_def = [w - left_sum(r) for w, r in zip(xw, rows)]
+    col_def = [w - left_sum(c) for w, c in zip(yw, zip(*rows))]
+    mass = [list(row) for row in rows]
     i = j = 0
     nr, nc = sub.x_space.size, sub.y_space.size
     while i < nr and j < nc:
@@ -48,12 +49,15 @@ def complete_to_bistochastic(sub: Plan) -> Plan:
             mass[i][j] += step
             row_def[i] -= step   # x - min(x, y) is exactly 0 for the smaller
             col_def[j] -= step
-        # advance past exhausted lines; ties advance the row first
-        if row_def[i] == 0:
+        # advance past exhausted lines, a float deficit of negative dust
+        # among them; ties advance the row first
+        if row_def[i] <= 0:
             i += 1
         else:
             j += 1
-    return Plan(sub.x_space, sub.y_space, mass)
+    # on the plan's scale: d, or None for a float plan (t > 0)
+    return Plan.of_scaled(sub.x_space, sub.y_space, xw, yw, mass,
+                          None if t else d)
 
 
 def integrate_against_plan(f: ProductFunction, plan: Plan) -> Number:

@@ -7,8 +7,11 @@ writer, `dumps_json`, writes every report.  Numbers serialize as "p/q"
 strings in exact mode and as 17-significant-digit decimals in float mode;
 parse(emit(x)) == x in both regimes.  Each distinct number string of a
 file is parsed once, and each distinct number object of a matrix is
-formatted once.  Set cells are written as the ints 0 and 1 and read, as a
-file's "0"/"1" or a report's 0/1, by one lookup each.
+formatted once.  A plan stays on its integer scale both ways: its cells
+are written from the distinct ints k of its scale d, as k/d in lowest
+terms, and read, in exact mode, by mapping each distinct string onto one
+scale with the spaces' weights.  Set cells are written as the ints 0 and 1
+and read, as a file's "0"/"1" or a report's 0/1, by one lookup each.
 A malformed file raises a ValidationError that names its path.
 """
 
@@ -20,11 +23,12 @@ import json
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import partial
-from itertools import chain
+from itertools import chain, repeat
+from math import gcd, lcm
 
 from .model import (DiscreteSpace, MetricMatrix, Plan, ProductFunction,
                     ProductSet, ValidationError, is_exact, parse_number,
-                    require_valid_space, validate_semimetric)
+                    require_valid_space, to_scale, validate_semimetric)
 
 
 def format_number(x) -> str:
@@ -42,6 +46,23 @@ def _cell_strings(rows, write=format_number) -> list:
     cells = list(chain.from_iterable(rows))
     text = {k: write(v) for k, v in dict(zip(map(id, cells), cells)).items()}
     return [list(map(text.__getitem__, map(id, row))) for row in rows]
+
+
+def _ratio(k: int, d: int) -> str:
+    """str(Fraction(k, d)), after one gcd: "p/q" in lowest terms, or "p"."""
+    g = gcd(k, d)
+    return str(k // g) if g == d else f"{k // g}/{d // g}"
+
+
+def _plan_strings(plan: Plan) -> list:
+    """A plan's cells as written: in exact mode each distinct int k of its
+    scale d once, as k/d in lowest terms; float cells as `_cell_strings`
+    writes them."""
+    _, _, rows, d, t = plan.scaled()
+    if t:
+        return _cell_strings(rows)
+    text = {k: _ratio(k, d) for k in set(chain.from_iterable(rows))}
+    return [list(map(text.__getitem__, row)) for row in rows]
 
 
 def _parse_weight(text, exact: bool):
@@ -87,6 +108,27 @@ class _Reader:
         except (TypeError, ValidationError):
             return [self.number(v) for v in row]
         return list(map(known.__getitem__, row))
+
+    def plan(self, x_space, y_space, cells, signed: bool) -> Plan:
+        """The plan of the cells over the spaces.  In exact mode each
+        distinct cell string is parsed once and mapped, with the spaces'
+        weights, onto one scale, the lcm of their denominators: the plan is
+        built on it, with no Fraction per cell.  A cell that is no string,
+        or that fails to parse, sends the cells through `numbers` and
+        `Plan`, which name the first bad one."""
+        try:
+            texts = set(chain.from_iterable(cells)) if self.exact else ()
+            if not texts or not set(map(type, texts)) <= {str}:
+                raise TypeError     # float mode, or a cell that is no string
+            values = dict(zip(texts, map(self.number, texts)))
+        except (TypeError, ValidationError):
+            return Plan(x_space, y_space, list(map(self.numbers, cells)), signed)
+        xw, yw = x_space.weights, y_space.weights
+        d = lcm(*(x.denominator for x in chain(values.values(), xw, yw)))
+        ints = dict(zip(values, to_scale(values.values(), d)))
+        return Plan.of_scaled(x_space, y_space, to_scale(xw, d), to_scale(yw, d),
+                              [list(map(ints.__getitem__, row)) for row in cells],
+                              d, signed)
 
     def space(self, obj) -> DiscreteSpace:
         # keyed by its JSON text, which tells 1, 1.0 and true apart
@@ -188,12 +230,13 @@ def save_vector(values, path: str) -> None:
 # One codec for functions, sets and plans: a report object carries the same
 # cells as a CSV file, and `_build` reads them from either.
 
-# kind: (class, cells attribute and key, writer of its rows)
+# kind: (class, cells attribute and key, writer of its cells)
 _INTS = {False: 0, True: 1}.__getitem__     # a set cell as written
-_KINDS = {"function": (ProductFunction, "values", _cell_strings),
+_KINDS = {"function": (ProductFunction, "values",
+                       lambda f: _cell_strings(f.values)),
           "set": (ProductSet, "membership",
-                  lambda rows: [list(map(_INTS, row)) for row in rows]),
-          "plan": (Plan, "mass", _cell_strings)}
+                  lambda z: [list(map(_INTS, row)) for row in z.membership]),
+          "plan": (Plan, "mass", _plan_strings)}
 _BITS = {"0": False, "1": True, 0: False, 1: True}   # the set cells
 
 
@@ -218,10 +261,9 @@ def _build(kind, x_space, y_space, cells, read, signed):
         except KeyError:
             raise ValidationError("set cells must be 0 or 1") from None
         return ProductSet.of_bools(x_space, y_space, bits)
-    rows = list(map(read.numbers, cells))
     if kind == "plan":
-        return Plan(x_space, y_space, rows, signed=bool(signed))
-    return ProductFunction(x_space, y_space, rows)
+        return read.plan(x_space, y_space, cells, bool(signed))
+    return ProductFunction(x_space, y_space, list(map(read.numbers, cells)))
 
 
 def matrix_to_obj(m) -> dict:
@@ -229,7 +271,7 @@ def matrix_to_obj(m) -> dict:
     also carries `"signed": true`."""
     _, key, write = _KINDS[_matrix_kind(m)]
     obj = {"x_space": space_to_obj(m.x_space), "y_space": space_to_obj(m.y_space),
-           key: write(getattr(m, key))}
+           key: write(m)}
     if getattr(m, "signed", False):
         obj["signed"] = True
     return obj
@@ -375,17 +417,20 @@ def _int_texts(values) -> list:
         return list(map(int.__repr__, values))
 
 
-# type -> the JSON text of each item of a list of that type only
-_LISTS = {str: partial(map, _escape), int: _int_texts}
+# type -> the JSON text of each item of a list of that type only: a number
+# as `format_number` writes it, escaped
+_LISTS = {str: partial(map, _escape), int: _int_texts,
+          Fraction: lambda xs: map(_escape, map(str, xs)),
+          float: lambda xs: map(_escape, map(format, xs, repeat(".17g")))}
 
 
 def dumps_json(obj, indent: str = "\n") -> str:
     """The one writer of a report: json.dumps(obj, sort_keys=True, indent=2)
     byte for byte, once each Fraction or float is replaced by its
-    `format_number` string; dict keys are strings.  Each list of strings or
-    ints alone is joined at C level (json encodes in pure Python when given
-    an indent).  `indent` is the line break and margin of obj's closing
-    bracket."""
+    `format_number` string; dict keys are strings.  Each list of strings,
+    ints, Fractions or floats alone is joined at C level (json encodes in
+    pure Python when given an indent).  `indent` is the line break and
+    margin of obj's closing bracket."""
     write = _SCALARS.get(type(obj))
     if write is not None:
         return write(obj)

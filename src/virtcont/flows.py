@@ -17,8 +17,10 @@ Two solvers live here:
   through a dummy row and column.
 
 In exact mode the rational inputs are scaled once to ints over their common
-denominator (`model.common_integers`), the kernel runs on the ints, and the
-results are divided back to Fractions at the end.  A positive common scale
+denominator (`model.common_integers`), the kernel runs on the ints, and its
+values are divided back to Fractions at the end.  A flow or a plan is
+handed over on its scale, as ints with their denominator; its Fractions are
+a view formed on first use (`model.from_scale`).  A positive common scale
 preserves every comparison and tie, so the kernel takes the same steps as
 on the Fractions themselves.  Each kernel is one body for ints and floats,
 with tol 0 on the ints and EPS on floats.  The transportation solver finds
@@ -38,13 +40,14 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from math import inf
 from operator import itemgetter, sub
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .model import (EPS, Number, ProductSet, ValidationError, all_finite,
-                    common_integers, is_exact, left_sum, zero_of)
+                    common_integers, from_scale, is_exact, left_sum, zero_of)
 
 
 class InfeasibleError(ValueError):
@@ -94,14 +97,15 @@ class CoverResult:
     value: Number
     rows: list            # picked row indices
     cols: list            # picked column indices
-    flow: list            # certificate flow per edge, aligned with inst.edges
     flow_value: Number
+    scaled_flow: list     # certificate flow per edge, aligned with inst.edges,
+                          # on the costs' scale: ints over `scale`, or floats
+    scale: Optional[int]  # the costs' common denominator; None for floats
 
-
-def _over(ints, d):
-    """k -> Fraction(k, d) for the ints given, one Fraction per distinct k:
-    plans then share cells, which are formatted and rescaled once each."""
-    return {k: Fraction(k, d) for k in set(ints)}.__getitem__
+    @cached_property
+    def flow(self) -> list:
+        """The certificate flow per edge, in the costs' units."""
+        return from_scale([self.scaled_flow], self.scale)[0]
 
 
 def _int_pairs(edges) -> tuple:
@@ -123,9 +127,9 @@ def min_weighted_vertex_cover(inst: BipartiteCoverInstance) -> CoverResult:
     is read off residual reachability (source-side rows stay unpicked).
     This is the one-batch case of `nested_cover_weights`.
     """
-    [(rows, cols)], [value], flow, total = _scaled_covers(
+    [(rows, cols)], [value], flow, total, scale = _scaled_covers(
         inst.row_costs, inst.col_costs, [inst.edges])
-    return CoverResult(value, rows, cols, list(flow), total)
+    return CoverResult(value, rows, cols, total, flow, scale)
 
 
 def nested_cover_weights(row_costs: Sequence[Number], col_costs: Sequence[Number],
@@ -147,11 +151,12 @@ def nested_cover_weights(row_costs: Sequence[Number], col_costs: Sequence[Number
 
 def _scaled_covers(row_costs: tuple, col_costs: tuple, batches):
     """`_max_flow_cover` on the costs as ints over their common denominator
-    (floats as given, with EPS as the kernel's zero), its results back in
-    the costs' units: ([(rows, cols) per batch], [weight per batch], flow
-    per edge, flow value).  The flow is divided lazily, as an iterator,
-    since the nested sweep drops it.  A cover's weight is summed on the
-    kernel's costs, rows first, then columns, each from 0 (0.0 on floats)."""
+    (floats as given, with EPS as the kernel's zero): ([(rows, cols) per
+    batch], [weight per batch], flow per edge, flow value, scale).  The
+    weights and the flow value come back in the costs' units; the flow stays
+    on the kernel's scale, ints over `scale` (None on floats).  A cover's
+    weight is summed on the kernel's costs, rows first, then columns, each
+    from 0 (0.0 on floats)."""
     nr = len(row_costs)
     costs, scale = common_integers(row_costs + col_costs)
     zero = 0 if scale is not None else 0.0
@@ -161,10 +166,9 @@ def _scaled_covers(row_costs: tuple, col_costs: tuple, batches):
                left_sum((costs[nr + j] for j in cols), zero)
                for rows, cols in covers]
     if scale is not None:
-        flow = map(_over(flow, scale), flow)
         total = Fraction(total, scale)
         weights = [Fraction(w, scale) for w in weights]
-    return covers, weights, flow, total
+    return covers, weights, flow, total, scale
 
 
 def _max_flow_cover(row_costs, col_costs, batches, tol):
@@ -313,34 +317,39 @@ class TransportationInstance:
 @dataclass
 class TransportResultRaw:
     value: Number
-    plan: list            # nr x nc matrix
     u: list               # dual per source: u_i + v_j <= cost_ij, tight on support
     v: list               # dual per sink
+    scaled_plan: list     # nr x nc plan on the masses' scale: ints over
+                          # `scale`, or floats
+    scale: Optional[int]  # the masses' common denominator; None for floats
+
+    @cached_property
+    def plan(self) -> list:
+        """The nr x nc plan, in the masses' units."""
+        return from_scale(self.scaled_plan, self.scale)
 
 
 def _ssp_balanced(supplies, demands, cost, tol):
     """Successive shortest paths on the balanced transportation network.
 
     Returns (total cost, plan, potentials pi per node: source, rows,
-    columns, sink) with reduced-cost optimality: cost[i][j] + pi[row i] -
-    pi[col j] >= 0 on all arcs, equality where the plan is positive.  This
-    wrapper decides the regime: ints and floats run the same kernel,
-    `_ssp_bellman_ford`.  Exact inputs are solved on ints, with tol 0:
-    supplies and demands scaled by their common denominator d_w, costs by
-    theirs, d_c; the plan comes back divided by d_w, the potentials by d_c,
-    the total by d_w*d_c.  Floats are solved as given, with tol EPS.
+    columns, sink; the plan's scale) with reduced-cost optimality:
+    cost[i][j] + pi[row i] - pi[col j] >= 0 on all arcs, equality where the
+    plan is positive.  This wrapper decides the regime: ints and floats run
+    the same kernel, `_ssp_bellman_ford`.  Exact inputs are solved on ints,
+    with tol 0: supplies and demands scaled by their common denominator
+    d_w, costs by theirs, d_c; the plan stays on the scale d_w, the
+    potentials come back divided by d_c, the total by d_w*d_c.  Floats are
+    solved as given, with tol EPS and scale None.
     """
     nr, nc = len(supplies), len(demands)
     masses, d_w = common_integers(list(supplies) + list(demands))
     costs, d_c = common_integers(c for row in cost for c in row)
     if d_w is None or d_c is None:
-        return _ssp_bellman_ford(supplies, demands, cost, tol)
+        return (*_ssp_bellman_ford(supplies, demands, cost, tol), None)
     total, plan, pi = _ssp_bellman_ford(
         masses[:nr], masses[nr:], [costs[i * nc:(i + 1) * nc] for i in range(nr)], 0)
-    fraction = _over(chain.from_iterable(plan), d_w)
-    return (Fraction(total, d_w * d_c),
-            [list(map(fraction, row)) for row in plan],
-            [Fraction(p, d_c) for p in pi])
+    return Fraction(total, d_w * d_c), plan, [Fraction(p, d_c) for p in pi], d_w
 
 
 def _ssp_bellman_ford(supplies, demands, cost, tol):
@@ -511,12 +520,13 @@ def solve_transportation(inst: TransportationInstance) -> TransportResultRaw:
     if inst.mode == "min-cost":
         if not (abs(left_sum(inst.supplies) - left_sum(inst.demands)) <= tol):
             raise InfeasibleError("marginal totals differ")
-        cost, plan, pi = _ssp_balanced(inst.supplies, inst.demands, inst.matrix, tol)
+        cost, plan, pi, scale = _ssp_balanced(inst.supplies, inst.demands,
+                                              inst.matrix, tol)
         nr, nc = len(inst.supplies), len(inst.demands)
         # zero - p, not -p: a float potential of 0.0 gives the dual 0.0, not -0.0
         u = [zero - pi[1 + i] for i in range(nr)]
         v = [pi[1 + nr + j] for j in range(nc)]
-        return TransportResultRaw(cost, plan, u, v)
+        return TransportResultRaw(cost, u, v, plan, scale)
 
     # max-profit: reduce to balanced min-cost with a dummy row and column.
     nr, nc = len(inst.supplies), len(inst.demands)
@@ -524,7 +534,7 @@ def solve_transportation(inst: TransportationInstance) -> TransportResultRaw:
     demands = list(inst.demands) + [left_sum(inst.supplies, zero)]
     cost = [[-inst.matrix[i][j] for j in range(nc)] + [zero] for i in range(nr)]
     cost.append([zero] * (nc + 1))
-    total_cost, plan_ext, pi = _ssp_balanced(supplies, demands, cost, tol)
+    total_cost, plan_ext, pi, scale = _ssp_balanced(supplies, demands, cost, tol)
     plan = [row[:nc] for row in plan_ext[:nr]]
     u = [-p for p in pi[1:2 + nr]]      # per row, the dummy row last
     v = pi[2 + nr:3 + nr + nc]          # per column, the dummy column last
@@ -537,4 +547,4 @@ def solve_transportation(inst: TransportationInstance) -> TransportResultRaw:
     b = [max(zero, -(x + u[nr])) for x in v[:nc]]
     a = [max([zero, *map(sub, row, b)]) if s == 0 else max(zero, -(x + v[nc]))
          for s, x, row in zip(inst.supplies, u, inst.matrix)]
-    return TransportResultRaw(-total_cost, plan, a, b)
+    return TransportResultRaw(-total_cost, a, b, plan, scale)

@@ -178,6 +178,23 @@ def unscaled(x: Number, d: int) -> Number:
     return Fraction(x, d) if isinstance(x, int) else x
 
 
+def to_scale(values: Iterable[Number], d) -> list:
+    """Exact values as ints over d, a common multiple of their denominators;
+    floats (d None, as `common_integers` gives it) as they are."""
+    if d is None:
+        return list(values)
+    return [x.numerator * (d // x.denominator) for x in values]
+
+
+def from_scale(rows, d) -> list:
+    """Rows of ints over the scale d as rows of Fractions, one Fraction per
+    distinct int; rows of floats (d None) as they are."""
+    if d is None:
+        return list(map(list, rows))
+    fraction = {k: Fraction(k, d) for k in set(chain.from_iterable(rows))}
+    return [list(map(fraction.__getitem__, row)) for row in rows]
+
+
 def close(a: Number, b: Number, tol: float = DEFAULT_TOL) -> bool:
     """Equality in the active regime: exact if both operands are rational."""
     if is_exact(a) and is_exact(b):
@@ -405,32 +422,65 @@ class Plan:
     """A nonnegative (or signed) mass per atom pair, with derived marginals.
 
     Bistochastic plans project onto mu and nu exactly; subbistochastic plans
-    project below them componentwise.  The plan keeps its weights and masses
-    over one common denominator (`scaled`), which its own checks and the
-    certificate verifiers compare on.  The marginals and the total are summed
-    from those rows too: ints over the denominator d, divided by d once per
-    sum, or in float mode the floats themselves, added left to right.
+    project below them componentwise.  A plan is carried on one integer
+    scale: its weights and masses as ints over one common denominator d
+    (`scaled`), which its own checks and the certificate verifiers compare
+    on, and which the report writer prints as p/d.  A kernel and the report
+    reader hand their ints over as they are (`of_scaled`); `Plan(x, y,
+    mass)` first puts the masses on their scale (`common_scales`).  In exact
+    mode `mass` is a Fraction view of the scaled rows, formed on first use;
+    in float mode d = 1 and the masses are the floats as given.  The
+    marginals and the total are summed from the scaled rows too: ints over
+    d, divided by d once per sum, or the floats added left to right.
     """
 
     x_space: DiscreteSpace
     y_space: DiscreteSpace
-    mass: tuple
     signed: bool = field(default=False)
     _scaled: tuple = field(init=False, repr=False, compare=False)
 
     def __init__(self, x_space, y_space, mass, signed: bool = False):
-        rows = tuple(tuple(row) for row in mass)
+        ((xw, yw, *rows),), (d,), t = common_scales(
+            DEFAULT_TOL, [x_space.weights, y_space.weights, *mass])
+        self._set(x_space, y_space, xw, yw, rows, None if t else d, signed)
+
+    @classmethod
+    def of_scaled(cls, x_space, y_space, xw, yw, rows, d,
+                  signed: bool = False) -> "Plan":
+        """The plan whose weights and mass rows are xw, yw and rows on the
+        scale d: ints over d, or floats as given if d is None.  Nothing is
+        re-scaled; only the shape and the signs are tested."""
+        plan = object.__new__(cls)
+        plan._set(x_space, y_space, xw, yw, rows, d, signed)
+        return plan
+
+    def _set(self, x_space, y_space, xw, yw, rows, d, signed):
+        rows = tuple(map(tuple, rows))
         if len(rows) != x_space.size or any(len(r) != y_space.size for r in rows):
             raise ValidationError("plan matrix dimensions do not match factors")
-        ((xw, yw, *cells),), (d,), t = common_scales(
-            DEFAULT_TOL, [x_space.weights, y_space.weights, *rows])
-        if not signed and not all(map(ge, chain.from_iterable(cells), repeat(-t))):
+        t = DEFAULT_TOL if d is None else 0
+        if not signed and not all(map(ge, chain.from_iterable(rows), repeat(-t))):
             raise ValidationError("negative mass in unsigned plan")
         object.__setattr__(self, "x_space", x_space)
         object.__setattr__(self, "y_space", y_space)
-        object.__setattr__(self, "mass", rows)
         object.__setattr__(self, "signed", signed)
-        object.__setattr__(self, "_scaled", (xw, yw, cells, d, t == 0))
+        object.__setattr__(self, "_scaled", (xw, yw, rows, d or 1, d is not None))
+
+    @cached_property
+    def mass(self) -> tuple:
+        """The mass rows in the weights' units: Fractions in exact mode."""
+        _, _, rows, d, exact = self._scaled
+        return tuple(map(tuple, from_scale(rows, d))) if exact else rows
+
+    def __eq__(self, other):
+        if not isinstance(other, Plan):
+            return NotImplemented
+        return ((self.x_space, self.y_space, self.mass, self.signed)
+                == (other.x_space, other.y_space, other.mass, other.signed))
+
+    def __repr__(self):
+        return (f"Plan(x_space={self.x_space!r}, y_space={self.y_space!r}, "
+                f"mass={self.mass!r}, signed={self.signed!r})")
 
     def scaled(self, tol: float = DEFAULT_TOL):
         """(x weights, y weights, mass rows, d, t): the weights and masses

@@ -14,7 +14,7 @@ from itertools import chain
 from .certs import SrNormResult, verify_sr_certificates
 from .flows import TransportationInstance, solve_transportation
 from .model import (Number, Plan, ProductFunction, SeparableMajorant,
-                    ValidationError, close, left_sum, zero_of)
+                    ValidationError, close, left_sum, to_scale, zero_of)
 from .thickness import exceedance_thicknesses
 
 
@@ -34,11 +34,15 @@ def sr_norm(f: ProductFunction) -> SrNormResult:
     a = [v - shift for v in a]
     b = [max(v + shift, v * 0) for v in b]
     majorant = SeparableMajorant(a, b)
-    plan = Plan(f.x_space, f.y_space, res.plan)
+    # the plan as the solve left it: ints over d, or floats if d is None
+    rows, d = res.scaled_plan, res.scale
+    plan = Plan.of_scaled(f.x_space, f.y_space, to_scale(mu, d),
+                          to_scale(nu, d), rows, d)
     # the cells without mass add exact zeros in either regime
-    dual_value = left_sum((v * m for frow, mrow in zip(absf, res.plan)
-                           for v, m in zip(frow, mrow) if m),
-                          zero_of(chain(mu, nu, *absf)))
+    dual = left_sum((v * m for frow, mrow in zip(absf, rows)
+                     for v, m in zip(frow, mrow) if m),
+                    zero_of(chain(mu, nu, *absf)))
+    dual_value = dual if d is None else dual / d
     primal_value = majorant.weight(f.x_space, f.y_space)
     return SrNormResult(primal_value, majorant, plan, dual_value)
 

@@ -5,7 +5,8 @@ cover (X~ x Y) u (X x Y~) containing Z.  On atomic spaces this is exactly a
 weighted bipartite vertex cover, solved by max-flow; the fractional relaxation
 attains the same optimum (total unimodularity), so the integral cover doubles
 as the optimal fractional pair.  The maximum flow is a subbistochastic plan
-on Z of that same mass (the Hall-type identity), the certificate's other side.
+on Z of that same mass (the Hall-type identity), the certificate's other side;
+it becomes the plan on the kernel's own scale, with no Fraction formed.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from __future__ import annotations
 from .certs import ThicknessResult, verify_cover, verify_thickness_result
 from .flows import (BipartiteCoverInstance, min_weighted_vertex_cover,
                     nested_cover_weights)
-from .model import Number, Plan, ProductFunction, ProductSet, level_set, zero_of
+from .model import (Number, Plan, ProductFunction, ProductSet, level_set,
+                    to_scale, zero_of)
 
 
 def thickness(z: ProductSet) -> ThicknessResult:
@@ -26,11 +28,13 @@ def thickness(z: ProductSet) -> ThicknessResult:
     rows, cols = set(res.rows), set(res.cols)
     f = [one if i in rows else zero for i in range(len(mu))]
     g = [one if j in cols else zero for j in range(len(nu))]
-    mass = [[zero] * len(nu) for _ in mu]
-    for (i, j), fl in zip(inst.edges, res.flow):
+    d = res.scale       # the flow's: ints over d, or floats if None
+    mass = [[zero if d is None else 0] * len(nu) for _ in mu]
+    for (i, j), fl in zip(inst.edges, res.scaled_flow):
         mass[i][j] = fl
-    return ThicknessResult(res.value, res.rows, res.cols, f, g,
-                           Plan(z.x_space, z.y_space, mass))
+    plan = Plan.of_scaled(z.x_space, z.y_space, to_scale(mu, d),
+                          to_scale(nu, d), mass, d)
+    return ThicknessResult(res.value, res.rows, res.cols, f, g, plan)
 
 
 def thickness_of_level_set(f: ProductFunction, lam: Number) -> Number:

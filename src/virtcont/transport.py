@@ -11,12 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from math import lcm
 from operator import sub
 
 from .certs import TransportResult, verify_transport_result
 from .flows import InfeasibleError, TransportationInstance, solve_transportation
 from .model import (DEFAULT_TOL, MetricMatrix, Number, Plan, ValidationError,
-                    close, common_scales, left_sum, unscaled, zero_of)
+                    all_exact, close, common_scales, from_scale, is_exact,
+                    left_sum, to_scale, unscaled, zero_of)
 
 
 @dataclass
@@ -40,9 +42,11 @@ def kantorovich(mu1, mu2, rho: MetricMatrix, tol: float = DEFAULT_TOL) -> Transp
     """Optimal plan and Lipschitz dual potential between two weight vectors.
 
     The common mass min(mu1, mu2) stays on the diagonal; the rest is the
-    kr_norm solve of mu1 - mu2, whose potential certifies both.  rho must
-    be a semimetric, as `fileio.metric_from_obj` returns one; check a
-    hand-built one with `model.validate_semimetric` first.
+    kr_norm solve of mu1 - mu2, whose potential certifies both.  The plan
+    is built on one integer scale: the lcm of the solve's, the space's and
+    the common mass's denominators.  rho must be a semimetric, as
+    `fileio.metric_from_obj` returns one; check a hand-built one with
+    `model.validate_semimetric` first.
     """
     n = rho.space.size
     mu1, mu2 = list(mu1), list(mu2)
@@ -50,11 +54,19 @@ def kantorovich(mu1, mu2, rho: MetricMatrix, tol: float = DEFAULT_TOL) -> Transp
         raise ValidationError("weight vectors do not match the space")
     if not close(left_sum(mu1), left_sum(mu2), tol):
         raise InfeasibleError("marginal totals differ")
-    res = kr_norm([a - b for a, b in zip(mu1, mu2)], rho, tol)
-    mass = [list(row) for row in res.plan]
-    for i, (a, b) in enumerate(zip(mu1, mu2)):
-        mass[i][i] += min(a, b)
-    return TransportResult(res.value, Plan(rho.space, rho.space, mass), res.potential)
+    value, potential, rows, d = _kr_solve([a - b for a, b in zip(mu1, mu2)],
+                                          rho, tol)
+    common, w = list(map(min, mu1, mu2)), rho.space.weights
+    if d is not None and all_exact(w):
+        scale = lcm(d, *(x.denominator for x in chain(w, common)))
+        mass = [[k * (scale // d) for k in row] for row in rows]
+        d, common, w = scale, to_scale(common, scale), to_scale(w, scale)
+    else:       # floats: the cells as given (a float weight makes them so)
+        mass, d = from_scale(rows, d), None
+    for i, c in enumerate(common):
+        mass[i][i] += c
+    return TransportResult(value, Plan.of_scaled(rho.space, rho.space, w, w,
+                                                 mass, d), potential)
 
 
 def kr_norm(signed, rho: MetricMatrix, tol: float = DEFAULT_TOL) -> KrNormResult:
@@ -66,6 +78,14 @@ def kr_norm(signed, rho: MetricMatrix, tol: float = DEFAULT_TOL) -> KrNormResult
     not validated here, so check a hand-built one with
     `model.validate_semimetric` first.
     """
+    value, potential, rows, d = _kr_solve(signed, rho, tol)
+    return KrNormResult(value, potential, from_scale(rows, d))
+
+
+def _kr_solve(signed, rho: MetricMatrix, tol: float):
+    """kr_norm's value and potential, and its plan on the scale d of the
+    signed vector: (value, potential, plan rows, d), the rows ints over d,
+    or floats as given if d is None."""
     signed = list(signed)
     n = rho.space.size
     if len(signed) != n:
@@ -77,7 +97,8 @@ def kr_norm(signed, rho: MetricMatrix, tol: float = DEFAULT_TOL) -> KrNormResult
     neg = [max(-s, zero) for s in signed]
     total = left_sum(pos, zero)
     if close(total, zero, tol):
-        return KrNormResult(zero, [zero] * n, [[zero] * n for _ in range(n)])
+        cell, d = (0, 1) if is_exact(zero) else (zero, None)
+        return zero, [zero] * n, [[cell] * n for _ in range(n)], d
     inst = TransportationInstance(pos, neg, rho.dist, mode="min-cost")
     res = solve_transportation(inst)
     # c-transform of the sink potential: 1-Lipschitz by the triangle inequality,
@@ -86,7 +107,7 @@ def kr_norm(signed, rho: MetricMatrix, tol: float = DEFAULT_TOL) -> KrNormResult
     u = [min(map(sub, row, v)) for row in dist]
     shift = u[0]
     u = [unscaled(x - shift, d) for x in u]
-    return KrNormResult(res.value, u, res.plan)
+    return res.value, u, res.scaled_plan, res.scale
 
 
 def two_level_duality_check(rho_matrix, mu, nu, z=None) -> TwoLevelReport:

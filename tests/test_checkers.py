@@ -590,3 +590,103 @@ def test_cli_check_names_the_first_bad_cell_of_a_row(tmp_path, kind, path,
     rp = tmp_path / "forged.json"
     rp.write_text(json.dumps(rep))
     assert _run_failing(["check", str(rp)]) == f"error: {message}\n"
+
+
+# ------------------------------------------------------- plan cells read back
+# The plan reader maps each distinct cell string onto one scale with the
+# weights: any form of a value reads as that value.
+
+def _same_value(text, k):
+    """The k-th of the other forms of a cell's value: a zero as "0/7" or
+    "-0", an integer as "p/1", any value as 2p/2q or, if short, as a
+    decimal."""
+    x = Fraction(text)
+    p, q = x.numerator, x.denominator
+    forms = (["0/7", "-0"] if x == 0 else []) + ([f"{p}/1"] if q == 1 else [])
+    forms.append(f"{2 * p}/{2 * q}")
+    if Fraction(repr(float(x))) == x:
+        forms.append(repr(float(x)))
+    return forms[k % len(forms)]
+
+
+def _plan_rewritten(rep, form):
+    """Each plan cell s of the report as form(s, k), its k-th occurrence;
+    the strings written."""
+    seen = {}
+    for row in rep["plan"]["mass"]:
+        for j, s in enumerate(row):
+            seen[s] = seen.get(s, -1) + 1
+            row[j] = form(s, seen[s])
+    return {s for row in rep["plan"]["mass"] for s in row}
+
+
+@pytest.mark.parametrize("kind", ["thickness", "hall"])
+def test_cli_check_reads_a_plan_cell_in_any_form_of_its_value(tmp_path, kind):
+    xs = DiscreteSpace(["x0", "x1", "x2"], [Fraction(1, 4), Fraction(1, 4),
+                                           Fraction(1, 2)])
+    ys = DiscreteSpace(["y0", "y1", "y2"], [Fraction(1, 2), Fraction(1, 4),
+                                           Fraction(1, 4)])
+    z = tmp_path / "z.csv"
+    # a plan of masses 1/4, 1/4, 1/2 and six zeros
+    save_matrix(ProductSet(xs, ys, [[0, 1, 0], [0, 0, 1], [1, 0, 0]]), str(z))
+    code, out = _run([kind, str(z)])
+    assert code == 0
+
+    def verdict(rep):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(rep))
+        return _run(["check", str(path)])
+
+    original, forged = json.loads(out), json.loads(out)
+    forged["plan"]["mass"][0][0] = "3"      # a forged mass, which check finds
+    for rep, forms in ((original, {"2/4", "0/7", "-0", "0.25"}),
+                       (forged, {"3/1"})):
+        want = verdict(rep)
+        assert forms <= _plan_rewritten(rep, _same_value)
+        assert verdict(rep) == want
+    assert want[0] == 2 and json.loads(want[1])["violations"]
+    for bad in ("1/0", "x"):
+        rep = json.loads(out)
+        rep["plan"]["mass"][1][1] = bad
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(rep))
+        _run_failing(["check", str(path)])
+
+
+def test_an_exact_cover_job_puts_no_plan_on_a_scale(tmp_path, monkeypatch):
+    # each group of numbers that a thickness or hall job, its self-check or
+    # `check` puts on a common scale (the weights, a value, a fractional
+    # pair) holds fewer than the 144 cells of a 12 x 12 plan
+    from virtcont import certs, model, transport
+    sizes = []
+    originals = {name: getattr(model, name)
+                 for name in ("common_scales", "common_integers")}
+
+    def recorded(scale):
+        def wrapper(*args):
+            if scale is originals["common_integers"]:
+                values = list(args[0])
+                sizes.append(len(values))
+                return scale(values)
+            tol, *groups = args
+            groups = [[list(part) for part in group] for group in groups]
+            sizes.extend(sum(map(len, group)) for group in groups)
+            return scale(tol, *groups)
+        return wrapper
+
+    for module in (model, flows, certs, checkers, transport):
+        for name, scale in originals.items():
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, recorded(scale))
+    rng = random.Random(12)
+    xs, ys = rand_space(rng, 12, "x"), rand_space(rng, 12, "y")
+    z = tmp_path / "z.csv"
+    save_matrix(ProductSet(xs, ys, [[rng.random() < 0.5 for _ in range(12)]
+                                    for _ in range(12)]), str(z))
+    for kind in ("thickness", "hall"):
+        code, out = _run([kind, str(z)])
+        assert code == 0
+        path = tmp_path / "report.json"
+        path.write_text(out)
+        assert _run(["check", str(path)])[0] == 0
+    assert sizes and max(sizes) < 12 * 12

@@ -80,11 +80,16 @@ def _formatted(x):
 
 
 # what a runner returns: the same, with Fractions and floats (signed zeros,
-# infinities, NaN and subnormals among them) and tuples
-_NUMBER = st.one_of(st.fractions(), st.floats(),
-                    st.sampled_from([-0.0, inf, nan, 5e-324, 0.1]))
+# infinities, NaN and subnormals among them) and tuples, and lists of
+# Fractions only or of floats only, such as a krnorm report's plan rows,
+# which the writer formats in one map
+_FLOAT = st.one_of(st.floats(), st.sampled_from([-0.0, inf, nan, 5e-324, 0.1]))
+_NUMBER = st.one_of(st.fractions(), _FLOAT)
+_ONE_TYPE = st.one_of(st.lists(st.fractions(), min_size=1),
+                      st.lists(_FLOAT, min_size=1))
 _REPORTS = st.recursive(
-    st.one_of(st.text(), st.integers(), st.booleans(), st.none(), _NUMBER),
+    st.one_of(st.text(), st.integers(), st.booleans(), st.none(), _NUMBER,
+              _ONE_TYPE),
     lambda inner: st.one_of(st.lists(inner), st.lists(inner).map(tuple),
                             st.dictionaries(st.text(), inner)),
     max_leaves=40)
@@ -95,6 +100,8 @@ _REPORTS = st.recursive(
           "b": (-0.0, inf, -inf, nan, 5e-324, 0.1),
           "c": [True, 1, Fraction(1), 1.0, False, 0, None],
           "d": ((Fraction(1, 2), 0.5), [], (), {}), "e": Fraction(7, 2)})
+@example([[Fraction(0), Fraction(-3, 6), Fraction(10 ** 30, 7)],
+          [-0.0, 0.0, inf, -inf, nan, 5e-324, 0.1, 1e300]])
 def test_dumps_json_writes_model_numbers_as_format_number_strings(obj):
     text = dumps_json(obj)
     assert text == json.dumps(_formatted(obj), sort_keys=True, indent=2)

@@ -449,3 +449,78 @@ def test_float_plan_sums_add_left_to_right():
     assert list(map(repr, plan.col_marginals())) == list(map(repr, cols))
     assert repr(plan.total()) == repr(left_sum(rows))
     assert rows != [math.fsum(row) for row in mass]
+
+
+# ------------------------------------------------------- plans on a scale
+# A kernel or the report reader hands a plan over on its integer scale
+# (`Plan.of_scaled`); `Plan(x, y, mass)` puts the same values on theirs
+# first.  The two must be one plan, in both regimes, signed ones included.
+
+@st.composite
+def _plan_values(draw):
+    """(x space, y space, mass, signed): exact weights and masses, some
+    negative if signed, or the product plan, which is bistochastic."""
+    nx, ny = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    spaces = []
+    for n, prefix in ((nx, "x"), (ny, "y")):
+        ks = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+        spaces.append(DiscreteSpace([f"{prefix}{i}" for i in range(n)],
+                                    [Fraction(k, sum(ks)) for k in ks]))
+    xs, ys = spaces
+    signed = draw(st.booleans())
+    if draw(st.booleans()):
+        mass = [[a * b for b in ys.weights] for a in xs.weights]
+    else:
+        lo = -3 if signed else 0
+        cell = st.builds(Fraction, st.integers(lo, 3), st.sampled_from([1, 2, 3, 12]))
+        mass = draw(st.lists(st.lists(cell, min_size=ny, max_size=ny),
+                             min_size=nx, max_size=nx))
+    return xs, ys, mass, signed
+
+
+@given(_plan_values(), st.booleans())
+def test_a_plan_built_on_its_scale_is_the_plan_of_its_values(drawn, exact):
+    from virtcont.fileio import format_number, matrix_to_obj
+    xs, ys, mass, signed = drawn
+    cells = [v for row in mass for v in row]
+    if exact:
+        d = math.lcm(*(v.denominator for v in cells + list(xs.weights + ys.weights)))
+        scaled = [[v.numerator * (d // v.denominator) for v in row] for row in mass]
+        xw, yw = ([w.numerator * (d // w.denominator) for w in s.weights]
+                  for s in (xs, ys))
+    else:
+        # float mode: d None, every weight and mass the float as given,
+        # every other zero as -0.0
+        d = None
+        xs, ys = (DiscreteSpace(s.labels, list(map(float, s.weights)))
+                  for s in (xs, ys))
+        mass = scaled = [[-0.0 if v == 0 and (i + j) % 2 else float(v)
+                          for j, v in enumerate(row)] for i, row in enumerate(mass)]
+        xw, yw = list(xs.weights), list(ys.weights)
+    on_scale = Plan.of_scaled(xs, ys, xw, yw, scaled, d, signed)
+    plan = Plan(xs, ys, mass, signed)
+    assert on_scale == plan
+    assert repr(on_scale.mass) == repr(plan.mass)
+    assert {type(v) for row in on_scale.mass for v in row} == \
+        {Fraction if exact else float}
+    (xa, ya, ra, da, ta), (xb, yb, rb, db, tb) = on_scale.scaled(), plan.scaled()
+    assert (list(xa), list(ya), ra, da, ta) == (list(xb), list(yb), rb, db, tb)
+    for sums in ("row_marginals", "col_marginals"):
+        assert repr(getattr(on_scale, sums)()) == repr(getattr(plan, sums)())
+    assert repr(on_scale.total()) == repr(plan.total())
+    assert on_scale.is_bistochastic() == plan.is_bistochastic()
+    assert on_scale.is_subbistochastic() == plan.is_subbistochastic()
+    written = [[format_number(v) for v in row] for row in on_scale.mass]
+    assert matrix_to_obj(on_scale)["mass"] == matrix_to_obj(plan)["mass"] == written
+
+
+def test_an_unsigned_plan_on_its_scale_still_refuses_a_negative_mass():
+    s = DiscreteSpace.uniform(2)
+    f = DiscreteSpace(s.labels, [0.5, 0.5])
+    for s, xw, rows, d in ((s, [1, 1], [[2, -1], [0, 0]], 2),
+                           (f, [0.5, 0.5], [[0.5, -0.1], [0.0, 0.0]], None)):
+        with pytest.raises(ValidationError, match="negative mass"):
+            Plan.of_scaled(s, s, xw, xw, rows, d)
+        assert Plan.of_scaled(s, s, xw, xw, rows, d, signed=True).signed
+        with pytest.raises(ValidationError, match="dimensions"):
+            Plan.of_scaled(s, s, xw, xw, rows[:1], d)
