@@ -6,8 +6,9 @@ and their values equal certifies optimality by weak duality.  This module
 reads only `model`, so `certs` and `model` alone re-verify every kind of
 certificate but tau's, whose check weighs two level sets with a max-flow
 (`checkers._check_tau`).  Exact numbers are compared on integer scales
-(`model.common_scales`, `Plan.scaled`) at tolerance 0, floats as given at
-the tolerance.
+(`model.common_scales`; a plan's, a function's, a metric's and a space's
+own, `Plan.scaled` and the like) at tolerance 0, floats as given at the
+tolerance.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from operator import and_
 
 from .model import (DEFAULT_TOL, MetricMatrix, Number, Plan, ProductFunction,
                     ProductSet, SeparableMajorant, ValidationError, close,
-                    common_scales, is_exact, left_sum, nonneg, unscaled)
+                    common_integers, common_scales, is_exact, left_sum,
+                    nonneg, scaled_with, unscaled, weights_scaled)
 
 
 @dataclass
@@ -53,15 +55,6 @@ class StepFit:
     levels: list      # levels[i][j] for non-exceptional block pair (i+1, j+1)
     epsilon: Number
     exact: bool       # False: found by the heuristic, no optimality claim
-
-
-def _scaled(plan: Plan, tol: float, *groups):
-    """The groups on their scales (`common_scales`) and the plan's mass rows
-    on its own (`Plan.scaled`), to compare at one tolerance, 0 unless some
-    value is a float: (groups, scales, rows, the plan's scale, t)."""
-    scaled, scales, t = common_scales(tol, *groups)
-    _, _, rows, d, tp = plan.scaled(tol)
-    return scaled, scales, rows, d, max(t, tp)
 
 
 def verify_cover(z: ProductSet, value: Number, cover_x, cover_y,
@@ -164,9 +157,12 @@ def verify_sr_certificates(f: ProductFunction, res: SrNormResult,
     """Solver-independent re-check of both optimality certificates, and of
     the primal value against the dual value.
 
-    The majorant and f share one integer scale df, the weights another dw,
-    and the dual plan keeps its own dp (`Plan.scaled`): each weight x
-    majorant or |f| x mass sum is set against the value times both scales.
+    The majorant and f share one integer scale df, f's own grown to take
+    the majorant (`model.scaled_with`), the weights another dw (their own,
+    `model.weights_scaled`), and the dual plan keeps its own dp
+    (`Plan.scaled`): each weight x majorant or |f| x mass sum is set
+    against the value times both scales.  If any of them is a float, f, the
+    majorant and the weights are compared as given (`common_scales`).
     """
     nx, ny = f.shape
     if len(res.majorant.a) != nx or len(res.majorant.b) != ny:
@@ -175,9 +171,16 @@ def verify_sr_certificates(f: ProductFunction, res: SrNormResult,
            else ["primal value != dual value"])
     if not res.dual_plan.is_over(f.x_space, f.y_space):
         return ["dual plan is not over the function's spaces"] + gap
-    ((a, b, *fv), (mu, nu)), (df, dw), mass, dp, t = _scaled(
-        res.dual_plan, tol, [res.majorant.a, res.majorant.b, *f.values],
-        [f.x_space.weights, f.y_space.weights])
+    _, _, mass, dp, t = res.dual_plan.scaled(tol)
+    ab = [res.majorant.a, res.majorant.b]
+    on_scale = scaled_with(ab, *f.scaled())
+    (mu, nu), dw = weights_scaled(f.x_space, f.y_space)
+    if on_scale is None or dw is None:
+        ((a, b, *fv), (mu, nu)), (df, dw), tg = common_scales(
+            tol, [*ab, *f.values], [f.x_space.weights, f.y_space.weights])
+        t = max(t, tg)
+    else:
+        (a, b), fv, df = on_scale
     problems = []
     if not all(ai + bj - abs(v) >= -t
                for ai, row in zip(a, fv) for bj, v in zip(b, row)):
@@ -200,9 +203,11 @@ def verify_transport_result(mu1, mu2, rho: MetricMatrix, res: TransportResult,
     """Solver-independent certificate check for a kantorovich result.
 
     mu1 and mu2 share one integer scale dm, the metric and the potential
-    another du, and the plan keeps its own dp (`Plan.scaled`): a marginal
+    another du (the metric's own, `MetricMatrix.scaled`, grown to take the
+    potential), and the plan keeps its own dp (`Plan.scaled`): a marginal
     is set against mu x dp / dm, and a dist x mass or potential x mass sum
-    against the cost times both scales.
+    against the cost times both scales.  If any of them is a float, the
+    masses, the metric and the potential are compared as given.
     """
     n = rho.space.size
     mu1, mu2, u = list(mu1), list(mu2), list(res.potential)
@@ -210,8 +215,15 @@ def verify_transport_result(mu1, mu2, rho: MetricMatrix, res: TransportResult,
         raise ValidationError("weight vectors do not match the space")
     if not res.plan.is_over(rho.space, rho.space):
         return ["plan is not over the metric's spaces"]
-    ((m1, m2), (*dist, u)), (dm, du), mass, dp, t = _scaled(
-        res.plan, tol, [mu1, mu2], [*rho.dist, u])
+    _, _, mass, dp, t = res.plan.scaled(tol)
+    m, dm = common_integers(mu1 + mu2)
+    on_scale = scaled_with([u], *rho.scaled())
+    if dm is None or on_scale is None:      # a float among them: as given
+        ((m1, m2), (*dist, u)), (dm, du), tg = common_scales(
+            tol, [mu1, mu2], [*rho.dist, u])
+        t = max(t, tg)
+    else:
+        m1, m2, ((u,), dist, du) = m[:n], m[n:], on_scale
     problems = []
     if not all(abs(left_sum(r) * dm - m * dp) <= t for r, m in zip(mass, m1)):
         problems.append("plan row marginals != mu1")

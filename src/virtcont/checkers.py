@@ -15,7 +15,7 @@ from .certs import (SrNormResult, StepFit, ThicknessResult, TransportResult,
 from .fileio import _malformed, _Reader, matrix_from_obj, metric_from_obj
 from .flows import nested_cover_weights
 from .model import (DEFAULT_TOL, SeparableMajorant, ValidationError, close,
-                    common_scales, left_sum, nonneg)
+                    common_scales, from_scale, left_sum, nonneg, scaled_with)
 
 # Every check takes (report, the `_Reader` of its job, tol): the reader
 # parses each distinct number string, reads each distinct space and validates
@@ -74,23 +74,22 @@ def _check_tau(rep, read, tol):
     g = matrix_from_obj("function", rep["inputs"]["g"], read.exact, read)
     value = read.number(rep["value"])
     witness = read.number(rep["witness_set_thickness"])
-    if f.shape != g.shape:
-        raise ValidationError("factor dimension mismatch")
-    # |f - g| and the value on one integer scale
-    (((v,), *rows),), _, _ = common_scales(tol, [[value], *f.values, *g.values])
-    nx = f.x_space.size
+    gap = f.sub(g).abs()        # f and g over the same spaces
+    # |f - g| and the value on one integer scale, or the floats as given
+    ((v,),), rows, _ = (scaled_with([[value]], *gap.scaled())
+                        or ([[value]], gap.values, None))
     above, at = [], []      # the cells of {|f - g| > v}, of {|f - g| = v}
-    for i, (fr, gr) in enumerate(zip(rows[:nx], rows[nx:])):
-        for j, (a, b) in enumerate(zip(fr, gr)):
-            gap = abs(a - b)
-            if gap > v:
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            if x > v:
                 above.append((i, j))
-            elif gap == v:
+            elif x == v:
                 at.append((i, j))
     # every eps < value has {|f - g| > eps} containing {|f - g| >= value}, the
     # exceedance set grown by `at`: one warm-started max-flow weighs both
-    over, *least = nested_cover_weights(f.x_space.weights, f.y_space.weights,
-                                        [above, at] if value > 0 else [above])
+    weights, dw = nested_cover_weights(f.x_space, f.y_space,
+                                       [above, at] if value > 0 else [above])
+    over, *least = from_scale([weights], dw)[0]
     problems = []
     if not close(over, witness, tol):
         problems.append("witness thickness does not match the exceedance set")

@@ -18,6 +18,7 @@ import io
 import json
 import sys
 from collections import namedtuple
+from operator import sub
 
 from .checkers import _CHECKS, check_report
 from .coupling import max_bistochastic_mass
@@ -25,7 +26,7 @@ from .fileio import (_csv_table, _load, _loads_json, _matrix_kind, _Reader,
                      dumps_json, load_matrix, load_metric, load_vector,
                      matrices_to_obj, matrix_to_obj, metric_to_obj)
 from .flows import InfeasibleError
-from .model import DEFAULT_TOL, ValidationError, left_sum
+from .model import DEFAULT_TOL, ValidationError, dot
 from .srnorm import sr_norm
 from .tau import tau_distance
 from .thickness import thickness
@@ -143,7 +144,7 @@ def _run_hall(args, read, tol, z):
 
 def _run_transport(args, read, tol, rho, mu1, mu2):
     res = kantorovich(mu1, mu2, rho, tol)
-    dual = left_sum(u * (a - b) for u, a, b in zip(res.potential, mu1, mu2))
+    dual = dot(res.potential, map(sub, mu1, mu2))
     return {"cost": res.cost, "primal": res.cost, "dual": dual,
             "gap": res.cost - dual, "potential": res.potential,
             "plan": matrix_to_obj(res.plan),
@@ -152,7 +153,7 @@ def _run_transport(args, read, tol, rho, mu1, mu2):
 
 def _run_krnorm(args, read, tol, rho, signed):
     res = kr_norm(signed, rho, tol)
-    dual = left_sum(u * s for u, s in zip(res.potential, signed))
+    dual = dot(res.potential, signed)
     return {"value": res.value, "primal": res.value, "dual": dual,
             "gap": res.value - dual, "potential": res.potential,
             "plan": res.plan,

@@ -7,11 +7,12 @@ writer, `dumps_json`, writes every report.  Numbers serialize as "p/q"
 strings in exact mode and as 17-significant-digit decimals in float mode;
 parse(emit(x)) == x in both regimes.  Each distinct number string of a
 file is parsed once, and each distinct number object of a matrix is
-formatted once.  A plan stays on its integer scale both ways: its cells
-are written from the distinct ints k of its scale d, as k/d in lowest
-terms, and read, in exact mode, by mapping each distinct string onto one
-scale with the spaces' weights.  Set cells are written as the ints 0 and 1
-and read, as a file's "0"/"1" or a report's 0/1, by one lookup each.
+formatted once.  A function or a plan stays on its integer scale both
+ways: its cells are written from the distinct ints k of its scale d, as
+k/d in lowest terms, and read, in exact mode, by mapping each distinct
+string onto one scale (a plan's with the spaces' weights), with no
+Fraction per cell.  Set cells are written as the ints 0 and 1 and read, as
+a file's "0"/"1" or a report's 0/1, by one lookup each.
 A malformed file raises a ValidationError that names its path.
 """
 
@@ -22,13 +23,14 @@ import io
 import json
 from contextlib import contextmanager
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import chain, repeat
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .model import (DiscreteSpace, MetricMatrix, Plan, ProductFunction,
                     ProductSet, ValidationError, is_exact, parse_number,
-                    require_valid_space, to_scale, validate_semimetric)
+                    require_valid_space, rescaled, to_scale, validate_semimetric,
+                    weights_scaled)
 
 
 def format_number(x) -> str:
@@ -54,15 +56,19 @@ def _ratio(k: int, d: int) -> str:
     return str(k // g) if g == d else f"{k // g}/{d // g}"
 
 
-def _plan_strings(plan: Plan) -> list:
-    """A plan's cells as written: in exact mode each distinct int k of its
-    scale d once, as k/d in lowest terms; float cells as `_cell_strings`
-    writes them."""
-    _, _, rows, d, t = plan.scaled()
-    if t:
+def _scaled_strings(rows, d) -> list:
+    """Cells on an integer scale as written: each distinct int k of the
+    scale d once, as k/d in lowest terms; float cells (d None) as
+    `_cell_strings` writes them."""
+    if d is None:
         return _cell_strings(rows)
     text = {k: _ratio(k, d) for k in set(chain.from_iterable(rows))}
     return [list(map(text.__getitem__, row)) for row in rows]
+
+
+def _plan_strings(plan: Plan) -> list:
+    _, _, rows, d, t = plan.scaled()
+    return _scaled_strings(rows, None if t else d)
 
 
 def _parse_weight(text, exact: bool):
@@ -109,26 +115,42 @@ class _Reader:
             return [self.number(v) for v in row]
         return list(map(known.__getitem__, row))
 
-    def plan(self, x_space, y_space, cells, signed: bool) -> Plan:
-        """The plan of the cells over the spaces.  In exact mode each
-        distinct cell string is parsed once and mapped, with the spaces'
-        weights, onto one scale, the lcm of their denominators: the plan is
-        built on it, with no Fraction per cell.  A cell that is no string,
-        or that fails to parse, sends the cells through `numbers` and
-        `Plan`, which name the first bad one."""
+    def _on_scale(self, cells, d: int = 1):
+        """(rows, scale): in exact mode, the cells as ints over the lcm of d
+        and their values' denominators, each distinct string parsed once and
+        mapped once, with no Fraction per cell.  None in float mode, or if a
+        cell is no string or fails to parse: `numbers` then reads the cells
+        and names the first bad one."""
         try:
             texts = set(chain.from_iterable(cells)) if self.exact else ()
             if not texts or not set(map(type, texts)) <= {str}:
-                raise TypeError     # float mode, or a cell that is no string
-            values = dict(zip(texts, map(self.number, texts)))
+                return None     # float mode, or a cell that is no string
+            values = list(map(self.number, texts))
         except (TypeError, ValidationError):
+            return None
+        d = lcm(d, *(x.denominator for x in values))
+        ints = dict(zip(texts, to_scale(values, d)))
+        return [list(map(ints.__getitem__, row)) for row in cells], d
+
+    def function(self, x_space, y_space, cells) -> ProductFunction:
+        """The function of the cells over the spaces, on the scale of its
+        values in exact mode."""
+        scaled = self._on_scale(cells)
+        if scaled is None:
+            return ProductFunction(x_space, y_space, list(map(self.numbers, cells)))
+        return ProductFunction.of_scaled(x_space, y_space, *scaled)
+
+    def plan(self, x_space, y_space, cells, signed: bool) -> Plan:
+        """The plan of the cells over the spaces, on one scale in exact
+        mode: the lcm of the cells' and the spaces' denominators (the
+        spaces' own scales, `DiscreteSpace.scaled`)."""
+        (xw, yw), dw = weights_scaled(x_space, y_space)
+        scaled = None if dw is None else self._on_scale(cells, dw)
+        if scaled is None:
             return Plan(x_space, y_space, list(map(self.numbers, cells)), signed)
-        xw, yw = x_space.weights, y_space.weights
-        d = lcm(*(x.denominator for x in chain(values.values(), xw, yw)))
-        ints = dict(zip(values, to_scale(values.values(), d)))
-        return Plan.of_scaled(x_space, y_space, to_scale(xw, d), to_scale(yw, d),
-                              [list(map(ints.__getitem__, row)) for row in cells],
-                              d, signed)
+        rows, d = scaled
+        xw, yw = rescaled([xw, yw], dw, d)
+        return Plan.of_scaled(x_space, y_space, xw, yw, rows, d, signed)
 
     def space(self, obj) -> DiscreteSpace:
         # keyed by its JSON text, which tells 1, 1.0 and true apart
@@ -233,7 +255,7 @@ def save_vector(values, path: str) -> None:
 # kind: (class, cells attribute and key, writer of its cells)
 _INTS = {False: 0, True: 1}.__getitem__     # a set cell as written
 _KINDS = {"function": (ProductFunction, "values",
-                       lambda f: _cell_strings(f.values)),
+                       lambda f: _scaled_strings(*f.scaled())),
           "set": (ProductSet, "membership",
                   lambda z: [list(map(_INTS, row)) for row in z.membership]),
           "plan": (Plan, "mass", _plan_strings)}
@@ -263,7 +285,7 @@ def _build(kind, x_space, y_space, cells, read, signed):
         return ProductSet.of_bools(x_space, y_space, bits)
     if kind == "plan":
         return read.plan(x_space, y_space, cells, bool(signed))
-    return ProductFunction(x_space, y_space, list(map(read.numbers, cells)))
+    return read.function(x_space, y_space, cells)
 
 
 def matrix_to_obj(m) -> dict:
@@ -424,13 +446,78 @@ _LISTS = {str: partial(map, _escape), int: _int_texts,
           float: lambda xs: map(_escape, map(format, xs, repeat(".17g")))}
 
 
+def _nested(obj):
+    """(shape, writer, cells) of a list nested to a fixed depth, each of
+    whose lists at one depth has the same length, not 0, and
+    whose cells are all of one scalar type of `_LISTS`: the lengths per
+    depth, that type's writer and the cells in order.  None for any other
+    list."""
+    level, shape = [obj], []
+    while True:
+        lengths = set(map(len, level))
+        level = list(chain.from_iterable(level))
+        kinds = set(map(type, level))
+        if len(lengths) != 1 or 0 in lengths or len(kinds) != 1:
+            return None
+        shape.append(lengths.pop())
+        kind = kinds.pop()
+        if kind in _LISTS:
+            return tuple(shape), _LISTS[kind], level
+        if kind not in (list, tuple):
+            return None
+
+
+@lru_cache(maxsize=64)
+def _template(shape: tuple, indent: str) -> str:
+    """A nested list of that shape as json.dumps(indent=2) writes it at
+    the margin `indent`, with "{}" for each cell."""
+    inner = indent + "  "
+    item = "{}" if len(shape) == 1 else _template(shape[1:], inner)
+    return "[" + inner + ("," + inner).join([item] * shape[0]) + indent + "]"
+
+
+def _records(rows, indent: str):
+    """The text of a list of dicts with the same string keys, each key's
+    values all scalars of one type of `_LISTS` or all lists of one shape
+    (`_nested`), such as a matdist support: one template for every row,
+    filled in one call.  None for any other list of dicts."""
+    keys = rows[0].keys()
+    if not all(type(k) is str for k in keys) or any(r.keys() != keys for r in rows):
+        return None
+    inner, inner2 = indent + "  ", indent + "    "
+    parts, columns = [], []
+    for key in sorted(keys):
+        column = [r[key] for r in rows]
+        kinds = set(map(type, column))
+        kind = kinds.pop() if len(kinds) == 1 else None
+        if kind in _LISTS:
+            part, texts, per = "{}", _LISTS[kind](column), 1
+        else:
+            nested = _nested(column) if kind in (list, tuple) else None
+            if nested is None:
+                return None
+            shape, write, cells = nested
+            part, texts = _template(shape[1:], inner2), write(cells)
+            per = prod(shape[1:])
+        key = _escape(key).replace("{", "{{").replace("}", "}}")
+        parts.append(key + ": " + part)
+        columns.append(zip(*[iter(texts)] * per))      # the cells of each row
+    row = "{{" + inner2 + ("," + inner2).join(parts) + inner + "}}"
+    cells = chain.from_iterable(chain.from_iterable(zip(*columns)))
+    text = "[" + inner + ("," + inner).join([row] * len(rows)) + indent + "]"
+    return text.format(*cells)
+
+
 def dumps_json(obj, indent: str = "\n") -> str:
     """The one writer of a report: json.dumps(obj, sort_keys=True, indent=2)
     byte for byte, once each Fraction or float is replaced by its
     `format_number` string; dict keys are strings.  Each list of strings,
     ints, Fractions or floats alone is joined at C level (json encodes in
-    pure Python when given an indent).  `indent` is the line break and
-    margin of obj's closing bracket."""
+    pure Python when given an indent).  A list of matrices of one shape and
+    one cell type, such as a matdist sample list, and a list of records of
+    one shape, such as a matdist support, are each written in one call:
+    their brackets and margins are one template.  `indent` is the line
+    break and margin of obj's closing bracket."""
     write = _SCALARS.get(type(obj))
     if write is not None:
         return write(obj)
@@ -440,8 +527,19 @@ def dumps_json(obj, indent: str = "\n") -> str:
         return "{" + inner + ("," + inner).join(items) + indent + "}"
     if isinstance(obj, (list, tuple)) and obj:
         kinds = set(map(type, obj))
-        write = _LISTS.get(kinds.pop()) if len(kinds) == 1 else None
-        items = write(obj) if write else (dumps_json(v, inner) for v in obj)
+        kind = kinds.pop() if len(kinds) == 1 else None
+        if kind in _LISTS:
+            items = _LISTS[kind](obj)
+        else:
+            nested = (_nested(obj) if kind in (list, tuple) and obj[0]
+                      and type(obj[0][0]) in (list, tuple) else None)
+            if nested is not None:
+                shape, write, cells = nested
+                return _template(shape, indent).format(*write(cells))
+            text = _records(obj, indent) if kind is dict and obj[0] else None
+            if text is not None:
+                return text
+            items = (dumps_json(v, inner) for v in obj)
         return "[" + inner + ("," + inner).join(items) + indent + "]"
     if isinstance(obj, (dict, list, tuple)):
         return json.dumps(obj)      # an empty container

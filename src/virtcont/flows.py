@@ -17,10 +17,12 @@ Two solvers live here:
   through a dummy row and column.
 
 In exact mode the rational inputs are scaled once to ints over their common
-denominator (`model.common_integers`), the kernel runs on the ints, and its
-values are divided back to Fractions at the end.  A flow or a plan is
-handed over on its scale, as ints with their denominator; its Fractions are
-a view formed on first use (`model.from_scale`).  A positive common scale
+denominator (`model.common_integers`), or come on their scale already (a
+space's weights, a function's cells, a metric's distances); the kernel runs
+on the ints, and its values are divided back to Fractions at the end.  A
+flow or a plan is handed over on its scale, as ints with their
+denominator; its Fractions are a view formed on first use
+(`model.from_scale`).  A positive common scale
 preserves every comparison and tie, so the kernel takes the same steps as
 on the Fractions themselves.  Each kernel is one body for ints and floats,
 with tol 0 on the ints and EPS on floats.  The transportation solver finds
@@ -38,16 +40,17 @@ transportation search on the arc that it scans first.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import inf
-from operator import itemgetter, sub
+from operator import itemgetter, neg, sub
 from typing import Optional, Sequence
 
 from .model import (EPS, Number, ProductSet, ValidationError, all_finite,
-                    common_integers, from_scale, is_exact, left_sum, zero_of)
+                    common_integers, from_scale, left_sum, scaled_rows,
+                    weights_scaled, zero_of)
 
 
 class InfeasibleError(ValueError):
@@ -61,6 +64,9 @@ class BipartiteCoverInstance:
     row_costs: tuple
     col_costs: tuple
     edges: tuple  # sorted tuple of (i, j)
+    # the costs on their scale, as `model.weights_scaled` gives them, or None
+    _scaled: Optional[tuple] = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     def __init__(self, row_costs: Sequence[Number], col_costs: Sequence[Number], edges):
         row_costs, col_costs = tuple(row_costs), tuple(col_costs)
@@ -81,9 +87,11 @@ class BipartiteCoverInstance:
         """The instance whose least cover weight is th(z): the factor weights
         as costs and the member cells as edges.  `ProductSet.cells` yields
         sorted, distinct, in-range int pairs, so only the costs are checked."""
-        _require_positive(z.x_space.weights + z.y_space.weights)
+        (xw, yw), d = weights_scaled(z.x_space, z.y_space)
+        _require_positive(xw + yw)
         inst = object.__new__(cls)
         inst._set(z.x_space.weights, z.y_space.weights, tuple(z.cells()))
+        object.__setattr__(inst, "_scaled", (xw + yw, d))
         return inst
 
     def _set(self, row_costs, col_costs, edges):
@@ -127,14 +135,19 @@ def min_weighted_vertex_cover(inst: BipartiteCoverInstance) -> CoverResult:
     is read off residual reachability (source-side rows stay unpicked).
     This is the one-batch case of `nested_cover_weights`.
     """
-    [(rows, cols)], [value], flow, total, scale = _scaled_covers(
-        inst.row_costs, inst.col_costs, [inst.edges])
+    costs, scale = inst._scaled or common_integers(inst.row_costs + inst.col_costs)
+    [(rows, cols)], [value], flow, total = _scaled_covers(
+        costs, scale, len(inst.row_costs), [inst.edges])
+    if scale is not None:
+        value, total = Fraction(value, scale), Fraction(total, scale)
     return CoverResult(value, rows, cols, total, flow, scale)
 
 
-def nested_cover_weights(row_costs: Sequence[Number], col_costs: Sequence[Number],
-                         batches) -> list:
-    """The least cover weight of each growing edge set, from one max-flow.
+def nested_cover_weights(x_space, y_space, batches):
+    """The least cover weight of each growing edge set, the spaces' weights
+    as costs, from one max-flow: (weight per batch, d), the weights on the
+    costs' one scale (`model.weights_scaled`), ints over d, or floats with d
+    None.
 
     The k-th edge set is the union of batches[0..k].  Adding edges keeps the
     flow found so far feasible, so it is augmented further instead of solved
@@ -143,32 +156,25 @@ def nested_cover_weights(row_costs: Sequence[Number], col_costs: Sequence[Number
     flow, so each cover is the one `min_weighted_vertex_cover` returns on
     that edge set alone, and its weight is summed the same way.
     """
-    row_costs, col_costs = tuple(row_costs), tuple(col_costs)
+    (xw, yw), d = weights_scaled(x_space, y_space)
     if any(batches):
-        _require_positive(row_costs + col_costs)
-    return _scaled_covers(row_costs, col_costs, batches)[1]
+        _require_positive(xw + yw)
+    return _scaled_covers(xw + yw, d, len(xw), batches)[1], d
 
 
-def _scaled_covers(row_costs: tuple, col_costs: tuple, batches):
-    """`_max_flow_cover` on the costs as ints over their common denominator
-    (floats as given, with EPS as the kernel's zero): ([(rows, cols) per
-    batch], [weight per batch], flow per edge, flow value, scale).  The
-    weights and the flow value come back in the costs' units; the flow stays
-    on the kernel's scale, ints over `scale` (None on floats).  A cover's
-    weight is summed on the kernel's costs, rows first, then columns, each
-    from 0 (0.0 on floats)."""
-    nr = len(row_costs)
-    costs, scale = common_integers(row_costs + col_costs)
+def _scaled_covers(costs, scale, nr: int, batches):
+    """`_max_flow_cover` on the row costs costs[:nr] and the column costs
+    costs[nr:], ints over scale, or floats with scale None and EPS as the
+    kernel's zero: ([(rows, cols) per batch], [weight per batch], flow per
+    edge, flow value), all on the costs' scale.  A cover's weight is summed
+    on the costs, rows first, then columns, each from 0 (0.0 on floats)."""
     zero = 0 if scale is not None else 0.0
     covers, flow, total = _max_flow_cover(
         costs[:nr], costs[nr:], batches, 0 if scale is not None else EPS)
     weights = [left_sum((costs[i] for i in rows), zero) +
                left_sum((costs[nr + j] for j in cols), zero)
                for rows, cols in covers]
-    if scale is not None:
-        total = Fraction(total, scale)
-        weights = [Fraction(w, scale) for w in weights]
-    return covers, weights, flow, total, scale
+    return covers, weights, flow, total
 
 
 def _max_flow_cover(row_costs, col_costs, batches, tol):
@@ -290,21 +296,45 @@ class TransportationInstance:
 
     mode "min-cost": marginals must hold with equality (totals must match).
     mode "max-profit": marginals are upper bounds; shipping is optional.
+    An instance built on its integer scales (`of_scaled`) holds the
+    supplies and demands as ints over one scale and the matrix as ints over
+    another, which the solve takes as they are; one built from values has
+    them put on their scales by the solve.
     """
 
     supplies: tuple
     demands: tuple
     matrix: tuple
     mode: str = "min-cost"
+    # (mass scale, matrix scale) of an instance built on its scales, or None
+    scales: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def __init__(self, supplies, demands, matrix, mode="min-cost"):
-        supplies, demands = tuple(supplies), tuple(demands)
-        matrix = tuple(tuple(row) for row in matrix)
+        self._set(tuple(supplies), tuple(demands),
+                  tuple(tuple(row) for row in matrix), mode, None)
+
+    @classmethod
+    def of_scaled(cls, supplies, demands, d_w, matrix, d_c,
+                  mode="min-cost") -> "TransportationInstance":
+        """The instance of the supplies and demands on the scale d_w and
+        the matrix on the scale d_c: ints over the scale, or floats as given
+        if it is None, as `model.weights_scaled`, `ProductFunction.scaled`
+        and `MetricMatrix.scaled` give them.  Nothing is re-scaled; the
+        shape, the signs and the finiteness of floats are tested."""
+        if None in (d_w, d_c):
+            return cls(*from_scale([supplies, demands], d_w),
+                       from_scale(matrix, d_c), mode)
+        inst = object.__new__(cls)
+        inst._set(tuple(supplies), tuple(demands), tuple(map(tuple, matrix)),
+                  mode, (d_w, d_c))
+        return inst
+
+    def _set(self, supplies, demands, matrix, mode, scales):
         if mode not in ("min-cost", "max-profit"):
             raise ValidationError(f"unknown mode {mode!r}")
         if len(matrix) != len(supplies) or any(len(r) != len(demands) for r in matrix):
             raise ValidationError("matrix dimensions do not match supplies/demands")
-        if not all_finite(chain(supplies, demands, *matrix)):
+        if scales is None and not all_finite(chain(supplies, demands, *matrix)):
             raise ValidationError("non-finite supply, demand or matrix entry")
         if any(s < 0 for s in supplies) or any(d < 0 for d in demands):
             raise ValidationError("negative supply or demand")
@@ -312,6 +342,7 @@ class TransportationInstance:
         object.__setattr__(self, "demands", demands)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "scales", scales)
 
 
 @dataclass
@@ -329,31 +360,8 @@ class TransportResultRaw:
         return from_scale(self.scaled_plan, self.scale)
 
 
-def _ssp_balanced(supplies, demands, cost, tol):
-    """Successive shortest paths on the balanced transportation network.
-
-    Returns (total cost, plan, potentials pi per node: source, rows,
-    columns, sink; the plan's scale) with reduced-cost optimality:
-    cost[i][j] + pi[row i] - pi[col j] >= 0 on all arcs, equality where the
-    plan is positive.  This wrapper decides the regime: ints and floats run
-    the same kernel, `_ssp_bellman_ford`.  Exact inputs are solved on ints,
-    with tol 0: supplies and demands scaled by their common denominator
-    d_w, costs by theirs, d_c; the plan stays on the scale d_w, the
-    potentials come back divided by d_c, the total by d_w*d_c.  Floats are
-    solved as given, with tol EPS and scale None.
-    """
-    nr, nc = len(supplies), len(demands)
-    masses, d_w = common_integers(list(supplies) + list(demands))
-    costs, d_c = common_integers(c for row in cost for c in row)
-    if d_w is None or d_c is None:
-        return (*_ssp_bellman_ford(supplies, demands, cost, tol), None)
-    total, plan, pi = _ssp_bellman_ford(
-        masses[:nr], masses[nr:], [costs[i * nc:(i + 1) * nc] for i in range(nr)], 0)
-    return Fraction(total, d_w * d_c), plan, [Fraction(p, d_c) for p in pi], d_w
-
-
 def _ssp_bellman_ford(supplies, demands, cost, tol):
-    """The successive-shortest-path loop of `_ssp_balanced`, each pass a
+    """The successive-shortest-path loop of `solve_transportation`, each pass a
     Bellman-Ford search (Ahuja, Magnanti & Orlin, *Network Flows*, ch. 9):
     on scaled ints with tol 0, on floats with tol EPS; the zero follows tol.
 
@@ -513,38 +521,58 @@ def solve_transportation(inst: TransportationInstance) -> TransportResultRaw:
     max-profit: marginals are <=; returns profit, plan, and nonnegative duals
     (a, b) with a_i + b_j >= profit_ij, tight on the support, and
     sum(s*a) + sum(d*b) = profit.
+
+    This function decides the regime, and both regimes run the same lines
+    and the same kernel, `_ssp_bellman_ford`.  Exact inputs are solved on
+    ints, with tol 0: the supplies and demands over their common
+    denominator d_w, the matrix over its own, d_c (the instance's scales,
+    or `model.common_integers`); the plan stays on the scale d_w, and the
+    duals are divided by d_c and the value by d_w * d_c once at the end.
+    If any input is a float, all are solved as given, with tol EPS, and the
+    plan's scale is None.
     """
-    zero = zero_of(chain(inst.supplies, inst.demands, *inst.matrix))
-    tol = 0 if is_exact(zero) else EPS
+    nr, nc = len(inst.supplies), len(inst.demands)
+    if inst.scales:
+        (d_w, d_c), matrix = inst.scales, inst.matrix
+        masses = inst.supplies + inst.demands
+    else:
+        masses, d_w = common_integers(inst.supplies + inst.demands)
+        matrix, d_c = scaled_rows(inst.matrix)
+    exact = d_w is not None and d_c is not None
+    if exact:
+        supplies, demands, zero, tol = masses[:nr], masses[nr:], 0, 0
+    else:       # a float among them: all as given
+        supplies, demands = inst.supplies, inst.demands
+        matrix = inst.matrix
+        zero, tol = zero_of(chain(supplies, demands, *matrix)), EPS
 
     if inst.mode == "min-cost":
-        if not (abs(left_sum(inst.supplies) - left_sum(inst.demands)) <= tol):
+        if not (abs(left_sum(supplies) - left_sum(demands)) <= tol):
             raise InfeasibleError("marginal totals differ")
-        cost, plan, pi, scale = _ssp_balanced(inst.supplies, inst.demands,
-                                              inst.matrix, tol)
-        nr, nc = len(inst.supplies), len(inst.demands)
+        value, plan, pi = _ssp_bellman_ford(supplies, demands, matrix, tol)
         # zero - p, not -p: a float potential of 0.0 gives the dual 0.0, not -0.0
         u = [zero - pi[1 + i] for i in range(nr)]
-        v = [pi[1 + nr + j] for j in range(nc)]
-        return TransportResultRaw(cost, u, v, plan, scale)
-
-    # max-profit: reduce to balanced min-cost with a dummy row and column.
-    nr, nc = len(inst.supplies), len(inst.demands)
-    supplies = list(inst.supplies) + [left_sum(inst.demands, zero)]
-    demands = list(inst.demands) + [left_sum(inst.supplies, zero)]
-    cost = [[-inst.matrix[i][j] for j in range(nc)] + [zero] for i in range(nr)]
-    cost.append([zero] * (nc + 1))
-    total_cost, plan_ext, pi, scale = _ssp_balanced(supplies, demands, cost, tol)
-    plan = [row[:nc] for row in plan_ext[:nr]]
-    u = [-p for p in pi[1:2 + nr]]      # per row, the dummy row last
-    v = pi[2 + nr:3 + nr + nc]          # per column, the dummy column last
-    # each dual is the reduced cost of a zero-cost arc to or from a dummy
-    # node, which is always residual, so it is nonnegative and max only
-    # clears float dust; max keeps the first of equal values, so -0.0 never
-    # reaches a report.  No pass reaches a row with no supply, so its
-    # potential need not cover its profits; the least nonnegative dual that
-    # does adds 0 to the value.
-    b = [max(zero, -(x + u[nr])) for x in v[:nc]]
-    a = [max([zero, *map(sub, row, b)]) if s == 0 else max(zero, -(x + v[nc]))
-         for s, x, row in zip(inst.supplies, u, inst.matrix)]
-    return TransportResultRaw(-total_cost, a, b, plan, scale)
+        v = pi[1 + nr:1 + nr + nc]
+    else:
+        # max-profit: reduce to balanced min-cost with a dummy row and column
+        cost = [[*map(neg, row), zero] for row in matrix]
+        cost.append([zero] * (nc + 1))
+        total, plan_ext, pi = _ssp_bellman_ford(
+            [*supplies, left_sum(demands, zero)], [*demands, left_sum(supplies, zero)],
+            cost, tol)
+        value, plan = -total, [row[:nc] for row in plan_ext[:nr]]
+        pu = [-p for p in pi[1:2 + nr]]     # per row, the dummy row last
+        pv = pi[2 + nr:3 + nr + nc]         # per column, the dummy column last
+        # each dual is the reduced cost of a zero-cost arc to or from a dummy
+        # node, which is always residual, so it is nonnegative and max only
+        # clears float dust; max keeps the first of equal values, so -0.0 never
+        # reaches a report.  No pass reaches a row with no supply, so its
+        # potential need not cover its profits; the least nonnegative dual that
+        # does adds 0 to the value.
+        v = [max(zero, -(x + pu[nr])) for x in pv[:nc]]
+        u = [max([zero, *map(sub, row, v)]) if s == 0 else max(zero, -(x + pv[nc]))
+             for s, x, row in zip(supplies, pu, matrix)]
+    if not exact:
+        return TransportResultRaw(value, u, v, plan, None)
+    u, v = from_scale([u, v], d_c)
+    return TransportResultRaw(Fraction(value, d_w * d_c), u, v, plan, d_w)

@@ -2,7 +2,12 @@
 
 All quantities live on finite atomic probability spaces.  Numbers are either
 `fractions.Fraction` (exact mode) or `float` (tolerance mode); every operation
-is agnostic to which one it gets.  Objects are immutable after construction.
+is agnostic to which one it gets.  In exact mode a function's cells and a
+plan's masses are carried as ints over one common denominator, and a space
+and a metric form their weights' and distances' ints once: the kernels, the
+checks and the report writer work on those ints, and a function's or a
+plan's Fractions are a view formed on first use.
+Objects are immutable after construction.
 """
 
 from __future__ import annotations
@@ -12,9 +17,9 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from itertools import chain, compress, repeat
+from itertools import chain, compress, islice, repeat
 from math import isfinite, lcm
-from operator import add, ge, le, sub
+from operator import add, ge, le, mul, sub
 from typing import Iterable, Sequence, Union
 
 Number = Union[Fraction, float, int]
@@ -107,6 +112,17 @@ def is_exact(x: Number) -> bool:
     return isinstance(x, (Fraction, int)) if exact is None else exact
 
 
+def dot(xs: Iterable[Number], ys: Iterable[Number]) -> Number:
+    """The sum of x * y over the pairs, added left to right; exact values
+    are multiplied and added as ints on their scales (`common_integers`),
+    into one Fraction."""
+    xs, ys = list(xs), list(ys)
+    (a, da), (b, db) = common_integers(xs), common_integers(ys)
+    if da is None or db is None:
+        return left_sum(map(mul, xs, ys))
+    return Fraction(sum(map(mul, a, b)), da * db)
+
+
 def all_exact(values: Iterable[Number]) -> bool:
     return all(map(isinstance, values, repeat((Fraction, int))))
 
@@ -172,6 +188,32 @@ def common_scales(tol: float, *groups):
     return out, [d for _, d in scaled], 0
 
 
+def scaled_with(parts, rows, d):
+    """A few number sequences and rows already on a scale d (a function's
+    `scaled()`) on one scale: the lcm of d and the parts' denominators,
+    with the rows multiplied only if the scale grew.  Returns (parts, rows,
+    scale), as `common_scales` gives the group [*parts, *rows], or None if
+    a float is among them."""
+    parts = [list(part) for part in parts]
+    ints, dp = common_integers(chain(*parts))
+    if dp is None or d is None:
+        return None
+    scale, ints = lcm(dp, d), iter(ints)
+    k = scale // dp
+    return ([[x * k for x in islice(ints, len(part))] for part in parts],
+            rescaled(rows, d, scale), scale)
+
+
+def scaled_rows(rows):
+    """(rows, d): rows of values as ints over their least common
+    denominator; the rows as given, d None, if any value is a float."""
+    ints, d = common_integers(chain.from_iterable(rows))
+    if d is None:
+        return rows, None
+    ints = iter(ints)
+    return tuple(tuple(islice(ints, len(row))) for row in rows), d
+
+
 def unscaled(x: Number, d: int) -> Number:
     """A scaled int back over its scale d, a float (whose scale is 1) as it
     is: a sum or a number for a message, in the units of the values."""
@@ -184,6 +226,16 @@ def to_scale(values: Iterable[Number], d) -> list:
     if d is None:
         return list(values)
     return [x.numerator * (d // x.denominator) for x in values]
+
+
+def rescaled(rows, d, to):
+    """Rows of ints over d as rows over `to`, a multiple of d; rows already
+    on `to`, or of floats (d None), as they are: read them, do not change
+    them."""
+    if d is None or d == to:
+        return rows
+    k = to // d
+    return [list(map(k.__mul__, row)) for row in rows]
 
 
 def from_scale(rows, d) -> list:
@@ -236,15 +288,40 @@ class DiscreteSpace:
         w = Fraction(1, n)
         return DiscreteSpace([f"{prefix}{i}" for i in range(n)], [w] * n)
 
+    def scaled(self):
+        """(ints, d): the weights as a tuple of ints over their least common
+        denominator, formed once; the weights as given, d None, if any is a
+        float (`common_integers`)."""
+        return self._scaled
+
+    @cached_property
+    def _scaled(self):
+        ints, d = common_integers(self.weights)
+        return (self.weights, None) if d is None else (tuple(ints), d)
+
+
+def weights_scaled(*spaces):
+    """The spaces' weights on one scale, the lcm of their own scales
+    (`DiscreteSpace.scaled`): ([ints per space], d), as `common_integers`
+    gives them for all the weights at once, as new lists; the weights as
+    given, d None, if any is a float."""
+    scaled = [space.scaled() for space in spaces]
+    if any(d is None for _, d in scaled):
+        return [list(space.weights) for space in spaces], None
+    d = lcm(*(e for _, e in scaled))
+    return [list(rescaled([ints], e, d)[0]) for ints, e in scaled], d
+
 
 def validate_space(space: DiscreteSpace) -> list[str]:
     """Return the list of violated invariants (empty list means pass); the
-    weights compare as in `validate_semimetric`."""
+    weights compare on their scale (`DiscreteSpace.scaled`) as in
+    `validate_semimetric`."""
     if len(space.labels) != len(space.weights):
         return ["label/weight count mismatch"]
     if space.size == 0:
         return ["space has no atoms"]
-    ((ws,),), (d,), t = common_scales(DEFAULT_TOL, [space.weights])
+    ws, d = space.scaled()
+    d, t = (1, DEFAULT_TOL) if d is None else (d, 0)
     problems = [f"nonpositive weight at index {i}"
                 for i, w in enumerate(ws) if w <= t]
     if not abs(left_sum(ws) - d) <= t:
@@ -262,21 +339,73 @@ def require_valid_space(space: DiscreteSpace) -> None:
 
 @dataclass(frozen=True)
 class ProductFunction:
-    """A real value per atom pair: f(x_i, y_j) on X x Y."""
+    """A real value per atom pair: f(x_i, y_j) on X x Y.
+
+    A function is carried on one integer scale, as a plan is: in exact mode
+    its cells are ints over one common denominator d (`scaled`), on which
+    tau, the layer cake, the sr-norm, their checks and the report writer
+    work; in float mode d is None and the cells are the floats as given, so
+    the same code runs on them.  A reader or a kernel hands its ints over
+    as they are (`of_scaled`), and `values` is then a Fraction view of
+    them, formed on first use.  `ProductFunction(x, y, values)` keeps the
+    values given and puts them on their scale on first use
+    (`common_integers`).
+    """
 
     x_space: DiscreteSpace
     y_space: DiscreteSpace
-    values: tuple  # tuple of row tuples
 
     def __init__(self, x_space, y_space, values):
-        rows = tuple(tuple(row) for row in values)
-        if len(rows) != x_space.size or any(len(r) != y_space.size for r in rows):
-            raise ValidationError("function matrix dimensions do not match factors")
+        rows = tuple(map(tuple, values))
+        self._set(x_space, y_space, rows)
         if not all_finite(chain.from_iterable(rows)):
             raise ValidationError("non-finite function value")
+        self.__dict__["values"] = rows
+
+    @classmethod
+    def of_scaled(cls, x_space, y_space, rows, d) -> "ProductFunction":
+        """The function whose cells are the rows on the scale d: ints over
+        d, or floats as given if d is None.  Nothing is re-scaled; only the
+        shape, and the finiteness of float cells, are tested."""
+        f = object.__new__(cls)
+        rows = tuple(map(tuple, rows))
+        f._set(x_space, y_space, rows)
+        if d is None and not all_finite(chain.from_iterable(rows)):
+            raise ValidationError("non-finite function value")
+        f.__dict__["_scaled"] = (rows, d)
+        return f
+
+    def _set(self, x_space, y_space, rows):
+        if len(rows) != x_space.size or any(len(r) != y_space.size for r in rows):
+            raise ValidationError("function matrix dimensions do not match factors")
         object.__setattr__(self, "x_space", x_space)
         object.__setattr__(self, "y_space", y_space)
-        object.__setattr__(self, "values", rows)
+
+    @cached_property
+    def values(self) -> tuple:
+        """The cells as row tuples, in the weights' units: Fractions in
+        exact mode."""
+        rows, d = self._scaled
+        return rows if d is None else tuple(map(tuple, from_scale(rows, d)))
+
+    @cached_property
+    def _scaled(self):
+        return scaled_rows(self.values)
+
+    def scaled(self):
+        """(rows, d): the cells as ints over their common denominator d, or
+        the floats as given with d None."""
+        return self._scaled
+
+    def __eq__(self, other):
+        if not isinstance(other, ProductFunction):
+            return NotImplemented
+        return ((self.x_space, self.y_space, self.values)
+                == (other.x_space, other.y_space, other.values))
+
+    def __repr__(self):
+        return (f"ProductFunction(x_space={self.x_space!r}, "
+                f"y_space={self.y_space!r}, values={self.values!r})")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -293,21 +422,30 @@ class ProductFunction:
         )
 
     def abs(self) -> "ProductFunction":
-        return self.map(abs)
+        rows, d = self.scaled()
+        return ProductFunction.of_scaled(self.x_space, self.y_space,
+                                         [list(map(abs, row)) for row in rows], d)
 
     def sub(self, other: "ProductFunction") -> "ProductFunction":
-        _check_same_factors(self, other)
-        return ProductFunction(
-            self.x_space, self.y_space,
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.values, other.values)],
-        )
+        return self._cellwise(sub, other)
 
     def add(self, other: "ProductFunction") -> "ProductFunction":
+        return self._cellwise(add, other)
+
+    def _cellwise(self, op, other: "ProductFunction") -> "ProductFunction":
+        """op of the two functions cell by cell: on the lcm of their scales
+        if both are exact, else on the values as given."""
         _check_same_factors(self, other)
-        return ProductFunction(
+        (ra, da), (rb, db) = self.scaled(), other.scaled()
+        if da is None or db is None:
+            return ProductFunction(self.x_space, self.y_space,
+                                   [list(map(op, a, b))
+                                    for a, b in zip(self.values, other.values)])
+        d = lcm(da, db)
+        return ProductFunction.of_scaled(
             self.x_space, self.y_space,
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.values, other.values)],
-        )
+            [list(map(op, a, b)) for a, b in zip(rescaled(ra, da, d),
+                                                 rescaled(rb, db, d))], d)
 
     def scale(self, c: Number) -> "ProductFunction":
         return self.map(lambda v: c * v)
@@ -321,6 +459,9 @@ class ProductFunction:
 def _check_same_factors(a, b):
     if a.x_space.size != b.x_space.size or a.y_space.size != b.y_space.size:
         raise ValidationError("factor dimension mismatch")
+    if a.x_space != b.x_space or a.y_space != b.y_space:
+        raise ValidationError("factor spaces differ: the same sizes, "
+                              "but other labels or weights")
 
 
 @dataclass(frozen=True)
@@ -413,8 +554,7 @@ class SeparableMajorant:
         return True
 
     def weight(self, x_space: DiscreteSpace, y_space: DiscreteSpace) -> Number:
-        return (left_sum(w * v for w, v in zip(x_space.weights, self.a))
-                + left_sum(w * v for w, v in zip(y_space.weights, self.b)))
+        return dot(x_space.weights, self.a) + dot(y_space.weights, self.b)
 
 
 @dataclass(frozen=True)
@@ -572,6 +712,16 @@ class MetricMatrix:
         i, j = ij
         return self.dist[i][j]
 
+    def scaled(self):
+        """(rows, d): the distances as ints over their least common
+        denominator, formed once; the distances as given, d None, if any
+        is a float."""
+        return self._scaled
+
+    @cached_property
+    def _scaled(self):
+        return scaled_rows(self.dist)
+
 
 def validate_semimetric(m: MetricMatrix):
     """Classify a distance matrix.
@@ -580,10 +730,11 @@ def validate_semimetric(m: MetricMatrix):
     where the witness names the violated axiom with concrete indices: the
     diagonal at i; then, per (i, j), a negative and then an asymmetric
     pair; then the first (i, j, k) with d_ij + d_jk < d_ik, as (i, k, j).
-    The distances are compared on one integer scale (`common_scales`):
+    The distances are compared on their integer scale (`MetricMatrix.scaled`):
     exactly for rationals, within DEFAULT_TOL for floats.
     """
-    (d,), _, t = common_scales(DEFAULT_TOL, m.dist)
+    d, scale = m.scaled()
+    t = DEFAULT_TOL if scale is None else 0
     n = len(d)
     cells = list(chain.from_iterable(d))
     mirror = list(chain.from_iterable(zip(*d)))

@@ -14,7 +14,8 @@ from itertools import chain
 from .certs import SrNormResult, verify_sr_certificates
 from .flows import TransportationInstance, solve_transportation
 from .model import (Number, Plan, ProductFunction, SeparableMajorant,
-                    ValidationError, close, left_sum, to_scale, zero_of)
+                    ValidationError, close, left_sum, to_scale, weights_scaled,
+                    zero_of)
 from .thickness import exceedance_thicknesses
 
 
@@ -23,12 +24,17 @@ def sr_norm(f: ProductFunction) -> SrNormResult:
 
     The dual potentials of the transportation solve give the majorant; they
     are shifted so that min(a) = 0 (the optimum is invariant under the
-    exchange (a + c, b - c)).
+    exchange (a + c, b - c)).  In exact mode the weights and |f| go to the
+    solve as ints on their scales (`model.weights_scaled`,
+    `ProductFunction.scaled`), and the dual value is summed on those ints
+    and the plan's.
     """
     mu, nu = f.x_space.weights, f.y_space.weights
-    absf = [[abs(v) for v in row] for row in f.values]
-    inst = TransportationInstance(mu, nu, absf, mode="max-profit")
-    res = solve_transportation(inst)
+    absf = f.abs()
+    (xw, yw), dw = weights_scaled(f.x_space, f.y_space)
+    fv, df = absf.scaled()
+    res = solve_transportation(TransportationInstance.of_scaled(
+        xw, yw, dw, fv, df, mode="max-profit"))
     a, b = list(res.u), list(res.v)
     shift = min(a)
     a = [v - shift for v in a]
@@ -38,11 +44,14 @@ def sr_norm(f: ProductFunction) -> SrNormResult:
     rows, d = res.scaled_plan, res.scale
     plan = Plan.of_scaled(f.x_space, f.y_space, to_scale(mu, d),
                           to_scale(nu, d), rows, d)
-    # the cells without mass add exact zeros in either regime
-    dual = left_sum((v * m for frow, mrow in zip(absf, rows)
+    if d is None:       # a float among them: |f| in its units
+        fv = absf.values
+    # the cells without mass add exact zeros in either regime; ints on the
+    # scales d * df add from the int 0
+    dual = left_sum((v * m for frow, mrow in zip(fv, rows)
                      for v, m in zip(frow, mrow) if m),
-                    zero_of(chain(mu, nu, *absf)))
-    dual_value = dual if d is None else dual / d
+                    zero_of(chain(mu, nu, *fv)) if d is None else 0)
+    dual_value = dual if d is None else Fraction(dual, d * df)
     primal_value = majorant.weight(f.x_space, f.y_space)
     return SrNormResult(primal_value, majorant, plan, dual_value)
 
@@ -53,11 +62,14 @@ def layer_cake_integral(f: ProductFunction) -> Number:
     Between consecutive levels w' < w of |f|, th({|f| >= w}) equals
     th({|f| > w'}), so one warm-started max-flow over the exceedance sets of
     |f| gives every step (`thickness.exceedance_thicknesses`).  The least
-    level is the zero, from which the sum starts.
+    level is the zero, from which the sum starts.  In exact mode the levels
+    and the thicknesses are ints over one scale d, so the sum is an int
+    over d**2.
     """
-    levels, ths = exceedance_thicknesses(f.abs())
-    return left_sum(((w - prev) * th for prev, w, th in zip(levels, levels[1:], ths)),
-                    levels[0])
+    levels, ths, d = exceedance_thicknesses(f.abs())
+    total = left_sum(((w - prev) * th for prev, w, th in zip(levels, levels[1:], ths)),
+                     levels[0])
+    return total if d is None else Fraction(total, d * d)
 
 
 def cutoff(f: ProductFunction, n: Number) -> ProductFunction:

@@ -11,11 +11,14 @@ it becomes the plan on the kernel's own scale, with no Fraction formed.
 
 from __future__ import annotations
 
+from itertools import chain
+from math import lcm
+
 from .certs import ThicknessResult, verify_cover, verify_thickness_result
 from .flows import (BipartiteCoverInstance, min_weighted_vertex_cover,
                     nested_cover_weights)
-from .model import (Number, Plan, ProductFunction, ProductSet, level_set,
-                    to_scale, zero_of)
+from .model import (Number, Plan, ProductFunction, ProductSet, from_scale,
+                    level_set, rescaled, weights_scaled, zero_of)
 
 
 def thickness(z: ProductSet) -> ThicknessResult:
@@ -28,12 +31,12 @@ def thickness(z: ProductSet) -> ThicknessResult:
     rows, cols = set(res.rows), set(res.cols)
     f = [one if i in rows else zero for i in range(len(mu))]
     g = [one if j in cols else zero for j in range(len(nu))]
-    d = res.scale       # the flow's: ints over d, or floats if None
+    # the flow's scale, the weights': ints over d, or floats if None
+    (xw, yw), d = weights_scaled(z.x_space, z.y_space)
     mass = [[zero if d is None else 0] * len(nu) for _ in mu]
     for (i, j), fl in zip(inst.edges, res.scaled_flow):
         mass[i][j] = fl
-    plan = Plan.of_scaled(z.x_space, z.y_space, to_scale(mu, d),
-                          to_scale(nu, d), mass, d)
+    plan = Plan.of_scaled(z.x_space, z.y_space, xw, yw, mass, d)
     return ThicknessResult(res.value, res.rows, res.cols, f, g, plan)
 
 
@@ -43,22 +46,35 @@ def thickness_of_level_set(f: ProductFunction, lam: Number) -> Number:
 
 
 def exceedance_thicknesses(f: ProductFunction) -> tuple:
-    """(levels, ths): the zero of f's regime and every value of f, ascending,
-    with ths[k] = th({f > levels[k]}).
+    """(levels, ths, d): the zero of f's regime and every value of f,
+    ascending, with ths[k] = th({f > levels[k]}), on one integer scale d,
+    the lcm of f's and the weights' (`ProductFunction.scaled`,
+    `model.weights_scaled`): ints over d.  If a value or a weight is a
+    float, d is None, the levels are the values as given and the
+    thicknesses are in the weights' units.
 
     The exceedance sets only grow as the level falls, so one warm-started
     max-flow (`flows.nested_cover_weights`) gives every thickness, from the
     top level down.  A cell of value levels[k] lies in the sets of
-    levels[:k], so it joins the sweep with the set of levels[k - 1].
+    levels[:k], so it joins the sweep with the set of levels[k - 1].  The
+    levels are sorted, indexed and swept as ints, and only the distinct
+    ones are put on the scale d.
     """
-    values = [v for row in f.values for v in row]
-    levels = sorted({zero_of(values)}.union(values))
-    index = {v: k for k, v in enumerate(levels)}
+    rows, dv = f.scaled()
+    if dv is None or weights_scaled(f.x_space, f.y_space)[1] is None:
+        rows, dv = f.values, None
+    cells = list(chain.from_iterable(rows))
+    levels = sorted({0 if dv is not None else zero_of(cells)}.union(cells))
+    index = dict(zip(levels, range(len(levels))))
     joins = [[] for _ in levels]     # joins[k]: the cells whose top level is k
-    for i, row in enumerate(f.values):
-        for j, x in enumerate(row):
-            k = index[x]
+    for i, row in enumerate(rows):
+        for j, k in enumerate(map(index.__getitem__, row)):
             if k:
                 joins[k - 1].append((i, j))
-    return levels, nested_cover_weights(f.x_space.weights, f.y_space.weights,
-                                        joins[::-1])[::-1]
+    ths, dw = nested_cover_weights(f.x_space, f.y_space, joins[::-1])
+    ths.reverse()
+    if dv is None:
+        return levels, from_scale([ths], dw)[0], None
+    d = lcm(dv, dw)
+    (levels,), (ths,) = rescaled([levels], dv, d), rescaled([ths], dw, d)
+    return levels, ths, d

@@ -10,6 +10,7 @@ complementary slackness holds exactly on the support of the optimal plan.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import chain
 from math import lcm
 from operator import sub
@@ -17,8 +18,8 @@ from operator import sub
 from .certs import TransportResult, verify_transport_result
 from .flows import InfeasibleError, TransportationInstance, solve_transportation
 from .model import (DEFAULT_TOL, MetricMatrix, Number, Plan, ValidationError,
-                    all_exact, close, common_scales, from_scale, is_exact,
-                    left_sum, to_scale, unscaled, zero_of)
+                    close, common_integers, from_scale, left_sum, rescaled,
+                    scaled_with, unscaled, zero_of)
 
 
 @dataclass
@@ -52,17 +53,22 @@ def kantorovich(mu1, mu2, rho: MetricMatrix, tol: float = DEFAULT_TOL) -> Transp
     mu1, mu2 = list(mu1), list(mu2)
     if len(mu1) != n or len(mu2) != n:
         raise ValidationError("weight vectors do not match the space")
-    if not close(left_sum(mu1), left_sum(mu2), tol):
+    # both vectors on one scale dm, or as given (dm None)
+    m, dm = common_integers(mu1 + mu2)
+    m1, m2 = m[:n], m[n:]
+    if not close(left_sum(m1), left_sum(m2), tol):
         raise InfeasibleError("marginal totals differ")
-    value, potential, rows, d = _kr_solve([a - b for a, b in zip(mu1, mu2)],
-                                          rho, tol)
-    common, w = list(map(min, mu1, mu2)), rho.space.weights
-    if d is not None and all_exact(w):
-        scale = lcm(d, *(x.denominator for x in chain(w, common)))
-        mass = [[k * (scale // d) for k in row] for row in rows]
-        d, common, w = scale, to_scale(common, scale), to_scale(w, scale)
+    value, potential, rows, d = _kr_solve(list(map(sub, m1, m2)), dm, rho, tol)
+    common = list(map(min, m1, m2))
+    w, dw = rho.space.scaled()
+    if d is not None and dw is not None:
+        scale = lcm(d, dm, dw)
+        mass = [list(row) for row in rescaled(rows, d, scale)]
+        (common,), (w,) = rescaled([common], dm, scale), rescaled([w], dw, scale)
+        d = scale
     else:       # floats: the cells as given (a float weight makes them so)
         mass, d = from_scale(rows, d), None
+        common, w = from_scale([common], dm)[0], rho.space.weights
     for i, c in enumerate(common):
         mass[i][i] += c
     return TransportResult(value, Plan.of_scaled(rho.space, rho.space, w, w,
@@ -78,32 +84,35 @@ def kr_norm(signed, rho: MetricMatrix, tol: float = DEFAULT_TOL) -> KrNormResult
     not validated here, so check a hand-built one with
     `model.validate_semimetric` first.
     """
-    value, potential, rows, d = _kr_solve(signed, rho, tol)
+    value, potential, rows, d = _kr_solve(*common_integers(signed), rho, tol)
     return KrNormResult(value, potential, from_scale(rows, d))
 
 
-def _kr_solve(signed, rho: MetricMatrix, tol: float):
-    """kr_norm's value and potential, and its plan on the scale d of the
-    signed vector: (value, potential, plan rows, d), the rows ints over d,
-    or floats as given if d is None."""
-    signed = list(signed)
+def _kr_solve(s, d, rho: MetricMatrix, tol: float):
+    """kr_norm's value and potential for the signed vector s on the scale
+    d, ints over d or floats as given if d is None, and its plan on the
+    same scale: (value, potential, plan rows, d), the rows ints over d, or
+    floats as given if d is None.  In exact mode the signed vector and the
+    metric are solved on their integer scales (`MetricMatrix.scaled`)."""
     n = rho.space.size
-    if len(signed) != n:
+    if len(s) != n:
         raise ValidationError("signed vector does not match the space")
-    zero = zero_of(chain(signed, *rho.dist))
-    if not close(left_sum(signed), zero, tol):
+    dist, dr = rho.scaled()
+    exact = d is not None and dr is not None
+    if not exact:       # a float among them: all as given
+        s, d, dist, dr = from_scale([s], d)[0], None, rho.dist, None
+    zero = 0 if exact else zero_of(chain(s, *rho.dist))
+    if not close(left_sum(s), zero, tol):
         raise ValidationError("signed weights do not sum to zero")
-    pos = [max(s, zero) for s in signed]
-    neg = [max(-s, zero) for s in signed]
-    total = left_sum(pos, zero)
-    if close(total, zero, tol):
-        cell, d = (0, 1) if is_exact(zero) else (zero, None)
-        return zero, [zero] * n, [[cell] * n for _ in range(n)], d
-    inst = TransportationInstance(pos, neg, rho.dist, mode="min-cost")
-    res = solve_transportation(inst)
+    pos = [max(x, zero) for x in s]
+    neg = [max(-x, zero) for x in s]
+    if close(left_sum(pos, zero), zero, tol):
+        z = Fraction(0) if exact else zero
+        return z, [z] * n, [[zero] * n for _ in range(n)], d
+    res = solve_transportation(TransportationInstance.of_scaled(pos, neg, d, dist, dr))
     # c-transform of the sink potential: 1-Lipschitz by the triangle inequality,
     # tight on the support of the shipped mass; on one integer scale d
-    ((v, *dist),), (d,), _ = common_scales(tol, [res.v, *rho.dist])
+    (v,), dist, d = scaled_with([res.v], *rho.scaled()) or ([res.v], rho.dist, 1)
     u = [min(map(sub, row, v)) for row in dist]
     shift = u[0]
     u = [unscaled(x - shift, d) for x in u]

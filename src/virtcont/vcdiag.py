@@ -9,8 +9,8 @@ refinement for the former and stays bounded away from 0 for the latter.
 
 Instances with at most 8 atoms per side are solved exactly by enumerating
 row-side configurations and running a subset DP over the columns.  Exact
-inputs are scaled once to ints (`model.common_integers`), values by the
-common denominator d of the values and weights and class weights by 2d, so
+inputs are read on their integer scale (`ProductFunction.scaled`), values by
+the common denominator d of the values and weights and class weights by 2d, so
 every half-gap and class weight is compared as an int.  The row partitions
 grow one row at a time, each block carrying its per-column value range, and
 a partial partition is cut as soon as the columns it already forces into the
@@ -32,14 +32,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import islice, product
-from math import ceil
+from math import ceil, lcm
 from operator import itemgetter, sub
 from typing import Optional
 
 from .certs import StepFit, step_fit_violations
 from .model import (EPS, DiscreteSpace, MetricMatrix, Number, ProductFunction,
                     ValidationError, common_integers, is_exact, left_sum,
-                    unscaled)
+                    rescaled, unscaled, weights_scaled)
 
 EXACT_SIDE_LIMIT = 8
 HEURISTIC_RESTARTS = 20
@@ -80,15 +80,21 @@ def _on_scale(f: ProductFunction):
     for o/(2d).  Float values stay as they are and the weights are doubled,
     which is exact; o then stands for o/2.
 
-    Returns (rows of values, row weights, column weights, d), d None for floats.
+    Returns (rows of values, row weights, column weights, d), d None for
+    floats.  f's cells and the weights come on their own scales
+    (`ProductFunction.scaled`, `model.weights_scaled`), grown to d.
     """
-    nr, nc = f.shape
-    flat, scale = common_integers([v for row in f.values for v in row]
-                                  + list(f.x_space.weights + f.y_space.weights))
-    cells = nr * nc
-    return ([flat[i * nc:(i + 1) * nc] for i in range(nr)],
-            [2 * w for w in flat[cells:cells + nr]],
-            [2 * w for w in flat[cells + nr:]], scale)
+    rows, dv = f.scaled()
+    (wx, wy), dw = weights_scaled(f.x_space, f.y_space)
+    if dv is None or dw is None:    # a float among them: all as given
+        rows, scale = f.values, None
+        wx, wy = f.x_space.weights, f.y_space.weights
+    else:
+        scale = lcm(dv, dw)
+        rows = rescaled(rows, dv, scale)
+        wx, wy = rescaled([wx, wy], dw, scale)
+    return ([list(row) for row in rows], [2 * w for w in wx],
+            [2 * w for w in wy], scale)
 
 
 def _unscale(o, scale):

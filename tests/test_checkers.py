@@ -16,7 +16,7 @@ from virtcont import (DiscreteSpace, MetricMatrix, Plan, ProductFunction,
 from virtcont.checkers import check_report
 from virtcont.fileio import (format_number, matrix_to_obj, save_matrix,
                              save_metric, save_vector)
-from virtcont.model import level_set
+from virtcont.model import from_scale, level_set
 from virtcont.thickness import thickness
 
 from test_fileio_cli import (_BELOW_1, _LIPSCHITZ_AT_1, _NOT_COVERED,
@@ -359,9 +359,9 @@ def test_tau_check_weighs_both_level_sets_as_thickness_does(exact, data):
            "witness_set_thickness": format_number(want[0])}
     scaled_covers, calls = flows._scaled_covers, []
 
-    def recorded(*args):
-        res = scaled_covers(*args)
-        calls.append(res[1])
+    def recorded(costs, scale, *args):
+        res = scaled_covers(costs, scale, *args)
+        calls.append(from_scale([res[1]], scale)[0])    # in the weights' units
         return res
 
     with pytest.MonkeyPatch.context() as mp:
@@ -690,3 +690,68 @@ def test_an_exact_cover_job_puts_no_plan_on_a_scale(tmp_path, monkeypatch):
         path.write_text(out)
         assert _run(["check", str(path)])[0] == 0
     assert sizes and max(sizes) < 12 * 12
+
+
+def test_an_exact_tau_or_srnorm_job_puts_no_function_on_a_scale(tmp_path, monkeypatch):
+    # a function is read on its integer scale and kept there: each group of
+    # numbers that a tau or srnorm job, its self-check or `check` puts on a
+    # common scale (the weights, a value, a majorant) holds fewer than the
+    # 144 cells of a 12 x 12 function
+    from virtcont import certs, model, srnorm, thickness, transport, vcdiag
+    sizes = []
+    originals = {name: getattr(model, name)
+                 for name in ("common_scales", "common_integers")}
+
+    def recorded(scale):
+        def wrapper(*args):
+            if scale is originals["common_integers"]:
+                values = list(args[0])
+                sizes.append(len(values))
+                return scale(values)
+            tol, *groups = args
+            groups = [[list(part) for part in group] for group in groups]
+            sizes.extend(sum(map(len, group)) for group in groups)
+            return scale(tol, *groups)
+        return wrapper
+
+    for module in (model, flows, certs, checkers, srnorm, thickness, transport,
+                   vcdiag):
+        for name, scale in originals.items():
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, recorded(scale))
+    rng = random.Random(12)
+    xs, ys = rand_space(rng, 12, "x"), rand_space(rng, 12, "y")
+    f, g = str(tmp_path / "f.csv"), str(tmp_path / "g.csv")
+    save_matrix(rand_function(rng, xs, ys, denom=3), f)
+    save_matrix(rand_function(rng, xs, ys, denom=4), g)
+    sizes.clear()       # writing the inputs put them on their scales
+    for argv in (["tau", f, g], ["srnorm", f]):
+        code, out = _run(argv)
+        assert code == 0
+        path = tmp_path / "report.json"
+        path.write_text(out)
+        assert _run(["check", str(path)])[0] == 0
+    assert sizes and max(sizes) < 12 * 12
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_tau_of_functions_over_other_spaces_exits_1(tmp_path, mode):
+    # f over X = (1/2, 1/2) and g over X' = (1/4, 3/4), both against a
+    # uniform Y: the same sizes, other spaces, in either argument order
+    x = DiscreteSpace(["x0", "x1"], [Fraction(1, 2), Fraction(1, 2)])
+    other = DiscreteSpace(["x0", "x1"], [Fraction(1, 4), Fraction(3, 4)])
+    y = DiscreteSpace.uniform(2, "y")
+    f, g, g0 = (str(tmp_path / name) for name in ("f.csv", "g.csv", "g0.csv"))
+    save_matrix(ProductFunction(x, y, [[1, 0], [0, 0]]), f)
+    save_matrix(ProductFunction.constant(other, y, Fraction(0)), g)
+    save_matrix(ProductFunction.constant(x, y, Fraction(0)), g0)
+    for pair in ((f, g), (g, f)):
+        assert "factor spaces differ" in _run_failing(["--mode", mode, "tau", *pair])
+    # a report whose g space was edited by hand
+    code, out = _run(["--mode", mode, "tau", f, g0])
+    assert code == 0
+    rep = json.loads(out)
+    rep["inputs"]["g"]["x_space"]["weights"] = ["1/4", "3/4"]
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(rep))
+    assert "factor spaces differ" in _run_failing(["check", str(path)])

@@ -109,6 +109,78 @@ def test_dumps_json_writes_model_numbers_as_format_number_strings(obj):
     assert fileio.jsonable(obj) == json.loads(json.dumps(_formatted(obj)))
 
 
+@st.composite
+def _arrays(draw):
+    """A list nested one to three deep, each of its lists at one depth of
+    one length and its cells of one type, as a matrix's rows or a matdist
+    sample list are; or, with a cell, a row or a length changed, not so."""
+    shape = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    cell = draw(st.sampled_from([
+        st.text(), st.integers(-2000, 2000), st.fractions(), _FLOAT,
+        st.sampled_from(["{}", "{0}", "}{", "1/3"])]))
+    seq = draw(st.sampled_from([list, tuple]))
+
+    def build(dims):
+        if not dims:
+            return draw(cell)
+        return seq(build(dims[1:]) for _ in range(dims[0]))
+
+    obj = build(shape)
+    if len(shape) > 1 and draw(st.booleans()):
+        # one row of another length, or of another type, or a cell of
+        # another type: the writer must not take it for an array
+        odd = draw(st.sampled_from([[], [True], [1, 2.5], ["x", 1], (0,)]))
+        obj = list(obj)
+        obj[draw(st.integers(0, len(obj) - 1))] = odd
+    return obj
+
+
+@st.composite
+def _record_lists(draw):
+    """A list of dicts with the same keys, each key's values of one scalar
+    type or arrays of one shape, as a matdist support is; or, with a key,
+    a value or a row changed, not so."""
+    keys = draw(st.lists(st.sampled_from(["matrix", "probability", "{a}", "}{",
+                                          "\u00e9", ""]),
+                         min_size=1, max_size=3, unique=True))
+    m = draw(st.integers(1, 5))
+    columns = {}
+    for key in keys:
+        if draw(st.booleans()):
+            cell = draw(st.sampled_from([st.text(), st.integers(-2000, 2000),
+                                         st.fractions(), _FLOAT]))
+            columns[key] = [draw(cell) for _ in range(m)]
+        else:
+            columns[key] = draw(st.lists(_arrays(), min_size=m, max_size=m))
+    rows = [{key: columns[key][i] for key in keys} for i in range(m)]
+    change = draw(st.sampled_from(["none", "key", "value", "row"]))
+    i = draw(st.integers(0, m - 1))
+    if change == "key":
+        rows[i]["extra"] = "x"
+    elif change == "value":
+        rows[i][keys[0]] = draw(st.sampled_from([True, None, {}, [], 1.5, "s"]))
+    elif change == "row":
+        rows[i] = draw(st.sampled_from([{}, [], "row", 3]))
+    return rows
+
+
+@given(st.one_of(_arrays(), st.dictionaries(st.text(), _arrays()), _record_lists()))
+@example([[["1/2", "1/3"], ["0", "7"]], [["-1", "1"], ["2", "{}"]]])
+@example([{"matrix": [["0", "1/2"], ["1/2", "0"]], "probability": "1/3"},
+          {"matrix": [["0", "1"], ["1", "0"]], "probability": "2/3"}])
+@example([{"n": 4, "value": Fraction(1, 4)}, {"n": 8, "value": Fraction(1, 8)}])
+@example([[1, 2], [3, 2000]])
+@example([[1, 2], [3]])
+@example([[1.0, 2.0], [3.0, -0.0]])
+@example([[True, False], [False, True]])
+@example([[Fraction(1, 3)], (Fraction(2),)])
+def test_dumps_json_writes_arrays_and_records_as_json_does(obj):
+    text = dumps_json(obj)
+    assert text == json.dumps(_formatted(obj), sort_keys=True, indent=2)
+    assert dumps_json({"a": [obj, obj]}) == json.dumps(
+        _formatted({"a": [obj, obj]}), sort_keys=True, indent=2)
+
+
 @pytest.mark.parametrize("other", [object(), {1, 2}, 1j, b"1", Decimal("0.5")])
 def test_dumps_json_and_jsonable_refuse_any_other_type(other):
     for obj in (other, [other], {"a": [Fraction(1, 2), other]}, (1, other)):

@@ -542,8 +542,8 @@ def test_float_search_equals_the_one_without_retry_until_that_one_cycles(drawn):
     scale = max(1, *map(abs, chain.from_iterable(cost)))
     # the total within round-off of the optimum of the exact masses and the
     # costs' exact values
-    exact = flows._ssp_balanced(supplies, demands,
-                                [list(map(Fraction, row)) for row in cost], 0)[0]
+    exact = solve_transportation(TransportationInstance(
+        supplies, demands, [list(map(Fraction, row)) for row in cost])).value
     assert abs(Fraction(got[0]) - exact) <= 1e-12 * scale * sum(supplies)
 
 

@@ -2,6 +2,7 @@
 zero and at every value v of f, equal bit for bit to one solve per level, in
 both regimes; tau and the layer cake are read off it."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -9,11 +10,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from virtcont import (DiscreteSpace, ProductFunction, ValidationError, flows,
-                      layer_cake_integral, level_set, tau_distance, thickness)
-from virtcont.model import zero_of
+                      layer_cake_integral, level_set, sr_norm, tau_distance,
+                      thickness)
+from virtcont.fileio import dumps_matrix, loads_matrix
+from virtcont.model import from_scale, zero_of
 from virtcont.thickness import exceedance_thicknesses
 
-from util import rand_function, rand_space, scan_layer_cake, scan_tau
+from lp_oracle import dense_lp_solve
+from util import brute_tau, rand_function, rand_space, scan_layer_cake, scan_tau
 
 
 def _pairs(weight, value):
@@ -49,7 +53,8 @@ def _sweep_equals_per_level_solves(f, g):
     for h in (f.sub(g).abs(), f.abs()):
         values = [v for row in h.values for v in row]
         zero = zero_of(values)
-        levels, swept = exceedance_thicknesses(h)
+        levels, swept, d = exceedance_thicknesses(h)
+        levels, swept = from_scale([levels], d)[0], from_scale([swept], d)[0]
         assert levels == sorted({zero} | set(values))
         assert swept == [thickness(level_set(h, v, ">")).value for v in levels]
         assert all(type(a) is type(zero) for a in swept)
@@ -98,3 +103,33 @@ def test_zero_weight_is_rejected_once_a_level_set_is_nonempty():
         with pytest.raises(ValidationError,
                            match="cover costs must be strictly positive"):
             job()
+
+
+def _sr_lp_value(h):
+    """The sr-norm of h as the dense LP oracle's optimum: the largest
+    integral of |h| against a subbistochastic plan."""
+    mu, nu = h.x_space.weights, h.y_space.weights
+    nr, nc = len(mu), len(nu)
+    rows = [[Fraction(int(k // nc == i)) for k in range(nr * nc)] for i in range(nr)]
+    rows += [[Fraction(int(k % nc == j)) for k in range(nr * nc)] for j in range(nc)]
+    return dense_lp_solve(rows, list(mu) + list(nu),
+                          [abs(v) for row in h.values for v in row])[0]
+
+
+@pytest.mark.parametrize("denoms", [(3, 4), (3, 997), (997, 4)])
+def test_functions_on_other_scales_meet_the_references(denoms):
+    # f's cells over one denominator, g's over another, read from files, so
+    # each is on its own scale and |f - g| on their lcm
+    rng = random.Random(sum(denoms))
+    for _ in range(6):
+        xs = rand_space(rng, rng.randint(1, 4), "x")
+        ys = rand_space(rng, rng.randint(1, 4), "y")
+        f, g = (loads_matrix(dumps_matrix(rand_function(rng, xs, ys, denom)))
+                for denom in denoms)
+        assert f.sub(g).scaled()[1] == math.lcm(f.scaled()[1], g.scaled()[1])
+        res = tau_distance(f, g)
+        assert (res.value, res.witness_set_thickness) == scan_tau(f, g)
+        assert res.value == brute_tau(f, g)
+        for h in (f, g, f.sub(g)):
+            assert layer_cake_integral(h) == scan_layer_cake(h)
+            assert sr_norm(h).value == _sr_lp_value(h)

@@ -524,3 +524,86 @@ def test_an_unsigned_plan_on_its_scale_still_refuses_a_negative_mass():
         assert Plan.of_scaled(s, s, xw, xw, rows, d, signed=True).signed
         with pytest.raises(ValidationError, match="dimensions"):
             Plan.of_scaled(s, s, xw, xw, rows[:1], d)
+
+
+# --------------------------------------------------- functions on a scale
+# A reader or a kernel hands a function over on its integer scale
+# (`ProductFunction.of_scaled`); `ProductFunction(x, y, values)` keeps the
+# values given.  The two must be one function, in both regimes.
+
+@st.composite
+def _function_values(draw):
+    """(x space, y space, values): exact weights, and cells over a few
+    denominators, 997 among them, so the scale is not the weights'."""
+    nx, ny = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    spaces = []
+    for n, prefix in ((nx, "x"), (ny, "y")):
+        ks = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+        spaces.append(DiscreteSpace([f"{prefix}{i}" for i in range(n)],
+                                    [Fraction(k, sum(ks)) for k in ks]))
+    cell = st.builds(Fraction, st.integers(-30, 30), st.sampled_from([1, 3, 4, 997]))
+    values = draw(st.lists(st.lists(cell, min_size=ny, max_size=ny),
+                           min_size=nx, max_size=nx))
+    return (*spaces, values)
+
+
+@given(_function_values(), st.booleans())
+def test_a_function_built_on_its_scale_is_the_function_of_its_values(drawn, exact):
+    from virtcont.fileio import dumps_matrix, format_number, loads_matrix, matrix_to_obj
+    xs, ys, values = drawn
+    if exact:
+        d = math.lcm(*(v.denominator for row in values for v in row))
+        rows = [[v.numerator * (d // v.denominator) for v in row] for row in values]
+    else:
+        # float mode: d None and every cell the float as given, every other
+        # zero as -0.0
+        d = None
+        xs, ys = (DiscreteSpace(s.labels, list(map(float, s.weights)))
+                  for s in (xs, ys))
+        values = rows = [[-0.0 if v == 0 and (i + j) % 2 else float(v)
+                          for j, v in enumerate(row)] for i, row in enumerate(values)]
+    on_scale = ProductFunction.of_scaled(xs, ys, rows, d)
+    f = ProductFunction(xs, ys, values)
+    assert on_scale == f and f == on_scale
+    assert repr(on_scale.values) == repr(f.values) == repr(
+        tuple(map(tuple, values)))
+    assert on_scale.scaled() == f.scaled() == (tuple(map(tuple, rows)), d)
+    written = [[format_number(v) for v in row] for row in f.values]
+    assert matrix_to_obj(on_scale)["values"] == matrix_to_obj(f)["values"] == written
+    for g in (on_scale, f):
+        back = loads_matrix(dumps_matrix(g), exact)
+        assert back == f and repr(back.values) == repr(f.values)
+        assert back.scaled() == f.scaled()
+
+
+def test_a_function_on_its_scale_checks_its_shape_and_its_float_cells():
+    s = DiscreteSpace.uniform(2)
+    with pytest.raises(ValidationError, match="dimensions"):
+        ProductFunction.of_scaled(s, s, [[1, 2]], 3)
+    with pytest.raises(ValidationError, match="non-finite"):
+        ProductFunction.of_scaled(s, s, [[0.5, math.inf], [0.0, 1.0]], None)
+    f = ProductFunction.of_scaled(s, s, [[1, -2], [0, 6]], 4)
+    assert f.values == ((Fraction(1, 4), Fraction(-1, 2)), (0, Fraction(3, 2)))
+    assert f.abs().scaled() == (((1, 2), (0, 6)), 4)
+    # the difference of two scales lies on their lcm
+    g = ProductFunction.of_scaled(s, s, [[1, 0], [0, 1]], 3)
+    assert f.sub(g).scaled() == (((-1, -6), (0, 14)), 12)
+    assert f.add(g).values == tuple(tuple(a + b for a, b in zip(ra, rb))
+                                    for ra, rb in zip(f.values, g.values))
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_functions_over_other_spaces_of_the_same_size_do_not_combine(exact):
+    cast = Fraction if exact else float
+    x = DiscreteSpace(["x0", "x1"], [cast(1) / 2, cast(1) / 2])
+    other = DiscreteSpace(["x0", "x1"], [cast(1) / 4, cast(3) / 4])
+    y = DiscreteSpace(["y0", "y1"], [cast(1) / 2, cast(1) / 2])
+    f = ProductFunction(x, y, [[cast(1), cast(0)], [cast(0), cast(0)]])
+    g = ProductFunction.constant(other, y, cast(0))
+    for a, b in ((f, g), (g, f)):
+        for op in (a.sub, a.add):
+            with pytest.raises(ValidationError, match="factor spaces differ"):
+                op(b)
+    relabelled = DiscreteSpace(["a0", "a1"], x.weights)
+    with pytest.raises(ValidationError, match="factor spaces differ"):
+        f.sub(ProductFunction.constant(relabelled, y, cast(0)))
